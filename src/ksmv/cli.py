@@ -11,11 +11,11 @@ Config grammar (flat key-value text, dotted section prefixes):
     initial.p0 = gaussian(0, 1)         # gaussian(mean, var) | uniform(a, b) | samples(path)
     initial.c0 = sine(0.3, 1)           # sine(amp, freq) | gaussian_bump(amp, width)
                                         #   | quadratic(curvature) | samples(path) | none
-    discretization.L = 8                # box half-width
+    discretization.l = 8                # box half-width
     discretization.n = 256              # grid points (even)
-    discretization.T = 0.5              # horizon
-    discretization.M = 100              # time steps
-    particles.N = 2000
+    discretization.t = 0.5              # horizon
+    discretization.m = 100              # time steps
+    particles.n = 2000
     particles.seed = 1234
     particles.bandwidth = auto          # auto | positive number
     picard.safety = 0.5
@@ -51,14 +51,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate as _integrate
+from scipy import integrate as _integrate, special
 
 from . import __version__
 from .grid import Grid1D, TimeMesh, DensityField, heat_kernel
 from .kernel import KernelSpec, check_hypotheses, find_T0, horizon_D
 from .field import InitialChemical, drift_b, chemical_concentration, ks_residual
 from . import mild
-from .particle import simulate_particles, simulate_bounded_drift, kde_density, compare_histories
+from .particle import simulate_particles, simulate_bounded_drift, kde_density
 from .qz import QZParams, qz_density, qz_density_grid, qz_density_at_y, qz_bound, verify_bound
 
 ENV_OUT_DIR = "KSMV_OUT"
@@ -534,12 +534,33 @@ def cmd_particles(cfg: RunConfig, out: Path) -> int:
     return 0 if run.all_passed else 1
 
 
+# Family-wise false-alarm rate of the qz Monte Carlo histogram check.
+QZ_HISTOGRAM_ALPHA = 1e-3
+
+
+def _histogram_error_ratio(dens: np.ndarray, ref: np.ndarray, width: float,
+                           N: int, dt: float) -> float:
+    """Worst bin of |dens - ref| / allowance; the check passes at <= 1.
+
+    allowance = z se + 0.14 sqrt(dt).  se is the binomial standard error of
+    a bin holding the reference probability ref * width out of N paths, and
+    z the two-sided Bonferroni quantile that keeps the chance of any bin
+    alarming on a correct reference below QZ_HISTOGRAM_ALPHA.  The second
+    term bounds the Euler scheme's bias in the attractor bin, where the drift
+    jumps (weak order 1/2 there): at N = 1e6 that bin was off by 1.9e-2,
+    9.8e-3 and 3.7e-3 at dt = 0.02, 0.008 and 0.004.
+    """
+    p = ref * width
+    se = np.sqrt(p * (1.0 - p) / N) / width
+    z = float(special.ndtri(1.0 - QZ_HISTOGRAM_ALPHA / (2.0 * ref.size)))
+    return float(np.max(np.abs(dens - ref) / (z * se + 0.14 * math.sqrt(dt))))
+
+
 def cmd_qz(cfg: RunConfig, out: Path) -> int:
     run = RunReport("qz", cfg.config_hash(), cfg.seed)
     t0 = time.perf_counter()
 
     worst_norm = 0.0
-    from scipy import integrate as _integrate
     for beta in (0.0, 0.25, 1.0, 4.0):
         for t in (0.1, 1.0, 5.0):
             p = QZParams(beta=beta, y=0.3, x=-0.8, t=t)
@@ -579,9 +600,8 @@ def cmd_qz(cfg: RunConfig, out: Path) -> int:
                                     points=([p_ref.y] if a < p_ref.y < b else None),
                                     epsabs=1e-12)[0] / width
                     for a, b in zip(edges[:-1], edges[1:])])
-    mc_err = float(np.max(np.abs(dens - ref)))
-    mc_tol = 2e-2 if cfg.n_particles >= 10 ** 5 else 2e-2 + 3.0 / math.sqrt(cfg.n_particles)
-    run.add("mc_histogram_sup", mc_err, mc_tol, mc_err <= mc_tol)
+    mc_ratio = _histogram_error_ratio(dens, ref, width, ens.n_particles, mesh.dt)
+    run.add("mc_histogram_sup", mc_ratio, 1.0, mc_ratio <= 1.0)
 
     rep = verify_bound(ens, beta, bins=50)
     run.add("bound_violations", float(len(rep.violations)), 0.0, rep.passed)

@@ -21,12 +21,22 @@ Two interaction evaluators:
   to the particles by linear interpolation.  O(N M + M^2 n log n) total,
   with an additional O(h^2) projection bias.
 
-Randomness is counter-based and per-particle: particle i draws from
-Philox(key=[seed, key_i], counter=[0,0,0,phase]) with phase 0 for the
-initial inverse-CDF uniform and phase 1 for path noise.  Results are
-bit-reproducible for fixed (seed, N, mesh, parameters) at any thread or
-block count, and permuting the particle key assignment permutes the
-trajectories exactly.
+Both run on one Euler stepper that takes a drift callback and keeps only
+the requested path rows.
+
+Randomness is counter-based (Philox, Salmon et al., SC'11) and step-major:
+step k of phase p owns the stream Philox(key=[seed, p], counter=[0, k, 0, 0]),
+with phase 0 for the initial inverse-CDF uniforms (k = 0) and phase 1 for
+the path noise of step k.  The particle with key kappa takes variate kappa
+of each stream, so a step draws max(keys) + 1 values and indexes them by
+the keys; no (M, N) noise array is ever held.  Consequences, by
+construction:
+
+* paths are bit-reproducible for fixed (seed, keys, mesh, parameters), at
+  any thread count;
+* permuting the particle keys permutes the trajectories exactly;
+* the default keys arange(N) nest: a smaller run's streams are a prefix of
+  a larger run's.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,23 +105,55 @@ class ParticleEnsemble:
         return float(np.var(self.positions[row]))
 
 
-def _stream(seed: int, key: int, phase: int) -> np.random.Generator:
-    """Counter-based per-particle stream; phase separates the initial-draw
-    and path-noise blocks."""
-    return np.random.Generator(np.random.Philox(key=[seed, key],
-                                                counter=[0, 0, 0, phase]))
+_INIT, _NOISE = 0, 1   # stream phases: initial uniforms, path noise
+_LEGACY_BLOCK = 20000
 
 
-def _init_uniforms(seed: int, keys: np.ndarray) -> np.ndarray:
-    return np.array([_stream(seed, int(k), 0).random() for k in keys])
+def _keyed_draws(seed: int, phase: int, k: int, keys: np.ndarray) -> np.ndarray:
+    """Variates keys[i] of the counter-based stream of step k and phase:
+    uniforms on [0, 1) for _INIT, standard normals for _NOISE.  Draws
+    max(keys) + 1 values, so the cost is O(max key + 1)."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, phase], counter=[0, k, 0, 0]))
+    width = int(keys.max()) + 1
+    draws = gen.random(width) if phase == _INIT else gen.standard_normal(width)
+    return draws[keys]
 
 
-def _noise_block(seed: int, keys: np.ndarray, steps: int) -> np.ndarray:
-    """(steps, B) standard normals, column b from particle keys[b]'s stream."""
-    out = np.empty((steps, keys.size))
-    for b, k in enumerate(keys):
-        out[:, b] = _stream(seed, int(k), 1).standard_normal(steps)
-    return out
+def _particle_keys(particle_keys: Optional[np.ndarray], N: int) -> np.ndarray:
+    keys = np.arange(N) if particle_keys is None else np.asarray(particle_keys)
+    if keys.shape != (N,):
+        raise ValueError("particle_keys must have shape (N,)")
+    if not np.issubdtype(keys.dtype, np.integer) or int(keys.min()) < 0:
+        raise ValueError(f"particle_keys must be non-negative integers, got dtype "
+                         f"{keys.dtype} with minimum {keys.min()}")
+    return keys
+
+
+def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
+                 mesh: TimeMesh, seed: int, keys: np.ndarray,
+                 store_rows: Optional[Sequence[int]]) -> Tuple[List[int], np.ndarray]:
+    """Euler-Maruyama X_{k+1} = X_k + dt drift(k, X_k) + sqrt(dt) xi_k, with
+    xi_k drawn step by step from the step-k noise stream.
+
+    Keeps only the mesh rows in store_rows (default all; row 0 always) and
+    returns them with the (rows, N) array, so working memory is O(N) plus
+    the stored rows.
+    """
+    M, dt = mesh.steps, mesh.dt
+    rows = sorted({0, *(int(r) for r in store_rows)}) if store_rows is not None \
+        else list(range(M + 1))
+    if rows[0] < 0 or rows[-1] > M:
+        raise ValueError(f"store_rows must lie in [0, {M}], got {rows[0]}..{rows[-1]}")
+    row_of = {r: i for i, r in enumerate(rows)}
+    out = np.empty((len(rows), x0.size))
+    out[0] = x0
+    x = x0
+    sqdt = math.sqrt(dt)
+    for k in range(M):
+        x = x + dt * drift(k, x) + sqdt * _keyed_draws(seed, _NOISE, k, keys)
+        if k + 1 in row_of:
+            out[row_of[k + 1]] = x
+    return rows, out
 
 
 def _inverse_cdf_sampler(p0: DensityField) -> Callable[[np.ndarray], np.ndarray]:
@@ -127,79 +169,70 @@ def _inverse_cdf_sampler(p0: DensityField) -> Callable[[np.ndarray], np.ndarray]
 def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
                        chem: Optional[InitialChemical], mesh: TimeMesh,
                        seed: int, interaction: str = "pairwise",
-                       past_stride: int = 1,
                        particle_keys: Optional[np.ndarray] = None) -> ParticleEnsemble:
     """Simulate the interacting system; returns the full (M+1) x N path array.
 
-    interaction chooses the memory-sum evaluator ("pairwise" or "binned");
-    past_stride > 1 coarsens the pairwise past to every stride-th row with
-    correspondingly longer weights (documented approximation, off by
-    default).  particle_keys reassigns the per-particle RNG streams
-    (default arange(N)); permuting it permutes the trajectories.
+    interaction chooses the memory-sum evaluator ("pairwise" or "binned").
+    particle_keys (non-negative integers, default arange(N)) assigns each
+    particle its variate in the per-step streams; permuting it permutes the
+    trajectories.  Each step costs O(max key + 1) to draw.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     if interaction not in ("pairwise", "binned"):
         raise ValueError(f"unknown interaction evaluator {interaction!r}")
-    if past_stride < 1:
-        raise ValueError(f"need past_stride >= 1, got {past_stride}")
-    keys = np.arange(N) if particle_keys is None else np.asarray(particle_keys)
-    if keys.shape != (N,):
-        raise ValueError("particle_keys must have shape (N,)")
+    keys = _particle_keys(particle_keys, N)
     grid, M, dt = p0.grid, mesh.steps, mesh.dt
-
-    X = np.empty((M + 1, N))
-    X[0] = _inverse_cdf_sampler(p0)(_init_uniforms(seed, keys))
-    noise = _noise_block(seed, keys, M)
-    sqdt = math.sqrt(dt)
-
+    interacting = spec.chi > 0
     binned = interaction == "binned"
-    if binned and spec.chi > 0:
+    if binned and interacting:
         W = _weight_symbol_stack(spec, grid, dt, M)
-        spectra = np.empty((M + 1, grid.wavenumbers.size), dtype=complex)
-        spectra[0] = np.fft.rfft(_deposit(grid, X[0]))
+        spectra = np.empty((M, grid.wavenumbers.size), dtype=complex)
     star_ages = _sqrt_midpoints(np.arange(0, M, dtype=float) * dt,
                                 np.arange(1, M + 1, dtype=float) * dt)
+    past: List[np.ndarray] = []
+    pair_evals = 0
+
+    def drift(k: int, x: np.ndarray) -> np.ndarray:
+        nonlocal pair_evals
+        u = drift_b(spec, chem, float(mesh.nodes[k]), x) if chem is not None else np.zeros(N)
+        if not interacting:
+            return u
+        if binned:
+            spectra[k] = np.fft.rfft(_deposit(grid, x))
+            if k > 0:
+                Bg = np.fft.irfft(_memory_sum(W, spectra, k), grid.n)
+                u = u + _interp_grid(grid, Bg, x)
+        else:
+            past.append(x)
+            if k > 0:
+                u = u + _pairwise_memory(spec, past, dt, star_ages)
+                pair_evals += N * N * k
+        return u
 
     t_start = time.perf_counter()
-    pair_evals = 0
-    for k in range(M):
-        tk = float(mesh.nodes[k])
-        u = drift_b(spec, chem, tk, X[k]) if chem is not None else np.zeros(N)
-        if spec.chi > 0 and k > 0:
-            if binned:
-                Bg = np.fft.irfft(_memory_sum(W, spectra, k), grid.n)
-                u = u + _interp_grid(grid, Bg, X[k])
-            else:
-                u = u + _pairwise_memory(spec, X, k, dt, star_ages, past_stride)
-                pair_evals += N * N * max(1, (k - 1) // past_stride + 1)
-        X[k + 1] = X[k] + dt * u + sqdt * noise[k]
-        if binned and spec.chi > 0:
-            spectra[k + 1] = np.fft.rfft(_deposit(grid, X[k + 1]))
+    x0 = _inverse_cdf_sampler(p0)(_keyed_draws(seed, _INIT, 0, keys))
+    _, X = _euler_paths(x0, drift, mesh, seed, keys, None)
     elapsed = time.perf_counter() - t_start
-    meta = {"init_sampling": "inverse-cdf", "interaction": interaction,
-            "past_stride": past_stride, "elapsed_s": elapsed}
+    meta = {"init_sampling": "inverse-cdf", "interaction": interaction, "elapsed_s": elapsed}
     if pair_evals:
         meta["pair_evals_per_s"] = pair_evals / max(elapsed, 1e-9)
     return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
 
 
-def _pairwise_memory(spec: KernelSpec, X: np.ndarray, k: int, dt: float,
-                     star_ages: np.ndarray, stride: int) -> np.ndarray:
+def _pairwise_memory(spec: KernelSpec, past: Sequence[np.ndarray], dt: float,
+                     star_ages: np.ndarray) -> np.ndarray:
     """(1/N) sum_j sum over past subintervals of the kernel between particle
-    i now and particle j then; same ages and weights as mild.memory_drift."""
-    N = X.shape[1]
-    acc = np.zeros(N)
+    i now (past[k]) and particle j then; same ages and weights as
+    mild.memory_drift."""
+    k = len(past) - 1
+    now = past[k][:, None]
     # newest subinterval: exact closed-form time integral, frozen at t_{k-1}
-    diff = X[k][:, None] - X[k - 1][None, :]
-    acc += np.sum(time_integrated_kernel(spec, dt, diff), axis=1)
-    if k >= 2:
-        for m0 in range(2, k + 1, stride):
-            m_hi = min(m0 + stride - 1, k)
-            weight = dt * (m_hi - m0 + 1)
-            diff = X[k][:, None] - X[k - m0][None, :]
-            acc += weight * np.sum(kernel_eval(spec, float(star_ages[m0 - 1]), diff), axis=1)
-    return acc / N
+    acc = np.sum(time_integrated_kernel(spec, dt, now - past[k - 1][None, :]), axis=1)
+    for m0 in range(2, k + 1):
+        diff = now - past[k - m0][None, :]
+        acc += dt * np.sum(kernel_eval(spec, float(star_ages[m0 - 1]), diff), axis=1)
+    return acc / len(past[k])
 
 
 def _deposit(grid: Grid1D, positions: np.ndarray) -> np.ndarray:
@@ -227,35 +260,27 @@ def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
                            mesh: TimeMesh, N: int, seed: int,
                            drift_bound: Optional[float] = None,
                            store_rows: Optional[Sequence[int]] = None,
-                           block: int = 20000) -> ParticleEnsemble:
-    """Independent Euler paths dX = b(t, X) dt + dW, blocked over particles.
+                           block: int = _LEGACY_BLOCK) -> ParticleEnsemble:
+    """Independent Euler paths dX = b(t, X) dt + dW for particle keys 0..N-1.
 
-    x0_sampler maps the per-particle phase-0 uniforms to start positions
-    (inverse-CDF style).  drift_bound is the caller-declared sup |b_fn|,
-    recorded for the universal-bound checker.  store_rows selects which mesh
-    rows to keep (default all; pass a short list for large N x M runs).
+    x0_sampler maps the phase-0 uniforms to start positions (inverse-CDF
+    style).  drift_bound is the caller-declared sup |b_fn|, recorded for the
+    universal-bound checker.  store_rows selects which mesh rows to keep
+    (default all; row 0 always); working memory is O(N) plus those rows.
+
+    block is deprecated and ignored: all N paths advance together, and the
+    paths never depended on it.  Passing a value other than the default
+    issues a DeprecationWarning.
     """
-    M, dt = mesh.steps, mesh.dt
-    rows = list(range(M + 1)) if store_rows is None else sorted(set(int(r) for r in store_rows))
-    if rows[0] != 0:
-        rows = [0] + rows
-    if rows[-1] > M:
-        raise ValueError(f"store_rows beyond last step {M}")
-    row_of = {r: i for i, r in enumerate(rows)}
-    out = np.empty((len(rows), N))
-    sqdt = math.sqrt(dt)
-    for lo in range(0, N, block):
-        hi = min(lo + block, N)
-        keys = np.arange(lo, hi)
-        x = x0_sampler(_init_uniforms(seed, keys))
-        if x.shape != (hi - lo,):
-            raise ValueError("x0_sampler must map (B,) uniforms to (B,) positions")
-        noise = _noise_block(seed, keys, M)
-        out[0, lo:hi] = x
-        for k in range(M):
-            x = x + dt * b_fn(float(mesh.nodes[k]), x) + sqdt * noise[k]
-            if k + 1 in row_of:
-                out[row_of[k + 1], lo:hi] = x
+    if block != _LEGACY_BLOCK:
+        warnings.warn("simulate_bounded_drift: `block` is deprecated and ignored",
+                      DeprecationWarning, stacklevel=2)
+    keys = np.arange(N)
+    x0 = x0_sampler(_keyed_draws(seed, _INIT, 0, keys))
+    if x0.shape != (N,):
+        raise ValueError("x0_sampler must map (N,) uniforms to (N,) positions")
+    rows, out = _euler_paths(x0, lambda k, x: b_fn(float(mesh.nodes[k]), x),
+                             mesh, seed, keys, store_rows)
     meta = {"init_sampling": "inverse-cdf", "row_times": mesh.nodes[rows]}
     return ParticleEnsemble(mesh, out, seed, drift_bound=drift_bound, meta=meta)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ksmv import cli
 from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
@@ -13,6 +14,8 @@ from ksmv.grid import Grid1D, TimeMesh, heat_kernel
 from ksmv.kernel import kernel_eval
 from ksmv.field import drift_b
 from ksmv.mild import MarginalHistory
+from ksmv.particle import simulate_bounded_drift
+from ksmv.qz import QZParams, qz_density
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -83,6 +86,15 @@ def test_shipped_configs_parse():
     assert full.formats == ("csv", "plot")
     heat = RunConfig.from_file(str(REPO / "configs" / "heat_only.cfg"))
     assert heat.kernel_kind == "none"
+
+
+def test_module_docstring_example_config_parses():
+    doc = cli.__doc__
+    block = doc[doc.index("Config grammar"):doc.index("`model.kernel = none`")]
+    example = "\n".join(line for line in block.splitlines() if line.startswith("    "))
+    cfg = RunConfig.from_mapping(parse_config_text(example))
+    assert (cfg.half_width, cfg.n, cfg.horizon, cfg.steps) == (8.0, 256, 0.5, 100)
+    assert cfg.n_particles == 2000 and cfg.formats == ("csv", "plot")
 
 
 # --- builders ---------------------------------------------------------------
@@ -282,3 +294,27 @@ def test_solver_summaries_match_goldens(tmp_path, monkeypatch, name):
                         delimiter=",", skiprows=1)
     assert fresh.shape == golden.shape
     assert np.allclose(fresh, golden, rtol=1e-9, atol=1e-12)
+
+
+# --- qz Monte Carlo histogram check -------------------------------------------
+
+
+def test_qz_histogram_check_accepts_true_drift_and_rejects_wrong_drift():
+    # the histogram of cmd_qz (sign drift 0.5 toward 0 from x = 1, t = 1)
+    N, mesh = 20000, TimeMesh(1.0, 1000)
+    ens = simulate_bounded_drift(lambda t, x: 0.5 * np.sign(-x), lambda u: np.ones_like(u),
+                                 mesh, N, seed=3, store_rows=[mesh.steps])
+    zs = np.linspace(-3.0, 4.0, 36)
+    width = zs[1] - zs[0]
+    edges = np.concatenate([zs - width / 2.0, [zs[-1] + width / 2.0]])
+    dens = np.histogram(ens.positions[-1], bins=edges)[0] / (N * width)
+
+    def bin_means(beta):
+        p = QZParams(beta=beta, y=0.0, x=1.0, t=1.0)
+        return np.array([integrate.quad(lambda z: qz_density(p, z), a, b,
+                                        points=([0.0] if a < 0.0 < b else None))[0] / width
+                         for a, b in zip(edges[:-1], edges[1:])])
+
+    assert cli._histogram_error_ratio(dens, bin_means(0.5), width, N, mesh.dt) <= 1.0
+    for wrong in (0.25, 0.75):
+        assert cli._histogram_error_ratio(dens, bin_means(wrong), width, N, mesh.dt) > 1.0

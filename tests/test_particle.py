@@ -1,6 +1,7 @@
 """Interacting particle simulation, bounded-drift paths, KDE, history comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ksmv.field import InitialChemical
 from ksmv.mild import MarginalHistory, march, _sqrt_midpoints
 from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            simulate_bounded_drift, kde_density,
-                           compare_histories, _deposit)
+                           compare_histories, _deposit, _keyed_draws)
 
 from conftest import gaussian_density, l1_distance
 
@@ -34,10 +35,11 @@ def test_rejects_small_ensembles_and_bad_args():
     with pytest.raises(ValueError):
         simulate_particles(8, p0, FREE, None, mesh, seed=1, interaction="tree")
     with pytest.raises(ValueError):
-        simulate_particles(8, p0, FREE, None, mesh, seed=1, past_stride=0)
-    with pytest.raises(ValueError):
         simulate_particles(8, p0, FREE, None, mesh, seed=1,
                            particle_keys=np.arange(7))
+    for bad in (np.arange(-1, 7), np.arange(8) + 0.5, np.arange(8.0)):
+        with pytest.raises(ValueError, match="particle_keys"):
+            simulate_particles(8, p0, FREE, None, mesh, seed=1, particle_keys=bad)
 
 
 def test_x0_property_detects_deterministic_start():
@@ -100,6 +102,22 @@ def test_exchangeability_under_key_permutation():
     assert np.array_equal(permuted.positions, base.positions[:, perm])
 
 
+def test_step_stream_is_philox_keyed_by_seed_and_phase_countered_by_step():
+    keys = np.array([5, 0, 3, 3, 9])
+    for phase, k in ((0, 0), (1, 0), (1, 17)):
+        gen = np.random.Generator(np.random.Philox(key=[42, phase], counter=[0, k, 0, 0]))
+        direct = gen.random(10) if phase == 0 else gen.standard_normal(10)
+        assert np.array_equal(_keyed_draws(42, phase, k, keys), direct[keys])
+
+
+def test_default_keys_nest_smaller_runs_in_larger_ones():
+    mesh = TimeMesh(0.5, 40)
+    kw = dict(mesh=mesh, seed=29)
+    small = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, N=64, **kw)
+    large = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, N=257, **kw)
+    assert np.array_equal(large.positions[:, :64], small.positions)
+
+
 def test_first_step_has_no_memory():
     g = Grid1D(10.0, 128)
     mesh = TimeMesh(0.3, 3)
@@ -153,16 +171,6 @@ def test_binned_close_to_pairwise():
     assert bn.meta["interaction"] == "binned"
 
 
-def test_past_thinning_stays_close():
-    g = Grid1D(10.0, 128)
-    mesh = TimeMesh(0.3, 24)
-    spec = KernelSpec(chi=1.0, lam=0.0)
-    p0 = gaussian_density(g, 0.5)
-    full = simulate_particles(64, p0, spec, None, mesh, seed=21, past_stride=1)
-    thin = simulate_particles(64, p0, spec, None, mesh, seed=21, past_stride=4)
-    assert float(np.max(np.abs(full.positions - thin.positions))) < 2e-2
-
-
 # --- mean-field consistency -------------------------------------------------
 
 
@@ -199,16 +207,33 @@ def test_bounded_drift_brownian_variance_and_rows():
 def test_bounded_drift_block_size_invariance():
     mesh = TimeMesh(0.5, 40)
     kw = dict(mesh=mesh, N=257, seed=23)
-    a = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, block=64, **kw)
-    b = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, block=100000, **kw)
+    with pytest.warns(DeprecationWarning, match="block"):
+        a = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, block=64, **kw)
+    with pytest.warns(DeprecationWarning, match="block"):
+        b = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, block=100000, **kw)
     assert np.array_equal(a.positions, b.positions)
 
 
 def test_bounded_drift_rejects_rows_past_horizon():
     mesh = TimeMesh(0.5, 10)
-    with pytest.raises(ValueError):
-        simulate_bounded_drift(lambda t, x: np.zeros_like(x), lambda u: u,
-                               mesh, N=10, seed=1, store_rows=[11])
+    for rows in ([11], [-1, 5]):
+        with pytest.raises(ValueError, match="store_rows"):
+            simulate_bounded_drift(lambda t, x: np.zeros_like(x), lambda u: u,
+                                   mesh, N=10, seed=1, store_rows=rows)
+
+
+def test_bounded_drift_working_memory_is_linear_in_n():
+    # no (M, N) noise: the peak is the two stored rows plus a few N-vectors
+    # of per-step temporaries, whatever M is
+    N, M = 200000, 200
+    tracemalloc.start()
+    try:
+        simulate_bounded_drift(lambda t, x: 0.5 * np.sign(-x), lambda u: np.ones_like(u),
+                               TimeMesh(1.0, M), N=N, seed=3, store_rows=[M])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * N
 
 
 # --- KDE --------------------------------------------------------------------
