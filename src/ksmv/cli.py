@@ -24,9 +24,10 @@ Config grammar (flat key-value text, dotted section prefixes):
     outputs.directory = out
     outputs.formats = csv,plot
 
-`model.kernel = none` turns the self-interaction off (realized as an
-identically-zero kernel) while keeping the chemical drift active; chi > 0 is
-required at config level either way.  A quadratic c0 with curvature q gives
+`model.kernel = none` turns the self-interaction off (the spec carries
+kernel.zero_kernel, which the solvers read as "no memory drift") while
+keeping the chemical drift active; chi > 0 is required at config level
+either way.  A quadratic c0 with curvature q gives
 the linear restoring drift b(0, x) = -chi q x.
 
 All numeric CSV output uses 17 significant digits, so reading a file back
@@ -55,7 +56,7 @@ from scipy import integrate as _integrate, special
 
 from . import __version__
 from .grid import Grid1D, TimeMesh, DensityField, heat_kernel
-from .kernel import KernelSpec, check_hypotheses, find_T0, horizon_D
+from .kernel import KernelSpec, check_hypotheses, find_T0, horizon_D, zero_kernel
 from .field import InitialChemical, drift_b, chemical_concentration, ks_residual
 from . import mild
 from .particle import simulate_particles, simulate_bounded_drift, kde_density
@@ -261,7 +262,7 @@ class RunConfig:
     def make_spec(self) -> KernelSpec:
         if self.kernel_kind == "none":
             return KernelSpec(chi=self.chi, lam=self.lam, normalization=self.normalization,
-                              kind="custom", eval_fn=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+                              kind="custom", eval_fn=zero_kernel)
         return KernelSpec(chi=self.chi, lam=self.lam, normalization=self.normalization)
 
     def make_p0(self, grid: Grid1D) -> DensityField:
@@ -619,18 +620,10 @@ def cmd_qz(cfg: RunConfig, out: Path) -> int:
 # --- entry point -----------------------------------------------------------
 
 
-def _apply_threads(threads: Optional[int]):
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ksmv", description=__doc__.splitlines()[0])
     ap.add_argument("--config", required=True, help="path to a run config file")
     ap.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT_DIR} or config)")
-    ap.add_argument("--threads", type=int, default=None, help="cap worker threads")
     ap.add_argument("--seed", type=int, default=None, help="override particles.seed")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("check-kernel", help="run the kernel admissibility checks")
@@ -644,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_threads(args.threads)
     try:
         cfg = RunConfig.from_file(args.config)
     except FileNotFoundError:

@@ -8,11 +8,13 @@ equation dc/dt = (1/2) c_xx - lambda c + rho, c(0) = c0.  Its Duhamel solution
 is evaluated spectrally, with the s -> 0 endpoint (where g(s,.) tends to the
 identity) assigned its limit value rho_t, and exact exp(-lambda s) subinterval
 weights so only the smooth factor is discretized (trapezoid, second order).
+The trapezoid sum reads off the history's running memory sums
+(MarginalHistory.memory_sums), so each node costs O(n).
 
 Two routes to the chemical gradient exist on purpose:
 
 * :func:`chemical_gradient` assembles d/dx c directly from the density
-  history with the same product-integration weights the memory drift uses,
+  history with the same quadrature the memory drift uses,
   so that the structural identity  chi * d/dx c = b + B  holds on the shared
   discretization (heat-normalized kernel);
 * central differencing of :func:`chemical_concentration` gives an
@@ -31,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid1D, DensityField, heat_kernel
-from .kernel import KernelSpec
+from .kernel import KernelSpec, symbol_decay
 
 __all__ = [
     "InitialChemical",
@@ -165,21 +167,18 @@ def _duhamel_symbol_sum(history, lam: float, k: int) -> np.ndarray:
     """rfft of int_0^{t_k} e^{-lam s} (rho_{t_k - s} * g(s, .)) ds.
 
     Trapezoid in the smooth factor rho_{t-s} * g(s); exact subinterval
-    integrals of e^{-lam s}; F(0) takes its identity-limit value rho_{t_k}.
+    integrals w0 e^{-lam s_j} of e^{-lam s}; F(0) takes its identity-limit
+    value rho_{t_k}.  With q = e^{-(lam + xi^2/2) dt}, r = e^{-xi^2 dt/2} and
+    the history's running memory sums S (the same ones the memory drift
+    uses) the trapezoid sum is (w0/2) [S_{k+1} - q^k rho_hat_0 + r S_k].
     """
     grid, mesh = history.grid, history.mesh
     xi = grid.wavenumbers
-    t = mesh.nodes
-    spectra = history.spectra()
-    # F_hat[j] = rfft(rho_{t_{k-j}}) * g_hat(t_j), j = 0..k
-    decay = np.exp(-np.outer(t[: k + 1], xi * xi / 2.0))
-    F = spectra[k::-1] * decay
-    if lam == 0.0:
-        w = np.full(k, mesh.dt)
-    else:
-        e = np.exp(-lam * t[: k + 1])
-        w = (e[:-1] - e[1:]) / lam
-    return 0.5 * np.sum(w[:, None] * (F[:-1] + F[1:]), axis=0)
+    dt = mesh.dt
+    S = history.memory_sums(lam)
+    w0 = dt if lam == 0.0 else -math.expm1(-lam * dt) / lam
+    first = symbol_decay(lam, k * dt, xi) * history.spectra()[0]
+    return 0.5 * w0 * (S[k + 1] - first + symbol_decay(0.0, dt, xi) * S[k])
 
 
 def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -> ChemicalField:
@@ -208,7 +207,7 @@ def chemical_gradient(history, chem: InitialChemical, spec: KernelSpec, k: int) 
     """d/dx c at mesh node k, assembled directly from the density history.
 
     Uses the decomposition d/dx c = e^{-lam t} (c0' * g(t)) + (1/chi) B-type
-    sum, sharing the memory drift's product-integration weights, so that
+    sum, sharing the memory drift's quadrature, so that
     chi * (d/dx c) - [b + B] vanishes on the shared discretization for the
     heat-normalized kernel.  Kernel-free: only spec.lam enters.
     """

@@ -3,16 +3,10 @@
 Space is a periodic box [-L, L) with n equispaced points; time is a uniform
 mesh on [0, T].  All densities, drifts and chemical fields live on these
 grids.  The module also provides the Gaussian heat kernel, discrete periodic
-convolution (direct and FFT paths), and product-integration weights for
-weakly singular time integrals of the form
-
-    int_0^{t_k} (t_k - s)^{-gamma} phi(s) ds,    0 < gamma < 1,
-
-where the singular factor is integrated exactly on each subinterval and the
-smooth factor phi is frozen at one node per subinterval.  Integrands that are
-themselves singular at s = 0 (phi ~ s^{-1/2}) should be evaluated at the
-square-root-adapted in-cell nodes returned by :func:`singular_eval_nodes`;
-the first cell then reproduces int_0^dt s^{-1/2} ds exactly.
+convolution (direct and FFT paths), and the square-root-adapted in-cell
+nodes of :func:`singular_eval_nodes` for product integration of weakly
+singular time integrals (the exact weights are kernel.pair_singular_weights);
+at those nodes the first cell reproduces int_0^dt s^{-1/2} ds exactly.
 
 Quadrature convention: on the periodic grid the trapezoid and rectangle
 rules coincide, so every integral is h * sum(values).
@@ -30,7 +24,6 @@ __all__ = [
     "DensityField",
     "heat_kernel",
     "convolve",
-    "singular_time_weights",
     "singular_eval_nodes",
 ]
 
@@ -44,7 +37,6 @@ class Grid1D:
 
     half_width: float
     n: int
-    periodic_wrap: bool = True
 
     def __post_init__(self):
         if self.n < 16:
@@ -157,10 +149,9 @@ def _as_values(f) -> np.ndarray:
 def convolve(f, g_samples, grid: Grid1D, method: str = "fft") -> np.ndarray:
     """Discrete convolution of two sampled fields, scaled by the spacing h.
 
-    (f * g)_i = h * sum_j f_j g_{i-j}, with the index wrapped periodically
-    when grid.periodic_wrap is set and zero-extended otherwise.  The "fft"
-    and "direct" paths agree to 1e-12 relative and exist to cross-check each
-    other.
+    (f * g)_i = h * sum_j f_j g_{i-j}, with the index wrapped periodically.
+    The "fft" and "direct" paths agree to 1e-12 relative and exist to
+    cross-check each other.
 
     Parameters
     ----------
@@ -177,44 +168,14 @@ def convolve(f, g_samples, grid: Grid1D, method: str = "fft") -> np.ndarray:
     # lands the result at index (i + j), i.e. offset by the n/2 cells that
     # encode x = 0; every path below undoes that offset
     if method == "fft":
-        if grid.periodic_wrap:
-            out = np.roll(np.fft.irfft(np.fft.rfft(fv) * np.fft.rfft(gv), n), -(n // 2))
-        else:
-            m = 2 * n  # zero padding kills the wrap-around
-            out = np.fft.irfft(np.fft.rfft(fv, m) * np.fft.rfft(gv, m), m)[n // 2 : n // 2 + n]
+        out = np.roll(np.fft.irfft(np.fft.rfft(fv) * np.fft.rfft(gv), n), -(n // 2))
         return out * grid.h
     if method == "direct":
-        if grid.periodic_wrap:
-            # indices [n, 2n) of the linear convolution against a doubled copy
-            # hold the full circular sum; recenter exactly like the fft path
-            out = np.roll(np.convolve(fv, np.concatenate([gv, gv]))[n : 2 * n], -(n // 2))
-        else:
-            out = np.convolve(fv, gv)[n // 2 : n // 2 + n]
+        # indices [n, 2n) of the linear convolution against a doubled copy
+        # hold the full circular sum; recenter exactly like the fft path
+        out = np.roll(np.convolve(fv, np.concatenate([gv, gv]))[n : 2 * n], -(n // 2))
         return out * grid.h
     raise ValueError(f"unknown convolution method {method!r}")
-
-
-def singular_time_weights(mesh: TimeMesh, k: int, gamma: float) -> np.ndarray:
-    """Per-subinterval exact integrals of the weight (t_k - s)^{-gamma}.
-
-    Returns w of length k with
-
-        w_l = int_{t_l}^{t_{l+1}} (t_k - s)^{-gamma} ds
-            = ((t_k - t_l)^{1-gamma} - (t_k - t_{l+1})^{1-gamma}) / (1 - gamma),
-
-    so that sum_l w_l phi(s_l) reproduces int_0^{t_k} (t_k - s)^{-gamma} phi(s) ds
-    for phi frozen per subinterval.  All weights are positive and they sum to
-    t_k^{1-gamma} / (1 - gamma) exactly.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"need 0 < gamma < 1, got {gamma}")
-    if not 1 <= k <= mesh.steps:
-        raise ValueError(f"need 1 <= k <= {mesh.steps}, got k={k}")
-    t = mesh.nodes
-    tk = t[k]
-    a = (tk - t[:k]) ** (1.0 - gamma)
-    b = (tk - t[1 : k + 1]) ** (1.0 - gamma)
-    return (a - b) / (1.0 - gamma)
 
 
 def singular_eval_nodes(mesh: TimeMesh, k: int) -> np.ndarray:

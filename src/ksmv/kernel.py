@@ -42,6 +42,8 @@ from .grid import Grid1D, TimeMesh, DensityField, convolve, heat_kernel, singula
 
 __all__ = [
     "KernelSpec",
+    "zero_kernel",
+    "has_memory",
     "HypothesisItem",
     "HypothesisReport",
     "kernel_eval",
@@ -51,6 +53,7 @@ __all__ = [
     "time_integrated_abs_kernel",
     "kernel_symbol",
     "integrated_kernel_symbol",
+    "symbol_decay",
     "pair_singular_weights",
     "f1_profile",
     "f2_profile",
@@ -98,6 +101,27 @@ class KernelSpec:
     def chi_eff(self) -> float:
         """Coupling rescaled so the kernel reads chi_eff exp(-lam t) d/dx g(t, x)."""
         return self.chi * math.sqrt(2.0 * math.pi) / _NORM_CONSTANTS[self.normalization]
+
+
+def zero_kernel(t, x) -> np.ndarray:
+    """K_t(x) = 0: the custom kernel behind `model.kernel = none`."""
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def has_memory(spec: KernelSpec) -> bool:
+    """Whether the memory drift B is switched on for spec.
+
+    False for chi = 0 and for the custom zero_kernel (`model.kernel = none`).
+    Any other custom kernel raises ValueError: custom kernels exist for
+    check_hypotheses only, and the solvers integrate the chemotaxis kernel in
+    closed form.
+    """
+    if spec.kind == "custom":
+        if spec.eval_fn is zero_kernel:
+            return False
+        raise ValueError("the solvers take the chemotaxis kernel or kernel.zero_kernel; "
+                         "other custom kernels are for check_hypotheses only")
+    return spec.chi > 0.0
 
 
 def _require_time(t: float):
@@ -211,9 +235,10 @@ def kernel_symbol(spec: KernelSpec, t: float, xi: np.ndarray) -> np.ndarray:
 def integrated_kernel_symbol(spec: KernelSpec, dt: float, xi: np.ndarray) -> np.ndarray:
     """Symbol of int_0^dt K_tau(.) dtau: chi_eff (i xi) (1 - e^{-(lam + xi^2/2) dt}) / (lam + xi^2/2).
 
-    Used for the newest, near-singular subinterval of the memory drift, where
-    the density is frozen and the kernel's time profile is integrated exactly.
-    The xi = 0, lambda = 0 entry is the removable limit 0.
+    The memory drift freezes the density on each subinterval and integrates
+    the kernel's time profile exactly; the subinterval of age m then weighs
+    its row by this symbol times symbol_decay(lam, (m - 1) dt, xi).  The
+    xi = 0, lambda = 0 entry is the removable limit 0.
     """
     if dt <= 0:
         raise ValueError(f"need dt > 0, got {dt}")
@@ -225,14 +250,25 @@ def integrated_kernel_symbol(spec: KernelSpec, dt: float, xi: np.ndarray) -> np.
     return spec.chi_eff * (1j * xi) * frac
 
 
+def symbol_decay(lam: float, a: float, xi: np.ndarray) -> np.ndarray:
+    """e^{-(lam + xi^2/2) a}: the ratio K_hat_{s+a} / K_hat_s of the kernel
+    symbol at ages a apart (also the damped heat symbol at time a)."""
+    return np.exp(-(lam + xi * xi / 2.0) * a)
+
+
 def pair_singular_weights(t_nodes: np.ndarray, k: int, total: float,
                           alpha: float, beta_exp: float) -> np.ndarray:
     """Exact subinterval integrals of (total - s)^{-alpha} s^{-beta_exp} on [0, t_k].
 
     Both endpoint singularities are integrated exactly through the regularized
     incomplete beta function; the smooth remainder of an integrand is frozen
-    per subinterval by the caller.  Requires total >= t_k.
+    per subinterval by the caller.  Needs alpha < 1, beta_exp < 1 (both
+    singularities integrable), 1 <= k < len(t_nodes) and total >= t_k.
     """
+    if not (alpha < 1.0 and beta_exp < 1.0):
+        raise ValueError(f"need alpha < 1 and beta_exp < 1, got {alpha}, {beta_exp}")
+    if not 1 <= k < len(t_nodes) or total < t_nodes[k]:
+        raise ValueError(f"need 1 <= k < {len(t_nodes)} and total >= t_k, got k={k}")
     u = t_nodes[: k + 1] / total
     a, b = 1.0 - beta_exp, 1.0 - alpha
     scale = total ** (1.0 - alpha - beta_exp) * special.beta(a, b)
@@ -388,7 +424,7 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
     # H.2: continuity probe at several times, jumps shrink under grid refinement
     jumps = []
     for factor in (1, 2, 4):
-        g2 = Grid1D(grid.half_width, grid.n * factor, grid.periodic_wrap)
+        g2 = Grid1D(grid.half_width, grid.n * factor)
         j = max(float(np.max(np.abs(np.diff(kernel_eval(spec, t, g2.x)))))
                 for t in (0.05 * T, 0.3 * T, T))
         jumps.append(j)

@@ -11,22 +11,22 @@ grid: convolutions with the heat kernel and with K are exact Fourier-symbol
 multiplications, which sidesteps kernel sampling entirely (important since
 the one-step kernels have width sqrt(dt), often below the grid spacing).
 
-Discretization of B at node t_k (product integration):
+Discretization of B at node t_k: on every subinterval [t_l, t_{l+1}] the
+density is frozen at the left node and the kernel's time profile is
+integrated exactly.  The kernel symbol chi_eff (i xi) e^{-(lam + xi^2/2) a}
+is exponential in the age a, so the subinterval of age m = k - l weighs
+p_hat_l by E1 q^{m-1}, with
 
-* subintervals [t_l, t_{l+1}], l <= k-2: freeze the density at the left
-  node; the kernel's (t_k - s)^{-1/2} amplitude profile is handled by
-  substituting v = sqrt(t_k - s), under which the subinterval integral
-  becomes a plain midpoint rule: weight dt, kernel age evaluated at
-  ((sqrt((m-1) dt) + sqrt(m dt)) / 2)^2 with m = k - l.  Second order in
-  the stretched variable, and the weight-node pair depends only on the
-  age m;
-* the newest subinterval (m = 1), where the kernel blows up, freezes the
-  density at t_{k-1} and integrates the kernel's time profile exactly in
-  closed form (erfc family / its Fourier symbol).
+    E1 = int_0^dt K_hat_a da   (kernel.integrated_kernel_symbol),
+    q  = e^{-(lam + xi^2/2) dt} (kernel.symbol_decay),
 
-Because the weights depend only on the age m, one precomputed symbol stack
-W[m](xi) turns each step's memory sum into a length-k inner product, and the
-whole march costs O(M^2 n) with small constants.
+and the whole memory sum is one running sum per frequency:
+
+    B_hat_k = E1 S_k,    S_0 = 0,    S_{k+1} = q S_k + p_hat_k.
+
+The march, the fixed-point iteration, the window restart, the chemical
+field and the binned particles all use this sum; it costs O(n) per step,
+so a march of M steps costs O(M n log n).
 
 The one-step march multiplies by the heat symbol and adds the one-step
 Duhamel drift term; mass is conserved exactly by construction (the
@@ -38,9 +38,11 @@ against the history frozen at p_0; iterate j marches the linear equation
 with drift b + B(.; iterate j-1).  The discrete system is lower triangular
 in time, so the iterates collapse onto the march output; their successive
 L^1 distances contract at rate ~ D(T_0) when the horizon satisfies
-D(T_0) < 1.  Longer horizons are covered by restarting: the memory of
-already-solved windows enters later windows as a frozen exogenous drift, and
-the concatenated discretization reproduces the single global march exactly.
+D(T_0) < 1.  Longer horizons are covered by restarting: the running sum of
+the already-solved windows is carried to the next window start as S_base,
+and enters that window as the frozen exogenous drift E1 q^j S_base at its
+node j, so the concatenated discretization reproduces the single global
+march.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .grid import Grid1D, TimeMesh, DensityField
-from .kernel import (KernelSpec, horizon_D, find_T0, kernel_eval,
-                     kernel_symbol, integrated_kernel_symbol)
+from .kernel import (KernelSpec, has_memory, horizon_D, find_T0,
+                     integrated_kernel_symbol, symbol_decay)
 from .field import InitialChemical, drift_b
 
 __all__ = [
@@ -62,11 +64,11 @@ __all__ = [
     "MemoryDrift",
     "SchemeInstabilityError",
     "PicardDivergenceError",
-    "memory_quadrature",
+    "running_sums",
     "memory_drift",
+    "prefix_memory",
     "march",
     "picard",
-    "restart_drift",
     "solve_global",
 ]
 
@@ -108,6 +110,7 @@ class MarginalHistory:
         if self.densities.shape != expected:
             raise ValueError(f"density stack must have shape {expected}")
         self._spectra: Optional[np.ndarray] = None
+        self._sums: Dict[float, np.ndarray] = {}
 
     @classmethod
     def constant(cls, p0: DensityField, mesh: TimeMesh) -> "MarginalHistory":
@@ -131,6 +134,14 @@ class MarginalHistory:
         if self._spectra is None:
             self._spectra = np.fft.rfft(self.densities, axis=1)
         return self._spectra
+
+    def memory_sums(self, lam: float) -> np.ndarray:
+        """Cached running sums S_0..S_{M+1} of the rows at decay rate lam
+        (module docstring); row k depends on rows 0..k-1 only."""
+        if lam not in self._sums:
+            q = symbol_decay(lam, self.mesh.dt, self.grid.wavenumbers)
+            self._sums[lam] = running_sums(self.spectra(), q)
+        return self._sums[lam]
 
     def max_mass_drift(self) -> float:
         return float(np.max(np.abs(self.mass_log - 1.0)))
@@ -157,96 +168,60 @@ class MemoryDrift:
         return float(np.max(np.abs(self.values)))
 
 
-def memory_quadrature(mesh: TimeMesh, k: int):
-    """Quadrature rule behind B(t_k): for subinterval l (density frozen at
-    t_l) the kernel is evaluated at the sqrt-stretched midpoint age with
-    uniform weight dt.  Returns (ages, weights), entry l pairing with
-    p_{t_l}; the solver overrides the last entry (the near-singular
-    subinterval) with the exact kernel time integral."""
-    if not 1 <= k <= mesh.steps:
-        raise ValueError(f"need 1 <= k <= {mesh.steps}, got {k}")
-    m = np.arange(k, 0, -1, dtype=float)  # age multiples for l = k - m
-    ages = _sqrt_midpoints((m - 1.0) * mesh.dt, m * mesh.dt)
-    return ages, np.full(k, mesh.dt)
-
-
-def _sampled_symbol(spec: KernelSpec, grid: Grid1D, t: float) -> np.ndarray:
-    """DFT-of-samples symbol for custom kernels; the (-1)^k phase moves the
-    grid origin from -half_width to 0.  Only trustworthy when the kernel at
-    age t is resolved by the grid spacing."""
-    sym = grid.h * np.fft.rfft(kernel_eval(spec, t, grid.x))
-    sym[1::2] *= -1.0
-    return sym
-
-
-def _sqrt_midpoints(ages_left: np.ndarray, ages_right: np.ndarray) -> np.ndarray:
-    """Midpoint nodes of age subintervals in the sqrt-stretched variable;
-    turns the product integration of the t^{-1/2} profile into a plain
-    midpoint rule with weight dt (second order in the stretched variable)."""
-    return ((np.sqrt(ages_left) + np.sqrt(ages_right)) / 2.0) ** 2
-
-
-def _weight_symbol_stack(spec: KernelSpec, grid: Grid1D, dt: float, m_max: int) -> np.ndarray:
-    """W[m](xi) for m = 1..m_max: the Fourier multiplier of age-m history rows
-    in the memory sum.  W[1] integrates the kernel's time profile exactly over
-    the newest, near-singular subinterval; W[m >= 2] = dt K_hat at the
-    sqrt-stretched midpoint age."""
-    xi = grid.wavenumbers
-    W = np.zeros((m_max + 1, xi.size), dtype=complex)
-    if m_max < 1:
-        return W
-    m = np.arange(0, m_max, dtype=float)
-    star = _sqrt_midpoints(m * dt, (m + 1.0) * dt)
-    if spec.kind == "custom":
-        for i in range(1, m_max + 1):
-            W[i] = dt * _sampled_symbol(spec, grid, star[i - 1])
-        return W
-    W[1] = integrated_kernel_symbol(spec, dt, xi)
-    if m_max >= 2:
-        decay = np.exp(-np.outer(star[1:], spec.lam + xi * xi / 2.0))
-        W[2:] = dt * decay * (spec.chi_eff * 1j * xi)[None, :]
-    return W
-
-
-def _memory_sum(W: np.ndarray, spectra: np.ndarray, k: int) -> np.ndarray:
-    """B_hat(t_k) = sum_{m=1}^{k} W[m] spectra[k - m] (reversed-view einsum)."""
-    if k == 0:
-        return np.zeros(W.shape[1], dtype=complex)
-    return np.einsum("mf,mf->f", W[1 : k + 1], spectra[k - 1 :: -1])
+def running_sums(spectra: np.ndarray, q: np.ndarray,
+                 start: Optional[np.ndarray] = None) -> np.ndarray:
+    """S_0 = start (default 0) and S_{l+1} = q S_l + spectra[l]: the memory
+    sums over the given rows, one more row than spectra."""
+    S = np.empty((len(spectra) + 1, q.size), dtype=complex)
+    S[0] = 0.0 if start is None else start
+    for l, row in enumerate(spectra):
+        S[l + 1] = q * S[l] + row
+    return S
 
 
 def memory_drift(history: MarginalHistory, spec: KernelSpec, k: int,
                  provenance: str = "self-history") -> MemoryDrift:
-    """B(t_k, .) from history rows 0..k-1 (row k itself is never touched)."""
+    """B(t_k, .) = irfft(E1 S_k) from history rows 0..k-1 (row k itself is
+    never touched)."""
     history.require_rows(max(k - 1, 0))
     grid, mesh = history.grid, history.mesh
-    if k == 0 or spec.chi == 0.0:
+    if not has_memory(spec) or k == 0:
         return MemoryDrift(grid, np.zeros(grid.n), float(mesh.nodes[k]), provenance)
-    W = _weight_symbol_stack(spec, grid, mesh.dt, k)
-    B_hat = _memory_sum(W, history.spectra(), k)
+    E1 = integrated_kernel_symbol(spec, mesh.dt, grid.wavenumbers)
+    B_hat = E1 * history.memory_sums(spec.lam)[k]
     return MemoryDrift(grid, np.fft.irfft(B_hat, grid.n), float(mesh.nodes[k]), provenance)
+
+
+def prefix_memory(spec: KernelSpec, grid: Grid1D, dt: float, S_base: np.ndarray,
+                  j: int) -> np.ndarray:
+    """Memory drift of the rows before a window, j steps into the window:
+    irfft(E1 q^j S_base), with S_base the running sum carried to the window
+    start.  This is the frozen exogenous drift of the window restart."""
+    xi = grid.wavenumbers
+    B_hat = integrated_kernel_symbol(spec, dt, xi) * symbol_decay(spec.lam, j * dt, xi) * S_base
+    return np.fft.irfft(B_hat, grid.n)
 
 
 def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh,
               drift_fn: Callable[[int, np.ndarray], np.ndarray],
               mass_tol: float, renormalize: bool) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Shared march loop.  drift_fn(k, spectra_so_far) returns u(t_k) on the
-    grid; returns (density stack, mass log, sup of |drift| seen)."""
+    """Shared march loop.  drift_fn(k, p_hat_k) returns u(t_k) on the grid;
+    it is called once per step, in step order.  Returns (density stack,
+    mass log, sup of |drift| seen)."""
     n, M, dt = grid.n, mesh.steps, mesh.dt
     xi = grid.wavenumbers
     heat = np.exp(-xi * xi * dt / 2.0)
     deriv = 1j * xi
     P = np.empty((M + 1, n))
-    Phat = np.empty((M + 1, xi.size), dtype=complex)
     mass_log = np.empty(M + 1)
     P[0] = p0_values
-    Phat[0] = np.fft.rfft(P[0])
-    mass_log[0] = Phat[0, 0].real * grid.h
+    cur = np.fft.rfft(P[0])
+    mass_log[0] = cur[0].real * grid.h
     sup_drift = 0.0
     for k in range(M):
-        u = drift_fn(k, Phat[: k + 1])
+        u = drift_fn(k, cur)
         sup_drift = max(sup_drift, float(np.max(np.abs(u))))
-        nxt = heat * (Phat[k] - dt * deriv * np.fft.rfft(u * P[k]))
+        nxt = heat * (cur - dt * deriv * np.fft.rfft(u * P[k]))
         mass = nxt[0].real * grid.h
         mass_log[k + 1] = mass
         if not math.isfinite(mass) or abs(mass - 1.0) > 10.0 * mass_tol:
@@ -254,7 +229,7 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh,
         if renormalize:
             nxt = nxt / mass
         P[k + 1] = np.fft.irfft(nxt, n)
-        Phat[k + 1] = nxt
+        cur = nxt
     return P, mass_log, sup_drift
 
 
@@ -278,16 +253,25 @@ def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
 
     whose advection direction matches the sign of u (a positive drift moves
     mass right; checked against the linear-drift closed form in the tests).
-    Mass is logged pre-renormalization at every step.
+    The memory sum S_k is updated online, O(n) per step.  Mass is logged
+    pre-renormalization at every step.
     """
     _check_p0(p0, grid, mass_tol)
-    W = _weight_symbol_stack(spec, grid, mesh.dt, mesh.steps) if spec.chi > 0 else None
+    memory = has_memory(spec)
     b_rows = _drift_rows(spec, chem, grid, mesh)
+    xi = grid.wavenumbers
+    if memory:
+        E1 = integrated_kernel_symbol(spec, mesh.dt, xi)
+        q = symbol_decay(spec.lam, mesh.dt, xi)
+    S = np.zeros(xi.size, dtype=complex)
 
-    def drift(k, spectra):
-        u = b_rows[k].copy()
-        if W is not None and k > 0:
-            u += np.fft.irfft(_memory_sum(W, spectra, k), grid.n)
+    def drift(k, p_hat):
+        nonlocal S
+        u = b_rows[k]
+        if memory:
+            if k > 0:
+                u = u + np.fft.irfft(E1 * S, grid.n)
+            S = q * S + p_hat
         return u
 
     P, mass_log, sup_drift = _run_mild(p0.values, grid, mesh, drift, mass_tol, renormalize)
@@ -319,49 +303,45 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
            mass_tol: float = 1e-3) -> Tuple[List[MarginalHistory], List[float]]:
     """Fixed-point iteration on the contraction horizon.
 
-    Iterate 1 solves the linear equation whose memory term is computed
-    against the history frozen at p_0; iterate j takes its memory from
-    iterate j-1.  Distances are sup over nodes of the row L^1 difference
-    between consecutive iterates.  Stops at tol or k_max; three consecutive
-    growing distances raise PicardDivergenceError.
+    Iterate j solves the linear equation whose memory term E1 S_k is one
+    running-sum pass over iterate j-1; iterate 1 takes the same pass over
+    the history frozen at p_0.  Distances are sup over nodes of the row L^1
+    difference between consecutive iterates.  Stops at tol or k_max; three
+    consecutive growing distances raise PicardDivergenceError.
 
     extra_drift(k) -> grid values is an additional exogenous drift (used by
     the window restart; it is held fixed across iterates).
     """
     _check_p0(p0, grid, mass_tol)
-    D = horizon_D(spec, mesh.horizon)
-    if D >= 1.0:
-        warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",
-                      RuntimeWarning, stacklevel=2)
-    W = _weight_symbol_stack(spec, grid, mesh.dt, mesh.steps) if spec.chi > 0 else None
-    cumW = None if W is None else np.cumsum(W, axis=0)
+    memory = has_memory(spec)
+    if memory:
+        D = horizon_D(spec, mesh.horizon)
+        if D >= 1.0:
+            warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",
+                          RuntimeWarning, stacklevel=2)
+        E1 = integrated_kernel_symbol(spec, mesh.dt, grid.wavenumbers)
     b_rows = _drift_rows(spec, chem, grid, mesh)
-    extra = [np.zeros(grid.n)] * (mesh.steps + 1) if extra_drift is None \
-        else [np.asarray(extra_drift(k), dtype=float) for k in range(mesh.steps + 1)]
+    if extra_drift is not None:
+        b_rows = b_rows + np.stack([np.asarray(extra_drift(k), dtype=float)
+                                    for k in range(mesh.steps + 1)])
 
-    p0_hat = np.fft.rfft(p0.values)
-    prev_stack = np.tile(p0.values, (mesh.steps + 1, 1))
-    prev_spectra = None  # sentinel: iterate 1 uses the frozen closed form
-
+    prev = MarginalHistory.constant(p0, mesh)
     histories: List[MarginalHistory] = []
     distances: List[float] = []
     grow_streak = 0
     for j in range(1, k_max + 1):
-        def drift(k, _own_spectra, _j=j):
-            u = b_rows[k] + extra[k]
-            if W is None or k == 0:
-                return u
-            if prev_spectra is None:
-                B_hat = cumW[k] * p0_hat
-            else:
-                B_hat = _memory_sum(W, prev_spectra, k)
-            return u + np.fft.irfft(B_hat, grid.n)
+        sums = prev.memory_sums(spec.lam) if memory else None
+
+        def drift(k, _p_hat, _sums=sums):
+            if _sums is None or k == 0:
+                return b_rows[k]
+            return b_rows[k] + np.fft.irfft(E1 * _sums[k], grid.n)
 
         P, mass_log, sup_drift = _run_mild(p0.values, grid, mesh, drift, mass_tol, True)
         hist = MarginalHistory(grid, mesh, P, mass_log,
                                {"provenance": f"iterate-{j}", "sup_drift": sup_drift})
         histories.append(hist)
-        d = _sup_l1_distance(P, prev_stack, grid.h)
+        d = _sup_l1_distance(P, prev.densities, grid.h)
         distances.append(d)
         if len(distances) >= 2 and distances[-1] > distances[-2]:
             grow_streak += 1
@@ -371,48 +351,8 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
             grow_streak = 0
         if d < tol:
             break
-        prev_stack = P
-        prev_spectra = hist.spectra()
+        prev = hist
     return histories, distances
-
-
-def restart_drift(prefix: MarginalHistory, spec: KernelSpec, t: float, x=None):
-    """Memory of a solved window acting on the next one:
-
-        b1(t, x) = int_0^{T0} (K_{T0 + t - s} * p_s)(x) ds,   t in [0, T0'].
-
-    Discretized with the same left-frozen product integration as
-    :func:`memory_drift`, so window-concatenated drifts reproduce the global
-    march sum identically (at t = 0 the newest prefix subinterval is the
-    near-singular one and takes the exact-integral symbol).  Returns grid
-    values, or interpolated values at x.
-    """
-    grid, mesh = prefix.grid, prefix.mesh
-    prefix.require_rows(mesh.steps)
-    T0 = mesh.horizon
-    if t < -1e-12 or t > T0 + 1e-12:
-        raise ValueError(f"restart time {t} outside [0, {T0}]")
-    if spec.chi == 0.0:
-        vals = np.zeros(grid.n)
-    else:
-        xi = grid.wavenumbers
-        age = T0 + t - mesh.nodes  # age[l] = T0 + t - t_l, decreasing to t
-        star = _sqrt_midpoints(np.maximum(age[1:], 0.0), age[:-1])
-        spectra = prefix.spectra()[:-1]  # rows 0..M0-1 (left-frozen densities)
-        if spec.kind == "custom":
-            sym = np.stack([mesh.dt * _sampled_symbol(spec, grid, a) for a in star])
-        else:
-            sym = (mesh.dt * np.exp(-np.outer(star, spec.lam + xi * xi / 2.0))
-                   * (spec.chi_eff * 1j * xi)[None, :])
-            if t <= 1e-14:
-                # the newest prefix subinterval touches the kernel singularity
-                sym[-1] = integrated_kernel_symbol(spec, mesh.dt, xi)
-        B_hat = np.einsum("mf,mf->f", sym, spectra)
-        vals = np.fft.irfft(B_hat, grid.n)
-    if x is None:
-        return vals
-    from .field import _periodic_interp
-    return _periodic_interp(grid, vals, np.asarray(x, dtype=float))
 
 
 def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
@@ -424,7 +364,8 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
 
     In restart mode the horizon is cut into equal windows no longer than the
     contraction horizon T0 (D(T0) <= safety); each window runs the iteration
-    with the accumulated memory of all earlier windows as a frozen drift.
+    with the memory of all earlier windows, prefix_memory of the carried
+    running sum S_base, as a frozen drift.
     """
     if T <= 0:
         raise ValueError(f"need T > 0, got {T}")
@@ -433,14 +374,15 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     if mode != "picard_with_restart":
         raise ValueError(f"unknown mode {mode!r}")
 
-    T0 = find_T0(spec, safety) if spec.chi > 0 else math.inf
+    memory = has_memory(spec)
+    T0 = find_T0(spec, safety) if memory else math.inf
     n_win = 1 if not math.isfinite(T0) else max(1, math.ceil(T / T0 - 1e-12))
     steps_w = math.ceil(steps / n_win)
     M = steps_w * n_win
     mesh_g = TimeMesh(T, M)
     mesh_w = TimeMesh(T / n_win, steps_w)
-    xi = grid.wavenumbers
-    W = _weight_symbol_stack(spec, grid, mesh_g.dt, M) if spec.chi > 0 else None
+    q = symbol_decay(spec.lam, mesh_g.dt, grid.wavenumbers)
+    S_base = np.zeros(q.size, dtype=complex)
 
     P = np.empty((M + 1, grid.n))
     mass_log = np.empty(M + 1)
@@ -449,17 +391,13 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     iterations = []
     for w in range(n_win):
         base = w * steps_w
-        g_spectra = np.fft.rfft(P[:base], axis=1) if base else None
 
-        def prefix_drift(j, _base=base, _spectra=g_spectra):
+        def prefix_drift(j, _base=base, _S=S_base):
             tg = mesh_g.nodes[_base + j]
             u = drift_b(spec, chem, float(tg)) if chem is not None else np.zeros(grid.n)
-            if W is None or _base == 0:
+            if not memory or _base == 0:
                 return u
-            K_node = _base + j
-            ages = np.arange(j + 1, K_node + 1)  # m = K - l over prefix rows
-            B_hat = np.einsum("mf,mf->f", W[ages], _spectra[K_node - ages])
-            return u + np.fft.irfft(B_hat, grid.n)
+            return u + prefix_memory(spec, grid, mesh_g.dt, _S, j)
 
         window_p0 = DensityField(grid, P[base], float(mesh_g.nodes[base]))
         hists, dists = picard(window_p0, spec, None, grid, mesh_w,
@@ -468,6 +406,8 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
         P[base : base + steps_w + 1] = last.densities
         mass_log[base : base + steps_w + 1] = last.mass_log
         iterations.append(len(dists))
+        if memory:
+            S_base = running_sums(last.spectra()[:-1], q, S_base)[-1]
     meta = {"provenance": "picard_with_restart", "windows": n_win,
             "iterations_per_window": iterations,
             "tail_bound": grid.tail_bound(T, max(_variance(grid, p0.values), 1e-6))}

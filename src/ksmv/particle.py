@@ -6,20 +6,22 @@ Each of N particles follows an Euler scheme for
 
 where the memory integral runs over the whole recorded past of every other
 particle.  The time discretization of the singular integral copies
-mild.memory_drift exactly (sqrt-stretched midpoint ages with weight dt, the
-newest subinterval integrated in closed form against the frozen newest
-position), so the particle system and the density solver share the same
-quadrature bias and comparisons isolate Monte Carlo error.
+mild.memory_drift exactly: each past position is frozen over its subinterval
+and the kernel's time profile is integrated over that subinterval in closed
+form, so the particle system and the density solver share the same
+quadrature bias and comparisons isolate Monte Carlo error.  Both
+evaluators below apply this one rule.
 
 Two interaction evaluators:
 
-* "pairwise": the literal O(N^2 M) per-run sum (O(N^2 M^2) total), blocked
-  over past rows.  Honest baseline, only viable for small N.
+* "pairwise": the literal sum in x-space, J_{m dt} - J_{(m-1) dt} of
+  kernel.time_integrated_kernel for the subinterval of age m, over all
+  pairs and past rows: O(N^2 k) at step k, O(N^2 M^2) total.  Honest
+  baseline, only viable for small N.
 * "binned": each step deposits the particles onto the density grid
-  (cloud-in-cell), accumulates the deposited rows' Fourier spectra, and
-  applies the same symbol stack the density solver uses; drifts come back
-  to the particles by linear interpolation.  O(N M + M^2 n log n) total,
-  with an additional O(h^2) projection bias.
+  (cloud-in-cell) and folds the deposit's spectrum into the running memory
+  sum of mild; drifts come back to the particles by linear interpolation.
+  O(N + n log n) per step, with an additional O(h^2) projection bias.
 
 Both run on one Euler stepper that takes a drift callback and keeps only
 the requested path rows.
@@ -50,9 +52,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import Grid1D, TimeMesh, DensityField
-from .kernel import KernelSpec, kernel_eval, time_integrated_kernel
+from .kernel import (KernelSpec, has_memory, integrated_kernel_symbol, symbol_decay,
+                     time_integrated_kernel)
 from .field import InitialChemical, drift_b
-from .mild import MarginalHistory, _weight_symbol_stack, _memory_sum, _sqrt_midpoints
+from .mild import MarginalHistory
 
 __all__ = [
     "ParticleEnsemble",
@@ -182,31 +185,30 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
     if interaction not in ("pairwise", "binned"):
         raise ValueError(f"unknown interaction evaluator {interaction!r}")
     keys = _particle_keys(particle_keys, N)
-    grid, M, dt = p0.grid, mesh.steps, mesh.dt
-    interacting = spec.chi > 0
+    grid, dt = p0.grid, mesh.dt
+    interacting = has_memory(spec)
     binned = interaction == "binned"
+    xi = grid.wavenumbers
     if binned and interacting:
-        W = _weight_symbol_stack(spec, grid, dt, M)
-        spectra = np.empty((M, grid.wavenumbers.size), dtype=complex)
-    star_ages = _sqrt_midpoints(np.arange(0, M, dtype=float) * dt,
-                                np.arange(1, M + 1, dtype=float) * dt)
+        E1 = integrated_kernel_symbol(spec, dt, xi)
+        q = symbol_decay(spec.lam, dt, xi)
+    S = np.zeros(xi.size, dtype=complex)
     past: List[np.ndarray] = []
     pair_evals = 0
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
-        nonlocal pair_evals
+        nonlocal pair_evals, S
         u = drift_b(spec, chem, float(mesh.nodes[k]), x) if chem is not None else np.zeros(N)
         if not interacting:
             return u
         if binned:
-            spectra[k] = np.fft.rfft(_deposit(grid, x))
             if k > 0:
-                Bg = np.fft.irfft(_memory_sum(W, spectra, k), grid.n)
-                u = u + _interp_grid(grid, Bg, x)
+                u = u + _interp_grid(grid, np.fft.irfft(E1 * S, grid.n), x)
+            S = q * S + np.fft.rfft(_deposit(grid, x))
         else:
             past.append(x)
             if k > 0:
-                u = u + _pairwise_memory(spec, past, dt, star_ages)
+                u = u + _pairwise_memory(spec, past, dt)
                 pair_evals += N * N * k
         return u
 
@@ -220,18 +222,19 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
     return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
 
 
-def _pairwise_memory(spec: KernelSpec, past: Sequence[np.ndarray], dt: float,
-                     star_ages: np.ndarray) -> np.ndarray:
-    """(1/N) sum_j sum over past subintervals of the kernel between particle
-    i now (past[k]) and particle j then; same ages and weights as
-    mild.memory_drift."""
+def _pairwise_memory(spec: KernelSpec, past: Sequence[np.ndarray], dt: float) -> np.ndarray:
+    """(1/N) sum_j sum_{m=1}^{k} [J_{m dt} - J_{(m-1) dt}](X^i_k - X^j_{k-m}),
+    J_t = int_0^t K_s ds and J_0 = 0: particle i now (past[k]) against
+    particle j frozen over the subinterval of age m, as in mild.memory_drift."""
     k = len(past) - 1
     now = past[k][:, None]
-    # newest subinterval: exact closed-form time integral, frozen at t_{k-1}
-    acc = np.sum(time_integrated_kernel(spec, dt, now - past[k - 1][None, :]), axis=1)
-    for m0 in range(2, k + 1):
-        diff = now - past[k - m0][None, :]
-        acc += dt * np.sum(kernel_eval(spec, float(star_ages[m0 - 1]), diff), axis=1)
+    acc = np.zeros(now.shape[0])
+    for m in range(1, k + 1):
+        diff = now - past[k - m][None, :]
+        J = time_integrated_kernel(spec, m * dt, diff)
+        if m > 1:
+            J = J - time_integrated_kernel(spec, (m - 1) * dt, diff)
+        acc += np.sum(J, axis=1)
     return acc / len(past[k])
 
 

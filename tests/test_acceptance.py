@@ -301,18 +301,16 @@ def test_criterion_12_byte_identical_reruns(tmp_path, monkeypatch):
     ]) + "\n")
     payloads = []
     codes = []
-    for threads, tag in ((1, "a"), (2, "b")):
+    for tag in ("a", "b"):
         out = tmp_path / tag
-        rc_solve = cli.main(["--config", str(cfg), "--out", str(out),
-                             "--threads", str(threads), "solve"])
-        rc_part = cli.main(["--config", str(cfg), "--out", str(out),
-                            "--threads", str(threads), "particles"])
+        rc_solve = cli.main(["--config", str(cfg), "--out", str(out), "solve"])
+        rc_part = cli.main(["--config", str(cfg), "--out", str(out), "particles"])
         codes.append((rc_solve, rc_part))
         payloads.append({p.name: p.read_bytes()
                          for p in sorted(out.glob("*.csv"))})
     same_files = set(payloads[0]) == set(payloads[1]) and len(payloads[0]) >= 3
     identical = same_files and all(payloads[0][k] == payloads[1][k] for k in payloads[0])
     ok = identical and codes[0] == codes[1] and codes[0][0] == 0
-    record_criterion(12, ok, f"{len(payloads[0])} CSVs byte-identical across reruns "
-                     "at thread caps 1 and 2 with a fixed seed")
+    record_criterion(12, ok, f"{len(payloads[0])} CSVs byte-identical across two reruns "
+                     "with a fixed seed")
     assert ok

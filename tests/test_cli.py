@@ -11,7 +11,7 @@ from ksmv import cli
 from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       RunReport, write_csv, write_plot_table, write_history_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import kernel_eval
+from ksmv.kernel import has_memory, kernel_eval, zero_kernel
 from ksmv.field import drift_b
 from ksmv.mild import MarginalHistory
 from ksmv.particle import simulate_bounded_drift
@@ -103,8 +103,9 @@ def test_module_docstring_example_config_parses():
 def test_none_kernel_builds_zero_interaction():
     cfg = RunConfig.from_file(str(REPO / "configs" / "heat_only.cfg"))
     spec = cfg.make_spec()
-    assert spec.kind == "custom"
+    assert spec.kind == "custom" and spec.eval_fn is zero_kernel
     assert spec.chi == 1.0
+    assert not has_memory(spec)
     assert np.all(kernel_eval(spec, 0.3, np.linspace(-2, 2, 9)) == 0.0)
 
 

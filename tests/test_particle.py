@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import KernelSpec, kernel_eval, time_integrated_kernel
+from ksmv.kernel import KernelSpec, time_integrated_kernel
 from ksmv.field import InitialChemical
-from ksmv.mild import MarginalHistory, march, _sqrt_midpoints
+from ksmv.mild import MarginalHistory, march
 from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            simulate_bounded_drift, kde_density,
                            compare_histories, _deposit, _keyed_draws)
@@ -40,6 +40,10 @@ def test_rejects_small_ensembles_and_bad_args():
     for bad in (np.arange(-1, 7), np.arange(8) + 0.5, np.arange(8.0)):
         with pytest.raises(ValueError, match="particle_keys"):
             simulate_particles(8, p0, FREE, None, mesh, seed=1, particle_keys=bad)
+    custom = KernelSpec(chi=1.0, kind="custom", eval_fn=lambda t, x: np.ones_like(x))
+    for interaction in ("pairwise", "binned"):
+        with pytest.raises(ValueError, match="custom kernels"):
+            simulate_particles(8, p0, custom, None, mesh, seed=1, interaction=interaction)
 
 
 def test_x0_property_detects_deterministic_start():
@@ -144,16 +148,17 @@ def test_pairwise_memory_matches_direct_sum():
     k = 3
     # the step-k drift the simulator applied, recovered from the shared noise
     got = ((X[k + 1] - free.positions[k + 1]) - (X[k] - free.positions[k])) / dt
-    star = _sqrt_midpoints(np.arange(0, mesh.steps, dtype=float) * dt,
-                           np.arange(1, mesh.steps + 1, dtype=float) * dt)
+
+    def J(t, u):
+        return float(time_integrated_kernel(spec, t, np.float64(u))) if t > 0 else 0.0
+
     want = np.zeros(N)
     for i in range(N):
         for j in range(N):
-            # newest subinterval: exact time integral against the frozen row k-1
-            want[i] += float(time_integrated_kernel(spec, dt, np.float64(X[k, i] - X[k - 1, j])))
-            for m0 in range(2, k + 1):
-                want[i] += dt * float(kernel_eval(spec, float(star[m0 - 1]),
-                                                  np.float64(X[k, i] - X[k - m0, j])))
+            # age-m subinterval: exact kernel time integral against the frozen row k-m
+            for m in range(1, k + 1):
+                u = X[k, i] - X[k - m, j]
+                want[i] += J(m * dt, u) - J((m - 1) * dt, u)
     want /= N
     assert float(np.max(np.abs(got - want))) < 1e-10
 
