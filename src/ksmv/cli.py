@@ -60,7 +60,7 @@ from .kernel import KernelSpec, check_hypotheses, find_T0, horizon_D, zero_kerne
 from .field import InitialChemical, drift_b, chemical_concentration, ks_residual
 from . import mild
 from .particle import simulate_particles, simulate_bounded_drift, kde_density
-from .qz import QZParams, qz_density, qz_density_grid, qz_density_at_y, qz_bound, verify_bound
+from .qz import QZParams, qz_density, verify_bound
 
 ENV_OUT_DIR = "KSMV_OUT"
 
@@ -416,12 +416,13 @@ def cmd_check_kernel(cfg: RunConfig, out: Path) -> int:
     grid = cfg.make_grid()
     mesh = cfg.make_mesh()
     report = check_hypotheses(spec, cfg.horizon, grid, mesh)
-    T0 = math.inf if cfg.kernel_kind == "none" else find_T0(spec, cfg.safety)
+    # T0 = inf when D saturates below the safety level: Picard then
+    # contracts on every horizon
+    T0 = find_T0(spec, cfg.safety)
     run = RunReport("check-kernel", cfg.config_hash(), cfg.seed)
     for name, item in report.items.items():
         run.add(name, item.value, item.bound, item.passed)
-    run.add("contraction_horizon_found", 0.0 if math.isfinite(T0) or cfg.kernel_kind == "none" else 1.0,
-            0.5, math.isfinite(T0) or cfg.kernel_kind == "none")
+    run.add("contraction_horizon_found", 0.0 if T0 > 0.0 else 1.0, 0.5, T0 > 0.0)
     run.timings["check"] = time.perf_counter() - t0
     for line in report.lines():
         print(line)
@@ -479,8 +480,7 @@ def cmd_picard(cfg: RunConfig, out: Path) -> int:
     spec, grid = cfg.make_spec(), cfg.make_grid()
     p0 = cfg.make_p0(grid)
     chem = cfg.make_chem(grid)
-    T0 = math.inf if cfg.kernel_kind == "none" else find_T0(spec, cfg.safety)
-    horizon = min(cfg.horizon, T0) if math.isfinite(T0) else cfg.horizon
+    horizon = min(cfg.horizon, find_T0(spec, cfg.safety))
     mesh = TimeMesh(horizon, cfg.steps)
     t0 = time.perf_counter()
     try:
@@ -538,6 +538,14 @@ def cmd_particles(cfg: RunConfig, out: Path) -> int:
 # Family-wise false-alarm rate of the qz Monte Carlo histogram check.
 QZ_HISTOGRAM_ALPHA = 1e-3
 
+# Positive nodes of the 8-point Gauss-Legendre rule on [-1, 1] and their
+# weights (the rule is symmetric).  Tabulated: computing them is the qz
+# command's only LAPACK call, whose first use costs about 0.8 MB resident.
+_GL8_NODES = np.array([0.1834346424956498, 0.5255324099163290,
+                       0.7966664774136267, 0.9602898564975362])
+_GL8_WEIGHTS = np.array([0.3626837833783620, 0.3137066458778873,
+                         0.2223810344533745, 0.1012285362903763])
+
 
 def _histogram_error_ratio(dens: np.ndarray, ref: np.ndarray, width: float,
                            N: int, dt: float) -> float:
@@ -575,13 +583,8 @@ def cmd_qz(cfg: RunConfig, out: Path) -> int:
     p0 = QZParams(beta=0.0, y=0.0, x=1.0, t=0.7)
     zs = np.linspace(-4.0, 4.0, 41)
     g = np.exp(-(zs - 1.0) ** 2 / 1.4) / math.sqrt(2.0 * math.pi * 0.7)
-    red = float(np.max(np.abs(qz_density_grid(p0, zs) - g)))
+    red = float(np.max(np.abs(qz_density(p0, zs) - g)))
     run.add("beta0_reduction", red, 1e-12, red <= 1e-12)
-
-    rng_lattice = [QZParams(beta=b, y=0.1, x=-0.9, t=t)
-                   for b in (0.25, 1.0, 2.5) for t in (0.2, 1.0, 3.0)]
-    worst_aty = max(abs(qz_density(p, p.y) - qz_density_at_y(p)) for p in rng_lattice)
-    run.add("at_y_consistency", worst_aty, 1e-8, worst_aty <= 1e-8)
 
     mesh = TimeMesh(1.0, 1000)
     beta = 0.5
@@ -595,12 +598,14 @@ def cmd_qz(cfg: RunConfig, out: Path) -> int:
     counts, _ = np.histogram(ens.positions[-1], bins=edges)
     dens = counts / (ens.n_particles * width)
     # bin-averaged reference: the density has a kink at the attractor, so the
-    # center value misses the histogram's cell average by O(width) there
+    # center value misses the histogram's cell average by O(width) there.  An
+    # 8-node Gauss-Legendre rule on each half of every bin integrates the
+    # smooth pieces; the attractor y = 0 is a bin center, so the kink falls
+    # on a split point
     p_ref = QZParams(beta=beta, y=0.0, x=1.0, t=1.0)
-    ref = np.array([_integrate.quad(lambda z: qz_density(p_ref, z), a, b,
-                                    points=([p_ref.y] if a < p_ref.y < b else None),
-                                    epsabs=1e-12)[0] / width
-                    for a, b in zip(edges[:-1], edges[1:])])
+    x = _GL8_NODES
+    offsets = (width / 4.0) * np.concatenate([-1.0 - x, -1.0 + x, 1.0 - x, 1.0 + x])
+    ref = qz_density(p_ref, zs[:, None] + offsets) @ np.tile(_GL8_WEIGHTS, 4) / 4.0
     mc_ratio = _histogram_error_ratio(dens, ref, width, ens.n_particles, mesh.dt)
     run.add("mc_histogram_sup", mc_ratio, 1.0, mc_ratio <= 1.0)
 

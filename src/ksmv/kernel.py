@@ -466,14 +466,14 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
 
     # H.5: sup over trials, evaluation points and times of the smoothed
     # absolute time integral; Theta_t grows in t so late times dominate
-    h5_val = 0.0
     t_samples = mesh.horizon * np.array([0.1, 0.3, 1.0])
-    for phi in trial_densities:
-        for t in t_samples:
-            theta = time_integrated_abs_kernel(spec, t, grid.x) if spec.kind != "custom" \
-                else _theta_custom(spec, t, grid.x)
-            smoothed = convolve(phi, theta, grid)
-            h5_val = max(h5_val, float(np.max(smoothed)))
+    thetas = [time_integrated_abs_kernel(spec, t, grid.x) if spec.kind != "custom"
+              else _theta_custom(spec, t, grid.x) for t in t_samples]
+    if all(np.all(np.isfinite(theta)) for theta in thetas):
+        h5_val = max(float(np.max(convolve(phi, theta, grid)))
+                     for theta in thetas for phi in trial_densities)
+    else:
+        h5_val = math.inf
     h5_bound = _theta_at_zero(spec, mesh.horizon) if spec.kind != "custom" else math.inf
     h5_ok = bool(np.isfinite(h5_val) and h5_val <= h5_bound * (1.0 + 1e-9) + 1e-12)
     items["H5"] = HypothesisItem("H.5 uniform smoothed-interaction bound", h5_val, h5_bound,
@@ -510,11 +510,16 @@ def _f_custom(spec: KernelSpec, t: float, s_exp: float, norm_fn) -> float:
 
 
 def _theta_custom(spec: KernelSpec, t: float, u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    for i, uu in enumerate(u):
-        out[i], _ = integrate.quad(lambda s: abs(float(spec.eval_fn(s, np.asarray(uu)))),
-                                   1e-12 * t, t, limit=200)
-    return out
+    """Theta_t(u) = int_0^t |K_s(u)| ds at every u by one vector quadrature;
+    inf everywhere if it does not converge (the checker fails H.5 on inf)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            val, _, info = integrate.quad_vec(lambda s: np.abs(spec.eval_fn(s, u)), 0.0, t,
+                                              norm="max", limit=200, full_output=True)
+        except ArithmeticError:     # a kernel blowing up as s -> 0
+            return np.full_like(u, math.inf)
+    return val if info.success else np.full_like(u, math.inf)
 
 
 def horizon_D(spec: KernelSpec, T: float) -> float:
@@ -533,14 +538,15 @@ def horizon_D(spec: KernelSpec, T: float) -> float:
 
 
 def find_T0(spec: KernelSpec, safety: float) -> float:
-    """Largest horizon with D(T0) <= safety; inf if D saturates below safety.
+    """Largest horizon with D(T0) <= safety; inf if D saturates below safety,
+    and at once for the interaction-free chi = 0 and zero_kernel.
 
     For the lambda = 0 chemotaxis kernel this is the closed form
     T0 = pi safety^2 / (8 chi_eff^2).
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"need safety in (0, 1), got {safety}")
-    if spec.chi == 0.0:
+    if spec.chi == 0.0 or spec.eval_fn is zero_kernel:
         return math.inf
     if spec.kind != "custom" and spec.lam == 0.0:
         return math.pi * safety ** 2 / (8.0 * spec.chi_eff ** 2)

@@ -1,31 +1,25 @@
 """Shared fixtures and the acceptance-line reporter.
 
-The acceptance suite registers one line per criterion through `record_criterion`;
-a terminal-summary hook prints the collected lines after the run so they are
-visible even under captured output.
+Helpers that test modules import live in ksmv_helpers.py, a name no other
+test directory uses, so this suite can run in one session with
+perfbench/tests.  A terminal-summary hook prints the lines the acceptance
+suite records there, so they are visible even under captured output.
 """
 
-import numpy as np
 import pytest
 
-from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
+from ksmv.grid import Grid1D, TimeMesh
 from ksmv.kernel import KernelSpec
 
-_ACCEPTANCE_LINES = {}
-
-
-def record_criterion(num: int, passed: bool, text: str):
-    verdict = "PASS" if passed else "FAIL"
-    _ACCEPTANCE_LINES[num] = f"criterion {num:2d} [{verdict}] {text}"
-    print(_ACCEPTANCE_LINES[num])
+from ksmv_helpers import ACCEPTANCE_LINES
 
 
 def pytest_terminal_summary(terminalreporter):
-    if not _ACCEPTANCE_LINES:
+    if not ACCEPTANCE_LINES:
         return
     terminalreporter.section("acceptance criteria")
-    for num in sorted(_ACCEPTANCE_LINES):
-        terminalreporter.write_line(_ACCEPTANCE_LINES[num])
+    for num in sorted(ACCEPTANCE_LINES):
+        terminalreporter.write_line(ACCEPTANCE_LINES[num])
 
 
 @pytest.fixture(scope="session")
@@ -51,11 +45,3 @@ def ks_spec():
 @pytest.fixture(scope="session")
 def ks_spec_decay():
     return KernelSpec(chi=1.0, lam=0.5)
-
-
-def gaussian_density(grid: Grid1D, var: float, mean: float = 0.0) -> DensityField:
-    return DensityField(grid, heat_kernel(var, grid.x - mean), 0.0).normalized()
-
-
-def l1_distance(grid: Grid1D, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(np.abs(a - b)) * grid.h)

@@ -262,6 +262,20 @@ def test_main_picard_unconverged_exit_1(tmp_path, monkeypatch):
     assert rc == 1
 
 
+def test_check_kernel_passes_when_D_saturates_below_safety(tmp_path, monkeypatch):
+    # D(T) saturates at chi sqrt(2 / lambda) = 0.25 < safety 0.5, so T0 = inf
+    # and Picard contracts on every horizon
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    text = (REPO / "configs" / "full_model.cfg").read_text()
+    assert "model.lambda = 0.5\n" in text
+    cfg = tmp_path / "lam32.cfg"
+    cfg.write_text(text.replace("model.lambda = 0.5\n", "model.lambda = 32\n"))
+    out = tmp_path / "ck"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 0
+    records = json.loads((out / "check_kernel_report.json").read_text())["records"]
+    assert {r["name"]: r["passed"] for r in records}["contraction_horizon_found"]
+
+
 def test_out_dir_env_and_flag_precedence(tmp_path, monkeypatch):
     cfg = mini_config(tmp_path)
     env_dir = tmp_path / "from_env"
@@ -319,3 +333,20 @@ def test_qz_histogram_check_accepts_true_drift_and_rejects_wrong_drift():
     assert cli._histogram_error_ratio(dens, bin_means(0.5), width, N, mesh.dt) <= 1.0
     for wrong in (0.25, 0.75):
         assert cli._histogram_error_ratio(dens, bin_means(wrong), width, N, mesh.dt) > 1.0
+
+
+def test_qz_command_bin_means_match_per_bin_quadrature(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    cfg = mini_config(tmp_path, **{"particles.n": "2000"})
+    out = tmp_path / "qz"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "qz"]) == 0
+    records = json.loads((out / "qz_report.json").read_text())["records"]
+    assert [r["name"] for r in records] == ["normalization", "beta0_reduction",
+                                            "mc_histogram_sup", "bound_violations"]
+    zs, _, ref = np.loadtxt(out / "qz_histogram.csv", delimiter=",", skiprows=1).T
+    width = zs[1] - zs[0]
+    p = QZParams(beta=0.5, y=0.0, x=1.0, t=1.0)
+    want = [integrate.quad(lambda z: qz_density(p, z), c - width / 2.0, c + width / 2.0,
+                           points=[0.0] if abs(c) < width / 2.0 else None,
+                           epsabs=1e-14)[0] / width for c in zs]
+    assert np.max(np.abs(ref - want)) <= 1e-12

@@ -13,7 +13,7 @@ from ksmv.field import (InitialChemical, drift_b, chemical_concentration,
                         chemical_gradient, ks_residual)
 from ksmv.mild import MarginalHistory, march
 
-from conftest import gaussian_density
+from ksmv_helpers import gaussian_density
 
 PI_GRID = Grid1D(3.0 * math.pi, 256)   # sin(x) is an exact harmonic here
 

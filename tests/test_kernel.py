@@ -12,7 +12,7 @@ from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, kernel_l2_norm
                          time_integrated_kernel, time_integrated_abs_kernel,
                          kernel_symbol, integrated_kernel_symbol, f1_profile,
                          f2_profile, restart_profile, check_hypotheses,
-                         horizon_D, find_T0)
+                         horizon_D, find_T0, zero_kernel, _theta_custom)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -253,7 +253,25 @@ def test_checker_flags_non_integrable_custom_kernel():
     mesh = TimeMesh(1.0, 50)
     rep = check_hypotheses(bad, 1.0, g, mesh)
     assert not rep.items["H1"].passed
+    assert not rep.items["H5"].passed
     assert not rep.all_pass
+    # singular at an interior time: Theta_t is finite at the early samples only
+    late = KernelSpec(chi=1.0, kind="custom",
+                      eval_fn=lambda t, x: np.sign(np.asarray(x, dtype=float)) * abs(t - 0.5) ** -1.5)
+    assert not check_hypotheses(late, 1.0, g, mesh).items["H5"].passed
+
+
+def test_custom_route_theta_matches_closed_form():
+    # the chemotaxis kernel handed to the checker as a custom kernel
+    g = Grid1D(10.0, 256)
+    for lam in (0.0, 0.5):
+        spec = KernelSpec(chi=1.0, lam=lam)
+        custom = KernelSpec(chi=1.0, lam=lam, kind="custom",
+                            eval_fn=lambda t, x, spec=spec: kernel_eval(spec, t, x))
+        for t in (0.1, 1.0):
+            off0 = g.x != 0.0     # the closed form takes the limit chi_eff at u = 0
+            got = _theta_custom(custom, t, g.x)[off0]
+            assert np.max(np.abs(got - time_integrated_abs_kernel(spec, t, g.x)[off0])) <= 1e-12
 
 
 def test_checker_requires_positive_horizon_and_trials():
@@ -299,6 +317,7 @@ def test_find_T0_saturating_decay_returns_inf():
     # D saturates at chi_eff sqrt(2 / lam) = 0.25 < safety
     assert find_T0(KernelSpec(chi=1.0, lam=32.0), 0.5) == math.inf
     assert find_T0(KernelSpec(chi=0.0), 0.5) == math.inf
+    assert find_T0(KernelSpec(kind="custom", eval_fn=zero_kernel), 0.5) == math.inf
 
 
 def test_find_T0_rejects_bad_safety():

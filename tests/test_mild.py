@@ -15,7 +15,7 @@ from ksmv.mild import (MarginalHistory, MemoryDrift, SchemeInstabilityError,
                        PicardDivergenceError, running_sums, memory_drift, prefix_memory,
                        march, picard, solve_global)
 
-from conftest import gaussian_density, l1_distance
+from ksmv_helpers import gaussian_density, l1_distance
 
 G12 = Grid1D(12.0, 1024)
 MESH200 = TimeMesh(1.0, 200)

@@ -14,7 +14,7 @@ from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            simulate_bounded_drift, kde_density,
                            compare_histories, _deposit, _keyed_draws)
 
-from conftest import gaussian_density, l1_distance
+from ksmv_helpers import gaussian_density, l1_distance
 
 FREE = KernelSpec(chi=0.0)   # interaction off: independent Brownian paths
 

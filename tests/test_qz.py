@@ -8,8 +8,9 @@ from scipy import integrate
 
 from ksmv.grid import TimeMesh
 from ksmv.particle import ParticleEnsemble, simulate_bounded_drift
-from ksmv.qz import (QZParams, QuadratureError, qz_density, qz_density_grid,
-                     qz_density_at_y, qz_bound, verify_bound)
+from ksmv.qz import QZParams, qz_density, qz_density_at_y, qz_bound, verify_bound
+
+from ksmv_helpers import qz_density_oracle
 
 
 def test_params_validation():
@@ -43,13 +44,29 @@ def test_density_normalizes_to_one(beta, t):
     assert left + right == pytest.approx(1.0, abs=1e-6)
 
 
-def test_quadrature_route_matches_closed_form_at_attractor():
-    for beta in (0.2, 1.0, 3.0):
-        for t in (0.1, 1.0, 4.0):
-            for x, y in ((0.0, 1.2), (0.5, 0.5), (-2.0, 0.3)):
+def test_closed_form_matches_quadrature_oracle():
+    for beta in (0.0, 0.5, 1.0, 2.0, 4.0):
+        for t in (0.05, 0.2, 1.0, 3.0):
+            for x, y in ((0.0, 1.2), (0.5, 0.5), (-2.0, 0.3), (1.0, 0.0)):
                 params = QZParams(beta=beta, y=y, x=x, t=t)
-                assert qz_density(params, y) == pytest.approx(
-                    qz_density_at_y(params), rel=1e-8)
+                zs = np.concatenate([np.linspace(-4.5, 4.5, 55), [x, y]])
+                oracle = np.array([qz_density_oracle(params, float(z)) for z in zs])
+                assert np.max(np.abs(qz_density(params, zs) - oracle)) <= 1e-12
+                # at the attractor the Gaussian difference vanishes exactly
+                assert qz_density(params, y) == qz_density_at_y(params)
+
+
+@pytest.mark.parametrize("t", [0.1, 1e-4])
+def test_extreme_drift_neither_overflows_nor_loses_mass(t):
+    params = QZParams(beta=50.0, y=0.0, x=-30.0, t=t)
+    # the mass sits within a few sqrt(t) of x + beta t, well short of y
+    bulk = params.x + params.beta * t + np.linspace(-12.0, 12.0, 4001) * math.sqrt(t)
+    sweep = np.linspace(-40.0, 10.0, 501)       # through x and the attractor
+    with np.errstate(over="raise", invalid="raise"):
+        dens = qz_density(params, bulk)
+        assert np.all(qz_density(params, sweep) >= 0.0)
+    assert np.all(dens >= 0.0)
+    assert np.sum(dens) * (bulk[1] - bulk[0]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bound_is_the_attractor_evaluator():
@@ -73,7 +90,7 @@ def test_density_majorized_by_universal_bound():
 def test_grid_evaluator_matches_scalar():
     params = QZParams(beta=1.2, y=0.0, x=0.5, t=0.9)
     zs = np.linspace(-1.0, 1.0, 7)
-    grid_vals = qz_density_grid(params, zs)
+    grid_vals = qz_density(params, zs)
     assert grid_vals.shape == (7,)
     for z, v in zip(zs, grid_vals):
         assert v == qz_density(params, float(z))
@@ -92,7 +109,7 @@ def test_monte_carlo_agrees_with_density():
     width = edges[1] - edges[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     hist = counts / (final.size * width)
-    dens = qz_density_grid(QZParams(beta=beta, y=y, x=0.0, t=t), centers)
+    dens = qz_density(QZParams(beta=beta, y=y, x=0.0, t=t), centers)
     l1 = float(np.sum(np.abs(hist - dens)) * width)
     assert l1 < 0.1
 
@@ -125,9 +142,3 @@ def test_verify_bound_usage_errors():
     with pytest.raises(ValueError):
         verify_bound(random_start, beta=1.0)
 
-
-def test_quadrature_error_payload():
-    err = QuadratureError("excursion integral did not converge", 0.5, 2e-3)
-    assert err.estimate == 0.5
-    assert err.abserr == 2e-3
-    assert "0.5" in str(err)
