@@ -40,6 +40,8 @@ config.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -56,11 +58,11 @@ from scipy import integrate as _integrate, special
 
 from . import __version__
 from .grid import Grid1D, TimeMesh, DensityField, heat_kernel
-from .kernel import KernelSpec, check_hypotheses, find_T0, horizon_D, zero_kernel
-from .field import InitialChemical, drift_b, chemical_concentration, ks_residual
+from .kernel import KernelSpec, check_hypotheses, find_T0, has_memory, horizon_D, zero_kernel
+from .field import InitialChemical, chemical_concentration, ks_residual
 from . import mild
 from .particle import simulate_particles, simulate_bounded_drift, kde_density
-from .qz import QZParams, qz_density, verify_bound
+from .qz import QZ_HISTOGRAM_ALPHA, QZParams, qz_density, verify_bound
 
 ENV_OUT_DIR = "KSMV_OUT"
 
@@ -307,6 +309,7 @@ class CheckRecord:
     value: float
     bound: float
     passed: bool
+    detail: str = ""
 
 
 @dataclass
@@ -319,10 +322,18 @@ class RunReport:
     records: List[CheckRecord] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
 
-    def add(self, name: str, value: float, bound: float, passed: bool):
+    def add(self, name: str, value: float, bound: float, passed: bool, detail: str = ""):
         if any(r.name == name for r in self.records):
             raise ValueError(f"duplicate check record {name!r}")
-        self.records.append(CheckRecord(name, float(value), float(bound), bool(passed)))
+        self.records.append(CheckRecord(name, float(value), float(bound), bool(passed), detail))
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        """Time the with-block and add the seconds to timings[name]."""
+        clock = time.perf_counter
+        start = clock()
+        yield
+        self.timings[name] = self.timings.get(name, 0.0) + (clock() - start)
 
     @property
     def all_passed(self) -> bool:
@@ -332,8 +343,9 @@ class RunReport:
         out = [f"command: {self.command}  config: {self.config_hash}  seed: {self.seed}  "
                f"version: {__version__}"]
         for r in self.records:
-            out.append(f"  [{'PASS' if r.passed else 'FAIL'}] {r.name}: "
-                       f"value {r.value:.6g} vs bound {r.bound:.6g}")
+            line = (f"  [{'PASS' if r.passed else 'FAIL'}] {r.name}: "
+                    f"value {r.value:.6g} vs bound {r.bound:.6g}")
+            out.append(f"{line}  ({r.detail})" if r.detail else line)
         for phase, secs in self.timings.items():
             out.append(f"  time {phase}: {secs:.2f}s")
         return out
@@ -396,10 +408,6 @@ def write_field_csv(path: Path, history: mild.MarginalHistory, chem: InitialChem
               (np.concatenate(ts), np.concatenate(xs), np.concatenate(cs), np.concatenate(dcs)))
 
 
-def write_error_csv(path: Path, table):
-    write_csv(path, ("t", "l1", "l2", "linf"), (table.t, table.l1, table.l2, table.linf))
-
-
 # --- commands --------------------------------------------------------------
 
 
@@ -410,39 +418,28 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> Path:
     return path
 
 
-def cmd_check_kernel(cfg: RunConfig, out: Path) -> int:
-    t0 = time.perf_counter()
-    spec = cfg.make_spec()
-    grid = cfg.make_grid()
-    mesh = cfg.make_mesh()
-    report = check_hypotheses(spec, cfg.horizon, grid, mesh)
-    # T0 = inf when D saturates below the safety level: Picard then
-    # contracts on every horizon
-    T0 = find_T0(spec, cfg.safety)
-    run = RunReport("check-kernel", cfg.config_hash(), cfg.seed)
-    for name, item in report.items.items():
-        run.add(name, item.value, item.bound, item.passed)
-    run.add("contraction_horizon_found", 0.0 if T0 > 0.0 else 1.0, 0.5, T0 > 0.0)
-    run.timings["check"] = time.perf_counter() - t0
-    for line in report.lines():
-        print(line)
-    print(f"contraction horizon T0 = {T0:.10g} (D(T0) <= {cfg.safety:g})")
-    for line in run.lines():
-        print(line)
-    run.write(out / "check_kernel_report.json")
-    return 0 if run.all_passed else 1
+def cmd_check_kernel(cfg: RunConfig, out: Path, run: RunReport):
+    with run.phase("check"):
+        spec = cfg.make_spec()
+        report = check_hypotheses(spec, cfg.horizon, cfg.make_grid(), cfg.make_mesh())
+        # T0 = inf when D saturates below the safety level: Picard then
+        # contracts on every horizon, and D(inf) is that saturation level
+        T0 = find_T0(spec, cfg.safety)
+        D0 = horizon_D(spec, T0) if has_memory(spec) else 0.0
+    for key, item in report.items.items():
+        run.add(key, item.value, item.bound, item.passed, f"{item.name}: {item.detail}")
+    run.add("contraction_D_at_T0", D0, cfg.safety, D0 <= cfg.safety * (1.0 + 1e-9),
+            f"contraction horizon T0 = {T0:.10g}; D(T={cfg.horizon:g}) = {report.D_of_T:.6g}")
 
 
-def cmd_solve(cfg: RunConfig, out: Path, mode: str = "march") -> int:
-    run = RunReport(f"solve[{mode}]", cfg.config_hash(), cfg.seed)
+def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
     spec, grid, mesh = cfg.make_spec(), cfg.make_grid(), cfg.make_mesh()
     p0 = cfg.make_p0(grid)
     chem = cfg.make_chem(grid)
-    t0 = time.perf_counter()
-    history = mild.solve_global(p0, spec, chem, grid, cfg.horizon, mode=mode,
-                                steps=cfg.steps, safety=cfg.safety,
-                                k_max=cfg.k_max, tol=cfg.tol)
-    run.timings["solve"] = time.perf_counter() - t0
+    with run.phase("solve"):
+        history = mild.solve_global(p0, spec, chem, grid, cfg.horizon, mode=mode,
+                                    steps=cfg.steps, safety=cfg.safety,
+                                    k_max=cfg.k_max, tol=cfg.tol)
 
     drift = history.max_mass_drift()
     run.add("mass_drift", drift, 1e-3, drift <= 1e-3)
@@ -462,81 +459,55 @@ def cmd_solve(cfg: RunConfig, out: Path, mode: str = "march") -> int:
 
     if chem is not None:
         rows = sorted(set([1, mesh.steps // 2, mesh.steps]))
-        t1 = time.perf_counter()
-        if "csv" in cfg.formats:
-            write_field_csv(out / "field.csv", history, chem, cfg.lam, rows)
-        res = ks_residual(history, chem, cfg.lam)
-        run.timings["field"] = time.perf_counter() - t1
+        with run.phase("field"):
+            if "csv" in cfg.formats:
+                write_field_csv(out / "field.csv", history, chem, cfg.lam, rows)
+            res = ks_residual(history, chem, cfg.lam)
         run.add("ks_residual_max", float(np.max(res)), math.inf, True)
 
-    run.write(out / f"solve_report_{mode}.json")
-    for line in run.lines():
-        print(line)
-    return 0 if run.all_passed else 1
 
-
-def cmd_picard(cfg: RunConfig, out: Path) -> int:
-    run = RunReport("picard", cfg.config_hash(), cfg.seed)
+def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
     spec, grid = cfg.make_spec(), cfg.make_grid()
     p0 = cfg.make_p0(grid)
     chem = cfg.make_chem(grid)
     horizon = min(cfg.horizon, find_T0(spec, cfg.safety))
     mesh = TimeMesh(horizon, cfg.steps)
-    t0 = time.perf_counter()
-    try:
+    with run.phase("picard"):
         iterates, distances = mild.picard(p0, spec, chem, grid, mesh,
                                           k_max=cfg.k_max, tol=cfg.tol)
-    except mild.PicardDivergenceError as exc:
-        print(f"divergence: distances {exc.distances}", file=sys.stderr)
-        return 1
-    run.timings["picard"] = time.perf_counter() - t0
     march_hist = mild.march(p0, spec, chem, grid, mesh)
     gap = float(np.max(np.sum(np.abs(iterates[-1].densities - march_hist.densities), axis=1)) * grid.h)
     converged = distances[-1] < cfg.tol
-    run.add("iteration_converged", distances[-1], cfg.tol, converged)
+    run.add("iteration_converged", distances[-1], cfg.tol, converged,
+            f"D(T={horizon:g}) = {horizon_D(spec, horizon):.6g}; distances: "
+            + " ".join(f"{d:.3e}" for d in distances))
     run.add("iterate_vs_march_l1", gap, max(cfg.tol * 10.0, 1e-3), gap <= max(cfg.tol * 10.0, 1e-3))
     if "csv" in cfg.formats:
         write_csv(out / "picard_distances.csv", ("iterate", "l1_distance"),
                   (np.arange(1, len(distances) + 1, dtype=float), np.array(distances)))
-    print(f"D(T={horizon:g}) = {horizon_D(spec, horizon):.6g}; distances: "
-          + " ".join(f"{d:.3e}" for d in distances))
-    for line in run.lines():
-        print(line)
-    run.write(out / "picard_report.json")
-    return 0 if run.all_passed else 1
 
 
-def cmd_particles(cfg: RunConfig, out: Path) -> int:
-    run = RunReport("particles", cfg.config_hash(), cfg.seed)
+def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
     spec, grid, mesh = cfg.make_spec(), cfg.make_grid(), cfg.make_mesh()
     p0 = cfg.make_p0(grid)
     chem = cfg.make_chem(grid)
-    t0 = time.perf_counter()
-    oracle = mild.march(p0, spec, chem, grid, mesh)
-    run.timings["march_oracle"] = time.perf_counter() - t0
+    with run.phase("march_oracle"):
+        oracle = mild.march(p0, spec, chem, grid, mesh)
 
     ladder = sorted({max(100, cfg.n_particles // 10), cfg.n_particles})
     l1s = []
-    t0 = time.perf_counter()
-    for N in ladder:
-        ens = simulate_particles(N, p0, spec, chem, mesh, cfg.seed, interaction="binned")
-        kde = kde_density(ens, mesh.steps, bandwidth=cfg.bandwidth)
-        l1s.append(float(grid.integrate(np.abs(kde.values - oracle.densities[-1]))))
-    run.timings["particles"] = time.perf_counter() - t0
+    with run.phase("particles"):
+        for N in ladder:
+            ens = simulate_particles(N, p0, spec, chem, mesh, cfg.seed, interaction="binned")
+            kde = kde_density(ens, mesh.steps, bandwidth=cfg.bandwidth)
+            l1s.append(float(grid.integrate(np.abs(kde.values - oracle.densities[-1]))))
     nonincreasing = all(b <= a * 1.02 for a, b in zip(l1s, l1s[1:]))
-    run.add("mean_field_l1_nonincreasing", l1s[-1], l1s[0] * 1.02, nonincreasing)
+    run.add("mean_field_l1_nonincreasing", l1s[-1], l1s[0] * 1.02, nonincreasing,
+            "  ".join(f"N={N}: L1={e:.4f}" for N, e in zip(ladder, l1s)))
     if "csv" in cfg.formats:
         write_csv(out / "mean_field.csv", ("n_particles", "l1_vs_solver"),
                   (np.array(ladder, dtype=float), np.array(l1s)))
-    print("mean-field table: " + "  ".join(f"N={N}: L1={e:.4f}" for N, e in zip(ladder, l1s)))
-    for line in run.lines():
-        print(line)
-    run.write(out / "particles_report.json")
-    return 0 if run.all_passed else 1
 
-
-# Family-wise false-alarm rate of the qz Monte Carlo histogram check.
-QZ_HISTOGRAM_ALPHA = 1e-3
 
 # Positive nodes of the 8-point Gauss-Legendre rule on [-1, 1] and their
 # weights (the rule is symmetric).  Tabulated: computing them is the qz
@@ -565,64 +536,60 @@ def _histogram_error_ratio(dens: np.ndarray, ref: np.ndarray, width: float,
     return float(np.max(np.abs(dens - ref) / (z * se + 0.14 * math.sqrt(dt))))
 
 
-def cmd_qz(cfg: RunConfig, out: Path) -> int:
-    run = RunReport("qz", cfg.config_hash(), cfg.seed)
-    t0 = time.perf_counter()
+def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
+    with run.phase("qz"):
+        worst_norm = 0.0
+        for beta in (0.0, 0.25, 1.0, 4.0):
+            for t in (0.1, 1.0, 5.0):
+                p = QZParams(beta=beta, y=0.3, x=-0.8, t=t)
+                w = 10.0 * math.sqrt(t) + beta * t + 2.0
+                val = _integrate.quad(lambda z: qz_density(p, z), min(p.x, p.y) - w,
+                                      max(p.x, p.y) + w, points=[p.x, p.y],
+                                      limit=400, epsabs=1e-10, epsrel=1e-10)[0]
+                worst_norm = max(worst_norm, abs(val - 1.0))
+        run.add("normalization", worst_norm, 1e-6, worst_norm <= 1e-6)
 
-    worst_norm = 0.0
-    for beta in (0.0, 0.25, 1.0, 4.0):
-        for t in (0.1, 1.0, 5.0):
-            p = QZParams(beta=beta, y=0.3, x=-0.8, t=t)
-            w = 10.0 * math.sqrt(t) + beta * t + 2.0
-            val = _integrate.quad(lambda z: qz_density(p, z), min(p.x, p.y) - w,
-                                  max(p.x, p.y) + w, points=[p.x, p.y],
-                                  limit=400, epsabs=1e-10, epsrel=1e-10)[0]
-            worst_norm = max(worst_norm, abs(val - 1.0))
-    run.add("normalization", worst_norm, 1e-6, worst_norm <= 1e-6)
+        p0 = QZParams(beta=0.0, y=0.0, x=1.0, t=0.7)
+        zs = np.linspace(-4.0, 4.0, 41)
+        g = np.exp(-(zs - 1.0) ** 2 / 1.4) / math.sqrt(2.0 * math.pi * 0.7)
+        red = float(np.max(np.abs(qz_density(p0, zs) - g)))
+        run.add("beta0_reduction", red, 1e-12, red <= 1e-12)
 
-    p0 = QZParams(beta=0.0, y=0.0, x=1.0, t=0.7)
-    zs = np.linspace(-4.0, 4.0, 41)
-    g = np.exp(-(zs - 1.0) ** 2 / 1.4) / math.sqrt(2.0 * math.pi * 0.7)
-    red = float(np.max(np.abs(qz_density(p0, zs) - g)))
-    run.add("beta0_reduction", red, 1e-12, red <= 1e-12)
+        mesh = TimeMesh(1.0, 1000)
+        beta = 0.5
+        ens = simulate_bounded_drift(lambda t, x: beta * np.sign(0.0 - x),
+                                     lambda u: np.full_like(u, 1.0), mesh,
+                                     cfg.n_particles, cfg.seed, drift_bound=beta,
+                                     store_rows=[mesh.steps])
+        zs = np.linspace(-3.0, 4.0, 36)
+        width = zs[1] - zs[0]
+        edges = np.concatenate([zs - width / 2.0, [zs[-1] + width / 2.0]])
+        counts, _ = np.histogram(ens.positions[-1], bins=edges)
+        dens = counts / (ens.n_particles * width)
+        # bin-averaged reference: the density has a kink at the attractor, so the
+        # center value misses the histogram's cell average by O(width) there.  An
+        # 8-node Gauss-Legendre rule on each half of every bin integrates the
+        # smooth pieces; the attractor y = 0 is a bin center, so the kink falls
+        # on a split point
+        p_ref = QZParams(beta=beta, y=0.0, x=1.0, t=1.0)
+        x = _GL8_NODES
+        offsets = (width / 4.0) * np.concatenate([-1.0 - x, -1.0 + x, 1.0 - x, 1.0 + x])
+        ref = qz_density(p_ref, zs[:, None] + offsets) @ np.tile(_GL8_WEIGHTS, 4) / 4.0
+        mc_ratio = _histogram_error_ratio(dens, ref, width, ens.n_particles, mesh.dt)
+        run.add("mc_histogram_sup", mc_ratio, 1.0, mc_ratio <= 1.0)
 
-    mesh = TimeMesh(1.0, 1000)
-    beta = 0.5
-    ens = simulate_bounded_drift(lambda t, x: beta * np.sign(0.0 - x),
-                                 lambda u: np.full_like(u, 1.0), mesh,
-                                 cfg.n_particles, cfg.seed, drift_bound=beta,
-                                 store_rows=[mesh.steps])
-    zs = np.linspace(-3.0, 4.0, 36)
-    width = zs[1] - zs[0]
-    edges = np.concatenate([zs - width / 2.0, [zs[-1] + width / 2.0]])
-    counts, _ = np.histogram(ens.positions[-1], bins=edges)
-    dens = counts / (ens.n_particles * width)
-    # bin-averaged reference: the density has a kink at the attractor, so the
-    # center value misses the histogram's cell average by O(width) there.  An
-    # 8-node Gauss-Legendre rule on each half of every bin integrates the
-    # smooth pieces; the attractor y = 0 is a bin center, so the kink falls
-    # on a split point
-    p_ref = QZParams(beta=beta, y=0.0, x=1.0, t=1.0)
-    x = _GL8_NODES
-    offsets = (width / 4.0) * np.concatenate([-1.0 - x, -1.0 + x, 1.0 - x, 1.0 + x])
-    ref = qz_density(p_ref, zs[:, None] + offsets) @ np.tile(_GL8_WEIGHTS, 4) / 4.0
-    mc_ratio = _histogram_error_ratio(dens, ref, width, ens.n_particles, mesh.dt)
-    run.add("mc_histogram_sup", mc_ratio, 1.0, mc_ratio <= 1.0)
-
-    rep = verify_bound(ens, beta, bins=50)
-    run.add("bound_violations", float(len(rep.violations)), 0.0, rep.passed)
-
-    run.timings["qz"] = time.perf_counter() - t0
+        rep = verify_bound(ens, beta, bins=50)
+        run.add("bound_violations", float(len(rep.violations)), 0.0, rep.passed,
+                f"smallest bin p-value {rep.min_p_value():.3g} vs level {rep.level:.3g}")
     if "csv" in cfg.formats:
         write_csv(out / "qz_histogram.csv", ("z", "mc_density", "closed_form"),
                   (zs, dens, ref))
-    for line in run.lines():
-        print(line)
-    run.write(out / "qz_report.json")
-    return 0 if run.all_passed else 1
 
 
 # --- entry point -----------------------------------------------------------
+
+
+SOLVE_MODES = ("march", "picard_with_restart")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,11 +600,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("check-kernel", help="run the kernel admissibility checks")
     sp = sub.add_parser("solve", help="solve the density equation")
-    sp.add_argument("--mode", choices=("march", "picard_with_restart"), default="march")
+    sp.add_argument("--mode", choices=SOLVE_MODES, default="march")
     sub.add_parser("picard", help="fixed-point iteration diagnostics on the contraction horizon")
     sub.add_parser("particles", help="particle simulation and mean-field comparison")
     sub.add_parser("qz", help="comparison-density oracles and the universal bound")
     return ap
+
+
+# report command name -> (command, report file); each command adds its check
+# records and timings to the RunReport that main prints and writes
+COMMANDS = {
+    "check-kernel": (cmd_check_kernel, "check_kernel_report.json"),
+    **{f"solve[{mode}]": (functools.partial(cmd_solve, mode=mode), f"solve_report_{mode}.json")
+       for mode in SOLVE_MODES},
+    "picard": (cmd_picard, "picard_report.json"),
+    "particles": (cmd_particles, "particles_report.json"),
+    "qz": (cmd_qz, "qz_report.json"),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -653,24 +632,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     out = _out_dir(cfg, args.out)
+    name = f"solve[{args.mode}]" if args.command == "solve" else args.command
+    command, report_file = COMMANDS[name]
+    run = RunReport(name, cfg.config_hash(), cfg.seed)
     try:
-        if args.command == "check-kernel":
-            return cmd_check_kernel(cfg, out)
-        if args.command == "solve":
-            return cmd_solve(cfg, out, mode=args.mode)
-        if args.command == "picard":
-            return cmd_picard(cfg, out)
-        if args.command == "particles":
-            return cmd_particles(cfg, out)
-        if args.command == "qz":
-            return cmd_qz(cfg, out)
+        command(cfg, out, run)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except mild.SchemeInstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    except mild.PicardDivergenceError as exc:
+        print(f"divergence: distances {exc.distances}", file=sys.stderr)
+        return 1
+    for line in run.lines():
+        print(line)
+    run.write(out / report_file)
+    return 0 if run.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -184,10 +184,10 @@ def _duhamel_symbol_sum(history, lam: float, k: int) -> np.ndarray:
 def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -> ChemicalField:
     """Concentration c at mesh node k from the density history, with gradient.
 
-    The returned gradient comes from spectral differentiation of c;
-    gradient_vs_central_difference() bounds its distance to a plain finite
-    difference, and the tests compare it with the independent drift-identity
-    assembly of :func:`chemical_gradient`.
+    The returned gradient is :func:`chemical_gradient`, assembled from the
+    memory drift rather than by differentiating c; the independent check that
+    it is the derivative of c is gradient_vs_central_difference(), its
+    distance to a central difference of the returned values.
     """
     grid, mesh = history.grid, history.mesh
     history.require_rows(k)
@@ -219,7 +219,7 @@ def chemical_gradient(history, chem: InitialChemical, spec: KernelSpec, k: int) 
     part_c0 = math.exp(-spec.lam * tk) * _smooth_on_grid(chem, tk)
     if k == 0:
         return part_c0
-    return part_c0 + memory_drift(history, unit, k).values
+    return part_c0 + memory_drift(history, unit, k)
 
 
 def _smooth_on_grid(chem: InitialChemical, t: float) -> np.ndarray:

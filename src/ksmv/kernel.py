@@ -212,12 +212,7 @@ def time_integrated_abs_kernel(spec: KernelSpec, t: float, u) -> np.ndarray:
     # the odd closed form is 0 at exactly u = 0; a convolution wants the
     # continuous extension there, which is the supremum chi_eff (the mass of
     # the s-integral concentrates at s -> 0, so lambda drops out of the limit)
-    return np.where(u == 0.0, _theta_at_zero(spec, t), vals)
-
-
-def _theta_at_zero(spec: KernelSpec, t: float) -> float:
-    """lim_{u->0} Theta_t(u) = chi_eff for every lambda >= 0 and t > 0."""
-    return spec.chi_eff
+    return np.where(u == 0.0, spec.chi_eff, vals)
 
 
 def kernel_symbol(spec: KernelSpec, t: float, xi: np.ndarray) -> np.ndarray:
@@ -333,21 +328,10 @@ class HypothesisReport:
     f1_sup: float
     f2_sup: float
     D_of_T: float
-    T0: Optional[float] = None
 
     @property
     def all_pass(self) -> bool:
         return all(item.passed for item in self.items.values())
-
-    def lines(self) -> list:
-        out = []
-        for key in sorted(self.items):
-            it = self.items[key]
-            verdict = "pass" if it.passed else "FAIL"
-            out.append(f"{it.name}: {verdict}  value={it.value:.6g} bound={it.bound:.6g}  {it.detail}")
-        out.append(f"f1_sup={self.f1_sup:.6g} f2_sup={self.f2_sup:.6g} D(T)={self.D_of_T:.6g} "
-                   f"T0={self.T0 if self.T0 is not None else 'n/a'}")
-        return out
 
 
 def default_trial_densities(grid: Grid1D) -> list:
@@ -365,16 +349,15 @@ def default_trial_densities(grid: Grid1D) -> list:
     return trials
 
 
-def _norm_integral_probe(spec: KernelSpec, T: float, norm_fn):
+def _norm_integral_probe(spec: KernelSpec, T: float, norm_fn) -> np.ndarray:
     """Values of int_eps^T norm(K_t) dt for shrinking eps; integrable kernels
     show geometrically decaying increments, non-integrable ones growth.
 
     A pointwise screen short-circuits kernels whose spatial norm is already
-    infinite (nested quadrature would be wasted on them)."""
+    infinite (nested quadrature would be wasted on them): all values are inf."""
     screen = [norm_fn(tt) for tt in (T * 1e-3, T * 0.04, T * 0.5)]
     if not np.all(np.isfinite(screen)):
-        vals = np.full(7, math.inf)
-        return vals, np.diff(vals)
+        return np.full(7, math.inf)
     eps = T * 4.0 ** -np.arange(1, 8)
     vals = []
     with warnings.catch_warnings():
@@ -382,7 +365,7 @@ def _norm_integral_probe(spec: KernelSpec, T: float, norm_fn):
         for e in eps:
             v, _ = integrate.quad(norm_fn, e, T, limit=100)
             vals.append(v)
-    return np.array(vals), np.diff(vals)
+    return np.array(vals)
 
 
 def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
@@ -407,17 +390,17 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
     items = {}
 
     # H.1: refinement increments of the t-integrals of both norms
-    vals1, inc1 = _norm_integral_probe(spec, T, lambda t: kernel_l1_norm(spec, t))
-    vals2, inc2 = _norm_integral_probe(spec, T, lambda t: kernel_l2_norm(spec, t))
+    vals1 = _norm_integral_probe(spec, T, lambda t: kernel_l1_norm(spec, t))
+    vals2 = _norm_integral_probe(spec, T, lambda t: kernel_l2_norm(spec, t))
     if spec.chi == 0.0:
-        h1_ok = True
         ratio = 0.0
-    else:
+    elif np.all(np.isfinite(vals1)) and np.all(np.isfinite(vals2)):
+        inc1, inc2 = np.diff(vals1), np.diff(vals2)
         tiny = 1e-14 * max(vals1[-1], 1.0)
-        r1 = inc1[-1] / max(inc1[0], tiny)
-        r2 = inc2[-1] / max(inc2[0], tiny)
-        ratio = max(r1, r2)
-        h1_ok = bool(np.isfinite(vals1[-1]) and np.isfinite(vals2[-1]) and ratio < 0.9)
+        ratio = max(inc1[-1] / max(inc1[0], tiny), inc2[-1] / max(inc2[0], tiny))
+    else:
+        ratio = math.inf
+    h1_ok = bool(ratio < 0.9)
     items["H1"] = HypothesisItem("H.1 time-integrability of ||K_t||", float(ratio), 0.9, h1_ok,
                                  f"L1 int={vals1[-1]:.4g}, L2 int={vals2[-1]:.4g}")
 
@@ -430,7 +413,8 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
         jumps.append(j)
     h2_ok = bool(jumps[-1] <= 0.75 * jumps[0] + 1e-12)
     items["H2"] = HypothesisItem("H.2 spatial continuity", jumps[-1], 0.75 * jumps[0] + 1e-12,
-                                 h2_ok, f"max jumps under refinement: {[f'{j:.3g}' for j in jumps]}")
+                                 h2_ok, "max jumps under refinement: "
+                                 + ", ".join(f"{j:.3g}" for j in jumps))
 
     # H.3: short-time limit off the origin; the kernel should die pointwise
     xs = np.array([-2.0, -0.5, 0.3, 1.0, 3.0])
@@ -456,10 +440,10 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
     f2_bound = spec.chi_eff * math.pi ** 0.75 / math.sqrt(2.0)
     if spec.kind == "custom":
         h4_ok = bool(np.isfinite(f1_sup) and np.isfinite(f2_sup))
-        detail = "finiteness only (no closed-form reference)"
+        detail = f"f2 sup {f2_sup:.6g}; finiteness only (no closed-form reference)"
     else:
         h4_ok = bool(f1_sup <= f1_bound * 1.01 and f2_sup <= f2_bound * 1.01)
-        detail = f"plateaus {f1_bound:.6g}, {f2_bound:.6g} at lambda=0"
+        detail = f"f2 sup {f2_sup:.6g}; plateaus {f1_bound:.6g}, {f2_bound:.6g} at lambda=0"
     items["H4"] = HypothesisItem("H.4 singular time convolutions f1, f2", f1_sup,
                                  f1_bound * 1.01 if spec.kind != "custom" else math.inf,
                                  h4_ok, detail)
@@ -474,7 +458,7 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
                      for theta in thetas for phi in trial_densities)
     else:
         h5_val = math.inf
-    h5_bound = _theta_at_zero(spec, mesh.horizon) if spec.kind != "custom" else math.inf
+    h5_bound = spec.chi_eff if spec.kind != "custom" else math.inf
     h5_ok = bool(np.isfinite(h5_val) and h5_val <= h5_bound * (1.0 + 1e-9) + 1e-12)
     items["H5"] = HypothesisItem("H.5 uniform smoothed-interaction bound", h5_val, h5_bound,
                                  h5_ok, f"{len(trial_densities)} trial densities")
@@ -490,17 +474,13 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
     h6_bound = spec.chi_eff * math.sqrt(2.0 * math.pi) if spec.kind != "custom" else math.inf
     h6_ok = bool(np.isfinite(h6_sup) and (spec.kind == "custom" or h6_sup <= h6_bound * 1.001))
     items["H6"] = HypothesisItem("H.6 horizon-restart integral", h6_sup, h6_bound, h6_ok,
-                                 f"sup over shifts {list(shifts)}")
+                                 "sup over shifts " + ", ".join(f"{sh:g}" for sh in shifts))
 
     try:
         D_T = horizon_D(spec, T)
     except ValueError:
         D_T = math.inf     # non-convergent quadrature: no contraction budget
-    try:
-        T0 = find_T0(spec, 0.5)
-    except ValueError:
-        T0 = None
-    return HypothesisReport(items=items, f1_sup=f1_sup, f2_sup=f2_sup, D_of_T=D_T, T0=T0)
+    return HypothesisReport(items=items, f1_sup=f1_sup, f2_sup=f2_sup, D_of_T=D_T)
 
 
 def _f_custom(spec: KernelSpec, t: float, s_exp: float, norm_fn) -> float:
@@ -523,7 +503,11 @@ def _theta_custom(spec: KernelSpec, t: float, u: np.ndarray) -> np.ndarray:
 
 
 def horizon_D(spec: KernelSpec, T: float) -> float:
-    """D(T) = int_0^T ||K_t||_L1 dt, the contraction budget of the horizon."""
+    """D(T) = int_0^T ||K_t||_L1 dt, the contraction budget of the horizon.
+
+    T = inf gives the chemotaxis kernel's saturation level chi_eff sqrt(2/lambda)
+    (inf at lambda = 0).
+    """
     if T <= 0:
         raise ValueError(f"need T > 0, got {T}")
     if spec.kind == "custom":

@@ -61,7 +61,6 @@ from .field import InitialChemical, drift_b
 
 __all__ = [
     "MarginalHistory",
-    "MemoryDrift",
     "SchemeInstabilityError",
     "PicardDivergenceError",
     "running_sums",
@@ -155,19 +154,6 @@ class MarginalHistory:
         return {"t": t, "sqrt_t_linf": np.sqrt(t) * linf, "qrt_t_l2": t ** 0.25 * l2}
 
 
-@dataclass
-class MemoryDrift:
-    """Sampled memory drift B(t_k, .) with its provenance."""
-
-    grid: Grid1D
-    values: np.ndarray
-    time_tag: float
-    provenance: str = "self-history"
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
 def running_sums(spectra: np.ndarray, q: np.ndarray,
                  start: Optional[np.ndarray] = None) -> np.ndarray:
     """S_0 = start (default 0) and S_{l+1} = q S_l + spectra[l]: the memory
@@ -179,17 +165,16 @@ def running_sums(spectra: np.ndarray, q: np.ndarray,
     return S
 
 
-def memory_drift(history: MarginalHistory, spec: KernelSpec, k: int,
-                 provenance: str = "self-history") -> MemoryDrift:
-    """B(t_k, .) = irfft(E1 S_k) from history rows 0..k-1 (row k itself is
-    never touched)."""
+def memory_drift(history: MarginalHistory, spec: KernelSpec, k: int) -> np.ndarray:
+    """B(t_k, .) = irfft(E1 S_k) on the grid, from history rows 0..k-1 (row k
+    itself is never touched)."""
     history.require_rows(max(k - 1, 0))
     grid, mesh = history.grid, history.mesh
     if not has_memory(spec) or k == 0:
-        return MemoryDrift(grid, np.zeros(grid.n), float(mesh.nodes[k]), provenance)
+        return np.zeros(grid.n)
     E1 = integrated_kernel_symbol(spec, mesh.dt, grid.wavenumbers)
     B_hat = E1 * history.memory_sums(spec.lam)[k]
-    return MemoryDrift(grid, np.fft.irfft(B_hat, grid.n), float(mesh.nodes[k]), provenance)
+    return np.fft.irfft(B_hat, grid.n)
 
 
 def prefix_memory(spec: KernelSpec, grid: Grid1D, dt: float, S_base: np.ndarray,

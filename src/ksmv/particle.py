@@ -44,7 +44,6 @@ construction:
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -194,10 +193,9 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
         q = symbol_decay(spec.lam, dt, xi)
     S = np.zeros(xi.size, dtype=complex)
     past: List[np.ndarray] = []
-    pair_evals = 0
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
-        nonlocal pair_evals, S
+        nonlocal S
         u = drift_b(spec, chem, float(mesh.nodes[k]), x) if chem is not None else np.zeros(N)
         if not interacting:
             return u
@@ -209,16 +207,11 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
             past.append(x)
             if k > 0:
                 u = u + _pairwise_memory(spec, past, dt)
-                pair_evals += N * N * k
         return u
 
-    t_start = time.perf_counter()
     x0 = _inverse_cdf_sampler(p0)(_keyed_draws(seed, _INIT, 0, keys))
     _, X = _euler_paths(x0, drift, mesh, seed, keys, None)
-    elapsed = time.perf_counter() - t_start
-    meta = {"init_sampling": "inverse-cdf", "interaction": interaction, "elapsed_s": elapsed}
-    if pair_evals:
-        meta["pair_evals_per_s"] = pair_evals / max(elapsed, 1e-9)
+    meta = {"init_sampling": "inverse-cdf", "interaction": interaction}
     return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
 
 

@@ -26,8 +26,8 @@ d = |z - x|), so no factor overflows.  At z = y the Gaussian difference
 vanishes and the density is tail(t, |x - y|, beta), which is also the
 universal pointwise bound for all drifts with sup |b| <= beta: any such
 transition density satisfies p^(b)(t, x, z) <= bound(t, x, z, beta).
-verify_bound checks a simulated ensemble's histogram against the bound with
-a Monte Carlo error margin.
+verify_bound checks a simulated ensemble's histogram against the bound, bin
+by bin, with an exact binomial tail test.
 """
 
 from __future__ import annotations
@@ -39,7 +39,12 @@ from typing import List
 import numpy as np
 from scipy import special
 
+# Family-wise false-alarm rate of the Monte Carlo histogram checks:
+# verify_bound's bins, and the mc_histogram_sup record of `ksmv qz`.
+QZ_HISTOGRAM_ALPHA = 1e-3
+
 __all__ = [
+    "QZ_HISTOGRAM_ALPHA",
     "QZParams",
     "BoundReport",
     "qz_density",
@@ -114,21 +119,19 @@ class BinCheck:
 
     time: float
     center: float
-    density: float
-    bound: float
-    std_error: float
-
-    @property
-    def excess(self) -> float:
-        return self.density - (self.bound + 3.0 * self.std_error)
+    count: int
+    bound_prob: float
+    p_value: float
 
 
 @dataclass
 class BoundReport:
-    """Outcome of checking an ensemble against the universal bound."""
+    """Outcome of checking an ensemble against the universal bound; a bin is
+    a violation when its p-value falls below level."""
 
     beta: float
     times: List[float]
+    level: float
     checks: List[BinCheck] = field(default_factory=list)
     violations: List[BinCheck] = field(default_factory=list)
 
@@ -136,22 +139,29 @@ class BoundReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def max_excess(self) -> float:
-        return max((c.excess for c in self.checks), default=-math.inf)
+    def min_p_value(self) -> float:
+        return min((c.p_value for c in self.checks), default=1.0)
 
     def lines(self) -> List[str]:
         out = [f"universal bound check, beta={self.beta:g}: "
-               f"{'PASS' if self.passed else 'FAIL'} "
-               f"({len(self.checks)} bins, max excess {self.max_excess():.3e})"]
+               f"{'PASS' if self.passed else 'FAIL'} ({len(self.checks)} bins, "
+               f"smallest p-value {self.min_p_value():.3e} vs level {self.level:.3e})"]
         for v in self.violations:
-            out.append(f"  t={v.time:g} z={v.center:+.3f}: density {v.density:.4f} "
-                       f"> bound {v.bound:.4f} + 3 x {v.std_error:.4f}")
+            out.append(f"  t={v.time:g} z={v.center:+.3f}: {v.count} paths where the bound "
+                       f"allows bin probability {v.bound_prob:.4g} (p-value {v.p_value:.3e})")
         return out
 
 
 def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
-    """Histogram every stored ensemble snapshot and flag bins whose density
-    exceeds the universal bound by more than 3 Monte Carlo standard errors.
+    """Histogram every stored ensemble snapshot at t > 0 and test each bin's
+    count against the universal bound.
+
+    The bound decreases in |z - x0|, so width x bound at the bin point nearest
+    x0 bounds the bin's probability.  A bin's p-value is the exact binomial
+    upper tail P(Binomial(N, that probability) >= count); a bin violates the
+    bound when its p-value is below QZ_HISTOGRAM_ALPHA / (bins x snapshots),
+    the Bonferroni level that keeps the chance of any false alarm below
+    QZ_HISTOGRAM_ALPHA.  Sparse bins are tested as strictly as full ones.
 
     Requires a deterministic start (ensemble.x0) and a declared drift bound
     no larger than beta; both are usage errors otherwise.
@@ -163,23 +173,22 @@ def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
     x0 = getattr(ensemble, "x0", None)
     if x0 is None:
         raise ValueError("pointwise bound check needs a deterministic start x0")
-    report = BoundReport(beta=beta, times=[float(t) for t in ensemble.snapshot_times])
+    times = [float(t) for t in ensemble.snapshot_times]
+    level = QZ_HISTOGRAM_ALPHA / (bins * max(1, sum(t > 0 for t in times)))
+    report = BoundReport(beta=beta, times=times, level=level)
     N = ensemble.n_particles
-    for t, positions in zip(ensemble.snapshot_times, ensemble.snapshots):
+    for t, positions in zip(times, ensemble.snapshots):
         if t <= 0:
             continue
-        lo, hi = np.min(positions), np.max(positions)
-        edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(np.min(positions), np.max(positions), bins + 1)
         counts, _ = np.histogram(positions, bins=edges)
-        width = edges[1] - edges[0]
+        nearest = np.clip(x0, edges[:-1], edges[1:])
+        prob = np.minimum((edges[1] - edges[0]) * _tail_eval(t, np.abs(nearest - x0), beta), 1.0)
+        p_values = special.bdtrc(counts - 1, N, prob)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = counts / (N * width)
-        phat = counts / N
-        se = np.sqrt(phat * (1.0 - phat) / N) / width
-        for c, d, s in zip(centers, dens, se):
-            chk = BinCheck(float(t), float(c), float(d),
-                           qz_bound(float(t), float(x0), float(c), beta), float(s))
+        for c, k, pb, pv in zip(centers, counts, prob, p_values):
+            chk = BinCheck(t, float(c), int(k), float(pb), float(pv))
             report.checks.append(chk)
-            if chk.excess > 0:
+            if chk.p_value < level:
                 report.violations.append(chk)
     return report

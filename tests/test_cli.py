@@ -1,6 +1,7 @@
 """Config grammar, report plumbing, CSV round-trips, end-to-end exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from ksmv import cli
 from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       RunReport, write_csv, write_plot_table, write_history_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import has_memory, kernel_eval, zero_kernel
+from ksmv.kernel import find_T0, has_memory, kernel_eval, zero_kernel
 from ksmv.field import drift_b
 from ksmv.mild import MarginalHistory
 from ksmv.particle import simulate_bounded_drift
@@ -273,7 +274,29 @@ def test_check_kernel_passes_when_D_saturates_below_safety(tmp_path, monkeypatch
     out = tmp_path / "ck"
     assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 0
     records = json.loads((out / "check_kernel_report.json").read_text())["records"]
-    assert {r["name"]: r["passed"] for r in records}["contraction_horizon_found"]
+    assert {r["name"]: r["passed"] for r in records}["contraction_D_at_T0"]
+
+
+@pytest.mark.parametrize("lam", ["0.5", "0"])
+def test_check_kernel_prints_each_item_and_one_T0_at_the_configured_safety(
+        tmp_path, monkeypatch, capsys, lam):
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    text = (REPO / "configs" / "full_model.cfg").read_text()
+    cfg = tmp_path / "safety03.cfg"
+    cfg.write_text(text.replace("picard.safety = 0.5\n", "picard.safety = 0.3\n")
+                   .replace("model.lambda = 0.5\n", f"model.lambda = {lam}\n"))
+    out = tmp_path / "ck"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 0
+    stdout = capsys.readouterr().out
+    printed = re.findall(r"T0\s*=\s*([^;)\s]+)", stdout)
+    T0 = find_T0(RunConfig.from_file(str(cfg)).make_spec(), 0.3)
+    assert len(printed) == 1
+    assert float(printed[0]) == pytest.approx(T0, rel=1e-9)
+    for item in ("H.1", "H.2", "H.3", "H.4", "H.5", "H.6"):
+        assert stdout.count(item) == 1
+    records = json.loads((out / "check_kernel_report.json").read_text())["records"]
+    D0 = {r["name"]: r["value"] for r in records}["contraction_D_at_T0"]
+    assert D0 == pytest.approx(0.3, rel=1e-9)
 
 
 def test_out_dir_env_and_flag_precedence(tmp_path, monkeypatch):

@@ -216,7 +216,7 @@ def test_gradient_identity_with_memory_drift(chi):
     worst = 0.0
     for k in (0, 1, mesh.steps // 2, mesh.steps):
         lhs = chi * chemical_gradient(hist, chem, spec, k)
-        rhs = drift_b(spec, chem, float(mesh.nodes[k])) + memory_drift(hist, spec, k).values
+        rhs = drift_b(spec, chem, float(mesh.nodes[k])) + memory_drift(hist, spec, k)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12
 

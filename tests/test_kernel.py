@@ -1,6 +1,7 @@
 """Kernel closed forms, Fourier symbols, hypothesis checker, contraction horizon."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,7 +236,6 @@ def test_checker_passes_for_chemotaxis_kernel():
         assert rep.all_pass, [it.name for it in rep.items.values() if not it.passed]
         assert set(rep.items) == {"H1", "H2", "H3", "H4", "H5", "H6"}
         assert rep.f1_sup <= chi * SQRT_2PI * 1.01
-        assert len(rep.lines()) == 7
 
 
 def test_checker_f1_plateau_within_one_percent():
@@ -243,7 +243,7 @@ def test_checker_f1_plateau_within_one_percent():
     mesh = TimeMesh(1.0, 100)
     rep = check_hypotheses(KernelSpec(chi=1.0, lam=0.0), 1.0, g, mesh)
     assert rep.f1_sup == pytest.approx(SQRT_2PI, rel=1e-2)
-    assert rep.T0 == pytest.approx(math.pi / 32.0, rel=1e-10)  # safety 0.5
+    assert find_T0(KernelSpec(chi=1.0, lam=0.0), 0.5) == pytest.approx(math.pi / 32.0, rel=1e-10)
 
 
 def test_checker_flags_non_integrable_custom_kernel():
@@ -251,8 +251,11 @@ def test_checker_flags_non_integrable_custom_kernel():
                      eval_fn=lambda t, x: np.sign(np.asarray(x, dtype=float)) * t ** -1.5)
     g = Grid1D(10.0, 256)
     mesh = TimeMesh(1.0, 50)
-    rep = check_hypotheses(bad, 1.0, g, mesh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = check_hypotheses(bad, 1.0, g, mesh)
     assert not rep.items["H1"].passed
+    assert rep.items["H1"].value == math.inf
     assert not rep.items["H5"].passed
     assert not rep.all_pass
     # singular at an interior time: Theta_t is finite at the early samples only

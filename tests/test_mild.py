@@ -11,7 +11,7 @@ from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
 from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, integrated_kernel_symbol,
                          symbol_decay, zero_kernel)
 from ksmv.field import InitialChemical
-from ksmv.mild import (MarginalHistory, MemoryDrift, SchemeInstabilityError,
+from ksmv.mild import (MarginalHistory, SchemeInstabilityError,
                        PicardDivergenceError, running_sums, memory_drift, prefix_memory,
                        march, picard, solve_global)
 
@@ -72,15 +72,14 @@ def test_history_require_rows_flags_nan():
 def test_memory_drift_empty_integral():
     hist = frozen_gaussian_history(G12, MESH200)
     B = memory_drift(hist, KernelSpec(chi=1.0), 0)
-    assert np.all(B.values == 0.0)
-    assert B.sup() == 0.0
-    assert B.provenance == "self-history"
+    assert B.shape == (G12.n,)
+    assert np.all(B == 0.0)
 
 
 def test_memory_drift_frozen_gaussian_oracle():
     # rows all g(1,.): B(t, x) = -x int_0^t g(1+u, x) / (1+u) du
     hist = frozen_gaussian_history(G12, MESH200)
-    B = memory_drift(hist, KernelSpec(chi=1.0, lam=0.0), MESH200.steps).values
+    B = memory_drift(hist, KernelSpec(chi=1.0, lam=0.0), MESH200.steps)
     idx = range(8, G12.n, 61)
     worst = 0.0
     for i in idx:
@@ -94,7 +93,7 @@ def test_memory_drift_frozen_gaussian_oracle():
 def test_memory_drift_decay_oracle():
     hist = frozen_gaussian_history(G12, MESH200)
     lam = 0.5
-    B = memory_drift(hist, KernelSpec(chi=1.0, lam=lam), MESH200.steps).values
+    B = memory_drift(hist, KernelSpec(chi=1.0, lam=lam), MESH200.steps)
     xv = G12.x[700]
     want, _ = integrate.quad(
         lambda u: -xv * math.exp(-lam * u) * heat_kernel(1.0 + u, xv) / (1.0 + u), 0, 1.0,
@@ -104,7 +103,7 @@ def test_memory_drift_decay_oracle():
 
 def test_memory_drift_odd_for_even_history():
     hist = frozen_gaussian_history(G12, MESH200, var=0.7)
-    B = memory_drift(hist, KernelSpec(chi=1.0, lam=0.2), 50).values
+    B = memory_drift(hist, KernelSpec(chi=1.0, lam=0.2), 50)
     n = G12.n
     mirrored = -B[np.mod(n - np.arange(n), n)]
     assert np.max(np.abs(B - mirrored)) < 1e-13
@@ -120,8 +119,8 @@ def test_memory_drift_causal_bit_for_bit(k):
     zeroed = hist.densities.copy()
     zeroed[k:] = 0.0
     censored = MarginalHistory(g, mesh, zeroed, hist.mass_log.copy(), {})
-    a = memory_drift(hist, spec, k).values
-    b = memory_drift(censored, spec, k).values
+    a = memory_drift(hist, spec, k)
+    b = memory_drift(censored, spec, k)
     assert np.array_equal(a, b)
 
 
@@ -143,13 +142,13 @@ def test_memory_drift_rejects_custom_kernels():
         with pytest.raises(ValueError, match="custom kernels"):
             call()
     none = KernelSpec(chi=1.0, lam=0.3, kind="custom", eval_fn=zero_kernel)
-    assert np.all(memory_drift(hist, none, 100).values == 0.0)
+    assert np.all(memory_drift(hist, none, 100) == 0.0)
 
 
 def test_memory_drift_zero_coupling_shortcut():
     hist = frozen_gaussian_history(G12, MESH200)
     B = memory_drift(hist, KernelSpec(chi=0.0), 17)
-    assert np.all(B.values == 0.0)
+    assert np.all(B == 0.0)
 
 
 # --- march -----------------------------------------------------------------
@@ -366,7 +365,7 @@ def test_memory_sums_carried_across_windows_equal_one_pass():
     for j in (0, 1, 10):
         split = (prefix_memory(spec, g, mesh.dt, first[-1], j)
                  + np.fft.irfft(E1 * own[j], g.n))
-        assert np.allclose(split, memory_drift(hist, spec, 25 + j).values, rtol=0, atol=1e-13)
+        assert np.allclose(split, memory_drift(hist, spec, 25 + j), rtol=0, atol=1e-13)
 
 
 # --- global solves ----------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize, special
 
 from ksmv.grid import TimeMesh
 from ksmv.particle import ParticleEnsemble, simulate_bounded_drift
@@ -123,8 +123,47 @@ def test_verify_bound_passes_driftless_ensemble():
     assert report.passed
     assert report.violations == []
     assert len(report.checks) == 80          # two positive-time rows, t=0 skipped
-    assert report.max_excess() < 0
+    assert report.level == pytest.approx(1e-3 / 80)
+    assert report.min_p_value() > report.level
     assert "PASS" in report.lines()[0]
+
+
+def test_verify_bound_rejects_a_drift_stronger_than_beta():
+    # the ensemble of `ksmv qz` (sign drift 0.5 toward 0 from x = 1, t = 1)
+    # declared with too small a drift bound
+    mesh = TimeMesh(1.0, 1000)
+
+    def ensemble(declared):
+        return simulate_bounded_drift(lambda t, x: 0.5 * np.sign(-x), lambda u: np.ones_like(u),
+                                      mesh, 2000, seed=7, drift_bound=declared,
+                                      store_rows=[mesh.steps])
+
+    assert verify_bound(ensemble(0.5), beta=0.5, bins=50).passed
+    wrong = verify_bound(ensemble(0.1), beta=0.1, bins=50)
+    assert not wrong.passed
+    assert wrong.min_p_value() < 1e-10
+    assert "FAIL" in wrong.lines()[0]
+
+
+def test_verify_bound_tests_sparse_bins():
+    # N - 5 paths at normal quantiles (the driftless law at t = 1) plus 5 paths
+    # at z_far, where the bound gives the last bin expected count 0.1
+    N, bins, t, beta = 1000, 20, 1.0, 0.0
+    body = special.ndtri((np.arange(N - 5) + 0.5) / (N - 5))
+
+    def expected_far(z_far):
+        width = (z_far - body.min()) / bins
+        return N * width * qz_bound(t, 0.0, z_far - width, beta)
+
+    z_far = optimize.brentq(lambda z: expected_far(z) - 0.1, 4.0, 5.0)
+    rows = np.vstack([np.zeros(N), np.concatenate([body, np.full(5, z_far)])])
+    ens = ParticleEnsemble(TimeMesh(t, 1), rows, seed=0, drift_bound=beta)
+    report = verify_bound(ens, beta, bins=bins)
+    assert [(v.count, round(v.bound_prob * N, 9)) for v in report.violations] == [(5, 0.1)]
+    q = report.violations[0].bound_prob     # P(Binomial(N, q) >= 5), summed term by term
+    tail = sum(math.comb(N, j) * q ** j * (1.0 - q) ** (N - j) for j in range(5, 40))
+    assert report.violations[0].p_value == pytest.approx(tail, rel=1e-9)
+    assert all(c.p_value > 0.1 for c in report.checks[:-1])
 
 
 def test_verify_bound_usage_errors():
