@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .grid import Grid1D, TimeMesh, DensityField, convolve, heat_kernel, singular_eval_nodes
 
@@ -142,6 +141,8 @@ def kernel_eval(spec: KernelSpec, t: float, x) -> np.ndarray:
 def _custom_norm_quad(fn) -> float:
     """Quadrature over the line that degrades to inf instead of raising when
     the integrand is not integrable (the checker turns inf into a failed item)."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -184,6 +185,8 @@ def time_integrated_kernel(spec: KernelSpec, t: float, u) -> np.ndarray:
     _require_time(t)
     if spec.kind == "custom":
         raise NotImplementedError("closed-form time integral exists for the chemotaxis kernel only")
+    from scipy import special
+
     u = np.asarray(u, dtype=float)
     a = np.abs(u) / math.sqrt(2.0)
     if spec.lam == 0.0:
@@ -264,6 +267,8 @@ def pair_singular_weights(t_nodes: np.ndarray, k: int, total: float,
         raise ValueError(f"need alpha < 1 and beta_exp < 1, got {alpha}, {beta_exp}")
     if not 1 <= k < len(t_nodes) or total < t_nodes[k]:
         raise ValueError(f"need 1 <= k < {len(t_nodes)} and total >= t_k, got k={k}")
+    from scipy import special
+
     u = t_nodes[: k + 1] / total
     a, b = 1.0 - beta_exp, 1.0 - alpha
     scale = total ** (1.0 - alpha - beta_exp) * special.beta(a, b)
@@ -358,6 +363,8 @@ def _norm_integral_probe(spec: KernelSpec, T: float, norm_fn) -> np.ndarray:
     screen = [norm_fn(tt) for tt in (T * 1e-3, T * 0.04, T * 0.5)]
     if not np.all(np.isfinite(screen)):
         return np.full(7, math.inf)
+    from scipy import integrate
+
     eps = T * 4.0 ** -np.arange(1, 8)
     vals = []
     with warnings.catch_warnings():
@@ -484,6 +491,8 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
 
 
 def _f_custom(spec: KernelSpec, t: float, s_exp: float, norm_fn) -> float:
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda s: norm_fn(t - s) * s ** -s_exp, 0, t,
                             points=[0, t], limit=400)
     return val
@@ -492,6 +501,8 @@ def _f_custom(spec: KernelSpec, t: float, s_exp: float, norm_fn) -> float:
 def _theta_custom(spec: KernelSpec, t: float, u: np.ndarray) -> np.ndarray:
     """Theta_t(u) = int_0^t |K_s(u)| ds at every u by one vector quadrature;
     inf everywhere if it does not converge (the checker fails H.5 on inf)."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -511,6 +522,8 @@ def horizon_D(spec: KernelSpec, T: float) -> float:
     if T <= 0:
         raise ValueError(f"need T > 0, got {T}")
     if spec.kind == "custom":
+        from scipy import integrate
+
         val, err = integrate.quad(lambda t: kernel_l1_norm(spec, t), 0, T,
                                   points=[0], limit=400)
         if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
@@ -518,7 +531,7 @@ def horizon_D(spec: KernelSpec, T: float) -> float:
         return val
     if spec.lam == 0.0:
         return 2.0 * spec.chi_eff * math.sqrt(2.0 * T / math.pi)
-    return spec.chi_eff * math.sqrt(2.0 / spec.lam) * special.erf(math.sqrt(spec.lam * T))
+    return spec.chi_eff * math.sqrt(2.0 / spec.lam) * math.erf(math.sqrt(spec.lam * T))
 
 
 def find_T0(spec: KernelSpec, safety: float) -> float:
@@ -526,18 +539,34 @@ def find_T0(spec: KernelSpec, safety: float) -> float:
     and at once for the interaction-free chi = 0 and zero_kernel.
 
     For the lambda = 0 chemotaxis kernel this is the closed form
-    T0 = pi safety^2 / (8 chi_eff^2).
+    T0 = pi safety^2 / (8 chi_eff^2).  For lambda > 0 it inverts
+    D(T) = ceiling erf(sqrt(lambda T)), ceiling = chi_eff sqrt(2/lambda):
+    bisection on math.erf finds the largest y with erf(y) <= safety / ceiling
+    to float resolution, and T0 = y^2 / lambda.  Custom kernels bracket the
+    root of D(T) = safety by doubling and solve it with scipy's brentq.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"need safety in (0, 1), got {safety}")
     if spec.chi == 0.0 or spec.eval_fn is zero_kernel:
         return math.inf
-    if spec.kind != "custom" and spec.lam == 0.0:
-        return math.pi * safety ** 2 / (8.0 * spec.chi_eff ** 2)
     if spec.kind != "custom":
+        if spec.lam == 0.0:
+            return math.pi * safety ** 2 / (8.0 * spec.chi_eff ** 2)
         ceiling = spec.chi_eff * math.sqrt(2.0 / spec.lam)
         if ceiling <= safety:
             return math.inf
+        target = safety / ceiling
+        lo, hi = 0.0, 6.0   # erf(6.0) rounds to 1.0 > target
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if math.erf(mid) <= target:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        return lo * lo / spec.lam
+    from scipy import optimize
+
     hi = 1.0
     while horizon_D(spec, hi) < safety:
         hi *= 2.0

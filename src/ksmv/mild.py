@@ -206,7 +206,9 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh,
     for k in range(M):
         u = drift_fn(k, cur)
         sup_drift = max(sup_drift, float(np.max(np.abs(u))))
-        nxt = heat * (cur - dt * deriv * np.fft.rfft(u * P[k]))
+        # a blow-up overflows here first; the finiteness check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = heat * (cur - dt * deriv * np.fft.rfft(u * P[k]))
         mass = nxt[0].real * grid.h
         mass_log[k + 1] = mass
         if not math.isfinite(mass) or abs(mass - 1.0) > 10.0 * mass_tol:

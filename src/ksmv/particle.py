@@ -54,21 +54,19 @@ from .grid import Grid1D, TimeMesh, DensityField
 from .kernel import (KernelSpec, has_memory, integrated_kernel_symbol, symbol_decay,
                      time_integrated_kernel)
 from .field import InitialChemical, drift_b
-from .mild import MarginalHistory
 
 __all__ = [
     "ParticleEnsemble",
-    "ErrorTable",
     "simulate_particles",
     "simulate_bounded_drift",
     "kde_density",
-    "compare_histories",
 ]
 
 
 @dataclass
 class ParticleEnsemble:
-    """Simulated particle paths: row k of positions is the ensemble at t_k.
+    """Simulated particle paths: row k of positions is the ensemble at
+    snapshot_times[k] (all mesh nodes unless only some rows were stored).
 
     Immutable after simulation.  x0 is set when the start is deterministic
     (all particles at one point), else None.  drift_bound is the declared
@@ -139,7 +137,8 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
 
     Keeps only the mesh rows in store_rows (default all; row 0 always) and
     returns them with the (rows, N) array, so working memory is O(N) plus
-    the stored rows.
+    the stored rows.  The positions passed to drift live in a buffer that
+    later steps overwrite: a drift that keeps them must copy them.
     """
     M, dt = mesh.steps, mesh.dt
     rows = sorted({0, *(int(r) for r in store_rows)}) if store_rows is not None \
@@ -149,10 +148,16 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     row_of = {r: i for i, r in enumerate(rows)}
     out = np.empty((len(rows), x0.size))
     out[0] = x0
-    x = x0
+    # x_{k+1} = (x_k + dt u_k) + sqrt(dt) xi_k, evaluated into two position
+    # buffers used in turn and one step buffer
+    x, nxt, step = x0.copy(), np.empty_like(x0), np.empty_like(x0)
     sqdt = math.sqrt(dt)
     for k in range(M):
-        x = x + dt * drift(k, x) + sqdt * _keyed_draws(seed, _NOISE, k, keys)
+        np.multiply(drift(k, x), dt, out=step)
+        np.add(x, step, out=nxt)
+        np.multiply(_keyed_draws(seed, _NOISE, k, keys), sqdt, out=step)
+        nxt += step
+        x, nxt = nxt, x
         if k + 1 in row_of:
             out[row_of[k + 1]] = x
     return rows, out
@@ -171,47 +176,54 @@ def _inverse_cdf_sampler(p0: DensityField) -> Callable[[np.ndarray], np.ndarray]
 def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
                        chem: Optional[InitialChemical], mesh: TimeMesh,
                        seed: int, interaction: str = "pairwise",
-                       particle_keys: Optional[np.ndarray] = None) -> ParticleEnsemble:
-    """Simulate the interacting system; returns the full (M+1) x N path array.
+                       particle_keys: Optional[np.ndarray] = None,
+                       store_rows: Optional[Sequence[int]] = None) -> ParticleEnsemble:
+    """Simulate the interacting system.
 
     interaction chooses the memory-sum evaluator ("pairwise" or "binned").
     particle_keys (non-negative integers, default arange(N)) assigns each
     particle its variate in the per-step streams; permuting it permutes the
-    trajectories.  Each step costs O(max key + 1) to draw.
+    trajectories.  Each step costs O(max key + 1) to draw.  store_rows
+    selects which mesh rows to keep (default all; row 0 always); the stored
+    rows do not depend on it.  The binned evaluator then works in O(N) memory
+    plus those rows, while the pairwise one keeps every past row it sums over.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     if interaction not in ("pairwise", "binned"):
         raise ValueError(f"unknown interaction evaluator {interaction!r}")
     keys = _particle_keys(particle_keys, N)
-    grid, dt = p0.grid, mesh.dt
+    grid, dt, nodes = p0.grid, mesh.dt, mesh.nodes
     interacting = has_memory(spec)
     binned = interaction == "binned"
     xi = grid.wavenumbers
     if binned and interacting:
         E1 = integrated_kernel_symbol(spec, dt, xi)
         q = symbol_decay(spec.lam, dt, xi)
+        cic, memory = _CloudInCell(grid, N), np.empty(N)
     S = np.zeros(xi.size, dtype=complex)
     past: List[np.ndarray] = []
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
         nonlocal S
-        u = drift_b(spec, chem, float(mesh.nodes[k]), x) if chem is not None else np.zeros(N)
+        u = drift_b(spec, chem, float(nodes[k]), x) if chem is not None else np.zeros(N)
         if not interacting:
             return u
         if binned:
+            cic.locate(x)
             if k > 0:
-                u = u + _interp_grid(grid, np.fft.irfft(E1 * S, grid.n), x)
-            S = q * S + np.fft.rfft(_deposit(grid, x))
+                u = np.add(u, cic.interp(np.fft.irfft(E1 * S, grid.n), memory), out=memory)
+            S = q * S + np.fft.rfft(cic.deposit())
         else:
-            past.append(x)
+            past.append(x.copy())
             if k > 0:
                 u = u + _pairwise_memory(spec, past, dt)
         return u
 
     x0 = _inverse_cdf_sampler(p0)(_keyed_draws(seed, _INIT, 0, keys))
-    _, X = _euler_paths(x0, drift, mesh, seed, keys, None)
-    meta = {"init_sampling": "inverse-cdf", "interaction": interaction}
+    rows, X = _euler_paths(x0, drift, mesh, seed, keys, store_rows)
+    meta = {"init_sampling": "inverse-cdf", "interaction": interaction,
+            "row_times": nodes[rows]}
     return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
 
 
@@ -231,24 +243,58 @@ def _pairwise_memory(spec: KernelSpec, past: Sequence[np.ndarray], dt: float) ->
     return acc / len(past[k])
 
 
+class _CloudInCell:
+    """Cloud-in-cell cells and weights of N positions on a periodic grid.
+
+    locate(x) fills the cell index idx, its right neighbour idx1 and the
+    weights w0 = 1 - frac, w1 = frac; interp and deposit of one step share
+    them.  The buffers are allocated once and reused: a step that allocated
+    and freed its N-sized temporaries made the C allocator hand about 1 MB
+    back to the system and fault it in again on every step at N = 2e4.
+    """
+
+    def __init__(self, grid: Grid1D, N: int):
+        self.grid = grid
+        self.rel, self.w0, self.w1, self.tmp = (np.empty(N) for _ in range(4))
+        self.idx, self.idx1 = np.empty(N, dtype=np.int64), np.empty(N, dtype=np.int64)
+
+    def locate(self, positions: np.ndarray):
+        g = self.grid
+        np.add(positions, g.half_width, out=self.rel)
+        np.mod(self.rel, 2.0 * g.half_width, out=self.rel)
+        np.divide(self.rel, g.h, out=self.rel)
+        np.floor(self.rel, out=self.w0)     # w0 holds floor(rel) until the last weight
+        np.copyto(self.idx, self.w0, casting="unsafe")
+        np.remainder(self.idx, g.n, out=self.idx)
+        np.subtract(self.rel, self.w0, out=self.w1)
+        np.subtract(1.0, self.w1, out=self.w0)
+        np.add(self.idx, 1, out=self.idx1)
+        np.remainder(self.idx1, g.n, out=self.idx1)
+
+    def interp(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Linear interpolation of grid values at the located positions, into out."""
+        np.take(values, self.idx, out=out)
+        out *= self.w0
+        np.take(values, self.idx1, out=self.tmp)
+        self.tmp *= self.w1
+        out += self.tmp
+        return out
+
+    def deposit(self) -> np.ndarray:
+        """Projection of the empirical measure of the located positions;
+        integrates to exactly 1."""
+        g = self.grid
+        out = np.bincount(self.idx, weights=self.w0, minlength=g.n)
+        out += np.bincount(self.idx1, weights=self.w1, minlength=g.n)
+        return out / (self.idx.size * g.h)
+
+
 def _deposit(grid: Grid1D, positions: np.ndarray) -> np.ndarray:
     """Cloud-in-cell projection of the empirical measure onto the grid
     (positions folded periodically); integrates to exactly 1."""
-    span = 2.0 * grid.half_width
-    rel = np.mod(positions + grid.half_width, span) / grid.h
-    idx = np.floor(rel).astype(np.int64) % grid.n
-    frac = rel - np.floor(rel)
-    out = np.bincount(idx, weights=1.0 - frac, minlength=grid.n)
-    out += np.bincount((idx + 1) % grid.n, weights=frac, minlength=grid.n)
-    return out / (positions.size * grid.h)
-
-
-def _interp_grid(grid: Grid1D, values: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    span = 2.0 * grid.half_width
-    rel = np.mod(positions + grid.half_width, span) / grid.h
-    idx = np.floor(rel).astype(np.int64) % grid.n
-    frac = rel - np.floor(rel)
-    return values[idx] * (1.0 - frac) + values[(idx + 1) % grid.n] * frac
+    cic = _CloudInCell(grid, positions.size)
+    cic.locate(positions)
+    return cic.deposit()
 
 
 def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
@@ -275,9 +321,10 @@ def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
     x0 = x0_sampler(_keyed_draws(seed, _INIT, 0, keys))
     if x0.shape != (N,):
         raise ValueError("x0_sampler must map (N,) uniforms to (N,) positions")
-    rows, out = _euler_paths(x0, lambda k, x: b_fn(float(mesh.nodes[k]), x),
+    nodes = mesh.nodes
+    rows, out = _euler_paths(x0, lambda k, x: b_fn(float(nodes[k]), x),
                              mesh, seed, keys, store_rows)
-    meta = {"init_sampling": "inverse-cdf", "row_times": mesh.nodes[rows]}
+    meta = {"init_sampling": "inverse-cdf", "row_times": nodes[rows]}
     return ParticleEnsemble(mesh, out, seed, drift_bound=drift_bound, meta=meta)
 
 
@@ -307,43 +354,3 @@ def kde_density(ensemble: ParticleEnsemble, k: int,
     smooth = np.fft.irfft(np.fft.rfft(raw) * np.exp(-xi * xi * bandwidth ** 2 / 2.0), grid.n)
     t_tag = float(ensemble.snapshot_times[k]) if k < len(ensemble.snapshot_times) else 0.0
     return DensityField(grid, smooth, t_tag)
-
-
-@dataclass
-class ErrorTable:
-    """Per-row distances between two histories on a shared discretization."""
-
-    t: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    linf: np.ndarray
-
-    @property
-    def max_l1(self) -> float:
-        return float(np.max(self.l1))
-
-    @property
-    def max_l2(self) -> float:
-        return float(np.max(self.l2))
-
-    @property
-    def max_linf(self) -> float:
-        return float(np.max(self.linf))
-
-    def lines(self) -> List[str]:
-        return [f"max over rows: L1 {self.max_l1:.6e}  L2 {self.max_l2:.6e}  "
-                f"Linf {self.max_linf:.6e}"]
-
-
-def compare_histories(a: MarginalHistory, b: MarginalHistory) -> ErrorTable:
-    """Row-wise L1, L2, Linf distances; requires identical grid and mesh."""
-    if a.grid != b.grid or a.mesh != b.mesh:
-        raise ValueError("histories live on different discretizations")
-    diff = a.densities - b.densities
-    h = a.grid.h
-    return ErrorTable(
-        t=a.mesh.nodes.copy(),
-        l1=np.sum(np.abs(diff), axis=1) * h,
-        l2=np.sqrt(np.sum(diff * diff, axis=1) * h),
-        linf=np.max(np.abs(diff), axis=1),
-    )

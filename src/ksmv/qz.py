@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-from scipy import special
 
 # Family-wise false-alarm rate of the Monte Carlo histogram checks:
 # verify_bound's bins, and the mc_histogram_sup record of `ksmv qz`.
@@ -92,6 +91,8 @@ def qz_density(params: QZParams, z):
 def _tail_eval(t: float, a, beta: float):
     """(2 pi t)^{-1/2} int_{a / sqrt t}^inf  z e^{-(z - beta sqrt t)^2 / 2} dz
     in closed form, vectorized in a: Gaussian term plus an erfc tail."""
+    from scipy import special
+
     shift = (a - beta * t) / math.sqrt(2.0 * t)
     return _gauss(t, a - beta * t) + beta / 2.0 * special.erfc(shift)
 
@@ -166,6 +167,8 @@ def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
     Requires a deterministic start (ensemble.x0) and a declared drift bound
     no larger than beta; both are usage errors otherwise.
     """
+    from scipy import special
+
     if getattr(ensemble, "drift_bound", None) is None:
         raise ValueError("ensemble carries no declared drift bound")
     if ensemble.drift_bound > beta + 1e-12:

@@ -1,16 +1,20 @@
 """Helpers shared by the test modules: the acceptance-line recorder, test
-densities, and the quadrature oracle for the sign-drift comparison density.
+densities, row-wise history distances, and the quadrature oracle for the
+sign-drift comparison density.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
 """
 
 import math
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 from scipy import integrate
 
 from ksmv.grid import Grid1D, DensityField, heat_kernel
+from ksmv.mild import MarginalHistory
 from ksmv.qz import QZParams
 
 ACCEPTANCE_LINES = {}
@@ -28,6 +32,46 @@ def gaussian_density(grid: Grid1D, var: float, mean: float = 0.0) -> DensityFiel
 
 def l1_distance(grid: Grid1D, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(a - b)) * grid.h)
+
+
+@dataclass
+class ErrorTable:
+    """Per-row distances between two histories on a shared discretization."""
+
+    t: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    linf: np.ndarray
+
+    @property
+    def max_l1(self) -> float:
+        return float(np.max(self.l1))
+
+    @property
+    def max_l2(self) -> float:
+        return float(np.max(self.l2))
+
+    @property
+    def max_linf(self) -> float:
+        return float(np.max(self.linf))
+
+    def lines(self) -> List[str]:
+        return [f"max over rows: L1 {self.max_l1:.6e}  L2 {self.max_l2:.6e}  "
+                f"Linf {self.max_linf:.6e}"]
+
+
+def compare_histories(a: MarginalHistory, b: MarginalHistory) -> ErrorTable:
+    """Row-wise L1, L2, Linf distances; requires identical grid and mesh."""
+    if a.grid != b.grid or a.mesh != b.mesh:
+        raise ValueError("histories live on different discretizations")
+    diff = a.densities - b.densities
+    h = a.grid.h
+    return ErrorTable(
+        t=a.mesh.nodes.copy(),
+        l1=np.sum(np.abs(diff), axis=1) * h,
+        l2=np.sqrt(np.sum(diff * diff, axis=1) * h),
+        linf=np.max(np.abs(diff), axis=1),
+    )
 
 
 def qz_density_oracle(params: QZParams, z: float) -> float:

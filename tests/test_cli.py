@@ -1,7 +1,10 @@
 """Config grammar, report plumbing, CSV round-trips, end-to-end exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +300,32 @@ def test_check_kernel_prints_each_item_and_one_T0_at_the_configured_safety(
     records = json.loads((out / "check_kernel_report.json").read_text())["records"]
     D0 = {r["name"]: r["value"] for r in records}["contraction_D_at_T0"]
     assert D0 == pytest.approx(0.3, rel=1e-9)
+
+
+# numpy is all `ksmv solve` needs; scipy is loaded by the functions that use it
+_SCIPY_FREE_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import ksmv.cli as cli
+seen = {"import": loaded()}
+for mode in cli.SOLVE_MODES:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "solve", "--mode", mode])
+    seen[mode] = loaded() if code == 0 else f"exit {code}"
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_solve_load_no_scipy(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    env.pop(cli.ENV_OUT_DIR, None)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PROBE,
+                           str(REPO / "configs" / "full_model.cfg"), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "march": [], "picard_with_restart": []}
 
 
 def test_out_dir_env_and_flag_precedence(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from ksmv.grid import Grid1D, TimeMesh
 from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, kernel_l2_norm,
@@ -314,6 +314,49 @@ def test_find_T0_with_decay_hits_safety():
     spec = KernelSpec(chi=1.0, lam=0.5)
     T0 = find_T0(spec, 0.5)
     assert horizon_D(spec, T0) == pytest.approx(0.5, abs=1e-10)
+
+
+def _brentq_T0(spec, safety):
+    # the root finder find_T0 used for every lambda > 0 before the erf inversion
+    hi = 1.0
+    while horizon_D(spec, hi) < safety:
+        hi *= 2.0
+    return optimize.brentq(lambda T: horizon_D(spec, T) - safety, 1e-300, hi,
+                           xtol=1e-14, rtol=1e-13)
+
+
+def test_find_T0_erf_inversion_hits_safety_and_matches_brentq():
+    checked = 0
+    for chi in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0):
+        for lam in (1e-4, 1e-2, 0.5, 1.0, 10.0, 100.0):
+            for safety in (0.1, 0.3, 0.5, 0.7, 0.9):
+                spec = KernelSpec(chi=chi, lam=lam)
+                T0 = find_T0(spec, safety)
+                if spec.chi_eff * math.sqrt(2.0 / lam) <= safety:
+                    assert T0 == math.inf
+                    continue
+                checked += 1
+                assert abs(horizon_D(spec, T0) - safety) <= 1e-15 * safety
+                # brentq stops within xtol + rtol |T| of the root, so tiny
+                # horizons are compared at its absolute tolerance
+                assert T0 == pytest.approx(_brentq_T0(spec, safety), rel=2e-12, abs=1e-14)
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-9, 1e-15])
+def test_find_T0_near_saturation(gap):
+    # safety / ceiling = 1 - gap: erf is flat there, yet D(T0) still lands on safety
+    spec = KernelSpec(chi=0.5 / ((1.0 - gap) * math.sqrt(2.0)), lam=1.0)
+    T0 = find_T0(spec, 0.5)
+    assert math.isfinite(T0) and T0 > 0.0
+    assert abs(horizon_D(spec, T0) - 0.5) <= 1e-15 * 0.5
+    assert horizon_D(spec, T0) <= 0.5
+
+
+def test_find_T0_custom_kernel_uses_quadrature_root():
+    # ||K_t||_L1 = 2 e^{-t}, so D(T) = 2 (1 - e^{-T}) and D(T0) = 1/2 at T0 = -log(3/4)
+    custom = KernelSpec(kind="custom", eval_fn=lambda t, x: -x * np.exp(-x * x / 2.0 - t))
+    assert find_T0(custom, 0.5) == pytest.approx(-math.log(0.75), rel=1e-10)
 
 
 def test_find_T0_saturating_decay_returns_inf():

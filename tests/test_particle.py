@@ -11,10 +11,10 @@ from ksmv.kernel import KernelSpec, time_integrated_kernel
 from ksmv.field import InitialChemical
 from ksmv.mild import MarginalHistory, march
 from ksmv.particle import (ParticleEnsemble, simulate_particles,
-                           simulate_bounded_drift, kde_density,
-                           compare_histories, _deposit, _keyed_draws)
+                           simulate_bounded_drift, kde_density, _CloudInCell, _deposit,
+                           _keyed_draws)
 
-from ksmv_helpers import gaussian_density, l1_distance
+from ksmv_helpers import compare_histories, gaussian_density, l1_distance
 
 FREE = KernelSpec(chi=0.0)   # interaction off: independent Brownian paths
 
@@ -176,6 +176,40 @@ def test_binned_close_to_pairwise():
     assert bn.meta["interaction"] == "binned"
 
 
+@pytest.mark.parametrize("interaction", ["pairwise", "binned"])
+def test_stored_final_row_matches_full_run(interaction):
+    g = Grid1D(10.0, 256)
+    mesh = TimeMesh(0.2, 12)
+    chem = InitialChemical.gaussian_bump(g, amp=0.5, width=1.0)
+    spec = KernelSpec(chi=1.0, lam=0.5)
+    p0 = gaussian_density(g, 0.5)
+    full = simulate_particles(64, p0, spec, chem, mesh, seed=5, interaction=interaction)
+    last = simulate_particles(64, p0, spec, chem, mesh, seed=5, interaction=interaction,
+                              store_rows=[mesh.steps])
+    assert last.positions.shape == (2, 64)
+    assert np.array_equal(last.positions, full.positions[[0, mesh.steps]])
+    assert np.array_equal(last.snapshot_times, mesh.nodes[[0, mesh.steps]])
+    assert kde_density(last, -1).time_tag == pytest.approx(0.2)
+
+
+def test_binned_working_memory_is_linear_in_n():
+    # with only the final row stored, the peak is about 16 N-vectors whatever
+    # M is: two rows, ten reused work buffers (stepper and cloud-in-cell) and
+    # the drift's and noise draw's per-step temporaries
+    N, M = 50000, 100
+    g = Grid1D(3.0 * math.pi, 64)
+    chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
+    p0 = gaussian_density(g, 0.5)
+    tracemalloc.start()
+    try:
+        simulate_particles(N, p0, KernelSpec(chi=1.0, lam=0.5), chem, TimeMesh(0.4, M),
+                           seed=3, interaction="binned", store_rows=[M])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 8 * N
+
+
 # --- mean-field consistency -------------------------------------------------
 
 
@@ -282,6 +316,24 @@ def test_kde_needs_grid_and_positive_bandwidth():
                             seed=0, grid=g)
     with pytest.raises(ValueError):
         kde_density(ens2, 0, bandwidth=-0.1)
+
+
+def test_cloud_in_cell_buffers_match_direct_formulas():
+    # the reused-buffer interpolation and deposit against the plain expressions
+    g = Grid1D(5.0, 64)
+    rng = np.random.default_rng(1)
+    pos = rng.uniform(-20, 20, size=300)   # folds periodically
+    values = rng.normal(size=g.n)
+    rel = np.mod(pos + g.half_width, 2.0 * g.half_width) / g.h
+    idx = np.floor(rel).astype(np.int64) % g.n
+    frac = rel - np.floor(rel)
+    cic = _CloudInCell(g, pos.size)
+    cic.locate(pos)
+    interp = cic.interp(values, np.empty(pos.size))
+    assert np.array_equal(interp, values[idx] * (1.0 - frac) + values[(idx + 1) % g.n] * frac)
+    direct = (np.bincount(idx, weights=1.0 - frac, minlength=g.n)
+              + np.bincount((idx + 1) % g.n, weights=frac, minlength=g.n)) / (pos.size * g.h)
+    assert np.array_equal(cic.deposit(), direct)
 
 
 def test_deposit_unit_mass():
