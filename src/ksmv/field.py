@@ -216,17 +216,10 @@ def chemical_gradient(history, chem: InitialChemical, spec: KernelSpec, k: int) 
     history.require_rows(k)
     tk = history.mesh.nodes[k]
     unit = KernelSpec(chi=1.0, lam=spec.lam, normalization="heat")
-    part_c0 = math.exp(-spec.lam * tk) * _smooth_on_grid(chem, tk)
+    part_c0 = drift_b(unit, chem, tk)
     if k == 0:
         return part_c0
     return part_c0 + memory_drift(history, unit, k)
-
-
-def _smooth_on_grid(chem: InitialChemical, t: float) -> np.ndarray:
-    if t == 0.0:
-        return chem.c0_prime.copy()
-    xi = chem.grid.wavenumbers
-    return np.fft.irfft(np.fft.rfft(chem.c0_prime) * np.exp(-xi * xi * t / 2.0), chem.grid.n)
 
 
 def ks_residual(history, chem: InitialChemical, lam: float,

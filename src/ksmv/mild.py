@@ -24,25 +24,31 @@ and the whole memory sum is one running sum per frequency:
 
     B_hat_k = E1 S_k,    S_0 = 0,    S_{k+1} = q S_k + p_hat_k.
 
-The march, the fixed-point iteration, the window restart, the chemical
-field and the binned particles all use this sum; it costs O(n) per step,
-so a march of M steps costs O(M n log n).
+The chemical field reads this sum and the binned particles run it.  The
+solvers carry more: the exogenous drift b = chi e^{-lam t} g(t,.) * c0' obeys
+b_hat(t + dt) = q b_hat(t) exactly, so the whole drift u = b + B is one
+spectral state per frequency,
+
+    U_0 = b_hat(0),    U_{k+1} = q U_k + E1 p_hat_k,    u_k = irfft(U_k),
+
+and b is evaluated once per solve.  It costs O(n) per step, so a march of
+M steps costs O(M n log n).
 
 The one-step march multiplies by the heat symbol and adds the one-step
 Duhamel drift term; mass is conserved exactly by construction (the
 derivative symbol vanishes at frequency zero), so the per-step mass log is a
 pure roundoff diagnostic.
 
-Fixed-point iteration (the contraction construction): iterate 1 computes B
-against the history frozen at p_0; iterate j marches the linear equation
-with drift b + B(.; iterate j-1).  The discrete system is lower triangular
-in time, so the iterates collapse onto the march output; their successive
-L^1 distances contract at rate ~ D(T_0) when the horizon satisfies
-D(T_0) < 1.  Longer horizons are covered by restarting: the running sum of
-the already-solved windows is carried to the next window start as S_base,
-and enters that window as the frozen exogenous drift E1 q^j S_base at its
-node j, so the concatenated discretization reproduces the single global
-march.
+Fixed-point iteration (the contraction construction): iterate j marches the
+linear equation whose drift runs the same recursion from U_0 but pushes the
+rows of iterate j-1 (iterate 1: the history frozen at p_0).  The discrete
+system is lower triangular in time, so the iterates collapse onto the march
+output; their successive L^1 distances contract at rate ~ D(T_0) when the
+horizon satisfies D(T_0) < 1.  Longer horizons are covered by restarting:
+the drift state U reached at a window's start (b plus the memory of every
+earlier window) is that window's U_0, and after the window U is pushed on
+over its accepted rows, so the concatenated discretization reproduces the
+single global march.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +71,6 @@ __all__ = [
     "PicardDivergenceError",
     "running_sums",
     "memory_drift",
-    "prefix_memory",
     "march",
     "picard",
     "solve_global",
@@ -154,12 +159,11 @@ class MarginalHistory:
         return {"t": t, "sqrt_t_linf": np.sqrt(t) * linf, "qrt_t_l2": t ** 0.25 * l2}
 
 
-def running_sums(spectra: np.ndarray, q: np.ndarray,
-                 start: Optional[np.ndarray] = None) -> np.ndarray:
-    """S_0 = start (default 0) and S_{l+1} = q S_l + spectra[l]: the memory
-    sums over the given rows, one more row than spectra."""
+def running_sums(spectra: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """S_0 = 0 and S_{l+1} = q S_l + spectra[l]: the memory sums over the
+    given rows, one more row than spectra."""
     S = np.empty((len(spectra) + 1, q.size), dtype=complex)
-    S[0] = 0.0 if start is None else start
+    S[0] = 0.0
     for l, row in enumerate(spectra):
         S[l + 1] = q * S[l] + row
     return S
@@ -177,22 +181,34 @@ def memory_drift(history: MarginalHistory, spec: KernelSpec, k: int) -> np.ndarr
     return np.fft.irfft(B_hat, grid.n)
 
 
-def prefix_memory(spec: KernelSpec, grid: Grid1D, dt: float, S_base: np.ndarray,
-                  j: int) -> np.ndarray:
-    """Memory drift of the rows before a window, j steps into the window:
-    irfft(E1 q^j S_base), with S_base the running sum carried to the window
-    start.  This is the frozen exogenous drift of the window restart."""
+def _drift_symbols(spec: KernelSpec, grid: Grid1D,
+                   dt: float) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(q, E1) of the drift recursion at step dt; E1 is None without memory."""
     xi = grid.wavenumbers
-    B_hat = integrated_kernel_symbol(spec, dt, xi) * symbol_decay(spec.lam, j * dt, xi) * S_base
-    return np.fft.irfft(B_hat, grid.n)
+    E1 = integrated_kernel_symbol(spec, dt, xi) if has_memory(spec) else None
+    return symbol_decay(spec.lam, dt, xi), E1
 
 
-def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh,
-              drift_fn: Callable[[int, np.ndarray], np.ndarray],
+def _start_drift(spec: KernelSpec, chem: Optional[InitialChemical], grid: Grid1D) -> np.ndarray:
+    """U_0 = b_hat(0, .), the drift state at the first node."""
+    if chem is None:
+        return np.zeros(grid.wavenumbers.size, dtype=complex)
+    return np.fft.rfft(drift_b(spec, chem, 0.0))
+
+
+def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
+          p_hat: np.ndarray) -> np.ndarray:
+    """The drift state one node on: b_hat decays by q, the memory gains E1 p_hat."""
+    return q * U if E1 is None else q * U + E1 * p_hat
+
+
+def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray,
+              q: np.ndarray, E1: Optional[np.ndarray], pushed: Optional[np.ndarray],
               mass_tol: float, renormalize: bool) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Shared march loop.  drift_fn(k, p_hat_k) returns u(t_k) on the grid;
-    it is called once per step, in step order.  Returns (density stack,
-    mass log, sup of |drift| seen)."""
+    """Shared march loop from the drift state U at t_0: u_k = irfft(U_k), then
+    U_{k+1} = q U_k + E1 r_k, where r_k is the row being produced
+    (pushed=None) or pushed[k].  Returns (density stack, mass log, sup of
+    |drift| seen)."""
     n, M, dt = grid.n, mesh.steps, mesh.dt
     xi = grid.wavenumbers
     heat = np.exp(-xi * xi * dt / 2.0)
@@ -204,7 +220,8 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh,
     mass_log[0] = cur[0].real * grid.h
     sup_drift = 0.0
     for k in range(M):
-        u = drift_fn(k, cur)
+        u = np.fft.irfft(U, n)
+        U = _push(U, q, E1, cur if pushed is None else pushed[k])
         sup_drift = max(sup_drift, float(np.max(np.abs(u))))
         # a blow-up overflows here first; the finiteness check below names it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -233,45 +250,24 @@ def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
           renormalize: bool = True) -> MarginalHistory:
     """Causal march of the mild equation over the whole mesh.
 
-    Step k assembles u_k = b(t_k,.) + B(t_k,.; rows so far), then applies the
-    one-step Duhamel update
+    Step k reads u_k = b(t_k,.) + B(t_k,.; rows so far) off the drift state
+    U_k (module docstring), then applies the one-step Duhamel update
 
         p_{k+1} = g(dt,.) * p_k  -  dt (d/dx g(dt,.)) * (u_k p_k),
 
     whose advection direction matches the sign of u (a positive drift moves
     mass right; checked against the linear-drift closed form in the tests).
-    The memory sum S_k is updated online, O(n) per step.  Mass is logged
+    U is pushed on by the row just used, O(n) per step.  Mass is logged
     pre-renormalization at every step.
     """
     _check_p0(p0, grid, mass_tol)
-    memory = has_memory(spec)
-    b_rows = _drift_rows(spec, chem, grid, mesh)
-    xi = grid.wavenumbers
-    if memory:
-        E1 = integrated_kernel_symbol(spec, mesh.dt, xi)
-        q = symbol_decay(spec.lam, mesh.dt, xi)
-    S = np.zeros(xi.size, dtype=complex)
-
-    def drift(k, p_hat):
-        nonlocal S
-        u = b_rows[k]
-        if memory:
-            if k > 0:
-                u = u + np.fft.irfft(E1 * S, grid.n)
-            S = q * S + p_hat
-        return u
-
-    P, mass_log, sup_drift = _run_mild(p0.values, grid, mesh, drift, mass_tol, renormalize)
+    q, E1 = _drift_symbols(spec, grid, mesh.dt)
+    P, mass_log, sup_drift = _run_mild(p0.values, grid, mesh, _start_drift(spec, chem, grid),
+                                       q, E1, None, mass_tol, renormalize)
     var0 = _variance(grid, p0.values)
     meta = {"provenance": "march", "sup_drift": sup_drift,
             "tail_bound": grid.tail_bound(mesh.horizon, max(var0, 1e-6))}
     return MarginalHistory(grid, mesh, P, mass_log, meta)
-
-
-def _drift_rows(spec, chem, grid, mesh) -> np.ndarray:
-    if chem is None:
-        return np.zeros((mesh.steps + 1, grid.n))
-    return np.stack([drift_b(spec, chem, float(t)) for t in mesh.nodes])
 
 
 def _variance(grid: Grid1D, values: np.ndarray) -> float:
@@ -286,45 +282,38 @@ def _sup_l1_distance(A: np.ndarray, B: np.ndarray, h: float) -> float:
 
 def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
            grid: Grid1D, mesh: TimeMesh, k_max: int = 25, tol: float = 1e-8,
-           extra_drift: Optional[Callable[[int], np.ndarray]] = None,
+           start_drift: Optional[np.ndarray] = None,
            mass_tol: float = 1e-3) -> Tuple[List[MarginalHistory], List[float]]:
     """Fixed-point iteration on the contraction horizon.
 
-    Iterate j solves the linear equation whose memory term E1 S_k is one
-    running-sum pass over iterate j-1; iterate 1 takes the same pass over
-    the history frozen at p_0.  Distances are sup over nodes of the row L^1
-    difference between consecutive iterates.  Stops at tol or k_max; three
-    consecutive growing distances raise PicardDivergenceError.
+    Iterate j runs the march's drift recursion from the same U_0 but pushes
+    the rows of iterate j-1 instead of its own; iterate 1 pushes the history
+    frozen at p_0.  Distances are sup over nodes of the row L^1 difference
+    between consecutive iterates.  Stops at tol or k_max; three consecutive
+    growing distances raise PicardDivergenceError.
 
-    extra_drift(k) -> grid values is an additional exogenous drift (used by
-    the window restart; it is held fixed across iterates).
+    start_drift is U_0, the rfft of the total drift at the first node; by
+    default it is b(0,.) of chem.  The window restart passes the state it
+    carries (b plus the earlier windows' memory) with chem None.
     """
     _check_p0(p0, grid, mass_tol)
-    memory = has_memory(spec)
-    if memory:
+    if start_drift is not None and chem is not None:
+        raise ValueError("give chem or start_drift, not both")
+    if has_memory(spec):
         D = horizon_D(spec, mesh.horizon)
         if D >= 1.0:
             warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",
                           RuntimeWarning, stacklevel=2)
-        E1 = integrated_kernel_symbol(spec, mesh.dt, grid.wavenumbers)
-    b_rows = _drift_rows(spec, chem, grid, mesh)
-    if extra_drift is not None:
-        b_rows = b_rows + np.stack([np.asarray(extra_drift(k), dtype=float)
-                                    for k in range(mesh.steps + 1)])
+    q, E1 = _drift_symbols(spec, grid, mesh.dt)
+    U0 = _start_drift(spec, chem, grid) if start_drift is None else start_drift
 
     prev = MarginalHistory.constant(p0, mesh)
     histories: List[MarginalHistory] = []
     distances: List[float] = []
     grow_streak = 0
     for j in range(1, k_max + 1):
-        sums = prev.memory_sums(spec.lam) if memory else None
-
-        def drift(k, _p_hat, _sums=sums):
-            if _sums is None or k == 0:
-                return b_rows[k]
-            return b_rows[k] + np.fft.irfft(E1 * _sums[k], grid.n)
-
-        P, mass_log, sup_drift = _run_mild(p0.values, grid, mesh, drift, mass_tol, True)
+        P, mass_log, sup_drift = _run_mild(p0.values, grid, mesh, U0, q, E1,
+                                           prev.spectra(), mass_tol, True)
         hist = MarginalHistory(grid, mesh, P, mass_log,
                                {"provenance": f"iterate-{j}", "sup_drift": sup_drift})
         histories.append(hist)
@@ -350,9 +339,10 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     within discretization tolerance.
 
     In restart mode the horizon is cut into equal windows no longer than the
-    contraction horizon T0 (D(T0) <= safety); each window runs the iteration
-    with the memory of all earlier windows, prefix_memory of the carried
-    running sum S_base, as a frozen drift.
+    contraction horizon T0 (D(T0) <= safety).  Each window runs the iteration
+    from the drift state U carried to its start, which holds b and the memory
+    of all earlier windows; U is then pushed on over the window's accepted
+    rows.
     """
     if T <= 0:
         raise ValueError(f"need T > 0, got {T}")
@@ -361,15 +351,14 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     if mode != "picard_with_restart":
         raise ValueError(f"unknown mode {mode!r}")
 
-    memory = has_memory(spec)
-    T0 = find_T0(spec, safety) if memory else math.inf
+    T0 = find_T0(spec, safety) if has_memory(spec) else math.inf
     n_win = 1 if not math.isfinite(T0) else max(1, math.ceil(T / T0 - 1e-12))
     steps_w = math.ceil(steps / n_win)
     M = steps_w * n_win
     mesh_g = TimeMesh(T, M)
     mesh_w = TimeMesh(T / n_win, steps_w)
-    q = symbol_decay(spec.lam, mesh_g.dt, grid.wavenumbers)
-    S_base = np.zeros(q.size, dtype=complex)
+    q, E1 = _drift_symbols(spec, grid, mesh_w.dt)
+    U = _start_drift(spec, chem, grid)
 
     P = np.empty((M + 1, grid.n))
     mass_log = np.empty(M + 1)
@@ -378,23 +367,15 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     iterations = []
     for w in range(n_win):
         base = w * steps_w
-
-        def prefix_drift(j, _base=base, _S=S_base):
-            tg = mesh_g.nodes[_base + j]
-            u = drift_b(spec, chem, float(tg)) if chem is not None else np.zeros(grid.n)
-            if not memory or _base == 0:
-                return u
-            return u + prefix_memory(spec, grid, mesh_g.dt, _S, j)
-
         window_p0 = DensityField(grid, P[base], float(mesh_g.nodes[base]))
         hists, dists = picard(window_p0, spec, None, grid, mesh_w,
-                              k_max=k_max, tol=tol, extra_drift=prefix_drift)
+                              k_max=k_max, tol=tol, start_drift=U)
         last = hists[-1]
         P[base : base + steps_w + 1] = last.densities
         mass_log[base : base + steps_w + 1] = last.mass_log
         iterations.append(len(dists))
-        if memory:
-            S_base = running_sums(last.spectra()[:-1], q, S_base)[-1]
+        for p_hat in last.spectra()[:-1]:
+            U = _push(U, q, E1, p_hat)
     meta = {"provenance": "picard_with_restart", "windows": n_win,
             "iterations_per_window": iterations,
             "tail_bound": grid.tail_bound(T, max(_variance(grid, p0.values), 1e-6))}

@@ -97,10 +97,6 @@ class ParticleEnsemble:
     def snapshot_times(self) -> np.ndarray:
         return self.meta.get("row_times", self.mesh.nodes)
 
-    @property
-    def snapshots(self) -> np.ndarray:
-        return self.positions
-
     def marginal_variance(self, row: int) -> float:
         return float(np.var(self.positions[row]))
 

@@ -47,7 +47,6 @@ __all__ = [
     "QZParams",
     "BoundReport",
     "qz_density",
-    "qz_density_at_y",
     "qz_bound",
     "verify_bound",
 ]
@@ -97,16 +96,11 @@ def _tail_eval(t: float, a, beta: float):
     return _gauss(t, a - beta * t) + beta / 2.0 * special.erfc(shift)
 
 
-def qz_density_at_y(params: QZParams) -> float:
-    """Density at the attractor itself, z = y, where the excursion integral
-    collapses to a Gaussian-plus-erfc closed form."""
-    return _tail_eval(params.t, abs(params.x - params.y), params.beta)
-
-
 def qz_bound(t: float, x: float, y: float, beta: float) -> float:
     """Universal density bound: any diffusion with unit noise and drift
     bounded by beta has transition density p(t, x, y) at most this value.
-    Identical evaluator to :func:`qz_density_at_y`."""
+    It is the sign-drift density at the attractor, qz_density(p, y) with
+    p = QZParams(beta, y, x, t)."""
     if t <= 0:
         raise ValueError(f"need t > 0, got {t}")
     if beta < 0:
@@ -180,7 +174,7 @@ def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
     level = QZ_HISTOGRAM_ALPHA / (bins * max(1, sum(t > 0 for t in times)))
     report = BoundReport(beta=beta, times=times, level=level)
     N = ensemble.n_particles
-    for t, positions in zip(times, ensemble.snapshots):
+    for t, positions in zip(times, ensemble.positions):
         if t <= 0:
             continue
         edges = np.linspace(np.min(positions), np.max(positions), bins + 1)

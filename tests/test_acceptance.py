@@ -236,7 +236,7 @@ def test_criterion_09_universal_density_bound():
                                    drift_bound=beta_u, store_rows=[5, 50, 250, 500])
     cap = 2.0 * 1.0 + beta_u
     worst_excess = -math.inf
-    for t, positions in zip(ens_u.snapshot_times, ens_u.snapshots):
+    for t, positions in zip(ens_u.snapshot_times, ens_u.positions):
         if t <= 0:
             continue
         edges = np.linspace(np.min(positions), np.max(positions), 61)

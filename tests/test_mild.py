@@ -11,9 +11,9 @@ from scipy import integrate
 from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
 from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, integrated_kernel_symbol,
                          symbol_decay, zero_kernel)
-from ksmv.field import InitialChemical
+from ksmv.field import InitialChemical, drift_b
 from ksmv.mild import (MarginalHistory, SchemeInstabilityError,
-                       PicardDivergenceError, running_sums, memory_drift, prefix_memory,
+                       PicardDivergenceError, running_sums, memory_drift,
                        march, picard, solve_global)
 
 from ksmv_helpers import gaussian_density, l1_distance
@@ -260,6 +260,44 @@ def test_march_refinement_first_order():
     assert e1 / e2 >= 1.5
 
 
+def test_march_matches_step_by_step_definition():
+    # u_k = b(t_k) + B(t_k; rows 0..k-1) from their own definitions, then one
+    # renormalized Duhamel step: the march's drift recursion must reproduce it
+    g = Grid1D(3.0 * math.pi, 128)
+    mesh = TimeMesh(0.4, 40)
+    chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
+    spec = KernelSpec(chi=1.0, lam=0.5)
+    p0 = gaussian_density(g, 1.0)
+    xi = g.wavenumbers
+    heat = np.exp(-xi * xi * mesh.dt / 2.0)
+    P = np.zeros((mesh.steps + 1, g.n))
+    P[0] = p0.values
+    for k in range(mesh.steps):
+        partial = MarginalHistory(g, mesh, P.copy(), np.ones(mesh.steps + 1), {})
+        u = drift_b(spec, chem, float(mesh.nodes[k])) + memory_drift(partial, spec, k)
+        nxt = heat * (np.fft.rfft(P[k]) - mesh.dt * 1j * xi * np.fft.rfft(u * P[k]))
+        P[k + 1] = np.fft.irfft(nxt / (nxt[0].real * g.h), g.n)
+    hist = march(p0, spec, chem, g, mesh)
+    assert np.max(np.sum(np.abs(hist.densities - P), axis=1)) * g.h < 1e-12
+
+
+def test_drift_b_evaluated_once_per_solve(monkeypatch):
+    import ksmv.mild as mild_mod
+
+    calls = []
+    monkeypatch.setattr(mild_mod, "drift_b", lambda *a: calls.append(a) or drift_b(*a))
+    g = Grid1D(3.0 * math.pi, 64)
+    chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
+    spec = KernelSpec(chi=1.0, lam=0.0)
+    p0 = gaussian_density(g, 1.0)
+    march(p0, spec, chem, g, TimeMesh(0.2, 20))
+    assert len(calls) == 1
+    rest = solve_global(p0, spec, chem, g, 2.0 * math.pi / 32.0, mode="picard_with_restart",
+                        steps=20)
+    assert rest.meta["windows"] == 2
+    assert len(calls) == 2
+
+
 # --- fixed-point iteration --------------------------------------------------
 
 
@@ -286,6 +324,15 @@ def test_picard_contracts_and_matches_march():
     gap = max(l1_distance(g, hists[-1].densities[k], ref.densities[k])
               for k in range(mesh.steps + 1))
     assert gap < 1e-6
+
+
+def test_picard_takes_chem_or_start_drift_not_both():
+    g = Grid1D(3.0 * math.pi, 64)
+    chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
+    U0 = np.fft.rfft(drift_b(KernelSpec(chi=0.0), chem, 0.0))
+    with pytest.raises(ValueError, match="not both"):
+        picard(gaussian_density(g, 1.0), KernelSpec(chi=0.0), chem, g, TimeMesh(0.1, 5),
+               start_drift=U0)
 
 
 def test_picard_warns_on_supercritical_horizon():
@@ -318,17 +365,24 @@ def test_picard_divergence_reported(monkeypatch):
 # --- restart drift: memory of the rows before a window --------------------------
 
 
+def prefix_then_zero_history(grid, T0, steps):
+    """Rows g(1,.) on [0, T0] and zero after: j steps past the prefix the
+    memory drift is the prefix memory E1 q^j S_steps alone."""
+    mesh = TimeMesh(2.0 * T0, 2 * steps)
+    rows = np.zeros((mesh.steps + 1, grid.n))
+    rows[:steps] = heat_kernel(1.0, grid.x)
+    return MarginalHistory(grid, mesh, rows, np.ones(mesh.steps + 1), {})
+
+
 def test_restart_drift_frozen_gaussian_oracle():
     # prefix rows g(1,.): j steps into the next window the prefix memory is
     # b1(t, x) = -x int_t^{T0 + t} g(1+u, x) / (1+u) du at t = j dt
     T0 = 0.25
-    mesh = TimeMesh(T0, 50)
-    prefix = frozen_gaussian_history(G12, mesh)
+    hist = prefix_then_zero_history(G12, T0, 50)
     spec = KernelSpec(chi=1.0, lam=0.0)
-    S_base = prefix.memory_sums(spec.lam)[mesh.steps]
     for j in (0, 20, 50):
-        t = j * mesh.dt
-        b1 = prefix_memory(spec, G12, mesh.dt, S_base, j)
+        t = j * hist.mesh.dt
+        b1 = memory_drift(hist, spec, 50 + j)
         mirrored = -b1[np.mod(G12.n - np.arange(G12.n), G12.n)]
         assert np.max(np.abs(b1 - mirrored)) < 1e-13   # odd for an even prefix
         for i in (300, 512, 700):
@@ -340,20 +394,20 @@ def test_restart_drift_frozen_gaussian_oracle():
 
 def test_restart_drift_young_bound():
     T0 = 0.25
-    mesh = TimeMesh(T0, 50)
-    prefix = frozen_gaussian_history(G12, mesh)
+    hist = prefix_then_zero_history(G12, T0, 50)
     spec = KernelSpec(chi=1.0, lam=0.0)
-    S_base = prefix.memory_sums(spec.lam)[mesh.steps]
     for j in (0, 24):
-        t = j * mesh.dt
-        b1 = prefix_memory(spec, G12, mesh.dt, S_base, j)
+        t = j * hist.mesh.dt
+        b1 = memory_drift(hist, spec, 50 + j)
         total, _ = integrate.quad(lambda s: kernel_l1_norm(spec, T0 + t - s), 0, T0,
                                   points=[T0])
-        bound = float(np.max(prefix.densities)) * total
+        bound = float(np.max(hist.densities)) * total
         assert float(np.max(np.abs(b1))) <= bound * (1.0 + 1e-6)
 
 
 def test_memory_sums_carried_across_windows_equal_one_pass():
+    # the memory at node 25 + j splits into the first 25 rows' sum, decayed
+    # by q^j, plus the later rows' own sum
     g = Grid1D(10.0, 128)
     mesh = TimeMesh(0.5, 60)
     spec = KernelSpec(chi=1.0, lam=0.3)
@@ -361,14 +415,12 @@ def test_memory_sums_carried_across_windows_equal_one_pass():
     q = symbol_decay(spec.lam, mesh.dt, g.wavenumbers)
     spectra = hist.spectra()
     first = running_sums(spectra[:25], q)
-    second = running_sums(spectra[25:], q, first[-1])
-    assert np.array_equal(np.concatenate([first, second[1:]]), hist.memory_sums(spec.lam))
-    # the split the restart uses: prefix memory plus the window's own sum
-    E1 = integrated_kernel_symbol(spec, mesh.dt, g.wavenumbers)
     own = running_sums(spectra[25:], q)
+    assert np.array_equal(first, hist.memory_sums(spec.lam)[:26])
+    E1 = integrated_kernel_symbol(spec, mesh.dt, g.wavenumbers)
     for j in (0, 1, 10):
-        split = (prefix_memory(spec, g, mesh.dt, first[-1], j)
-                 + np.fft.irfft(E1 * own[j], g.n))
+        carried = symbol_decay(spec.lam, j * mesh.dt, g.wavenumbers) * first[-1]
+        split = np.fft.irfft(E1 * (carried + own[j]), g.n)
         assert np.allclose(split, memory_drift(hist, spec, 25 + j), rtol=0, atol=1e-13)
 
 

@@ -8,7 +8,7 @@ from scipy import integrate, optimize, special
 
 from ksmv.grid import TimeMesh
 from ksmv.particle import ParticleEnsemble, simulate_bounded_drift
-from ksmv.qz import QZParams, qz_density, qz_density_at_y, qz_bound, verify_bound
+from ksmv.qz import QZParams, qz_density, qz_bound, verify_bound
 
 from ksmv_helpers import qz_density_oracle
 
@@ -53,7 +53,7 @@ def test_closed_form_matches_quadrature_oracle():
                 oracle = np.array([qz_density_oracle(params, float(z)) for z in zs])
                 assert np.max(np.abs(qz_density(params, zs) - oracle)) <= 1e-12
                 # at the attractor the Gaussian difference vanishes exactly
-                assert qz_density(params, y) == qz_density_at_y(params)
+                assert qz_density(params, y) == qz_bound(t, x, y, beta)
 
 
 @pytest.mark.parametrize("t", [0.1, 1e-4])
@@ -71,7 +71,7 @@ def test_extreme_drift_neither_overflows_nor_loses_mass(t):
 
 def test_bound_is_the_attractor_evaluator():
     params = QZParams(beta=0.8, y=1.1, x=-0.4, t=0.7)
-    assert qz_bound(0.7, -0.4, 1.1, 0.8) == qz_density_at_y(params)
+    assert qz_bound(0.7, -0.4, 1.1, 0.8) == qz_density(params, params.y)
 
 
 def test_bound_monotone_in_drift_magnitude():
