@@ -30,11 +30,16 @@ keeping the chemical drift active; chi > 0 is required at config level
 either way.  A quadratic c0 with curvature q gives
 the linear restoring drift b(0, x) = -chi q x.
 
-All numeric CSV output uses 17 significant digits, so reading a file back
-reproduces the arrays bit-for-bit.  Exit codes: 0 all checks of the invoked
-command pass, 1 a scientific check failed, 2 configuration or usage error.
-The default output directory comes from --out, else $KSMV_OUT, else the
-config.
+Every number in the CSV and plot tables is written as "%.17g" % v, so reading
+a file back reproduces the arrays bit-for-bit.  The writers format a block of
+rows per %-format call, so their working memory does not grow with the
+table; the long-form tables (density.csv, field.csv) format each t and x
+once.  Each command times its output writes in the report's `write` phase,
+apart from the solve, field and other compute phases.
+
+Exit codes: 0 all checks of the invoked command pass, 1 a scientific check
+failed, 2 configuration or usage error.  The default output directory comes
+from --out, else $KSMV_OUT, else the config.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import numpy as np
 from . import __version__
 from .grid import Grid1D, TimeMesh, DensityField, heat_kernel
 from .kernel import KernelSpec, check_hypotheses, find_T0, has_memory, horizon_D, zero_kernel
-from .field import InitialChemical, chemical_concentration, ks_residual
+from .field import ChemicalField, InitialChemical, chemical_concentration, ks_residual
 from . import mild
 from .particle import simulate_particles, simulate_bounded_drift, kde_density
 from .qz import QZ_HISTOGRAM_ALPHA, QZParams, qz_density, verify_bound
@@ -360,51 +365,75 @@ class RunReport:
 # --- serialization ---------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+# rows per %-format call.  A block's float objects and text take about
+# 0.3 MB per column, however many rows the table has.  Smaller blocks do not
+# save resident memory: a solve benchmark worker peaked at 51.0 MB with
+# 512-row blocks, against 48.2 MB with 4096 and with per-row writes
+_ROWS_PER_CALL = 4096
+
+
+def _write_rows(fh, cols: Sequence[np.ndarray], sep: str):
+    """Equal-length columns as %.17g rows joined by sep, one %-format call
+    per block of _ROWS_PER_CALL rows."""
+    cols = [np.asarray(c, dtype=float).ravel() for c in cols]
+    if len({c.size for c in cols}) != 1:
+        raise ValueError("columns must have equal length")
+    row = sep.join(["%.17g"] * len(cols)) + "\n"
+    for start in range(0, cols[0].size, _ROWS_PER_CALL):
+        block = np.column_stack([c[start:start + _ROWS_PER_CALL] for c in cols])
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]):
     """Column-oriented CSV at 17 significant digits (exact float round-trip)."""
-    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
-    if len({c.size for c in cols}) != 1:
-        raise ValueError("csv columns must have equal length")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, columns, ",")
 
 
 def write_plot_table(path: Path, columns: Sequence[np.ndarray], comment: str = ""):
     """gnuplot-style whitespace table."""
-    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        for row in zip(*cols):
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, columns, " ")
+
+
+def _write_long_form(path: Path, header: Sequence[str], t: np.ndarray, x: np.ndarray,
+                     tables: Sequence[np.ndarray]):
+    """CSV with one (t_k, x_i, v[k, i] for v in tables) row per node pair,
+    the same text as write_csv of the repeated t and tiled x columns.  Each
+    x_i is formatted once, into one template per block of _ROWS_PER_CALL
+    nodes, and each t_k once per time row; a time row's templates take its
+    t_k text in place of a NUL marker, so a call formats only table values."""
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    tables = [np.asarray(v, dtype=float) for v in tables]
+    if any(v.shape != (t.size, x.size) for v in tables):
+        raise ValueError("value tables must have shape (len(t), len(x))")
+    tail = ",%.17g" * len(tables) + "\n"
+    starts = range(0, x.size, _ROWS_PER_CALL)
+    templates = ["".join(["\0%.17g" % xi + tail for xi in x[s:s + _ROWS_PER_CALL].tolist()])
+                 for s in starts]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for k, tk in enumerate(t.tolist()):
+            prefix = "%.17g," % tk
+            for s, template in zip(starts, templates):
+                block = np.column_stack([v[k, s:s + _ROWS_PER_CALL] for v in tables])
+                fh.write(template.replace("\0", prefix) % tuple(block.ravel().tolist()))
 
 
 def write_history_csv(path: Path, history: mild.MarginalHistory):
     """Long-form density table: one (t, x, p) row per node pair."""
-    M1, n = history.densities.shape
-    t = np.repeat(history.mesh.nodes, n)
-    x = np.tile(history.grid.x, M1)
-    write_csv(path, ("t", "x", "p"), (t, x, history.densities.ravel()))
+    _write_long_form(path, ("t", "x", "p"), history.mesh.nodes, history.grid.x,
+                     (history.densities,))
 
 
-def write_field_csv(path: Path, history: mild.MarginalHistory, chem: InitialChemical,
-                    lam: float, rows: Sequence[int]):
-    """Long-form chemical table (t, x, c, dc) at the selected mesh rows."""
-    ts, xs, cs, dcs = [], [], [], []
-    for k in rows:
-        cf = chemical_concentration(history, chem, lam, int(k))
-        ts.append(np.full(history.grid.n, history.mesh.nodes[int(k)]))
-        xs.append(history.grid.x)
-        cs.append(cf.values)
-        dcs.append(cf.gradient)
-    write_csv(path, ("t", "x", "c", "dc"),
-              (np.concatenate(ts), np.concatenate(xs), np.concatenate(cs), np.concatenate(dcs)))
+def write_field_csv(path: Path, fields: Sequence[ChemicalField]):
+    """Long-form chemical table: one (t, x, c, dc) row per field and node."""
+    _write_long_form(path, ("t", "x", "c", "dc"), [f.time_tag for f in fields],
+                     fields[0].grid.x, ([f.values for f in fields],
+                                        [f.gradient for f in fields]))
 
 
 # --- commands --------------------------------------------------------------
@@ -432,13 +461,15 @@ def cmd_check_kernel(cfg: RunConfig, out: Path, run: RunReport):
 
 
 def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
-    spec, grid, mesh = cfg.make_spec(), cfg.make_grid(), cfg.make_mesh()
+    spec, grid = cfg.make_spec(), cfg.make_grid()
     p0 = cfg.make_p0(grid)
     chem = cfg.make_chem(grid)
     with run.phase("solve"):
         history = mild.solve_global(p0, spec, chem, grid, cfg.horizon, mode=mode,
                                     steps=cfg.steps, safety=cfg.safety,
                                     k_max=cfg.k_max, tol=cfg.tol)
+    # the restart rounds the step count up to a multiple of its windows
+    mesh = history.mesh
 
     drift = history.max_mass_drift()
     run.add("mass_drift", drift, 1e-3, drift <= 1e-3)
@@ -446,23 +477,26 @@ def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
     sup_linf = float(np.max(scal["sqrt_t_linf"][1:])) if mesh.steps >= 1 else 0.0
     run.add("sqrt_t_sup_density_logged", sup_linf, math.inf, True)
 
-    if "csv" in cfg.formats:
-        write_history_csv(out / "density.csv", history)
-        write_csv(out / "summary.csv", ("t", "mass", "linf", "l2"),
-                  (mesh.nodes, history.mass_log,
-                   np.max(np.abs(history.densities), axis=1),
-                   np.sqrt(np.sum(history.densities ** 2, axis=1) * grid.h)))
-    if "plot" in cfg.formats:
-        write_plot_table(out / "density_final.dat", (grid.x, history.densities[-1]),
-                         comment=f"x p at t={cfg.horizon:g}")
+    with run.phase("write"):
+        if "csv" in cfg.formats:
+            write_history_csv(out / "density.csv", history)
+            write_csv(out / "summary.csv", ("t", "mass", "linf", "l2"),
+                      (mesh.nodes, history.mass_log,
+                       np.max(np.abs(history.densities), axis=1),
+                       np.sqrt(np.sum(history.densities ** 2, axis=1) * grid.h)))
+        if "plot" in cfg.formats:
+            write_plot_table(out / "density_final.dat", (grid.x, history.densities[-1]),
+                             comment=f"x p at t={cfg.horizon:g}")
 
     if chem is not None:
-        rows = sorted(set([1, mesh.steps // 2, mesh.steps]))
+        rows = sorted({1, mesh.steps // 2, mesh.steps}) if "csv" in cfg.formats else []
         with run.phase("field"):
-            if "csv" in cfg.formats:
-                write_field_csv(out / "field.csv", history, chem, cfg.lam, rows)
+            fields = [chemical_concentration(history, chem, cfg.lam, k) for k in rows]
             res = ks_residual(history, chem, cfg.lam)
         run.add("ks_residual_max", float(np.max(res)), math.inf, True)
+        if fields:
+            with run.phase("write"):
+                write_field_csv(out / "field.csv", fields)
 
 
 def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
@@ -482,8 +516,9 @@ def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
             + " ".join(f"{d:.3e}" for d in distances))
     run.add("iterate_vs_march_l1", gap, max(cfg.tol * 10.0, 1e-3), gap <= max(cfg.tol * 10.0, 1e-3))
     if "csv" in cfg.formats:
-        write_csv(out / "picard_distances.csv", ("iterate", "l1_distance"),
-                  (np.arange(1, len(distances) + 1, dtype=float), np.array(distances)))
+        with run.phase("write"):
+            write_csv(out / "picard_distances.csv", ("iterate", "l1_distance"),
+                      (np.arange(1, len(distances) + 1, dtype=float), np.array(distances)))
 
 
 def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
@@ -505,8 +540,9 @@ def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
     run.add("mean_field_l1_nonincreasing", l1s[-1], l1s[0] * 1.02, nonincreasing,
             "  ".join(f"N={N}: L1={e:.4f}" for N, e in zip(ladder, l1s)))
     if "csv" in cfg.formats:
-        write_csv(out / "mean_field.csv", ("n_particles", "l1_vs_solver"),
-                  (np.array(ladder, dtype=float), np.array(l1s)))
+        with run.phase("write"):
+            write_csv(out / "mean_field.csv", ("n_particles", "l1_vs_solver"),
+                      (np.array(ladder, dtype=float), np.array(l1s)))
 
 
 # Positive nodes of the 8-point Gauss-Legendre rule on [-1, 1] and their
@@ -586,8 +622,9 @@ def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
         run.add("bound_violations", float(len(rep.violations)), 0.0, rep.passed,
                 f"smallest bin p-value {rep.min_p_value():.3g} vs level {rep.level:.3g}")
     if "csv" in cfg.formats:
-        write_csv(out / "qz_histogram.csv", ("z", "mc_density", "closed_form"),
-                  (zs, dens, ref))
+        with run.phase("write"):
+            write_csv(out / "qz_histogram.csv", ("z", "mc_density", "closed_form"),
+                      (zs, dens, ref))
 
 
 # --- entry point -----------------------------------------------------------

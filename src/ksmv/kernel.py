@@ -543,7 +543,10 @@ def find_T0(spec: KernelSpec, safety: float) -> float:
     D(T) = ceiling erf(sqrt(lambda T)), ceiling = chi_eff sqrt(2/lambda):
     bisection on math.erf finds the largest y with erf(y) <= safety / ceiling
     to float resolution, and T0 = y^2 / lambda.  Custom kernels bracket the
-    root of D(T) = safety by doubling and solve it with scipy's brentq.
+    root of D(T) = safety by doubling hi and then halving lo from above, and
+    solve it with scipy's brentq on [lo, 2 lo].  Halving keeps every D(T)
+    quadrature at a positive horizon: a kernel whose ||K_t||_L1 is singular
+    at t -> 0 has no convergent quadrature at a bracket such as 1e-300.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"need safety in (0, 1), got {safety}")
@@ -572,5 +575,8 @@ def find_T0(spec: KernelSpec, safety: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             return math.inf
-    return float(optimize.brentq(lambda T: horizon_D(spec, T) - safety, 1e-300, hi,
+    lo = hi / 2.0
+    while horizon_D(spec, lo) >= safety:
+        lo /= 2.0
+    return float(optimize.brentq(lambda T: horizon_D(spec, T) - safety, lo, 2.0 * lo,
                                  xtol=1e-14, rtol=1e-13))

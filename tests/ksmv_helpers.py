@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: the acceptance-line recorder, test
-densities, row-wise history distances, and the quadrature oracle for the
-sign-drift comparison density.
+densities, row-wise history distances, the quadrature oracle for the
+sign-drift comparison density, and the per-value reference text of the
+table writers.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
@@ -24,6 +25,12 @@ def record_criterion(num: int, passed: bool, text: str):
     verdict = "PASS" if passed else "FAIL"
     ACCEPTANCE_LINES[num] = f"criterion {num:2d} [{verdict}] {text}"
     print(ACCEPTANCE_LINES[num])
+
+
+def reference_rows(columns, sep: str) -> str:
+    """Rows of the columns, one "%.17g" % v per value joined by sep: the text
+    every ksmv.cli table writer must reproduce byte for byte."""
+    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
 
 
 def gaussian_density(grid: Grid1D, var: float, mean: float = 0.0) -> DensityField:

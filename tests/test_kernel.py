@@ -359,6 +359,16 @@ def test_find_T0_custom_kernel_uses_quadrature_root():
     assert find_T0(custom, 0.5) == pytest.approx(-math.log(0.75), rel=1e-10)
 
 
+def test_find_T0_custom_kernel_with_singular_norm_matches_closed_form():
+    # ||K_t||_L1 ~ t^{-1/2} as t -> 0: no D(T) quadrature converges at a
+    # bracket as small as 1e-300, so the root is bracketed from above
+    spec = KernelSpec(chi=1.0, lam=0.5)
+    custom = KernelSpec(kind="custom", chi=1.0, lam=0.5,
+                        eval_fn=lambda t, x: kernel_eval(spec, t, x))
+    assert find_T0(spec, 0.5) == 0.10153104426762156
+    assert find_T0(custom, 0.5) == pytest.approx(0.10153104426762156, rel=1e-8)
+
+
 def test_find_T0_saturating_decay_returns_inf():
     # D saturates at chi_eff sqrt(2 / lam) = 0.25 < safety
     assert find_T0(KernelSpec(chi=1.0, lam=32.0), 0.5) == math.inf
