@@ -3,7 +3,7 @@
 
 Marches the full model on a ladder of discretizations, doubling the grid
 and the time mesh together, and reports per level: the worst
-pre-renormalization mass drift, the coupled-system residual, and the L1
+row mass drift, the coupled-system residual, and the L1
 distance at the final time to the next finer level (fine rows restricted
 to the coarse nodes).  The scheme is first order in dt, so residuals and
 inter-level gaps should drop by roughly 2x per level.

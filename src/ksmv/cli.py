@@ -123,6 +123,10 @@ def parse_config_text(text: str) -> Dict[str, object]:
     return out
 
 
+# initial.c0 forms and how many arguments each takes (missing ones default to 1)
+_C0_MAX_ARGS = {"sine": 2, "gaussian_bump": 2, "quadratic": 1, "samples": 1}
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters; see the module docstring for the grammar."""
@@ -202,8 +206,12 @@ class RunConfig:
         c0 = take("initial.c0", (cfg.c0_kind, cfg.c0_args))
         if c0 == "none" or c0 == ("none", []):
             cfg.c0_kind, cfg.c0_args = "none", []
-        elif isinstance(c0, tuple) and c0[0] in ("sine", "gaussian_bump", "quadratic", "samples"):
+        elif isinstance(c0, tuple) and c0[0] in _C0_MAX_ARGS:
             cfg.c0_kind, cfg.c0_args = c0[0], list(c0[1])
+            if len(c0[1]) > _C0_MAX_ARGS[c0[0]]:
+                problems.append(f"initial.c0: {c0[0]} takes at most {_C0_MAX_ARGS[c0[0]]} args")
+            elif c0[0] == "gaussian_bump" and len(c0[1]) == 2 and c0[1][1] <= 0:
+                problems.append("initial.c0: gaussian_bump needs (amp, width > 0)")
         else:
             problems.append(f"initial.c0: expected sine|gaussian_bump|quadratic|samples|none, got {c0!r}")
 
@@ -481,7 +489,7 @@ def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
         if "csv" in cfg.formats:
             write_history_csv(out / "density.csv", history)
             write_csv(out / "summary.csv", ("t", "mass", "linf", "l2"),
-                      (mesh.nodes, history.mass_log,
+                      (mesh.nodes, history.masses(),
                        np.max(np.abs(history.densities), axis=1),
                        np.sqrt(np.sum(history.densities ** 2, axis=1) * grid.h)))
         if "plot" in cfg.formats:
@@ -506,10 +514,10 @@ def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
     horizon = min(cfg.horizon, find_T0(spec, cfg.safety))
     mesh = TimeMesh(horizon, cfg.steps)
     with run.phase("picard"):
-        iterates, distances = mild.picard(p0, spec, chem, grid, mesh,
-                                          k_max=cfg.k_max, tol=cfg.tol)
+        fixed_point, distances = mild.picard(p0, spec, chem, grid, mesh,
+                                             k_max=cfg.k_max, tol=cfg.tol)
     march_hist = mild.march(p0, spec, chem, grid, mesh)
-    gap = float(np.max(np.sum(np.abs(iterates[-1].densities - march_hist.densities), axis=1)) * grid.h)
+    gap = float(np.max(np.sum(np.abs(fixed_point.densities - march_hist.densities), axis=1)) * grid.h)
     converged = distances[-1] < cfg.tol
     run.add("iteration_converged", distances[-1], cfg.tol, converged,
             f"D(T={horizon:g}) = {horizon_D(spec, horizon):.6g}; distances: "

@@ -181,6 +181,19 @@ def _duhamel_symbol_sum(history, lam: float, k: int) -> np.ndarray:
     return 0.5 * w0 * (S[k + 1] - first + symbol_decay(0.0, dt, xi) * S[k])
 
 
+def _concentration(history, chem: InitialChemical, lam: float, k: int) -> np.ndarray:
+    """Concentration c at mesh node k on the grid, without its gradient."""
+    grid, mesh = history.grid, history.mesh
+    history.require_rows(k)
+    if k == 0:
+        return chem.c0.copy()
+    tk = mesh.nodes[k]
+    xi = grid.wavenumbers
+    c_hat = math.exp(-lam * tk) * np.fft.rfft(chem.c0) * np.exp(-xi * xi * tk / 2.0)
+    c_hat = c_hat + _duhamel_symbol_sum(history, lam, k)
+    return np.fft.irfft(c_hat, grid.n)
+
+
 def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -> ChemicalField:
     """Concentration c at mesh node k from the density history, with gradient.
 
@@ -189,33 +202,23 @@ def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -
     it is the derivative of c is gradient_vs_central_difference(), its
     distance to a central difference of the returned values.
     """
-    grid, mesh = history.grid, history.mesh
-    history.require_rows(k)
-    tk = mesh.nodes[k]
-    xi = grid.wavenumbers
-    c0_hat = np.fft.rfft(chem.c0)
-    if k == 0:
-        return ChemicalField(grid, chem.c0.copy(), chem.c0_prime.copy(), 0.0)
-    c_hat = math.exp(-lam * tk) * c0_hat * np.exp(-xi * xi * tk / 2.0)
-    c_hat = c_hat + _duhamel_symbol_sum(history, lam, k)
-    values = np.fft.irfft(c_hat, grid.n)
-    grad = chemical_gradient(history, chem, KernelSpec(chi=1.0, lam=lam), k)
-    return ChemicalField(grid, values, grad, tk)
+    return ChemicalField(history.grid, _concentration(history, chem, lam, k),
+                         chemical_gradient(history, chem, lam, k), history.mesh.nodes[k])
 
 
-def chemical_gradient(history, chem: InitialChemical, spec: KernelSpec, k: int) -> np.ndarray:
+def chemical_gradient(history, chem: InitialChemical, lam: float, k: int) -> np.ndarray:
     """d/dx c at mesh node k, assembled directly from the density history.
 
     Uses the decomposition d/dx c = e^{-lam t} (c0' * g(t)) + (1/chi) B-type
     sum, sharing the memory drift's quadrature, so that
     chi * (d/dx c) - [b + B] vanishes on the shared discretization for the
-    heat-normalized kernel.  Kernel-free: only spec.lam enters.
+    heat-normalized kernel.  Kernel-free: only the decay rate lam enters.
     """
     from .mild import memory_drift  # local import, mild depends on this module
 
     history.require_rows(k)
     tk = history.mesh.nodes[k]
-    unit = KernelSpec(chi=1.0, lam=spec.lam, normalization="heat")
+    unit = KernelSpec(chi=1.0, lam=lam, normalization="heat")
     part_c0 = drift_b(unit, chem, tk)
     if k == 0:
         return part_c0
@@ -235,17 +238,12 @@ def ks_residual(history, chem: InitialChemical, lam: float,
     if sample_ks is None:
         sample_ks = np.arange(2, mesh.steps - 1, max(1, mesh.steps // 16))
     h, dt = grid.h, mesh.dt
-    c_cache = {}
-
-    def c_at(k):
-        if k not in c_cache:
-            c_cache[k] = chemical_concentration(history, chem, lam, k).values
-        return c_cache[k]
-
+    c = {j: _concentration(history, chem, lam, j)
+         for j in {int(k) + d for k in sample_ks for d in (-1, 0, 1)}}
     out = np.empty(len(sample_ks))
     for i, k in enumerate(sample_ks):
         k = int(k)
-        c_prev, c_mid, c_next = c_at(k - 1), c_at(k), c_at(k + 1)
+        c_prev, c_mid, c_next = c[k - 1], c[k], c[k + 1]
         dcdt = (c_next - c_prev) / (2.0 * dt)
         cxx = (np.roll(c_mid, -1) - 2.0 * c_mid + np.roll(c_mid, 1)) / h ** 2
         res = dcdt - 0.5 * cxx + lam * c_mid - history.densities[k]

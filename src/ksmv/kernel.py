@@ -30,6 +30,7 @@ solves D(T0) = safety.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -570,13 +571,15 @@ def find_T0(spec: KernelSpec, safety: float) -> float:
         return lo * lo / spec.lam
     from scipy import optimize
 
+    # brentq starts at both bracket ends, which the bracketing already paid for
+    D = functools.cache(lambda T: horizon_D(spec, T))
     hi = 1.0
-    while horizon_D(spec, hi) < safety:
+    while D(hi) < safety:
         hi *= 2.0
         if hi > 1e12:
             return math.inf
     lo = hi / 2.0
-    while horizon_D(spec, lo) >= safety:
+    while D(lo) >= safety:
         lo /= 2.0
-    return float(optimize.brentq(lambda T: horizon_D(spec, T) - safety, lo, 2.0 * lo,
+    return float(optimize.brentq(lambda T: D(T) - safety, lo, 2.0 * lo,
                                  xtol=1e-14, rtol=1e-13))

@@ -35,13 +35,14 @@ and b is evaluated once per solve.  It costs O(n) per step, so a march of
 M steps costs O(M n log n).
 
 The one-step march multiplies by the heat symbol and adds the one-step
-Duhamel drift term; mass is conserved exactly by construction (the
-derivative symbol vanishes at frequency zero), so the per-step mass log is a
-pure roundoff diagnostic.
+Duhamel drift term.  Mass is conserved exactly by construction: the heat
+symbol is 1 and the derivative symbol 0 at frequency zero, so every step
+keeps the zero mode of p_0's spectrum, which is normalized once to unit mass.
 
 Fixed-point iteration (the contraction construction): iterate j marches the
 linear equation whose drift runs the same recursion from U_0 but pushes the
-rows of iterate j-1 (iterate 1: the history frozen at p_0).  The discrete
+rows of iterate j-1 (iterate 1: the history frozen at p_0), so only the
+previous iterate is kept.  The discrete
 system is lower triangular in time, so the iterates collapse onto the march
 output; their successive L^1 distances contract at rate ~ D(T_0) when the
 horizon satisfies D(T_0) < 1.  Longer horizons are covered by restarting:
@@ -78,12 +79,11 @@ __all__ = [
 
 
 class SchemeInstabilityError(RuntimeError):
-    """Mass drifted beyond 10x the tolerance; names the offending step."""
+    """The march produced a non-finite state; names the offending step."""
 
-    def __init__(self, step: int, mass: float):
-        super().__init__(f"mass {mass:.6g} at step {step} exceeds the stability band")
+    def __init__(self, step: int):
+        super().__init__(f"non-finite state at step {step}")
         self.step = step
-        self.mass = mass
 
 
 class PicardDivergenceError(RuntimeError):
@@ -98,15 +98,13 @@ class PicardDivergenceError(RuntimeError):
 class MarginalHistory:
     """The density family across the mesh: row k of `densities` is p_{t_k}.
 
-    mass_log holds each row's quadrature mass as produced, before any
-    renormalization; meta carries provenance and run diagnostics.  Instances
-    are treated as immutable once built.
+    meta carries provenance and run diagnostics.  Instances are treated as
+    immutable once built.
     """
 
     grid: Grid1D
     mesh: TimeMesh
     densities: np.ndarray
-    mass_log: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -115,17 +113,6 @@ class MarginalHistory:
             raise ValueError(f"density stack must have shape {expected}")
         self._spectra: Optional[np.ndarray] = None
         self._sums: Dict[float, np.ndarray] = {}
-
-    @classmethod
-    def constant(cls, p0: DensityField, mesh: TimeMesh) -> "MarginalHistory":
-        """History frozen at p_0 on every row (the iteration's starting point)."""
-        rows = np.tile(p0.values, (mesh.steps + 1, 1))
-        mass = np.full(mesh.steps + 1, p0.mass())
-        return cls(p0.grid, mesh, rows, mass, {"provenance": "frozen-initial"})
-
-    def row(self, k: int) -> DensityField:
-        self.require_rows(k)
-        return DensityField(self.grid, self.densities[k], float(self.mesh.nodes[k]))
 
     def require_rows(self, k: int):
         if not 0 <= k <= self.mesh.steps:
@@ -147,8 +134,12 @@ class MarginalHistory:
             self._sums[lam] = running_sums(self.spectra(), q)
         return self._sums[lam]
 
+    def masses(self) -> np.ndarray:
+        """Quadrature mass of each row."""
+        return np.sum(self.densities, axis=1) * self.grid.h
+
     def max_mass_drift(self) -> float:
-        return float(np.max(np.abs(self.mass_log - 1.0)))
+        return float(np.max(np.abs(self.masses() - 1.0)))
 
     def scaling_table(self) -> dict:
         """sqrt(t_k) ||p_k||_inf and t_k^{1/4} ||p_k||_L2 per row (smoothing
@@ -203,21 +194,20 @@ def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
 
 
 def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray,
-              q: np.ndarray, E1: Optional[np.ndarray], pushed: Optional[np.ndarray],
-              mass_tol: float, renormalize: bool) -> Tuple[np.ndarray, np.ndarray, float]:
+              q: np.ndarray, E1: Optional[np.ndarray],
+              pushed: Optional[np.ndarray]) -> Tuple[np.ndarray, float]:
     """Shared march loop from the drift state U at t_0: u_k = irfft(U_k), then
     U_{k+1} = q U_k + E1 r_k, where r_k is the row being produced
-    (pushed=None) or pushed[k].  Returns (density stack, mass log, sup of
-    |drift| seen)."""
+    (pushed=None) or pushed[k].  Returns (density stack, sup of |drift|
+    seen)."""
     n, M, dt = grid.n, mesh.steps, mesh.dt
     xi = grid.wavenumbers
     heat = np.exp(-xi * xi * dt / 2.0)
     deriv = 1j * xi
     P = np.empty((M + 1, n))
-    mass_log = np.empty(M + 1)
     P[0] = p0_values
     cur = np.fft.rfft(P[0])
-    mass_log[0] = cur[0].real * grid.h
+    cur /= cur[0].real * grid.h   # unit mass once: heat[0] = 1 and deriv[0] = 0 keep cur[0]
     sup_drift = 0.0
     for k in range(M):
         u = np.fft.irfft(U, n)
@@ -226,28 +216,27 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
         # a blow-up overflows here first; the finiteness check below names it
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = heat * (cur - dt * deriv * np.fft.rfft(u * P[k]))
-        mass = nxt[0].real * grid.h
-        mass_log[k + 1] = mass
-        if not math.isfinite(mass) or abs(mass - 1.0) > 10.0 * mass_tol:
-            raise SchemeInstabilityError(k + 1, mass)
-        if renormalize:
-            nxt = nxt / mass
+        if not np.isfinite(nxt).all():
+            raise SchemeInstabilityError(k + 1)
         P[k + 1] = np.fft.irfft(nxt, n)
         cur = nxt
-    return P, mass_log, sup_drift
+    return P, sup_drift
 
 
-def _check_p0(p0: DensityField, grid: Grid1D, mass_tol: float):
+# how far the initial density's quadrature mass may sit from 1 on load
+_P0_MASS_TOL = 1e-3
+
+
+def _check_p0(p0: DensityField, grid: Grid1D):
     if p0.grid != grid:
         raise ValueError("initial density lives on a different grid")
     m = p0.mass()
-    if abs(m - 1.0) > max(mass_tol, 1e-3):
+    if abs(m - 1.0) > _P0_MASS_TOL:
         raise ValueError(f"initial density mass {m:.6g} is not 1")
 
 
 def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
-          grid: Grid1D, mesh: TimeMesh, mass_tol: float = 1e-3,
-          renormalize: bool = True) -> MarginalHistory:
+          grid: Grid1D, mesh: TimeMesh) -> MarginalHistory:
     """Causal march of the mild equation over the whole mesh.
 
     Step k reads u_k = b(t_k,.) + B(t_k,.; rows so far) off the drift state
@@ -257,17 +246,16 @@ def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
 
     whose advection direction matches the sign of u (a positive drift moves
     mass right; checked against the linear-drift closed form in the tests).
-    U is pushed on by the row just used, O(n) per step.  Mass is logged
-    pre-renormalization at every step.
+    U is pushed on by the row just used, O(n) per step.
     """
-    _check_p0(p0, grid, mass_tol)
+    _check_p0(p0, grid)
     q, E1 = _drift_symbols(spec, grid, mesh.dt)
-    P, mass_log, sup_drift = _run_mild(p0.values, grid, mesh, _start_drift(spec, chem, grid),
-                                       q, E1, None, mass_tol, renormalize)
+    P, sup_drift = _run_mild(p0.values, grid, mesh, _start_drift(spec, chem, grid),
+                             q, E1, None)
     var0 = _variance(grid, p0.values)
     meta = {"provenance": "march", "sup_drift": sup_drift,
             "tail_bound": grid.tail_bound(mesh.horizon, max(var0, 1e-6))}
-    return MarginalHistory(grid, mesh, P, mass_log, meta)
+    return MarginalHistory(grid, mesh, P, meta)
 
 
 def _variance(grid: Grid1D, values: np.ndarray) -> float:
@@ -282,21 +270,22 @@ def _sup_l1_distance(A: np.ndarray, B: np.ndarray, h: float) -> float:
 
 def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
            grid: Grid1D, mesh: TimeMesh, k_max: int = 25, tol: float = 1e-8,
-           start_drift: Optional[np.ndarray] = None,
-           mass_tol: float = 1e-3) -> Tuple[List[MarginalHistory], List[float]]:
-    """Fixed-point iteration on the contraction horizon.
+           start_drift: Optional[np.ndarray] = None) -> Tuple[MarginalHistory, List[float]]:
+    """Fixed-point iteration on the contraction horizon; returns the last
+    iterate and the distances between consecutive iterates.
 
     Iterate j runs the march's drift recursion from the same U_0 but pushes
     the rows of iterate j-1 instead of its own; iterate 1 pushes the history
-    frozen at p_0.  Distances are sup over nodes of the row L^1 difference
-    between consecutive iterates.  Stops at tol or k_max; three consecutive
-    growing distances raise PicardDivergenceError.
+    frozen at p_0.  Only the previous iterate's rows and spectra are kept.
+    Distances are sup over nodes of the row L^1 difference between
+    consecutive iterates.  Stops at tol or k_max; three consecutive growing
+    distances raise PicardDivergenceError.
 
     start_drift is U_0, the rfft of the total drift at the first node; by
     default it is b(0,.) of chem.  The window restart passes the state it
     carries (b plus the earlier windows' memory) with chem None.
     """
-    _check_p0(p0, grid, mass_tol)
+    _check_p0(p0, grid)
     if start_drift is not None and chem is not None:
         raise ValueError("give chem or start_drift, not both")
     if has_memory(spec):
@@ -307,17 +296,14 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     q, E1 = _drift_symbols(spec, grid, mesh.dt)
     U0 = _start_drift(spec, chem, grid) if start_drift is None else start_drift
 
-    prev = MarginalHistory.constant(p0, mesh)
-    histories: List[MarginalHistory] = []
+    # iterate 0 is p_0 on every row: one row, broadcast
+    prev = p0.values
+    prev_hat = np.broadcast_to(np.fft.rfft(prev), (mesh.steps + 1, grid.wavenumbers.size))
     distances: List[float] = []
     grow_streak = 0
     for j in range(1, k_max + 1):
-        P, mass_log, sup_drift = _run_mild(p0.values, grid, mesh, U0, q, E1,
-                                           prev.spectra(), mass_tol, True)
-        hist = MarginalHistory(grid, mesh, P, mass_log,
-                               {"provenance": f"iterate-{j}", "sup_drift": sup_drift})
-        histories.append(hist)
-        d = _sup_l1_distance(P, prev.densities, grid.h)
+        P, sup_drift = _run_mild(p0.values, grid, mesh, U0, q, E1, prev_hat)
+        d = _sup_l1_distance(P, prev, grid.h)
         distances.append(d)
         if len(distances) >= 2 and distances[-1] > distances[-2]:
             grow_streak += 1
@@ -325,10 +311,11 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
                 raise PicardDivergenceError(distances)
         else:
             grow_streak = 0
-        if d < tol:
+        if d < tol or j == k_max:
             break
-        prev = hist
-    return histories, distances
+        prev, prev_hat = P, np.fft.rfft(P, axis=1)
+    return MarginalHistory(grid, mesh, P, {"provenance": f"iterate-{j}",
+                                           "sup_drift": sup_drift}), distances
 
 
 def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
@@ -361,22 +348,18 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     U = _start_drift(spec, chem, grid)
 
     P = np.empty((M + 1, grid.n))
-    mass_log = np.empty(M + 1)
     P[0] = p0.values
-    mass_log[0] = p0.mass()
     iterations = []
     for w in range(n_win):
         base = w * steps_w
         window_p0 = DensityField(grid, P[base], float(mesh_g.nodes[base]))
-        hists, dists = picard(window_p0, spec, None, grid, mesh_w,
-                              k_max=k_max, tol=tol, start_drift=U)
-        last = hists[-1]
+        last, dists = picard(window_p0, spec, None, grid, mesh_w,
+                             k_max=k_max, tol=tol, start_drift=U)
         P[base : base + steps_w + 1] = last.densities
-        mass_log[base : base + steps_w + 1] = last.mass_log
         iterations.append(len(dists))
         for p_hat in last.spectra()[:-1]:
             U = _push(U, q, E1, p_hat)
     meta = {"provenance": "picard_with_restart", "windows": n_win,
             "iterations_per_window": iterations,
             "tail_bound": grid.tail_bound(T, max(_variance(grid, p0.values), 1e-6))}
-    return MarginalHistory(grid, mesh_g, P, mass_log, meta)
+    return MarginalHistory(grid, mesh_g, P, meta)

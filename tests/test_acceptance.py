@@ -96,11 +96,11 @@ def test_criterion_03_fixed_point_contraction():
     grid = Grid1D(10.0, 1024)
     mesh = TimeMesh(T0, 400)
     p0 = gaussian_density(grid, 0.5)
-    iterates, distances = picard(p0, spec, None, grid, mesh, k_max=25, tol=1e-8)
+    fixed_point, distances = picard(p0, spec, None, grid, mesh, k_max=25, tol=1e-8)
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0.0]
     tail_contracts = bool(ratios) and all(r <= 0.6 for r in ratios[1:]) and ratios[-1] <= 0.6
     reference = march(p0, spec, None, grid, mesh)
-    gap = sup_row_l1(iterates[-1].densities, reference.densities, grid.h)
+    gap = sup_row_l1(fixed_point.densities, reference.densities, grid.h)
     elapsed = time.perf_counter() - t_start
     ok = tail_contracts and gap <= 1e-3 and elapsed < 120.0
     record_criterion(3, ok, f"iterate distance ratios {['%.2g' % r for r in ratios]} "
@@ -116,7 +116,7 @@ def test_criterion_04_mass_conservation():
     hist = march(gaussian_density(grid, 1.0), spec, chem, grid, mesh)
     drift = hist.max_mass_drift()
     ok = drift <= 1e-3
-    record_criterion(4, ok, f"pre-renormalization mass drift {drift:.1e} <= 1e-3 "
+    record_criterion(4, ok, f"row mass drift {drift:.1e} <= 1e-3 "
                      "over 401 marginals of the full model")
     assert ok
 
@@ -125,7 +125,7 @@ def test_criterion_05_drift_gradient_identity(midscale_full_model):
     grid, mesh, spec, chem, hist = midscale_full_model
     worst = 0.0
     for k in range(mesh.steps + 1):
-        lhs = spec.chi * chemical_gradient(hist, chem, spec, k)
+        lhs = spec.chi * chemical_gradient(hist, chem, spec.lam, k)
         rhs = drift_b(spec, chem, float(mesh.nodes[k]))
         if k >= 1:
             rhs = rhs + memory_drift(hist, spec, k)

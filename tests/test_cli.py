@@ -187,7 +187,7 @@ def test_write_history_csv_longform(tmp_path):
     grid = Grid1D(4.0, 16)
     mesh = TimeMesh(0.2, 2)
     rows = np.vstack([heat_kernel(1.0 + t, grid.x) for t in mesh.nodes])
-    hist = MarginalHistory(grid, mesh, rows, np.ones(3), {})
+    hist = MarginalHistory(grid, mesh, rows, {})
     path = tmp_path / "density.csv"
     write_history_csv(path, hist)
     back = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -221,7 +221,7 @@ def test_long_form_writers_match_write_csv_of_repeated_and_tiled_columns(tmp_pat
     rng = np.random.default_rng(3)
     tables = [rng.permutation(np.resize(SPECIAL_VALUES, (4, n)).ravel()).reshape(4, n)
               for _ in range(2)]
-    hist = MarginalHistory(grid, mesh, tables[0], np.ones(4), {})
+    hist = MarginalHistory(grid, mesh, tables[0], {})
     write_history_csv(tmp_path / "density.csv", hist)
     write_csv(tmp_path / "density_ref.csv", ("t", "x", "p"),
               (np.repeat(mesh.nodes, n), np.tile(grid.x, 4), tables[0]))
@@ -296,6 +296,14 @@ def test_main_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["--config", str(bad), "solve"]) == 2
     err = capsys.readouterr().err
     assert "model.chi" in err and "model.kernel" in err
+
+
+@pytest.mark.parametrize("c0", ["quadratic(1, 2)", "gaussian_bump(1, 0)",
+                                "gaussian_bump(1, -2)", "sine(0.3, 1, 5)"])
+def test_main_malformed_c0_exits_2(tmp_path, capsys, c0):
+    cfg = mini_config(tmp_path, **{"initial.c0": c0})
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), "solve"]) == 2
+    assert "initial.c0:" in capsys.readouterr().err
 
 
 def test_main_solve_heat_only(tmp_path, monkeypatch):

@@ -135,7 +135,7 @@ def test_drift_interp_matches_grid_at_nodes():
 
 def _zero_history(grid, mesh):
     shape = (mesh.steps + 1, grid.n)
-    return MarginalHistory(grid, mesh, np.zeros(shape), np.zeros(mesh.steps + 1), {})
+    return MarginalHistory(grid, mesh, np.zeros(shape), {})
 
 
 def test_concentration_time_zero_is_c0():
@@ -163,7 +163,7 @@ def test_concentration_duhamel_frozen_gaussian():
     g = Grid1D(12.0, 512)
     mesh = TimeMesh(0.5, 100)
     rows = np.tile(heat_kernel(1.0, g.x), (mesh.steps + 1, 1))
-    hist = MarginalHistory(g, mesh, rows, np.ones(mesh.steps + 1), {})
+    hist = MarginalHistory(g, mesh, rows, {})
     chem = InitialChemical.from_samples(g, np.zeros(g.n), c0_prime=np.zeros(g.n))
     c = chemical_concentration(hist, chem, 0.0, mesh.steps)
     for i in range(0, g.n, 37):
@@ -194,9 +194,9 @@ def test_gradient_zero_at_symmetry_point():
     g = Grid1D(10.0, 256)
     mesh = TimeMesh(0.4, 40)
     rows = np.tile(heat_kernel(0.5, g.x), (mesh.steps + 1, 1))
-    hist = MarginalHistory(g, mesh, rows, np.ones(mesh.steps + 1), {})
+    hist = MarginalHistory(g, mesh, rows, {})
     chem = InitialChemical.from_samples(g, np.full(g.n, 2.0), c0_prime=np.zeros(g.n))
-    grad = chemical_gradient(hist, chem, KernelSpec(chi=1.0), mesh.steps)
+    grad = chemical_gradient(hist, chem, 0.0, mesh.steps)
     assert abs(grad[g.n // 2]) < 1e-14    # even density, odd kernel
 
 
@@ -215,7 +215,7 @@ def test_gradient_identity_with_memory_drift(chi):
     hist = march(p0, spec, chem, g, mesh)
     worst = 0.0
     for k in (0, 1, mesh.steps // 2, mesh.steps):
-        lhs = chi * chemical_gradient(hist, chem, spec, k)
+        lhs = chi * chemical_gradient(hist, chem, spec.lam, k)
         rhs = drift_b(spec, chem, float(mesh.nodes[k])) + memory_drift(hist, spec, k)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12

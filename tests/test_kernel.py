@@ -359,6 +359,24 @@ def test_find_T0_custom_kernel_uses_quadrature_root():
     assert find_T0(custom, 0.5) == pytest.approx(-math.log(0.75), rel=1e-10)
 
 
+def test_find_T0_custom_kernel_evaluates_each_horizon_once(monkeypatch):
+    # D(T) = 2 (1 - e^{-T}) stands in for the quadrature; brentq reuses the
+    # values the bracketing computed at both ends of its bracket
+    import ksmv.kernel as kernel_mod
+
+    seen = []
+
+    def counted_D(spec, T):
+        assert T not in seen, f"D({T!r}) evaluated twice"
+        seen.append(T)
+        return 2.0 * (1.0 - math.exp(-T))
+
+    monkeypatch.setattr(kernel_mod, "horizon_D", counted_D)
+    custom = KernelSpec(kind="custom", eval_fn=lambda t, x: -x * np.exp(-x * x / 2.0 - t))
+    assert find_T0(custom, 0.5) == pytest.approx(-math.log(0.75), rel=1e-10)
+    assert {1.0, 0.5, 0.25} <= set(seen)
+
+
 def test_find_T0_custom_kernel_with_singular_norm_matches_closed_form():
     # ||K_t||_L1 ~ t^{-1/2} as t -> 0: no D(T) quadrature converges at a
     # bracket as small as 1e-300, so the root is bracketed from above

@@ -351,10 +351,10 @@ def test_compare_histories_zero_and_shift():
     g = Grid1D(5.0, 64)
     mesh = TimeMesh(0.5, 3)
     rows = np.tile(heat_kernel(1.0, g.x), (4, 1))
-    a = MarginalHistory(g, mesh, rows, np.ones(4), {})
+    a = MarginalHistory(g, mesh, rows, {})
     table = compare_histories(a, a)
     assert table.max_l1 == 0.0 and table.max_l2 == 0.0 and table.max_linf == 0.0
-    shifted = MarginalHistory(g, mesh, np.roll(rows, 1, axis=1), np.ones(4), {})
+    shifted = MarginalHistory(g, mesh, np.roll(rows, 1, axis=1), {})
     table2 = compare_histories(a, shifted)
     want = float(np.sum(np.abs(rows[0] - np.roll(rows[0], 1))) * g.h)
     assert table2.max_l1 == pytest.approx(want, rel=1e-12)
@@ -363,7 +363,7 @@ def test_compare_histories_zero_and_shift():
 
 def test_compare_histories_rejects_mismatch():
     g = Grid1D(5.0, 64)
-    a = MarginalHistory(g, TimeMesh(0.5, 3), np.zeros((4, 64)), np.zeros(4), {})
-    b = MarginalHistory(g, TimeMesh(0.5, 4), np.zeros((5, 64)), np.zeros(5), {})
+    a = MarginalHistory(g, TimeMesh(0.5, 3), np.zeros((4, 64)), {})
+    b = MarginalHistory(g, TimeMesh(0.5, 4), np.zeros((5, 64)), {})
     with pytest.raises(ValueError):
         compare_histories(a, b)
