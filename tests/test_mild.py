@@ -220,19 +220,28 @@ def test_march_rejects_foreign_or_unnormalized_p0():
         march(bad, KernelSpec(chi=0.0), None, g, mesh)
 
 
-def test_march_detects_nonfinite_blowup():
+def _overflowing_march():
     g = Grid1D(10.0, 256)
     mesh = TimeMesh(1.0, 8)  # huge dt with a huge drift overflows fast
     chem = InitialChemical.from_samples(g, np.zeros(g.n), c0_prime=np.full(g.n, 1e200))
-    # the named error is the only report: no floating-point warning escapes first
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SchemeInstabilityError) as err:
-            march(gaussian_density(g, 1.0), KernelSpec(chi=1.0, kind="custom",
-                  eval_fn=zero_kernel), chem, g, mesh)
+    return march(gaussian_density(g, 1.0), KernelSpec(chi=1.0, kind="custom",
+                 eval_fn=zero_kernel), chem, g, mesh)
+
+
+def test_march_instability_error_names_step():
+    with pytest.raises(SchemeInstabilityError) as err:
+        _overflowing_march()
     # step 1 leaves a finite row of size ~1e198; step 2's drift product overflows
     assert err.value.step == 2
     assert str(err.value) == "non-finite state at step 2"
+
+
+def test_march_detects_nonfinite_blowup():
+    # the named error is the only report: no floating-point warning escapes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemeInstabilityError):
+            _overflowing_march()
 
 
 def test_march_scaling_table_bounded():
