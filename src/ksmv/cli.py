@@ -24,10 +24,10 @@ Config grammar (flat key-value text, dotted section prefixes):
     outputs.directory = out
     outputs.formats = csv,plot
 
-`model.kernel = none` turns the self-interaction off (the spec carries
-kernel.zero_kernel, which the solvers read as "no memory drift") while
-keeping the chemical drift active; chi > 0 is required at config level
-either way.  A quadratic c0 with curvature q gives
+`model.kernel = none` turns the self-interaction off (KernelSpec kind
+"none": the chemotaxis kernel with chi_eff = 0, so there is no memory
+drift) while keeping the chemical drift active; chi > 0 is required at
+config level either way.  A quadratic c0 with curvature q gives
 the linear restoring drift b(0, x) = -chi q x.
 
 Every number in the CSV and plot tables is written as "%.17g" % v, so reading
@@ -62,7 +62,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Grid1D, TimeMesh, DensityField, heat_kernel
-from .kernel import KernelSpec, check_hypotheses, find_T0, has_memory, horizon_D, zero_kernel
+from .kernel import KernelSpec, check_hypotheses, find_T0, has_memory, horizon_D
 from .field import ChemicalField, InitialChemical, chemical_concentration, ks_residual
 from . import mild
 from .particle import simulate_particles, simulate_bounded_drift, kde_density
@@ -274,10 +274,8 @@ class RunConfig:
         return TimeMesh(self.horizon, self.steps)
 
     def make_spec(self) -> KernelSpec:
-        if self.kernel_kind == "none":
-            return KernelSpec(chi=self.chi, lam=self.lam, normalization=self.normalization,
-                              kind="custom", eval_fn=zero_kernel)
-        return KernelSpec(chi=self.chi, lam=self.lam, normalization=self.normalization)
+        return KernelSpec(chi=self.chi, lam=self.lam, normalization=self.normalization,
+                          kind=self.kernel_kind)
 
     def make_p0(self, grid: Grid1D) -> DensityField:
         if self.p0_kind == "gaussian":
@@ -289,10 +287,12 @@ class RunConfig:
                          0.0, grid.h)
             vals = lo / (grid.h * (b - a))
         else:
-            vals = np.loadtxt(self.p0_args[0])
-            if vals.shape != (grid.n,):
-                raise ConfigError([f"initial.p0 samples: expected {grid.n} values, got shape {vals.shape}"])
-        return DensityField(grid, vals, 0.0).normalized()
+            vals = _load_samples("initial.p0", self.p0_args[0], grid)
+        try:
+            return DensityField(grid, vals, 0.0).normalized()
+        except ValueError:   # normalized() found no positive mass
+            L = grid.half_width
+            raise ConfigError([f"initial.p0: no positive mass in the box [-{L:g}, {L:g}]"]) from None
 
     def make_chem(self, grid: Grid1D) -> Optional[InitialChemical]:
         if self.c0_kind == "none":
@@ -306,10 +306,19 @@ class RunConfig:
         if self.c0_kind == "quadratic":
             (q,) = self.c0_args or [1.0]
             return InitialChemical.from_samples(grid, -q * grid.x ** 2 / 2.0, c0_prime=-q * grid.x)
-        vals = np.loadtxt(self.c0_args[0])
-        if vals.shape != (grid.n,):
-            raise ConfigError([f"initial.c0 samples: expected {grid.n} values, got shape {vals.shape}"])
-        return InitialChemical.from_samples(grid, vals)
+        return InitialChemical.from_samples(grid, _load_samples("initial.c0", self.c0_args[0], grid))
+
+
+def _load_samples(key: str, path: str, grid: Grid1D) -> np.ndarray:
+    """The grid.n finite values of a samples(path) file, else a ConfigError on key."""
+    try:
+        vals = np.loadtxt(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"{key}: cannot read samples({path}): {exc}"]) from None
+    if vals.shape != (grid.n,) or not np.all(np.isfinite(vals)):
+        raise ConfigError([f"{key}: samples({path}) must hold {grid.n} finite values, "
+                           f"got shape {vals.shape}"])
+    return vals
 
 
 # --- report ----------------------------------------------------------------
@@ -517,7 +526,7 @@ def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
         fixed_point, distances = mild.picard(p0, spec, chem, grid, mesh,
                                              k_max=cfg.k_max, tol=cfg.tol)
     march_hist = mild.march(p0, spec, chem, grid, mesh)
-    gap = float(np.max(np.sum(np.abs(fixed_point.densities - march_hist.densities), axis=1)) * grid.h)
+    gap = mild._sup_l1_distance(fixed_point.densities, march_hist.densities, grid.h)
     converged = distances[-1] < cfg.tol
     run.add("iteration_converged", distances[-1], cfg.tol, converged,
             f"D(T={horizon:g}) = {horizon_D(spec, horizon):.6g}; distances: "

@@ -23,9 +23,10 @@ quadrature in the test suite):
          = chi_eff sqrt(2/lambda) erf(sqrt(lambda T))  otherwise,
 
 where chi_eff = chi for the heat normalization and chi / sqrt(2 pi) for the
-two_pi one.  The six-part integrability hypothesis on K (H.1 to H.6 below) is
-checked numerically by :func:`check_hypotheses`; the contraction horizon T0
-solves D(T0) = safety.
+two_pi one, and chi_eff = 0 for kind "none" (`model.kernel = none`), whose
+closed forms all read 0.  The six-part integrability hypothesis on K (H.1 to
+H.6 below) is checked numerically by :func:`check_hypotheses`; the
+contraction horizon T0 solves D(T0) = safety.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .grid import Grid1D, TimeMesh, DensityField, convolve, heat_kernel, singula
 
 __all__ = [
     "KernelSpec",
-    "zero_kernel",
     "has_memory",
     "HypothesisItem",
     "HypothesisReport",
@@ -73,9 +73,9 @@ _L2_COEFF = 0.5 * math.pi ** -0.25  # ||d/dx g(t,.)||_L2 = _L2_COEFF * t^{-3/4}
 class KernelSpec:
     """Parameters of the interaction kernel.
 
-    chi = 0 switches the interaction off (useful for pure-diffusion checks);
-    the chemotaxis model itself requires chi > 0, which the CLI enforces at
-    config load.
+    chi = 0 or kind "none" switches the interaction off; "none" keeps chi for
+    the exogenous drift b.  "custom" kernels (eval_fn) are for check_hypotheses
+    only.  The model requires chi > 0, which the CLI enforces at config load.
     """
 
     chi: float = 1.0
@@ -92,36 +92,30 @@ class KernelSpec:
             raise ValueError(f"need lambda >= 0, got {self.lam}")
         if self.normalization not in _NORM_CONSTANTS:
             raise ValueError(f"normalization must be one of {sorted(_NORM_CONSTANTS)}")
-        if self.kind not in ("keller_segel", "custom"):
-            raise ValueError(f"kind must be 'keller_segel' or 'custom', got {self.kind!r}")
+        if self.kind not in ("keller_segel", "none", "custom"):
+            raise ValueError(f"kind must be keller_segel, none or custom, got {self.kind!r}")
         if self.kind == "custom" and self.eval_fn is None:
             raise ValueError("custom kernels need eval_fn")
 
     @property
+    def kernel_chi(self) -> float:
+        return 0.0 if self.kind == "none" else self.chi   # "none" keeps chi for b only
+
+    @property
     def chi_eff(self) -> float:
         """Coupling rescaled so the kernel reads chi_eff exp(-lam t) d/dx g(t, x)."""
-        return self.chi * math.sqrt(2.0 * math.pi) / _NORM_CONSTANTS[self.normalization]
-
-
-def zero_kernel(t, x) -> np.ndarray:
-    """K_t(x) = 0: the custom kernel behind `model.kernel = none`."""
-    return np.zeros_like(np.asarray(x, dtype=float))
+        return self.kernel_chi * math.sqrt(2.0 * math.pi) / _NORM_CONSTANTS[self.normalization]
 
 
 def has_memory(spec: KernelSpec) -> bool:
-    """Whether the memory drift B is switched on for spec.
-
-    False for chi = 0 and for the custom zero_kernel (`model.kernel = none`).
-    Any other custom kernel raises ValueError: custom kernels exist for
+    """Whether the memory drift B is on: chi_eff > 0, so False for chi = 0 and
+    for kind "none".  Custom kernels raise ValueError: they are for
     check_hypotheses only, and the solvers integrate the chemotaxis kernel in
-    closed form.
-    """
+    closed form."""
     if spec.kind == "custom":
-        if spec.eval_fn is zero_kernel:
-            return False
-        raise ValueError("the solvers take the chemotaxis kernel or kernel.zero_kernel; "
-                         "other custom kernels are for check_hypotheses only")
-    return spec.chi > 0.0
+        raise ValueError("the solvers take the chemotaxis kernel or kind 'none'; "
+                         "custom kernels are for check_hypotheses only")
+    return spec.chi_eff > 0.0
 
 
 def _require_time(t: float):
@@ -135,7 +129,7 @@ def kernel_eval(spec: KernelSpec, t: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if spec.kind == "custom":
         return np.asarray(spec.eval_fn(t, x), dtype=float)
-    amp = spec.chi * math.exp(-spec.lam * t) / (_NORM_CONSTANTS[spec.normalization] * t ** 1.5)
+    amp = spec.kernel_chi * math.exp(-spec.lam * t) / (_NORM_CONSTANTS[spec.normalization] * t ** 1.5)
     return amp * (-x) * np.exp(-x * x / (2.0 * t))
 
 
@@ -400,9 +394,7 @@ def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
     # H.1: refinement increments of the t-integrals of both norms
     vals1 = _norm_integral_probe(spec, T, lambda t: kernel_l1_norm(spec, t))
     vals2 = _norm_integral_probe(spec, T, lambda t: kernel_l2_norm(spec, t))
-    if spec.chi == 0.0:
-        ratio = 0.0
-    elif np.all(np.isfinite(vals1)) and np.all(np.isfinite(vals2)):
+    if np.all(np.isfinite(vals1)) and np.all(np.isfinite(vals2)):
         inc1, inc2 = np.diff(vals1), np.diff(vals2)
         tiny = 1e-14 * max(vals1[-1], 1.0)
         ratio = max(inc1[-1] / max(inc1[0], tiny), inc2[-1] / max(inc2[0], tiny))
@@ -537,7 +529,7 @@ def horizon_D(spec: KernelSpec, T: float) -> float:
 
 def find_T0(spec: KernelSpec, safety: float) -> float:
     """Largest horizon with D(T0) <= safety; inf if D saturates below safety,
-    and at once for the interaction-free chi = 0 and zero_kernel.
+    and at once when chi_eff = 0 (chi = 0 or kind "none": D is 0).
 
     For the lambda = 0 chemotaxis kernel this is the closed form
     T0 = pi safety^2 / (8 chi_eff^2).  For lambda > 0 it inverts
@@ -551,7 +543,7 @@ def find_T0(spec: KernelSpec, safety: float) -> float:
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"need safety in (0, 1), got {safety}")
-    if spec.chi == 0.0 or spec.eval_fn is zero_kernel:
+    if spec.chi_eff == 0.0:
         return math.inf
     if spec.kind != "custom":
         if spec.lam == 0.0:

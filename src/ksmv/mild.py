@@ -24,8 +24,8 @@ and the whole memory sum is one running sum per frequency:
 
     B_hat_k = E1 S_k,    S_0 = 0,    S_{k+1} = q S_k + p_hat_k.
 
-The chemical field reads this sum and the binned particles run it.  The
-solvers carry more: the exogenous drift b = chi e^{-lam t} g(t,.) * c0' obeys
+The chemical field reads this sum.  The solvers and the binned particles
+carry more: the exogenous drift b = chi e^{-lam t} g(t,.) * c0' obeys
 b_hat(t + dt) = q b_hat(t) exactly, so the whole drift u = b + B is one
 spectral state per frequency,
 
@@ -265,7 +265,9 @@ def _variance(grid: Grid1D, values: np.ndarray) -> float:
 
 
 def _sup_l1_distance(A: np.ndarray, B: np.ndarray, h: float) -> float:
-    return float(np.max(np.sum(np.abs(A - B), axis=1)) * h)
+    diff = A - B
+    np.abs(diff, out=diff)   # one A-sized buffer, not two
+    return float(np.max(np.sum(diff, axis=1)) * h)
 
 
 def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
@@ -288,12 +290,11 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     _check_p0(p0, grid)
     if start_drift is not None and chem is not None:
         raise ValueError("give chem or start_drift, not both")
-    if has_memory(spec):
-        D = horizon_D(spec, mesh.horizon)
-        if D >= 1.0:
-            warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",
-                          RuntimeWarning, stacklevel=2)
-    q, E1 = _drift_symbols(spec, grid, mesh.dt)
+    q, E1 = _drift_symbols(spec, grid, mesh.dt)   # raises for custom kernels
+    D = horizon_D(spec, mesh.horizon)
+    if D >= 1.0:
+        warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",
+                      RuntimeWarning, stacklevel=2)
     U0 = _start_drift(spec, chem, grid) if start_drift is None else start_drift
 
     # iterate 0 is p_0 on every row: one row, broadcast

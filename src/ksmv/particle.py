@@ -14,14 +14,15 @@ evaluators below apply this one rule.
 
 Two interaction evaluators:
 
-* "pairwise": the literal sum in x-space, J_{m dt} - J_{(m-1) dt} of
+* "pairwise": the paper's literal system: b at the particle positions
+  (field.drift_b) and the x-space sum of J_{m dt} - J_{(m-1) dt} of
   kernel.time_integrated_kernel for the subinterval of age m, over all
   pairs and past rows: O(N^2 k) at step k, O(N^2 M^2) total.  Honest
   baseline, only viable for small N.
-* "binned": each step deposits the particles onto the density grid
-  (cloud-in-cell) and folds the deposit's spectrum into the running memory
-  sum of mild; drifts come back to the particles by linear interpolation.
-  O(N + n log n) per step, with an additional O(h^2) projection bias.
+* "binned": the march's drift state U (mild), pushed by the spectrum of the
+  particles' cloud-in-cell deposit; b + B = irfft(U) comes back to the
+  particles by linear interpolation.  O(N + n log n) per step, with an
+  additional O(h^2) projection bias.
 
 Both run on one Euler stepper that takes a drift callback and keeps only
 the requested path rows.
@@ -51,9 +52,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import Grid1D, TimeMesh, DensityField
-from .kernel import (KernelSpec, has_memory, integrated_kernel_symbol, symbol_decay,
-                     time_integrated_kernel)
+from .kernel import KernelSpec, has_memory, time_integrated_kernel
 from .field import InitialChemical, drift_b
+from .mild import _drift_symbols, _push, _start_drift
 
 __all__ = [
     "ParticleEnsemble",
@@ -176,7 +177,7 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
                        store_rows: Optional[Sequence[int]] = None) -> ParticleEnsemble:
     """Simulate the interacting system.
 
-    interaction chooses the memory-sum evaluator ("pairwise" or "binned").
+    interaction chooses the drift evaluator ("pairwise" or "binned").
     particle_keys (non-negative integers, default arange(N)) assigns each
     particle its variate in the per-step streams; permuting it permutes the
     trajectories.  Each step costs O(max key + 1) to draw.  store_rows
@@ -190,31 +191,27 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
         raise ValueError(f"unknown interaction evaluator {interaction!r}")
     keys = _particle_keys(particle_keys, N)
     grid, dt, nodes = p0.grid, mesh.dt, mesh.nodes
-    interacting = has_memory(spec)
-    binned = interaction == "binned"
-    xi = grid.wavenumbers
-    if binned and interacting:
-        E1 = integrated_kernel_symbol(spec, dt, xi)
-        q = symbol_decay(spec.lam, dt, xi)
-        cic, memory = _CloudInCell(grid, N), np.empty(N)
-    S = np.zeros(xi.size, dtype=complex)
-    past: List[np.ndarray] = []
+    if interaction == "binned":
+        q, E1 = _drift_symbols(spec, grid, dt)
+        U = _start_drift(spec, chem, grid)
+        cic, u = _CloudInCell(grid, N), np.empty(N)
 
-    def drift(k: int, x: np.ndarray) -> np.ndarray:
-        nonlocal S
-        u = drift_b(spec, chem, float(nodes[k]), x) if chem is not None else np.zeros(N)
-        if not interacting:
-            return u
-        if binned:
+        def drift(k: int, x: np.ndarray) -> np.ndarray:
+            nonlocal U
             cic.locate(x)
-            if k > 0:
-                u = np.add(u, cic.interp(np.fft.irfft(E1 * S, grid.n), memory), out=memory)
-            S = q * S + np.fft.rfft(cic.deposit())
-        else:
+            cic.interp(np.fft.irfft(U, grid.n), u)
+            U = _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()))
+            return u
+    else:
+        interacting = has_memory(spec)
+        past: List[np.ndarray] = []
+
+        def drift(k: int, x: np.ndarray) -> np.ndarray:
+            u = drift_b(spec, chem, float(nodes[k]), x)
+            if not interacting:
+                return u
             past.append(x.copy())
-            if k > 0:
-                u = u + _pairwise_memory(spec, past, dt)
-        return u
+            return u if k == 0 else u + _pairwise_memory(spec, past, dt)
 
     x0 = _inverse_cdf_sampler(p0)(_keyed_draws(seed, _INIT, 0, keys))
     rows, X = _euler_paths(x0, drift, mesh, seed, keys, store_rows)

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,7 +19,9 @@ from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       RunReport, write_csv, write_plot_table, write_history_csv,
                       write_field_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import find_T0, has_memory, kernel_eval, zero_kernel
+from ksmv import kernel
+from ksmv.kernel import (find_T0, has_memory, horizon_D, integrated_kernel_symbol,
+                         kernel_eval, kernel_l1_norm, kernel_l2_norm)
 from ksmv.field import ChemicalField, drift_b
 from ksmv.mild import MarginalHistory
 from ksmv.particle import simulate_bounded_drift
@@ -112,10 +115,21 @@ def test_module_docstring_example_config_parses():
 def test_none_kernel_builds_zero_interaction():
     cfg = RunConfig.from_file(str(REPO / "configs" / "heat_only.cfg"))
     spec = cfg.make_spec()
-    assert spec.kind == "custom" and spec.eval_fn is zero_kernel
-    assert spec.chi == 1.0
+    assert spec.kind == "none" and spec.eval_fn is None
+    assert spec.chi == 1.0 and spec.chi_eff == 0.0
     assert not has_memory(spec)
     assert np.all(kernel_eval(spec, 0.3, np.linspace(-2, 2, 9)) == 0.0)
+    assert kernel_l1_norm(spec, 0.3) == 0.0 and kernel_l2_norm(spec, 0.3) == 0.0
+    grid = cfg.make_grid()
+    assert np.all(integrated_kernel_symbol(spec, 0.01, grid.wavenumbers) == 0.0)
+    assert horizon_D(spec, cfg.horizon) == 0.0
+    assert find_T0(spec, cfg.safety) == math.inf
+    # the chemical drift stays on: model.kernel = none only drops the memory
+    ou = RunConfig.from_file(str(REPO / "configs" / "ou_surrogate.cfg"))
+    ou_spec = ou.make_spec()
+    assert ou_spec.kind == "none" and not has_memory(ou_spec)
+    b0 = drift_b(ou_spec, ou.make_chem(ou.make_grid()), 0.0)
+    assert float(np.max(np.abs(b0))) > 1.0
 
 
 def test_p0_builders(tmp_path):
@@ -306,6 +320,29 @@ def test_main_malformed_c0_exits_2(tmp_path, capsys, c0):
     assert "initial.c0:" in capsys.readouterr().err
 
 
+# samples files of mini_config's 32 grid values
+_BAD_SAMPLES = {"text.txt": "1.0\nabc\n" + "1.0\n" * 30,
+                "negative.txt": "-1.0\n" * 32,
+                "nan.txt": "1.0\nnan\n" + "1.0\n" * 30,
+                "inf.txt": "0.0\ninf\n" + "0.0\n" * 30}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("initial.p0", "samples({tmp}/missing.txt)"), ("initial.c0", "samples({tmp}/missing.txt)"),
+    ("initial.p0", "samples({tmp}/text.txt)"), ("initial.c0", "samples({tmp}/text.txt)"),
+    ("initial.p0", "samples({tmp}/nan.txt)"), ("initial.c0", "samples({tmp}/inf.txt)"),
+    ("initial.p0", "samples({tmp}/negative.txt)"),
+    ("initial.p0", "uniform(20, 30)"), ("initial.p0", "gaussian(100, 1)")])
+@pytest.mark.parametrize("command", ["solve", "particles"])
+def test_main_bad_initial_data_exits_2(tmp_path, capsys, key, value, command):
+    for name, text in _BAD_SAMPLES.items():
+        (tmp_path / name).write_text(text)
+    cfg = mini_config(tmp_path, **{key: value.format(tmp=tmp_path)})
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), command]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}:" in err and "Traceback" not in err
+
+
 def test_main_solve_heat_only(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
     out = tmp_path / "run"
@@ -382,6 +419,27 @@ def test_check_kernel_passes_when_D_saturates_below_safety(tmp_path, monkeypatch
     assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 0
     records = json.loads((out / "check_kernel_report.json").read_text())["records"]
     assert {r["name"]: r["passed"] for r in records}["contraction_D_at_T0"]
+
+
+def test_check_kernel_on_none_kernel_uses_closed_forms(tmp_path, monkeypatch):
+    # kind "none" is the chemotaxis kernel at chi_eff = 0: H.4-H.6 come from
+    # the closed forms at bound 0, not from custom-kernel quadrature
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("custom-kernel quadrature on model.kernel = none")
+
+    for name in ("_custom_norm_quad", "_f_custom", "_theta_custom"):
+        monkeypatch.setattr(kernel, name, forbidden)
+    out = tmp_path / "ck"
+    assert cli.main(["--config", str(REPO / "configs" / "heat_only.cfg"), "--out", str(out),
+                     "check-kernel"]) == 0
+    records = {r["name"]: r for r in
+               json.loads((out / "check_kernel_report.json").read_text())["records"]}
+    for item in ("H4", "H5", "H6"):
+        assert (records[item]["value"], records[item]["bound"]) == (0.0, 0.0)
+        assert records[item]["passed"]
+    assert records["contraction_D_at_T0"]["value"] == 0.0
 
 
 @pytest.mark.parametrize("lam", ["0.5", "0"])

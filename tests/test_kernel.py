@@ -13,7 +13,7 @@ from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, kernel_l2_norm
                          time_integrated_kernel, time_integrated_abs_kernel,
                          kernel_symbol, integrated_kernel_symbol, f1_profile,
                          f2_profile, restart_profile, check_hypotheses,
-                         horizon_D, find_T0, zero_kernel, _theta_custom)
+                         horizon_D, find_T0, _theta_custom)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -391,7 +391,7 @@ def test_find_T0_saturating_decay_returns_inf():
     # D saturates at chi_eff sqrt(2 / lam) = 0.25 < safety
     assert find_T0(KernelSpec(chi=1.0, lam=32.0), 0.5) == math.inf
     assert find_T0(KernelSpec(chi=0.0), 0.5) == math.inf
-    assert find_T0(KernelSpec(kind="custom", eval_fn=zero_kernel), 0.5) == math.inf
+    assert find_T0(KernelSpec(kind="none"), 0.5) == math.inf
 
 
 def test_find_T0_rejects_bad_safety():

@@ -11,11 +11,11 @@ from scipy import integrate
 
 from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
 from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, integrated_kernel_symbol,
-                         symbol_decay, zero_kernel)
+                         symbol_decay)
 from ksmv.field import InitialChemical, drift_b
 from ksmv.mild import (MarginalHistory, SchemeInstabilityError,
                        PicardDivergenceError, running_sums, memory_drift,
-                       march, picard, solve_global)
+                       march, picard, solve_global, _sup_l1_distance)
 
 from ksmv_helpers import gaussian_density, l1_distance
 
@@ -131,7 +131,7 @@ def test_memory_drift_causal_bit_for_bit(k):
 
 def test_memory_drift_rejects_custom_kernels():
     # custom kernels are for the checker; the solvers take the chemotaxis
-    # kernel or zero_kernel (model.kernel = none, no memory drift)
+    # kernel or kind "none" (model.kernel = none, no memory drift)
     base = KernelSpec(chi=1.0, lam=0.3)
     custom = KernelSpec(chi=1.0, lam=0.3, kind="custom",
                         eval_fn=lambda t, x: kernel_eval(base, t, x))
@@ -146,7 +146,7 @@ def test_memory_drift_rejects_custom_kernels():
     for call in calls:
         with pytest.raises(ValueError, match="custom kernels"):
             call()
-    none = KernelSpec(chi=1.0, lam=0.3, kind="custom", eval_fn=zero_kernel)
+    none = KernelSpec(chi=1.0, lam=0.3, kind="none")
     assert np.all(memory_drift(hist, none, 100) == 0.0)
 
 
@@ -175,8 +175,7 @@ def test_march_constant_drift_moves_mean_exactly():
     g = Grid1D(10.0, 256)
     mesh = TimeMesh(0.2, 40)
     chem = InitialChemical.from_samples(g, g.x.copy(), c0_prime=np.ones(g.n))
-    hist = march(gaussian_density(g, 0.3), KernelSpec(chi=1.0, kind="custom",
-                 eval_fn=zero_kernel), chem, g, mesh)
+    hist = march(gaussian_density(g, 0.3), KernelSpec(chi=1.0, kind="none"), chem, g, mesh)
     mean = g.integrate(g.x * hist.densities[-1])
     assert mean == pytest.approx(0.2, abs=1e-8)
 
@@ -187,7 +186,7 @@ def test_march_ou_variance():
     mesh = TimeMesh(1.0, 250)
     v0 = 0.25
     chem = InitialChemical.from_samples(g, -g.x ** 2 / 2.0, c0_prime=-g.x)
-    no_memory = KernelSpec(chi=1.0, kind="custom", eval_fn=zero_kernel)
+    no_memory = KernelSpec(chi=1.0, kind="none")
     hist = march(gaussian_density(g, v0), no_memory, chem, g, mesh)
     for k in (50, 125, 250):
         t = mesh.nodes[k]
@@ -224,8 +223,7 @@ def _overflowing_march():
     g = Grid1D(10.0, 256)
     mesh = TimeMesh(1.0, 8)  # huge dt with a huge drift overflows fast
     chem = InitialChemical.from_samples(g, np.zeros(g.n), c0_prime=np.full(g.n, 1e200))
-    return march(gaussian_density(g, 1.0), KernelSpec(chi=1.0, kind="custom",
-                 eval_fn=zero_kernel), chem, g, mesh)
+    return march(gaussian_density(g, 1.0), KernelSpec(chi=1.0, kind="none"), chem, g, mesh)
 
 
 def test_march_instability_error_names_step():
@@ -358,6 +356,25 @@ def test_picard_memory_does_not_grow_with_iterations():
     (held3, peak3), (held6, peak6) = measured[3], measured[6]
     assert held6 <= held3 * 1.01 and held6 <= 1.1 * rows_bytes
     assert peak6 <= peak3 * 1.01
+
+
+def test_sup_l1_distance_works_in_one_buffer():
+    # picard's iterate distance at n = 1024, M = 400: the difference and its
+    # absolute value share one (M+1) x n buffer (two temporaries peak at 2x)
+    rng = np.random.default_rng(3)
+    A, B = rng.random((401, 1024)), rng.random((401, 1024))
+    h = 20.0 / 1024
+    tracemalloc.start()
+    try:
+        got = _sup_l1_distance(A, B, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * A.nbytes
+    assert got == float(np.max(np.sum(np.abs(A - B), axis=1)) * h)
+    # iterate 1 compares against p_0 broadcast over the rows
+    row = B[0]
+    assert _sup_l1_distance(A, row, h) == float(np.max(np.sum(np.abs(A - row), axis=1)) * h)
 
 
 def test_picard_takes_chem_or_start_drift_not_both():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import KernelSpec, time_integrated_kernel
-from ksmv.field import InitialChemical
-from ksmv.mild import MarginalHistory, march
+from ksmv.kernel import (KernelSpec, integrated_kernel_symbol, symbol_decay,
+                         time_integrated_kernel)
+from ksmv.field import InitialChemical, drift_b
+from ksmv.mild import MarginalHistory, march, running_sums
 from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            simulate_bounded_drift, kde_density, _CloudInCell, _deposit,
                            _keyed_draws)
@@ -161,6 +162,31 @@ def test_pairwise_memory_matches_direct_sum():
                 want[i] += J(m * dt, u) - J((m - 1) * dt, u)
     want /= N
     assert float(np.max(np.abs(got - want))) < 1e-10
+
+
+def test_binned_drift_is_the_grid_drift_state_interpolated():
+    # the binned evaluator's applied drift at step k is b(t_k) + B(t_k) on the
+    # grid, B from the running sums of the deposited rows 0..k-1, linearly
+    # interpolated at X_k; recovered from a free run sharing the noise
+    g = Grid1D(3.0 * math.pi, 128)
+    mesh = TimeMesh(0.3, 20)
+    chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
+    spec = KernelSpec(chi=1.0, lam=0.5)
+    p0 = gaussian_density(g, 0.5)
+    X = simulate_particles(300, p0, spec, chem, mesh, seed=21, interaction="binned").positions
+    F = simulate_particles(300, p0, FREE, None, mesh, seed=21, interaction="binned").positions
+    dt, xi = mesh.dt, g.wavenumbers
+    got = (np.diff(X, axis=0) - np.diff(F, axis=0)) / dt
+
+    deposits = np.fft.rfft([_deposit(g, row) for row in X[:-1]], axis=1)
+    S = running_sums(deposits, symbol_decay(spec.lam, dt, xi))
+    E1 = integrated_kernel_symbol(spec, dt, xi)
+    xp = np.append(g.x, g.half_width)
+    for k in range(mesh.steps):
+        on_grid = drift_b(spec, chem, float(mesh.nodes[k])) + np.fft.irfft(E1 * S[k], g.n)
+        folded = np.mod(X[k] + g.half_width, 2.0 * g.half_width) - g.half_width
+        want = np.interp(folded, xp, np.append(on_grid, on_grid[0]))
+        assert float(np.max(np.abs(got[k] - want))) < 1e-10, k
 
 
 def test_binned_close_to_pairwise():
