@@ -36,15 +36,25 @@ the keys; no (M, N) noise array is ever held.  Consequences, by
 construction:
 
 * paths are bit-reproducible for fixed (seed, keys, mesh, parameters), at
-  any thread count;
+  any thread count: which thread draws a stream does not change its bits;
 * permuting the particle keys permutes the trajectories exactly;
 * the default keys arange(N) nest: a smaller run's streams are a prefix of
   a larger run's.
+
+Steps do not depend on each other's noise, so the stepper draws on T
+threads: thread k mod T draws step k, thread 0 being the main thread, and
+the others run at most two steps ahead into a ring of three reused step
+buffers.  T is the number of CPUs the process may run on
+(os.sched_getaffinity), at most 2; under `taskset -c 0` it is 1 and no
+thread is started.  Each thread resets one Philox generator of its own to
+the stream of its step, and the helper threads are joined before the
+simulation returns or raises.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -104,16 +114,56 @@ class ParticleEnsemble:
 
 _INIT, _NOISE = 0, 1   # stream phases: initial uniforms, path noise
 _LEGACY_BLOCK = 20000
+_RING = 3               # step noise buffers in flight when a helper thread draws
+
+
+def _draw_threads() -> int:
+    """T, the threads that draw the step noise: the CPUs this process may run
+    on, at most 2, so a helper never waits for a CPU the main thread holds."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return min(2, cpus)
+
+
+class _Streams:
+    """The counter-based streams of one seed, drawn through one reused Philox
+    generator.  Resetting its state for a draw costs about 5 us, against 16 us
+    for a new generator, whose constructor also reads OS entropy.  A
+    generator is not shared between threads: each drawing thread owns one."""
+
+    def __init__(self, seed: int):
+        # the constructor's key words, so that every seed (a negative one
+        # from --seed included) maps to the key it always has
+        self.bits = np.random.Philox(key=[seed, _INIT])
+        self.key = self.bits.state["state"]["key"]
+        self.gen = np.random.Generator(self.bits)
+
+    def draw(self, phase: int, k: int, out: np.ndarray) -> np.ndarray:
+        """Fill out with the first out.size variates of the stream of step k
+        and phase: uniforms on [0, 1) for _INIT, standard normals for _NOISE."""
+        self.key[1] = phase
+        self.bits.state = {"bit_generator": "Philox",
+                           "state": {"counter": np.array([0, k, 0, 0], dtype=np.uint64),
+                                     "key": self.key},
+                           "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                           "has_uint32": 0, "uinteger": 0}
+        if phase == _INIT:
+            return self.gen.random(out=out)
+        return self.gen.standard_normal(out=out)
+
+
+def _is_arange(keys: np.ndarray) -> bool:
+    """True when keys is arange(N): each particle takes the variate at its
+    own index, so the draws need no gather."""
+    return bool(np.array_equal(keys, np.arange(keys.size)))
 
 
 def _keyed_draws(seed: int, phase: int, k: int, keys: np.ndarray) -> np.ndarray:
     """Variates keys[i] of the counter-based stream of step k and phase:
     uniforms on [0, 1) for _INIT, standard normals for _NOISE.  Draws
     max(keys) + 1 values, so the cost is O(max key + 1)."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, phase], counter=[0, k, 0, 0]))
-    width = int(keys.max()) + 1
-    draws = gen.random(width) if phase == _INIT else gen.standard_normal(width)
-    return draws[keys]
+    draws = _Streams(seed).draw(phase, k, np.empty(int(keys.max()) + 1))
+    return draws if _is_arange(keys) else draws[keys]
 
 
 def _particle_keys(particle_keys: Optional[np.ndarray], N: int) -> np.ndarray:
@@ -132,10 +182,15 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     """Euler-Maruyama X_{k+1} = X_k + dt drift(k, X_k) + sqrt(dt) xi_k, with
     xi_k drawn step by step from the step-k noise stream.
 
+    Thread k mod T draws step k's noise, the main thread being thread 0
+    (T = _draw_threads()).  The others draw into a ring of _RING step
+    buffers, at most _RING - 1 steps ahead of the main thread, and are shut
+    down before this returns or raises.  They never call drift.
+
     Keeps only the mesh rows in store_rows (default all; row 0 always) and
     returns them with the (rows, N) array, so working memory is O(N) plus
-    the stored rows.  The positions passed to drift live in a buffer that
-    later steps overwrite: a drift that keeps them must copy them.
+    the stored rows and the ring.  The positions passed to drift live in a
+    buffer that the step then updates: a drift that keeps them must copy them.
     """
     M, dt = mesh.steps, mesh.dt
     rows = sorted({0, *(int(r) for r in store_rows)}) if store_rows is not None \
@@ -145,18 +200,41 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     row_of = {r: i for i, r in enumerate(rows)}
     out = np.empty((len(rows), x0.size))
     out[0] = x0
-    # x_{k+1} = (x_k + dt u_k) + sqrt(dt) xi_k, evaluated into two position
-    # buffers used in turn and one step buffer
-    x, nxt, step = x0.copy(), np.empty_like(x0), np.empty_like(x0)
+    gather = not _is_arange(keys)
+    threads = _draw_threads()
+    ring = [np.empty(int(keys.max()) + 1) for _ in range(_RING if threads > 1 else 1)]
+    own = _Streams(seed)
+    helpers, pending = [], {}
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        helpers = [(ThreadPoolExecutor(1), _Streams(seed)) for _ in range(threads - 1)]
+    # x_{k+1} = (x_k + dt u_k) + sqrt(dt) xi_k, updated in place through one
+    # step buffer
+    x, step = x0.copy(), np.empty_like(x0)
     sqdt = math.sqrt(dt)
-    for k in range(M):
-        np.multiply(drift(k, x), dt, out=step)
-        np.add(x, step, out=nxt)
-        np.multiply(_keyed_draws(seed, _NOISE, k, keys), sqdt, out=step)
-        nxt += step
-        x, nxt = nxt, x
-        if k + 1 in row_of:
-            out[row_of[k + 1]] = x
+    try:
+        ahead = 0
+        for k in range(M):
+            # steps before k are spent, so steps k .. k + len(ring) - 1 own
+            # distinct ring buffers
+            for j in range(ahead, min(M, k + len(ring))):
+                if j % threads:
+                    pool, streams = helpers[j % threads - 1]
+                    pending[j] = pool.submit(streams.draw, _NOISE, j, ring[j % len(ring)])
+            ahead = k + len(ring)
+            np.multiply(drift(k, x), dt, out=step)
+            x += step
+            xi = pending.pop(k).result() if k % threads \
+                else own.draw(_NOISE, k, ring[k % len(ring)])
+            if gather:
+                xi = np.take(xi, keys, out=step)
+            np.multiply(xi, sqdt, out=step)
+            x += step
+            if k + 1 in row_of:
+                out[row_of[k + 1]] = x
+    finally:
+        for pool, _ in helpers:
+            pool.shutdown(cancel_futures=True)
     return rows, out
 
 
@@ -250,19 +328,30 @@ class _CloudInCell:
         self.grid = grid
         self.rel, self.w0, self.w1, self.tmp = (np.empty(N) for _ in range(4))
         self.idx, self.idx1 = np.empty(N, dtype=np.int64), np.empty(N, dtype=np.int64)
+        self.mask, self.above = np.empty(N, dtype=bool), np.empty(N, dtype=bool)
 
     def locate(self, positions: np.ndarray):
-        g = self.grid
-        np.add(positions, g.half_width, out=self.rel)
-        np.mod(self.rel, 2.0 * g.half_width, out=self.rel)
-        np.divide(self.rel, g.h, out=self.rel)
-        np.floor(self.rel, out=self.w0)     # w0 holds floor(rel) until the last weight
+        """The bits of rel = mod(x + L, 2 L) / h, idx = floor(rel) mod n,
+        idx1 = (idx + 1) mod n, for finite x.  np.mod leaves offsets in
+        [0, 2 L) as they are, so only the others are folded.  An offset
+        folded from just below 0 can come back as 2 L, and rel within an
+        ulp below 2 L can round to n, so floor(rel) lies in [0, n] and the
+        integer remainders are a reset of n to 0."""
+        g, rel, mask = self.grid, self.rel, self.mask
+        period = 2.0 * g.half_width
+        np.add(positions, g.half_width, out=rel)
+        np.less(rel, 0.0, out=mask)
+        mask |= np.greater_equal(rel, period, out=self.above)
+        if mask.any():
+            np.mod(rel, period, out=rel, where=mask)
+        np.divide(rel, g.h, out=rel)
+        np.floor(rel, out=self.w0)     # w0 holds floor(rel) until the last weight
         np.copyto(self.idx, self.w0, casting="unsafe")
-        np.remainder(self.idx, g.n, out=self.idx)
-        np.subtract(self.rel, self.w0, out=self.w1)
+        np.copyto(self.idx, 0, where=np.equal(self.idx, g.n, out=mask))
+        np.subtract(rel, self.w0, out=self.w1)
         np.subtract(1.0, self.w1, out=self.w0)
         np.add(self.idx, 1, out=self.idx1)
-        np.remainder(self.idx1, g.n, out=self.idx1)
+        np.copyto(self.idx1, 0, where=np.equal(self.idx1, g.n, out=mask))
 
     def interp(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Linear interpolation of grid values at the located positions, into out."""

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: the acceptance-line recorder, test
 densities, row-wise history distances, the quadrature oracle for the
-sign-drift comparison density, and the per-value reference text of the
-table writers.
+sign-drift comparison density, the per-value reference text of the table
+writers, and sequential oracles for the particle noise streams and the
+cloud-in-cell cells.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
@@ -103,3 +104,20 @@ def qz_density_oracle(params: QZParams, z: float) -> float:
     assert abserr <= 1e-8 * max(1.0, abs(val)), "oracle quadrature did not converge"
     gauss = lambda u: math.exp(-u * u / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     return val / (math.sqrt(2.0 * math.pi) * t ** 1.5) + math.exp(pref) * (gauss(z - x) - gauss(A))
+
+
+def step_noise_oracle(seed: int, k: int, keys: np.ndarray) -> np.ndarray:
+    """Variates keys[i] of the path-noise stream of step k, drawn by a new
+    generator on one thread: the stream every thread count must reproduce."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, 1], counter=[0, k, 0, 0]))
+    return gen.standard_normal(int(keys.max()) + 1)[keys]
+
+
+def cloud_in_cell_oracle(grid: Grid1D, positions: np.ndarray):
+    """Cells and weights by the periodic fold of every position and integer
+    remainders: (idx, idx1, w0, w1) with w0 = 1 - frac, w1 = frac."""
+    rel = np.mod(positions + grid.half_width, 2.0 * grid.half_width) / grid.h
+    floor = np.floor(rel)
+    idx = floor.astype(np.int64) % grid.n
+    frac = rel - floor
+    return idx, (idx + 1) % grid.n, 1.0 - frac, frac

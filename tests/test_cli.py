@@ -464,12 +464,13 @@ def test_check_kernel_prints_each_item_and_one_T0_at_the_configured_safety(
     assert D0 == pytest.approx(0.3, rel=1e-9)
 
 
-# numpy is all `ksmv solve` needs; scipy is loaded by the functions that use it
+# numpy is all `ksmv solve` needs; scipy is loaded by the functions that use it,
+# and concurrent.futures (which imports logging) by the particle stepper
 _SCIPY_FREE_PROBE = """
 import contextlib, io, json, sys
 loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import ksmv.cli as cli
-seen = {"import": loaded()}
+seen = {"import": loaded(), "futures_at_import": "concurrent.futures" in sys.modules}
 for mode in cli.SOLVE_MODES:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "solve", "--mode", mode])
@@ -487,7 +488,8 @@ def test_import_and_solve_load_no_scipy(tmp_path):
                            str(REPO / "configs" / "full_model.cfg"), str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {"import": [], "march": [], "picard_with_restart": []}
+    assert seen == {"import": [], "futures_at_import": False, "march": [],
+                    "picard_with_restart": []}
 
 
 def test_out_dir_env_and_flag_precedence(tmp_path, monkeypatch):

@@ -1,21 +1,26 @@
 """Interacting particle simulation, bounded-drift paths, KDE, history comparison."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
 from ksmv.kernel import (KernelSpec, integrated_kernel_symbol, symbol_decay,
                          time_integrated_kernel)
 from ksmv.field import InitialChemical, drift_b
 from ksmv.mild import MarginalHistory, march, running_sums
+from ksmv import particle
 from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            simulate_bounded_drift, kde_density, _CloudInCell, _deposit,
-                           _keyed_draws)
+                           _euler_paths, _keyed_draws)
 
-from ksmv_helpers import compare_histories, gaussian_density, l1_distance
+from ksmv_helpers import (cloud_in_cell_oracle, compare_histories, gaussian_density,
+                          l1_distance, step_noise_oracle)
 
 FREE = KernelSpec(chi=0.0)   # interaction off: independent Brownian paths
 
@@ -109,10 +114,10 @@ def test_exchangeability_under_key_permutation():
 
 def test_step_stream_is_philox_keyed_by_seed_and_phase_countered_by_step():
     keys = np.array([5, 0, 3, 3, 9])
-    for phase, k in ((0, 0), (1, 0), (1, 17)):
-        gen = np.random.Generator(np.random.Philox(key=[42, phase], counter=[0, k, 0, 0]))
+    for seed, phase, k in ((42, 0, 0), (42, 1, 0), (42, 1, 17), (-3, 0, 0), (-3, 1, 4)):
+        gen = np.random.Generator(np.random.Philox(key=[seed, phase], counter=[0, k, 0, 0]))
         direct = gen.random(10) if phase == 0 else gen.standard_normal(10)
-        assert np.array_equal(_keyed_draws(42, phase, k, keys), direct[keys])
+        assert np.array_equal(_keyed_draws(seed, phase, k, keys), direct[keys])
 
 
 def test_default_keys_nest_smaller_runs_in_larger_ones():
@@ -121,6 +126,83 @@ def test_default_keys_nest_smaller_runs_in_larger_ones():
     small = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, N=64, **kw)
     large = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, N=257, **kw)
     assert np.array_equal(large.positions[:, :64], small.positions)
+
+
+KEY_SETS = {"arange": np.arange(6), "permuted": np.array([3, 0, 5, 1, 4, 2]),
+            "sparse": np.array([9, 2, 2, 40, 0, 17])}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("M", [1, 7, 8])
+@pytest.mark.parametrize("keys", list(KEY_SETS.values()), ids=list(KEY_SETS))
+def test_paths_follow_the_sequential_noise_oracle_at_any_thread_count(monkeypatch, threads,
+                                                                      M, keys):
+    monkeypatch.setattr(particle, "_draw_threads", lambda: threads)
+    mesh = TimeMesh(0.5, M)
+    x0 = np.linspace(-1.0, 1.0, keys.size)
+    rows, X = _euler_paths(x0, lambda k, x: np.sin(x) + k, mesh, 13, keys, None)
+    x, want = x0, [x0]
+    for k in range(M):
+        x = (x + mesh.dt * (np.sin(x) + k)) + math.sqrt(mesh.dt) * step_noise_oracle(13, k, keys)
+        want.append(x)
+    assert rows == list(range(M + 1))
+    assert np.array_equal(X, np.array(want))
+
+
+def test_noise_ring_survives_more_threads_than_cpus_and_fast_switching(monkeypatch):
+    # four drawing threads on at most two CPUs, switching every microsecond:
+    # a buffer refilled before its step is spent would break the bits
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 4)
+    keys, M, dt = np.arange(3000), 60, 0.01
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, X = _euler_paths(np.zeros(keys.size), lambda k, x: np.cos(x), TimeMesh(M * dt, M),
+                            21, keys, [M])
+    finally:
+        sys.setswitchinterval(interval)
+    x = np.zeros(keys.size)
+    for k in range(M):
+        x = (x + dt * np.cos(x)) + math.sqrt(dt) * step_noise_oracle(21, k, keys)
+    assert np.array_equal(X[-1], x)
+
+
+def test_main_thread_draws_even_steps_and_the_helper_odd_ones(monkeypatch):
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    drawn_by, draw = {}, particle._Streams.draw
+
+    def spy(self, phase, k, out):
+        if phase == 1:
+            drawn_by[k] = threading.get_ident()
+        return draw(self, phase, k, out)
+
+    monkeypatch.setattr(particle._Streams, "draw", spy)
+    simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
+                           N=50, seed=4)
+    assert sorted(drawn_by) == list(range(9))
+    main = threading.get_ident()
+    assert [drawn_by[k] == main for k in range(9)] == [k % 2 == 0 for k in range(9)]
+
+
+def test_no_noise_thread_outlives_a_simulation(monkeypatch):
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    before = set(threading.enumerate())
+    g = Grid1D(3.0 * math.pi, 64)
+    simulate_particles(64, gaussian_density(g, 0.5), KernelSpec(chi=1.0, lam=0.5),
+                       InitialChemical.sine(g, amp=0.5, freq=1.0), TimeMesh(0.2, 9), seed=1,
+                       interaction="binned")
+    simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
+                           N=64, seed=2)
+    assert set(threading.enumerate()) == before
+
+    def failing(t, x):
+        if t > 0.2:
+            raise FloatingPointError("drift blew up")
+        return np.zeros_like(x)
+
+    with pytest.raises(FloatingPointError, match="blew up"):
+        simulate_bounded_drift(failing, lambda u: u - 0.5, TimeMesh(0.5, 9), N=64, seed=2)
+    assert set(threading.enumerate()) == before
 
 
 def test_first_step_has_no_memory():
@@ -219,9 +301,10 @@ def test_stored_final_row_matches_full_run(interaction):
 
 
 def test_binned_working_memory_is_linear_in_n():
-    # with only the final row stored, the peak is about 16 N-vectors whatever
-    # M is: two rows, ten reused work buffers (stepper and cloud-in-cell) and
-    # the drift's and noise draw's per-step temporaries
+    # with only the final row stored, the peak is about 17 N-vectors whatever
+    # M is: two rows, the stepper's position and step buffers and its ring of
+    # three noise buffers, the cloud-in-cell buffers and the drift's per-step
+    # temporaries
     N, M = 50000, 100
     g = Grid1D(3.0 * math.pi, 64)
     chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
@@ -288,8 +371,9 @@ def test_bounded_drift_rejects_rows_past_horizon():
 
 
 def test_bounded_drift_working_memory_is_linear_in_n():
-    # no (M, N) noise: the peak is the two stored rows plus a few N-vectors
-    # of per-step temporaries, whatever M is
+    # no (M, N) noise: the peak is about 11 N-vectors whatever M is: the two
+    # stored rows, the start, the position and step buffers, the ring of three
+    # noise buffers and the drift's per-step temporaries
     N, M = 200000, 200
     tracemalloc.start()
     try:
@@ -350,16 +434,39 @@ def test_cloud_in_cell_buffers_match_direct_formulas():
     rng = np.random.default_rng(1)
     pos = rng.uniform(-20, 20, size=300)   # folds periodically
     values = rng.normal(size=g.n)
-    rel = np.mod(pos + g.half_width, 2.0 * g.half_width) / g.h
-    idx = np.floor(rel).astype(np.int64) % g.n
-    frac = rel - np.floor(rel)
+    idx, idx1, w0, w1 = cloud_in_cell_oracle(g, pos)
     cic = _CloudInCell(g, pos.size)
     cic.locate(pos)
     interp = cic.interp(values, np.empty(pos.size))
-    assert np.array_equal(interp, values[idx] * (1.0 - frac) + values[(idx + 1) % g.n] * frac)
-    direct = (np.bincount(idx, weights=1.0 - frac, minlength=g.n)
-              + np.bincount((idx + 1) % g.n, weights=frac, minlength=g.n)) / (pos.size * g.h)
+    assert np.array_equal(interp, values[idx] * w0 + values[idx1] * w1)
+    direct = (np.bincount(idx, weights=w0, minlength=g.n)
+              + np.bincount(idx1, weights=w1, minlength=g.n)) / (pos.size * g.h)
     assert np.array_equal(cic.deposit(), direct)
+
+
+# on Grid1D(0.9, 100), 2 L / h rounds to just below n: an offset of exactly
+# 2 L left unfolded would land in cell n - 1, not cell 0
+_CIC_GRIDS = [Grid1D(3.0 * math.pi, 256), Grid1D(5.0, 64), Grid1D(1.0, 24), Grid1D(0.9, 100)]
+
+
+def _box_edges(hw):
+    return [v for edge in (-hw, hw)
+            for v in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=st.sampled_from(_CIC_GRIDS), data=st.data())
+def test_locate_matches_the_fold_and_remainder_oracle(grid, data):
+    # only positions outside the box are folded, and floor(rel) = n is reset
+    # to 0: every bit of the cells and weights stays the oracle's
+    hw = grid.half_width
+    position = st.one_of(st.sampled_from(_box_edges(hw)), st.floats(-hw, hw),
+                         st.floats(-1e12, 1e12))
+    pos = np.array(data.draw(st.lists(position, min_size=1, max_size=40)), dtype=float)
+    cic = _CloudInCell(grid, pos.size)
+    cic.locate(pos)
+    for got, want in zip((cic.idx, cic.idx1, cic.w0, cic.w1), cloud_in_cell_oracle(grid, pos)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_deposit_unit_mass():
