@@ -16,7 +16,7 @@ Config grammar (flat key-value text, dotted section prefixes):
     discretization.t = 0.5              # horizon
     discretization.m = 100              # time steps
     particles.n = 2000
-    particles.seed = 1234
+    particles.seed = 1234               # integer in [0, 2^63)
     particles.bandwidth = auto          # auto | positive number
     picard.safety = 0.5
     picard.k_max = 25
@@ -83,7 +83,8 @@ _CALL_RE = re.compile(r"^([a-z_]+)\s*\((.*)\)$")
 
 
 def _parse_value(raw: str):
-    """number | word | name(arg, ...) with numeric or path arguments."""
+    """number | word | name(arg, ...) with numeric or path arguments.  An
+    integer literal stays an int, so a seed keeps every digit."""
     raw = raw.strip()
     m = _CALL_RE.match(raw)
     if m:
@@ -92,10 +93,12 @@ def _parse_value(raw: str):
             return (name, [args])
         parts = [a.strip() for a in args.split(",")] if args else []
         return (name, [float(a) for a in parts])
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    for number in (int, float):
+        try:
+            return number(raw)
+        except ValueError:
+            pass
+    return raw
 
 
 def parse_config_text(text: str) -> Dict[str, object]:
@@ -121,6 +124,14 @@ def parse_config_text(text: str) -> Dict[str, object]:
     if problems:
         raise ConfigError(problems)
     return out
+
+
+def _seed_problem(seed) -> Optional[str]:
+    """Why seed is no particle seed, or None: seeds are integers in [0, 2^63),
+    the range whose Philox key words keep every bit."""
+    if isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2 ** 63:
+        return None
+    return f"seed must be an integer in [0, 2^63), got {seed!r}"
 
 
 # initial.c0 forms and how many arguments each takes (missing ones default to 1)
@@ -175,7 +186,13 @@ class RunConfig:
             if not isinstance(v, (int, float)):
                 problems.append(f"{key}: expected a number, got {v!r}")
                 return default
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:   # an integer literal beyond the float range
+                v = math.inf
+            if not math.isfinite(v):
+                problems.append(f"{key}: expected a finite number, got {v:g}")
+                return default
             if cond is not None and not cond(v):
                 problems.append(f"{key}: {desc}, got {v:g}")
             return v
@@ -225,8 +242,12 @@ class RunConfig:
 
         n_part = num("particles.n", cfg.n_particles, lambda v: v >= 2 and v == int(v), "N must be an integer >= 2")
         cfg.n_particles = int(n_part)
-        seed_val = num("particles.seed", cfg.seed, lambda v: v == int(v) and v >= 0, "seed must be a nonnegative integer")
-        cfg.seed = int(seed_val)
+        seed = take("particles.seed", cfg.seed)
+        problem = _seed_problem(seed)
+        if problem:
+            problems.append(f"particles.seed: {problem}")
+        else:
+            cfg.seed = seed
         bw = take("particles.bandwidth", "auto")
         if bw == "auto":
             cfg.bandwidth = None
@@ -591,6 +612,19 @@ def _histogram_error_ratio(dens: np.ndarray, ref: np.ndarray, width: float,
     return float(np.max(np.abs(dens - ref) / (z * se + 0.14 * math.sqrt(dt))))
 
 
+def _attracting_sign_drift(beta: float, N: int):
+    """b(t, x) = beta sign(0 - x) for N positions, by the ufuncs of that
+    expression (signed zeros included) into one reused N-vector: the caller
+    must use the returned drift before the next call."""
+    buf = np.empty(N)
+
+    def drift(t: float, x: np.ndarray) -> np.ndarray:
+        np.subtract(0.0, x, out=buf)
+        np.sign(buf, out=buf)
+        return np.multiply(beta, buf, out=buf)
+    return drift
+
+
 def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
     from scipy import integrate
 
@@ -614,7 +648,7 @@ def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
 
         mesh = TimeMesh(1.0, 1000)
         beta = 0.5
-        ens = simulate_bounded_drift(lambda t, x: beta * np.sign(0.0 - x),
+        ens = simulate_bounded_drift(_attracting_sign_drift(beta, cfg.n_particles),
                                      lambda u: np.full_like(u, 1.0), mesh,
                                      cfg.n_particles, cfg.seed, drift_bound=beta,
                                      store_rows=[mesh.steps])
@@ -688,6 +722,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if args.seed is not None:
+        problem = _seed_problem(args.seed)
+        if problem:
+            print(f"--seed: {problem}", file=sys.stderr)
+            return 2
         cfg.seed = args.seed
     out = _out_dir(cfg, args.out)
     name = f"solve[{args.mode}]" if args.command == "solve" else args.command

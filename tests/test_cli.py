@@ -51,6 +51,8 @@ def mini_config(tmp_path, name="mini.cfg", **overrides):
 
 def test_parse_value_forms():
     assert _parse_value("1e-8") == 1e-8
+    assert _parse_value("9007199254740993") == 2 ** 53 + 1
+    assert type(_parse_value("256")) is int and type(_parse_value("256.0")) is float
     assert _parse_value("auto") == "auto"
     assert _parse_value("gaussian(0, 1)") == ("gaussian", [0.0, 1.0])
     assert _parse_value("samples(data/p0.txt)") == ("samples", ["data/p0.txt"])
@@ -312,6 +314,16 @@ def test_main_usage_errors_exit_2(tmp_path, capsys):
     assert "model.chi" in err and "model.kernel" in err
 
 
+@pytest.mark.parametrize("key, value", [("model.chi", "1" + "0" * 400), ("model.chi", "1e400"),
+                                        ("discretization.n", "1e400"),
+                                        ("discretization.n", "nan")])
+def test_non_finite_number_exits_2(tmp_path, capsys, key, value):
+    cfg = mini_config(tmp_path, **{key: value})
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), "solve"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected a finite number" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("c0", ["quadratic(1, 2)", "gaussian_bump(1, 0)",
                                 "gaussian_bump(1, -2)", "sine(0.3, 1, 5)"])
 def test_main_malformed_c0_exits_2(tmp_path, capsys, c0):
@@ -513,6 +525,37 @@ def test_seed_override_lands_in_report(tmp_path, monkeypatch):
     assert payload["seed"] == 777
 
 
+@pytest.mark.parametrize("seed", [str(2 ** 53 + 1), str(2 ** 63 - 1)])
+@pytest.mark.parametrize("source", ["particles.seed", "--seed"])
+def test_seed_keeps_every_digit(tmp_path, monkeypatch, source, seed):
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    out = tmp_path / "run"
+    if source == "--seed":
+        argv = ["--config", str(mini_config(tmp_path)), "--seed", seed]
+    else:
+        argv = ["--config", str(mini_config(tmp_path, **{source: seed}))]
+    assert cli.main([*argv, "--out", str(out), "particles"]) in (0, 1)
+    assert json.loads((out / "particles_report.json").read_text())["seed"] == int(seed)
+
+
+# argparse itself turns a non-integer --seed away
+@pytest.mark.parametrize("source, seed", [
+    *((source, seed) for source in ("particles.seed", "--seed")
+      for seed in ("-1", str(2 ** 63), str(2 ** 64 - 1))),
+    ("particles.seed", "7.0"), ("particles.seed", "1e3")])
+def test_seed_outside_the_philox_range_exits_2(tmp_path, monkeypatch, capsys, source, seed):
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    out = tmp_path / "run"
+    if source == "--seed":
+        argv = ["--config", str(mini_config(tmp_path)), "--seed", seed]
+    else:
+        argv = ["--config", str(mini_config(tmp_path, **{source: seed}))]
+    assert cli.main([*argv, "--out", str(out), "particles"]) == 2
+    err = capsys.readouterr().err
+    assert f"{source}: seed must be an integer in [0, 2^63)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["heat_only", "ou_surrogate", "full_model"])
 def test_solver_summaries_match_goldens(tmp_path, monkeypatch, name):
     monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
@@ -528,6 +571,19 @@ def test_solver_summaries_match_goldens(tmp_path, monkeypatch, name):
 
 
 # --- qz Monte Carlo histogram check -------------------------------------------
+
+
+def test_qz_sign_drift_in_place_keeps_the_bits_of_the_expression():
+    beta, N = 0.5, 400
+    drift = cli._attracting_sign_drift(beta, N)
+    x = np.resize([-2.0, -0.0, 0.0, 1e-300, np.inf, -np.inf, np.nan, 3.0], N)
+    assert drift(0.0, x).tobytes() == (beta * np.sign(0.0 - x)).tobytes()
+    mesh = TimeMesh(1.0, 50)
+    start = lambda u: np.where(u < 0.5, -0.0, 0.0)   # signed zeros at the attractor
+    kw = dict(mesh=mesh, N=N, seed=5, drift_bound=beta)
+    fused = simulate_bounded_drift(drift, start, **kw)
+    plain = simulate_bounded_drift(lambda t, x: beta * np.sign(0.0 - x), start, **kw)
+    assert fused.positions.tobytes() == plain.positions.tobytes()
 
 
 def test_qz_histogram_check_accepts_true_drift_and_rejects_wrong_drift():

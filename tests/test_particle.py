@@ -1,6 +1,7 @@
 """Interacting particle simulation, bounded-drift paths, KDE, history comparison."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -203,6 +204,118 @@ def test_no_noise_thread_outlives_a_simulation(monkeypatch):
     with pytest.raises(FloatingPointError, match="blew up"):
         simulate_bounded_drift(failing, lambda u: u - 0.5, TimeMesh(0.5, 9), N=64, seed=2)
     assert set(threading.enumerate()) == before
+
+
+PINNABLE = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                              reason="the platform cannot pin a thread to a CPU")
+
+
+def _affinity_spy(monkeypatch):
+    """Record, for each noise step, the CPU mask of the thread that draws it."""
+    masks, draw = {}, particle._Streams.draw
+
+    def spy(self, phase, k, out):
+        if phase == 1:
+            masks[k] = (threading.get_ident(), frozenset(os.sched_getaffinity(0)))
+        return draw(self, phase, k, out)
+
+    monkeypatch.setattr(particle._Streams, "draw", spy)
+    return masks
+
+
+@PINNABLE
+def test_current_cpu_is_the_cpu_a_pinned_thread_runs_on():
+    mask = os.sched_getaffinity(0)
+    try:
+        for cpu in sorted(mask):
+            os.sched_setaffinity(0, {cpu})
+            assert particle._current_cpu() == cpu
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@PINNABLE
+@pytest.mark.parametrize("main_at", [0, -1], ids=["first", "last"])
+def test_helper_draws_on_a_cpu_other_than_the_main_threads(monkeypatch, main_at):
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(particle, "_current_cpu", lambda: cpus[main_at])
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    masks = _affinity_spy(monkeypatch)
+    simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
+                           N=50, seed=4)
+    main = threading.get_ident()
+    helper = {mask for ident, mask in masks.values() if ident != main}
+    # one CPU, the next after the main thread's in sorted order: never the
+    # main thread's unless the process may use only that one
+    assert helper == {frozenset({cpus[(main_at + 1) % len(cpus)]})}
+
+
+@PINNABLE
+def test_main_thread_affinity_is_never_changed(monkeypatch):
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    # who pins: a mask read alone would miss a main thread pinned by an
+    # earlier test to the CPU it would be pinned to here
+    pinned_by, pin = [], os.sched_setaffinity
+
+    def spy(pid, cpus):
+        pinned_by.append(threading.get_ident())
+        return pin(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    before = os.sched_getaffinity(0)
+    simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
+                           N=64, seed=2)
+    assert os.sched_getaffinity(0) == before
+
+    def failing(t, x):
+        if t > 0.2:
+            raise FloatingPointError("drift blew up")
+        return np.zeros_like(x)
+
+    with pytest.raises(FloatingPointError, match="blew up"):
+        simulate_bounded_drift(failing, lambda u: u - 0.5, TimeMesh(0.5, 9), N=64, seed=2)
+    assert os.sched_getaffinity(0) == before
+    assert len(pinned_by) == 2 and threading.get_ident() not in pinned_by
+
+
+@PINNABLE
+def test_a_refused_pin_leaves_the_paths_as_they_are(monkeypatch):
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    refused = []
+
+    def refuse(pid, cpus):
+        refused.append(cpus)
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    keys, M, dt = np.arange(500), 9, 0.05
+    _, X = _euler_paths(np.zeros(keys.size), lambda k, x: np.cos(x), TimeMesh(M * dt, M),
+                        17, keys, None)
+    assert len(refused) == 1
+    x = np.zeros(keys.size)
+    for k in range(M):
+        x = (x + dt * np.cos(x)) + math.sqrt(dt) * step_noise_oracle(17, k, keys)
+        assert np.array_equal(X[k + 1], x)
+
+
+@PINNABLE
+def test_more_helpers_than_cpus_pin_cyclically_with_the_same_bits(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    # the main thread on the last CPU: helper i takes cpus[(i - 1) mod len]
+    monkeypatch.setattr(particle, "_current_cpu", lambda: cpus[-1])
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 4)
+    masks = _affinity_spy(monkeypatch)
+    keys, M, dt = np.arange(700), 13, 0.02
+    _, X = _euler_paths(np.zeros(keys.size), lambda k, x: np.sin(3.0 * x), TimeMesh(M * dt, M),
+                        8, keys, [M])
+    main = threading.get_ident()
+    for k, (ident, mask) in masks.items():
+        want = set(cpus) if k % 4 == 0 else {cpus[(k % 4 - 1) % len(cpus)]}
+        assert (ident == main) == (k % 4 == 0) and mask == want, k
+    x = np.zeros(keys.size)
+    for k in range(M):
+        x = (x + dt * np.sin(3.0 * x)) + math.sqrt(dt) * step_noise_oracle(8, k, keys)
+    assert np.array_equal(X[-1], x)
 
 
 def test_first_step_has_no_memory():
