@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .grid import Grid1D, TimeMesh, DensityField, heat_kernel
+from .grid import Grid1D, TimeMesh, DensityField, gauss_legendre, heat_kernel
 from .kernel import KernelSpec, check_hypotheses, find_T0, has_memory, horizon_D
 from .field import ChemicalField, InitialChemical, chemical_concentration, ks_residual
 from . import mild
@@ -583,15 +583,6 @@ def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
                       (np.array(ladder, dtype=float), np.array(l1s)))
 
 
-# Positive nodes of the 8-point Gauss-Legendre rule on [-1, 1] and their
-# weights (the rule is symmetric).  Tabulated: computing them is the qz
-# command's only LAPACK call, whose first use costs about 0.8 MB resident.
-_GL8_NODES = np.array([0.1834346424956498, 0.5255324099163290,
-                       0.7966664774136267, 0.9602898564975362])
-_GL8_WEIGHTS = np.array([0.3626837833783620, 0.3137066458778873,
-                         0.2223810344533745, 0.1012285362903763])
-
-
 def _histogram_error_ratio(dens: np.ndarray, ref: np.ndarray, width: float,
                            N: int, dt: float) -> float:
     """Worst bin of |dens - ref| / allowance; the check passes at <= 1.
@@ -604,11 +595,13 @@ def _histogram_error_ratio(dens: np.ndarray, ref: np.ndarray, width: float,
     jumps (weak order 1/2 there): at N = 1e6 that bin was off by 1.9e-2,
     9.8e-3 and 3.7e-3 at dt = 0.02, 0.008 and 0.004.
     """
-    from scipy import special
+    # statistics imports decimal, fractions and random (about 5 ms and
+    # 0.4 MB), which no other command needs
+    from statistics import NormalDist
 
     p = ref * width
     se = np.sqrt(p * (1.0 - p) / N) / width
-    z = float(special.ndtri(1.0 - QZ_HISTOGRAM_ALPHA / (2.0 * ref.size)))
+    z = NormalDist().inv_cdf(1.0 - QZ_HISTOGRAM_ALPHA / (2.0 * ref.size))
     return float(np.max(np.abs(dens - ref) / (z * se + 0.14 * math.sqrt(dt))))
 
 
@@ -625,18 +618,27 @@ def _attracting_sign_drift(beta: float, N: int):
     return drift
 
 
-def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
-    from scipy import integrate
+def _qz_mass(p: QZParams) -> float:
+    """Integral of qz_density(p, .) over 10 sqrt(t) + beta t + 2 beyond x and
+    y, by the 8-point Gauss-Legendre rule on panels split at x and y, where
+    the density has its kinks, and no wider than a quarter of its shortest
+    length scale, min(sqrt(t), 1 / beta)."""
+    w = 10.0 * math.sqrt(p.t) + p.beta * p.t + 2.0
+    scale = math.sqrt(p.t) if p.beta == 0.0 else min(math.sqrt(p.t), 1.0 / p.beta)
+    stops = [min(p.x, p.y) - w, min(p.x, p.y), max(p.x, p.y), max(p.x, p.y) + w]
+    edges = np.concatenate([stops[:1]] + [
+        np.linspace(a, b, math.ceil(4.0 * (b - a) / scale) + 1)[1:]
+        for a, b in zip(stops, stops[1:])])
+    nodes, weights = gauss_legendre(edges)
+    return float(np.sum(weights * qz_density(p, nodes)))
 
+
+def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
     with run.phase("qz"):
         worst_norm = 0.0
         for beta in (0.0, 0.25, 1.0, 4.0):
             for t in (0.1, 1.0, 5.0):
-                p = QZParams(beta=beta, y=0.3, x=-0.8, t=t)
-                w = 10.0 * math.sqrt(t) + beta * t + 2.0
-                val = integrate.quad(lambda z: qz_density(p, z), min(p.x, p.y) - w,
-                                     max(p.x, p.y) + w, points=[p.x, p.y],
-                                     limit=400, epsabs=1e-10, epsrel=1e-10)[0]
+                val = _qz_mass(QZParams(beta=beta, y=0.3, x=-0.8, t=t))
                 worst_norm = max(worst_norm, abs(val - 1.0))
         run.add("normalization", worst_norm, 1e-6, worst_norm <= 1e-6)
 
@@ -663,9 +665,8 @@ def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
         # smooth pieces; the attractor y = 0 is a bin center, so the kink falls
         # on a split point
         p_ref = QZParams(beta=beta, y=0.0, x=1.0, t=1.0)
-        x = _GL8_NODES
-        offsets = (width / 4.0) * np.concatenate([-1.0 - x, -1.0 + x, 1.0 - x, 1.0 + x])
-        ref = qz_density(p_ref, zs[:, None] + offsets) @ np.tile(_GL8_WEIGHTS, 4) / 4.0
+        nodes, weights = gauss_legendre(np.linspace(edges[0], edges[-1], 2 * zs.size + 1))
+        ref = np.sum((weights * qz_density(p_ref, nodes)).reshape(zs.size, -1), axis=1) / width
         mc_ratio = _histogram_error_ratio(dens, ref, width, ens.n_particles, mesh.dt)
         run.add("mc_histogram_sup", mc_ratio, 1.0, mc_ratio <= 1.0)
 

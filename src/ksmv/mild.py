@@ -290,7 +290,7 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     _check_p0(p0, grid)
     if start_drift is not None and chem is not None:
         raise ValueError("give chem or start_drift, not both")
-    q, E1 = _drift_symbols(spec, grid, mesh.dt)   # raises for custom kernels
+    q, E1 = _drift_symbols(spec, grid, mesh.dt)
     D = horizon_D(spec, mesh.horizon)
     if D >= 1.0:
         warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",

@@ -38,6 +38,8 @@ from typing import List
 
 import numpy as np
 
+from .special import binomial_sf, erfc
+
 # Family-wise false-alarm rate of the Monte Carlo histogram checks:
 # verify_bound's bins, and the mc_histogram_sup record of `ksmv qz`.
 QZ_HISTOGRAM_ALPHA = 1e-3
@@ -90,10 +92,8 @@ def qz_density(params: QZParams, z):
 def _tail_eval(t: float, a, beta: float):
     """(2 pi t)^{-1/2} int_{a / sqrt t}^inf  z e^{-(z - beta sqrt t)^2 / 2} dz
     in closed form, vectorized in a: Gaussian term plus an erfc tail."""
-    from scipy import special
-
     shift = (a - beta * t) / math.sqrt(2.0 * t)
-    return _gauss(t, a - beta * t) + beta / 2.0 * special.erfc(shift)
+    return _gauss(t, a - beta * t) + beta / 2.0 * erfc(shift)
 
 
 def qz_bound(t: float, x: float, y: float, beta: float) -> float:
@@ -161,8 +161,6 @@ def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
     Requires a deterministic start (ensemble.x0) and a declared drift bound
     no larger than beta; both are usage errors otherwise.
     """
-    from scipy import special
-
     if getattr(ensemble, "drift_bound", None) is None:
         raise ValueError("ensemble carries no declared drift bound")
     if ensemble.drift_bound > beta + 1e-12:
@@ -181,7 +179,7 @@ def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
         counts, _ = np.histogram(positions, bins=edges)
         nearest = np.clip(x0, edges[:-1], edges[1:])
         prob = np.minimum((edges[1] - edges[0]) * _tail_eval(t, np.abs(nearest - x0), beta), 1.0)
-        p_values = special.bdtrc(counts - 1, N, prob)
+        p_values = binomial_sf(counts, N, prob)
         centers = 0.5 * (edges[:-1] + edges[1:])
         for c, k, pb, pv in zip(centers, counts, prob, p_values):
             chk = BinCheck(t, float(c), int(k), float(pb), float(pv))

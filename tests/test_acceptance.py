@@ -55,15 +55,14 @@ def test_criterion_01_kernel_condition_suite():
             all_pass &= report.all_pass
             if lam == 0.0:
                 target = math.sqrt(2.0 * math.pi) * chi
-                vals = np.array([f1_profile(spec, mesh, k)
-                                 for k in range(1, mesh.steps + 1, 10)])
+                vals = f1_profile(spec, mesh.nodes[1::10])
                 worst_dev = max(worst_dev, float(np.max(np.abs(vals - target))) / target)
     # independent quadrature oracle for the plateau at one interior node
     spec1 = KernelSpec(chi=1.0, lam=0.0)
     oracle = integrate.quad(lambda s: kernel_l1_norm(spec1, 0.7 - s) / math.sqrt(s),
                             0.0, 0.7, epsabs=1e-10, limit=200)[0]
     k07 = int(round(0.7 / mesh.dt))
-    oracle_dev = abs(f1_profile(spec1, mesh, k07) - oracle) / oracle
+    oracle_dev = abs(float(f1_profile(spec1, mesh.nodes[k07])) - oracle) / oracle
     elapsed = time.perf_counter() - t_start
     ok = all_pass and worst_dev < 0.01 and oracle_dev < 0.01 and elapsed < 10.0
     record_criterion(1, ok, "kernel condition suite passes on the chi x lambda grid; "

@@ -9,20 +9,21 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from ksmv import cli
 from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       RunReport, write_csv, write_plot_table, write_history_csv,
                       write_field_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv import kernel
-from ksmv.kernel import (find_T0, has_memory, horizon_D, integrated_kernel_symbol,
+from ksmv.kernel import (KernelSpec, find_T0, has_memory, horizon_D, integrated_kernel_symbol,
                          kernel_eval, kernel_l1_norm, kernel_l2_norm)
 from ksmv.field import ChemicalField, drift_b
+from ksmv import mild
 from ksmv.mild import MarginalHistory
 from ksmv.particle import simulate_bounded_drift
 from ksmv.qz import QZParams, qz_density
@@ -117,9 +118,12 @@ def test_module_docstring_example_config_parses():
 def test_none_kernel_builds_zero_interaction():
     cfg = RunConfig.from_file(str(REPO / "configs" / "heat_only.cfg"))
     spec = cfg.make_spec()
-    assert spec.kind == "none" and spec.eval_fn is None
+    assert spec.kind == "none"
     assert spec.chi == 1.0 and spec.chi_eff == 0.0
     assert not has_memory(spec)
+    hist = mild.march(cfg.make_p0(cfg.make_grid()), KernelSpec(chi=1.0, lam=0.3), None,
+                      cfg.make_grid(), cfg.make_mesh())
+    assert np.all(mild.memory_drift(hist, spec, cfg.steps) == 0.0)
     assert np.all(kernel_eval(spec, 0.3, np.linspace(-2, 2, 9)) == 0.0)
     assert kernel_l1_norm(spec, 0.3) == 0.0 and kernel_l2_norm(spec, 0.3) == 0.0
     grid = cfg.make_grid()
@@ -434,20 +438,15 @@ def test_check_kernel_passes_when_D_saturates_below_safety(tmp_path, monkeypatch
 
 
 def test_check_kernel_on_none_kernel_uses_closed_forms(tmp_path, monkeypatch):
-    # kind "none" is the chemotaxis kernel at chi_eff = 0: H.4-H.6 come from
-    # the closed forms at bound 0, not from custom-kernel quadrature
+    # kind "none" is the chemotaxis kernel at chi_eff = 0: every closed form
+    # reads 0, so H.1's increments and H.4-H.6 are 0 against bound 0
     monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("custom-kernel quadrature on model.kernel = none")
-
-    for name in ("_custom_norm_quad", "_f_custom", "_theta_custom"):
-        monkeypatch.setattr(kernel, name, forbidden)
     out = tmp_path / "ck"
     assert cli.main(["--config", str(REPO / "configs" / "heat_only.cfg"), "--out", str(out),
                      "check-kernel"]) == 0
     records = {r["name"]: r for r in
                json.loads((out / "check_kernel_report.json").read_text())["records"]}
+    assert records["H1"]["value"] == 0.0 and records["H1"]["passed"]
     for item in ("H4", "H5", "H6"):
         assert (records[item]["value"], records[item]["bound"]) == (0.0, 0.0)
         assert records[item]["passed"]
@@ -476,19 +475,38 @@ def test_check_kernel_prints_each_item_and_one_T0_at_the_configured_safety(
     assert D0 == pytest.approx(0.3, rel=1e-9)
 
 
-# numpy is all `ksmv solve` needs; scipy is loaded by the functions that use it,
-# and concurrent.futures (which imports logging) by the particle stepper
+# numpy is all any command needs: a meta-path finder makes every scipy import
+# raise, and each command form runs on each shipped config.  concurrent.futures
+# (which imports logging) is loaded by the particle stepper, not at import
 _SCIPY_FREE_PROBE = """
 import contextlib, io, json, sys
-loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
 import ksmv.cli as cli
-seen = {"import": loaded(), "futures_at_import": "concurrent.futures" in sys.modules}
-for mode in cli.SOLVE_MODES:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "solve", "--mode", mode])
-    seen[mode] = loaded() if code == 0 else f"exit {code}"
+seen = {"futures_at_import": "concurrent.futures" in sys.modules}
+commands = json.loads(sys.argv[1])
+for config, out in zip(sys.argv[2::2], sys.argv[3::2]):
+    for command in commands:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = cli.main(["--config", config, "--out", out, *command.split()])
+            except Exception as exc:
+                code = repr(exc)
+        seen[out + ":" + command] = code
 print(json.dumps(seen))
 """
+
+_REPORTS = {"check-kernel": "check_kernel_report.json",
+            "solve --mode march": "solve_report_march.json",
+            "solve --mode picard_with_restart": "solve_report_picard_with_restart.json",
+            "picard": "picard_report.json", "particles": "particles_report.json",
+            "qz": "qz_report.json"}
 
 
 def test_import_and_solve_load_no_scipy(tmp_path):
@@ -496,12 +514,19 @@ def test_import_and_solve_load_no_scipy(tmp_path):
            "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
                                           os.environ.get("PYTHONPATH", "")])}
     env.pop(cli.ENV_OUT_DIR, None)
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PROBE,
-                           str(REPO / "configs" / "full_model.cfg"), str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    configs = sorted((REPO / "configs").glob("*.cfg"))
+    assert len(configs) == 3
+    args = [str(a) for cfg in configs for a in (cfg, tmp_path / cfg.stem)]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PROBE, json.dumps(list(_REPORTS)),
+                           *args],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {"import": [], "futures_at_import": False, "march": [],
-                    "picard_with_restart": []}
+    assert seen.pop("futures_at_import") is False
+    assert seen == {f"{tmp_path / cfg.stem}:{command}": 0
+                    for cfg in configs for command in _REPORTS}
+    for cfg in configs:
+        for report in _REPORTS.values():
+            assert json.loads((tmp_path / cfg.stem / report).read_text())["records"]
 
 
 def test_out_dir_env_and_flag_precedence(tmp_path, monkeypatch):
@@ -603,6 +628,9 @@ def test_qz_histogram_check_accepts_true_drift_and_rejects_wrong_drift():
                          for a, b in zip(edges[:-1], edges[1:])])
 
     assert cli._histogram_error_ratio(dens, bin_means(0.5), width, N, mesh.dt) <= 1.0
+    # the Bonferroni quantile comes from statistics.NormalDist
+    for q in (0.5, 0.975, 1.0 - cli.QZ_HISTOGRAM_ALPHA / (2.0 * zs.size), 1.0 - 1e-12):
+        assert NormalDist().inv_cdf(q) == pytest.approx(special.ndtri(q), rel=1e-14, abs=1e-15)
     for wrong in (0.25, 0.75):
         assert cli._histogram_error_ratio(dens, bin_means(wrong), width, N, mesh.dt) > 1.0
 
@@ -622,3 +650,12 @@ def test_qz_command_bin_means_match_per_bin_quadrature(tmp_path, monkeypatch):
                            points=[0.0] if abs(c) < width / 2.0 else None,
                            epsabs=1e-14)[0] / width for c in zs]
     assert np.max(np.abs(ref - want)) <= 1e-12
+    # the normalization record's panel rule against adaptive quadrature
+    for beta in (0.0, 0.25, 1.0, 4.0):
+        for t in (0.1, 1.0, 5.0):
+            p = QZParams(beta=beta, y=0.3, x=-0.8, t=t)
+            w = 10.0 * math.sqrt(t) + beta * t + 2.0
+            want = integrate.quad(lambda z: qz_density(p, z), min(p.x, p.y) - w,
+                                  max(p.x, p.y) + w, points=[p.x, p.y],
+                                  limit=400, epsabs=1e-13, epsrel=1e-13)[0]
+            assert abs(cli._qz_mass(p) - want) <= 1e-12

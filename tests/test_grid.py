@@ -1,7 +1,5 @@
-"""Grid, mesh, density container, heat kernel, convolution, singular weights.
-
-The singular weights of a plain (t_k - s)^{-gamma} integral are
-kernel.pair_singular_weights with beta_exp = 0."""
+"""Grid, mesh, density container, heat kernel, convolution, and the composite
+Gauss-Legendre weights (with the arcsin-adapted nodes the H.6 check uses)."""
 
 import math
 
@@ -10,14 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from ksmv.grid import (Grid1D, TimeMesh, DensityField, heat_kernel, convolve,
-                       singular_eval_nodes)
-from ksmv.kernel import pair_singular_weights
-
-
-def singular_weights(mesh, k, gamma):
-    """w_l = int_{t_l}^{t_{l+1}} (t_k - s)^{-gamma} ds for l < k."""
-    return pair_singular_weights(mesh.nodes, k, mesh.nodes[k], gamma, 0.0)
+from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel, convolve, gauss_legendre
 
 
 # --- containers ------------------------------------------------------------
@@ -164,64 +155,47 @@ def test_convolve_rejects_mismatch_and_bad_method():
         convolve(np.zeros(32), np.zeros(32), g, method="spline")
 
 
-# --- singular product-integration weights ----------------------------------
+# --- composite Gauss-Legendre weights --------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
-@given(gamma=st.floats(0.05, 0.95), k=st.integers(1, 40))
-def test_weights_positive_and_sum_closed_form(gamma, k):
-    mesh = TimeMesh(1.3, 40)
-    w = singular_weights(mesh, k, gamma)
-    assert w.shape == (k,)
+@given(panels=st.integers(1, 40), a=st.floats(-5.0, 5.0), length=st.floats(0.1, 10.0))
+def test_weights_positive_and_sum_closed_form(panels, a, length):
+    edges = np.linspace(a, a + length, panels + 1)
+    nodes, w = gauss_legendre(edges)
+    assert nodes.shape == w.shape == (panels, 8)
     assert np.all(w > 0)
-    tk = mesh.nodes[k]
-    assert np.sum(w) == pytest.approx(tk ** (1.0 - gamma) / (1.0 - gamma), rel=1e-12)
+    assert np.sum(w) == pytest.approx(length, rel=1e-13)
+    assert np.all(np.diff(nodes.ravel()) > 0)
+    assert np.all((nodes > edges[:-1, None]) & (nodes < edges[1:, None]))
 
 
 def test_weights_constant_integrand_exact():
-    mesh = TimeMesh(2.0, 25)
-    for k in (1, 10, 25):
-        w = singular_weights(mesh, k, 0.5)
-        assert np.sum(w) == pytest.approx(2.0 * math.sqrt(mesh.nodes[k]), rel=1e-13)
+    # 8 nodes a panel: exact for degree 15, on uneven panels too
+    edges = np.array([-1.0, -0.3, 0.2, 1.1, 2.0])
+    nodes, w = gauss_legendre(edges)
+    assert np.sum(w) == pytest.approx(3.0, rel=1e-15)
+    assert np.sum(w * nodes ** 15) == pytest.approx((2.0 ** 16 - 1.0) / 16.0, rel=1e-14)
 
 
 def test_weights_single_subinterval():
-    mesh = TimeMesh(1.0, 10)
-    w = singular_weights(mesh, 1, 0.3)
-    exact, _ = integrate.quad(lambda s: (mesh.dt - s) ** -0.3, 0, mesh.dt)
-    assert w[0] == pytest.approx(exact, rel=1e-9)
-
-
-def test_weights_reject_bad_gamma_and_k():
-    # non-integrable exponents, node indices off the mesh, total before t_k
-    mesh = TimeMesh(1.0, 10)
-    for gamma in (1.0, 1.5):
-        with pytest.raises(ValueError):
-            singular_weights(mesh, 5, gamma)
-        with pytest.raises(ValueError):
-            pair_singular_weights(mesh.nodes, 5, 1.0, 0.5, gamma)
-    for k in (0, 11):
-        with pytest.raises(ValueError):
-            pair_singular_weights(mesh.nodes, k, 1.0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        pair_singular_weights(mesh.nodes, 5, 0.4, 0.5, 0.5)
+    nodes, w = gauss_legendre([0.0, 1.0])
+    assert np.sum(w * np.exp(nodes)) == pytest.approx(math.e - 1.0, rel=1e-15)
+    # the pole at -1 limits one panel to about rho^-16, rho = 3 + sqrt(8)
+    assert np.sum(w / (1.0 + nodes)) == pytest.approx(math.log(2.0), rel=1e-11)
 
 
 def test_beta_integral_with_adapted_nodes():
-    # int_0^1 (1-s)^{-1/2} s^{-1/2} ds = pi; the sqrt-adapted in-cell nodes
-    # keep the frozen-factor rule accurate at both singular endpoints
-    mesh = TimeMesh(1.0, 200)
-    k = mesh.steps
-    w = singular_weights(mesh, k, 0.5)
-    s_star = singular_eval_nodes(mesh, k)
-    approx = float(np.sum(w * s_star ** -0.5))
-    assert approx == pytest.approx(math.pi, rel=1e-2)
-
-
-def test_adapted_nodes_first_cell_exact():
-    mesh = TimeMesh(1.0, 50)
-    s_star = singular_eval_nodes(mesh, 5)
-    # dt * (s*_0)^{-1/2} = int_0^dt s^{-1/2} ds = 2 sqrt(dt)
-    assert mesh.dt * s_star[0] ** -0.5 == pytest.approx(2.0 * math.sqrt(mesh.dt), rel=1e-13)
-    assert s_star.shape == (5,)
-    assert np.all(np.diff(s_star) > 0)
+    # s = tau sin^2(theta) turns (tau - s)^{-1/2} s^{-1/2} ds into 2 dtheta,
+    # so the Gauss-Legendre rule in theta takes both singular ends exactly:
+    # int_0^1 (1-s)^{-1/2} s^{-1/2} ds = pi and int_0^1 (1-s)^{-1/2} s^{1/2} ds = pi/2
+    theta, w = gauss_legendre(np.linspace(0.0, math.pi / 2.0, 3))
+    assert 2.0 * np.sum(w) == pytest.approx(math.pi, rel=1e-15)
+    assert 2.0 * np.sum(w * np.sin(theta) ** 2) == pytest.approx(math.pi / 2.0, rel=1e-14)
+    # stopping at T < tau: int_0^T (tau - s)^{-1/2} s^{-1/2} e^{-s} ds
+    T, tau = 0.6, 1.0
+    theta, w = gauss_legendre(np.linspace(0.0, math.asin(math.sqrt(T / tau)), 4))
+    got = 2.0 * np.sum(w * np.exp(-tau * np.sin(theta) ** 2))
+    want, _ = integrate.quad(lambda s: math.exp(-s) / math.sqrt(tau - s), 0.0, T,
+                             weight="alg", wvar=(-0.5, 0.0))
+    assert got == pytest.approx(want, rel=1e-13)

@@ -1,7 +1,6 @@
 """Kernel closed forms, Fourier symbols, hypothesis checker, contraction horizon."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, kernel_l2_norm
                          time_integrated_kernel, time_integrated_abs_kernel,
                          kernel_symbol, integrated_kernel_symbol, f1_profile,
                          f2_profile, restart_profile, check_hypotheses,
-                         horizon_D, find_T0, _theta_custom)
+                         horizon_D, find_T0)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -42,8 +41,9 @@ def test_spec_validation():
         KernelSpec(normalization="fourier")
     with pytest.raises(ValueError):
         KernelSpec(kind="ripley")
-    with pytest.raises(ValueError):
-        KernelSpec(kind="custom")     # custom needs eval_fn
+    # no kernel but the chemotaxis one (or none) reaches the checker or a solver
+    with pytest.raises(ValueError, match="keller_segel or none"):
+        KernelSpec(kind="custom")
 
 
 def test_chi_eff_normalizations():
@@ -194,35 +194,66 @@ def test_integrated_symbol_vs_quad():
 def test_f1_plateau_constant_at_zero_decay():
     spec = KernelSpec(chi=1.0, lam=0.0)
     mesh = TimeMesh(1.0, 200)
-    vals = [f1_profile(spec, mesh, k) for k in (1, 5, 50, 200)]
-    for v in vals:
-        assert v == pytest.approx(SQRT_2PI, rel=1e-10)
+    for v in f1_profile(spec, mesh.nodes[[1, 5, 50, 200]]):
+        assert v == pytest.approx(SQRT_2PI, rel=1e-14)
 
 
 def test_f2_plateau_value():
     spec = KernelSpec(chi=1.0, lam=0.0)
-    mesh = TimeMesh(1.0, 200)
     want = math.pi ** 0.75 / math.sqrt(2.0)
-    assert f2_profile(spec, mesh, 200) == pytest.approx(want, rel=1e-10)
+    assert f2_profile(spec, 1.0) == pytest.approx(want, rel=1e-14)
+
+
+def _quad_profile(lam, T, alpha, s_exp, shift=0.0):
+    # int_0^T e^{-lam tau'} tau'^{-alpha} s^{-s_exp} ds, tau' = T + shift - s, by
+    # QUADPACK's QAWS rule, which takes the algebraic end singularities exactly
+    if shift == 0.0:
+        return integrate.quad(lambda s: math.exp(-lam * (T - s)), 0.0, T,
+                              weight="alg", wvar=(-s_exp, -alpha))[0]
+    return integrate.quad(lambda s: math.exp(-lam * (T + shift - s)) * (T + shift - s) ** -alpha,
+                          0.0, T, weight="alg", wvar=(-s_exp, 0.0))[0]
 
 
 def test_f1_vs_quadrature_with_decay():
-    spec = KernelSpec(chi=1.0, lam=0.8)
-    mesh = TimeMesh(1.0, 200)
-    t = 1.0
-    want, _ = integrate.quad(lambda s: kernel_l1_norm(spec, t - s) / math.sqrt(s),
-                             0, t, points=[0, t], limit=400)
-    # frozen-decay-factor error at M=200 sits around 7e-5 relative
-    assert f1_profile(spec, mesh, 200) == pytest.approx(want, rel=2e-4)
+    for lam in (0.0, 0.5, 0.8, 32.0):
+        spec = KernelSpec(chi=1.0, lam=lam)
+        for t in (0.01, 0.5, 1.0):
+            want = math.sqrt(2.0 / math.pi) * _quad_profile(lam, t, 0.5, 0.5)
+            assert float(f1_profile(spec, t)) == pytest.approx(want, rel=1e-11)
+
+
+def test_f2_vs_quadrature_with_decay():
+    for lam in (0.0, 0.5, 32.0):
+        spec = KernelSpec(chi=1.0, lam=lam)
+        for t in (0.01, 0.5, 1.0):
+            want = 0.5 * math.pi ** -0.25 * _quad_profile(lam, t, 0.75, 0.25)
+            assert float(f2_profile(spec, t)) == pytest.approx(want, rel=1e-11)
+
+
+def test_profiles_stay_finite_and_positive_at_large_decay():
+    # e^{-z} M(a, 1, z) ~ z^{a-1} / Gamma(a): no overflow at lambda t = 1e3
+    spec = KernelSpec(chi=1.0, lam=1e3)
+    f1, f2 = float(f1_profile(spec, 1.0)), float(f2_profile(spec, 1.0))
+    assert f1 == pytest.approx(SQRT_2PI / math.sqrt(math.pi * 1e3), rel=1e-3)
+    assert f2 == pytest.approx(0.5 * math.pi ** -0.25 * math.pi * math.sqrt(2.0)
+                               * 1e3 ** -0.25 / math.gamma(0.75), rel=1e-3)
+    assert restart_profile(spec, 1.0, 0.0) == pytest.approx(f1, rel=1e-12)
 
 
 def test_restart_profile_closed_form():
-    spec = KernelSpec(chi=1.0, lam=0.0)
-    mesh = TimeMesh(0.4, 100)
-    for shift in (0.0, 0.1, 0.4):
-        want = math.sqrt(2.0 / math.pi) * 2.0 * math.asin(
-            math.sqrt(mesh.horizon / (mesh.horizon + shift)))
-        assert restart_profile(spec, mesh, shift) == pytest.approx(want, rel=1e-8)
+    T = 0.4
+    for lam in (0.0, 0.5, 32.0):
+        spec = KernelSpec(chi=1.0, lam=lam)
+        for shift in (0.0, 0.1, 0.4):
+            got = restart_profile(spec, T, shift)
+            if lam == 0.0:
+                want = math.sqrt(2.0 / math.pi) * 2.0 * math.asin(math.sqrt(T / (T + shift)))
+                assert got == pytest.approx(want, rel=1e-14)
+            want = math.sqrt(2.0 / math.pi) * _quad_profile(lam, T, 0.5, 0.5, shift)
+            assert got == pytest.approx(want, rel=1e-11)
+        # at shift 0 the restart integral is f1 at the horizon
+        assert restart_profile(spec, T, 0.0) == pytest.approx(float(f1_profile(spec, T)),
+                                                              rel=1e-13)
 
 
 # --- hypothesis checker ----------------------------------------------------
@@ -244,37 +275,6 @@ def test_checker_f1_plateau_within_one_percent():
     rep = check_hypotheses(KernelSpec(chi=1.0, lam=0.0), 1.0, g, mesh)
     assert rep.f1_sup == pytest.approx(SQRT_2PI, rel=1e-2)
     assert find_T0(KernelSpec(chi=1.0, lam=0.0), 0.5) == pytest.approx(math.pi / 32.0, rel=1e-10)
-
-
-def test_checker_flags_non_integrable_custom_kernel():
-    bad = KernelSpec(chi=1.0, kind="custom",
-                     eval_fn=lambda t, x: np.sign(np.asarray(x, dtype=float)) * t ** -1.5)
-    g = Grid1D(10.0, 256)
-    mesh = TimeMesh(1.0, 50)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rep = check_hypotheses(bad, 1.0, g, mesh)
-    assert not rep.items["H1"].passed
-    assert rep.items["H1"].value == math.inf
-    assert not rep.items["H5"].passed
-    assert not rep.all_pass
-    # singular at an interior time: Theta_t is finite at the early samples only
-    late = KernelSpec(chi=1.0, kind="custom",
-                      eval_fn=lambda t, x: np.sign(np.asarray(x, dtype=float)) * abs(t - 0.5) ** -1.5)
-    assert not check_hypotheses(late, 1.0, g, mesh).items["H5"].passed
-
-
-def test_custom_route_theta_matches_closed_form():
-    # the chemotaxis kernel handed to the checker as a custom kernel
-    g = Grid1D(10.0, 256)
-    for lam in (0.0, 0.5):
-        spec = KernelSpec(chi=1.0, lam=lam)
-        custom = KernelSpec(chi=1.0, lam=lam, kind="custom",
-                            eval_fn=lambda t, x, spec=spec: kernel_eval(spec, t, x))
-        for t in (0.1, 1.0):
-            off0 = g.x != 0.0     # the closed form takes the limit chi_eff at u = 0
-            got = _theta_custom(custom, t, g.x)[off0]
-            assert np.max(np.abs(got - time_integrated_abs_kernel(spec, t, g.x)[off0])) <= 1e-12
 
 
 def test_checker_requires_positive_horizon_and_trials():
@@ -314,6 +314,7 @@ def test_find_T0_with_decay_hits_safety():
     spec = KernelSpec(chi=1.0, lam=0.5)
     T0 = find_T0(spec, 0.5)
     assert horizon_D(spec, T0) == pytest.approx(0.5, abs=1e-10)
+    assert T0 == 0.10153104426762156
 
 
 def _brentq_T0(spec, safety):
@@ -351,40 +352,6 @@ def test_find_T0_near_saturation(gap):
     assert math.isfinite(T0) and T0 > 0.0
     assert abs(horizon_D(spec, T0) - 0.5) <= 1e-15 * 0.5
     assert horizon_D(spec, T0) <= 0.5
-
-
-def test_find_T0_custom_kernel_uses_quadrature_root():
-    # ||K_t||_L1 = 2 e^{-t}, so D(T) = 2 (1 - e^{-T}) and D(T0) = 1/2 at T0 = -log(3/4)
-    custom = KernelSpec(kind="custom", eval_fn=lambda t, x: -x * np.exp(-x * x / 2.0 - t))
-    assert find_T0(custom, 0.5) == pytest.approx(-math.log(0.75), rel=1e-10)
-
-
-def test_find_T0_custom_kernel_evaluates_each_horizon_once(monkeypatch):
-    # D(T) = 2 (1 - e^{-T}) stands in for the quadrature; brentq reuses the
-    # values the bracketing computed at both ends of its bracket
-    import ksmv.kernel as kernel_mod
-
-    seen = []
-
-    def counted_D(spec, T):
-        assert T not in seen, f"D({T!r}) evaluated twice"
-        seen.append(T)
-        return 2.0 * (1.0 - math.exp(-T))
-
-    monkeypatch.setattr(kernel_mod, "horizon_D", counted_D)
-    custom = KernelSpec(kind="custom", eval_fn=lambda t, x: -x * np.exp(-x * x / 2.0 - t))
-    assert find_T0(custom, 0.5) == pytest.approx(-math.log(0.75), rel=1e-10)
-    assert {1.0, 0.5, 0.25} <= set(seen)
-
-
-def test_find_T0_custom_kernel_with_singular_norm_matches_closed_form():
-    # ||K_t||_L1 ~ t^{-1/2} as t -> 0: no D(T) quadrature converges at a
-    # bracket as small as 1e-300, so the root is bracketed from above
-    spec = KernelSpec(chi=1.0, lam=0.5)
-    custom = KernelSpec(kind="custom", chi=1.0, lam=0.5,
-                        eval_fn=lambda t, x: kernel_eval(spec, t, x))
-    assert find_T0(spec, 0.5) == 0.10153104426762156
-    assert find_T0(custom, 0.5) == pytest.approx(0.10153104426762156, rel=1e-8)
 
 
 def test_find_T0_saturating_decay_returns_inf():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
-from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, integrated_kernel_symbol,
+from ksmv.kernel import (KernelSpec, kernel_l1_norm, integrated_kernel_symbol,
                          symbol_decay)
 from ksmv.field import InitialChemical, drift_b
 from ksmv.mild import (MarginalHistory, SchemeInstabilityError,
@@ -127,27 +127,6 @@ def test_memory_drift_causal_bit_for_bit(k):
     a = memory_drift(hist, spec, k)
     b = memory_drift(censored, spec, k)
     assert np.array_equal(a, b)
-
-
-def test_memory_drift_rejects_custom_kernels():
-    # custom kernels are for the checker; the solvers take the chemotaxis
-    # kernel or kind "none" (model.kernel = none, no memory drift)
-    base = KernelSpec(chi=1.0, lam=0.3)
-    custom = KernelSpec(chi=1.0, lam=0.3, kind="custom",
-                        eval_fn=lambda t, x: kernel_eval(base, t, x))
-    hist = frozen_gaussian_history(G12, MESH200)
-    g, mesh = Grid1D(10.0, 64), TimeMesh(0.1, 5)
-    p0 = gaussian_density(g, 0.5)
-    calls = (lambda: memory_drift(hist, custom, 100),
-             lambda: march(p0, custom, None, g, mesh),
-             lambda: picard(p0, custom, None, g, mesh),
-             lambda: solve_global(p0, custom, None, g, 0.1, mode="picard_with_restart",
-                                  steps=5))
-    for call in calls:
-        with pytest.raises(ValueError, match="custom kernels"):
-            call()
-    none = KernelSpec(chi=1.0, lam=0.3, kind="none")
-    assert np.all(memory_drift(hist, none, 100) == 0.0)
 
 
 def test_memory_drift_zero_coupling_shortcut():

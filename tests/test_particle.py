@@ -47,10 +47,6 @@ def test_rejects_small_ensembles_and_bad_args():
     for bad in (np.arange(-1, 7), np.arange(8) + 0.5, np.arange(8.0)):
         with pytest.raises(ValueError, match="particle_keys"):
             simulate_particles(8, p0, FREE, None, mesh, seed=1, particle_keys=bad)
-    custom = KernelSpec(chi=1.0, kind="custom", eval_fn=lambda t, x: np.ones_like(x))
-    for interaction in ("pairwise", "binned"):
-        with pytest.raises(ValueError, match="custom kernels"):
-            simulate_particles(8, p0, custom, None, mesh, seed=1, interaction=interaction)
 
 
 def test_x0_property_detects_deterministic_start():
