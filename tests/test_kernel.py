@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize
 
 from ksmv.grid import Grid1D, TimeMesh
 from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, kernel_l2_norm,
