@@ -129,6 +129,23 @@ def test_memory_drift_causal_bit_for_bit(k):
     assert np.array_equal(a, b)
 
 
+def test_memory_drift_rejects_custom_kernels():
+    # the solvers take the chemotaxis kernel or kind "none" (model.kernel =
+    # none, no memory drift); a custom kernel is refused before any solver runs
+    with pytest.raises(ValueError, match="keller_segel or none"):
+        KernelSpec(chi=1.0, lam=0.3, kind="custom")
+    hist = frozen_gaussian_history(G12, MESH200)
+    none = KernelSpec(chi=1.0, lam=0.3, kind="none")
+    assert np.all(memory_drift(hist, none, 100) == 0.0)
+    g, mesh = Grid1D(10.0, 64), TimeMesh(0.1, 5)
+    p0 = gaussian_density(g, 0.5)
+    heat = march(p0, KernelSpec(chi=0.0), None, g, mesh)
+    for hist_none in (march(p0, none, None, g, mesh),
+                      solve_global(p0, none, None, g, 0.1, mode="picard_with_restart",
+                                   steps=5)):
+        assert np.array_equal(hist_none.densities, heat.densities)
+
+
 def test_memory_drift_zero_coupling_shortcut():
     hist = frozen_gaussian_history(G12, MESH200)
     B = memory_drift(hist, KernelSpec(chi=0.0), 17)
