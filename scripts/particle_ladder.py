@@ -40,7 +40,6 @@ def main(argv=None) -> int:
     ap.add_argument("--t-final", type=float, default=1.0)
     ap.add_argument("--steps", type=int, default=200)
     ap.add_argument("--seed", type=int, default=1234)
-    ap.add_argument("--interaction", choices=("pairwise", "binned"), default="binned")
     ap.add_argument("--ladder", type=str, default="500,1000,2000,4000",
                     help="comma-separated ensemble sizes")
     ap.add_argument("--out", type=Path, default=None, help="optional CSV path")
@@ -59,8 +58,7 @@ def main(argv=None) -> int:
     print(f"{'N':>8} {'l1_gap':>10} {'seconds':>8}")
     for N in sizes:
         t0 = time.perf_counter()
-        ens = simulate_particles(N, p0, spec, chem, mesh, seed=args.seed,
-                                 interaction=args.interaction)
+        ens = simulate_particles(N, p0, spec, chem, mesh, seed=args.seed)
         kde = kde_density(ens, mesh.steps)
         wall = time.perf_counter() - t0
         gap = float(np.sum(np.abs(kde.values - ref_final)) * grid.h)

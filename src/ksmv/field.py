@@ -21,7 +21,8 @@ Two routes to the chemical gradient exist on purpose:
   independent cross-check at O(h^2) + O(dt^2) accuracy.
 
 The exogenous drift is b(t, x) = chi e^{-lambda t} E[c0'(x + W_t)], bounded
-by chi ||c0'||_inf for all times.
+by chi ||c0'||_inf for all times, and evaluated spectrally on the chemical's
+grid.
 """
 
 from __future__ import annotations
@@ -49,16 +50,14 @@ __all__ = [
 class InitialChemical:
     """Initial chemical concentration c0 with its derivative, sampled on a grid.
 
-    closed_form_tag enables analytic drift oracles:
-      "sine":          c0 = amp * sin(freq x)
-      "gaussian_bump": c0 = amp * exp(-x^2 / (2 width^2))
-      "custom":        samples only
+    params holds the parameters of the closed-form builders:
+      sine:          c0 = amp * sin(freq x), freq as snapped to the grid
+      gaussian_bump: c0 = amp * exp(-x^2 / (2 width^2))
     """
 
     grid: Grid1D
     c0: np.ndarray
     c0_prime: np.ndarray
-    closed_form_tag: str = "custom"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -79,14 +78,13 @@ class InitialChemical:
         freq_eff = max(1, round(freq / fund)) * fund
         x = grid.x
         return cls(grid, amp * np.sin(freq_eff * x), amp * freq_eff * np.cos(freq_eff * x),
-                   "sine", {"amp": amp, "freq": freq_eff})
+                   {"amp": amp, "freq": freq_eff})
 
     @classmethod
     def gaussian_bump(cls, grid: Grid1D, amp: float = 1.0, width: float = 1.0) -> "InitialChemical":
         x = grid.x
         c0 = amp * np.exp(-x * x / (2.0 * width ** 2))
-        return cls(grid, c0, -x / width ** 2 * c0, "gaussian_bump",
-                   {"amp": amp, "width": width})
+        return cls(grid, c0, -x / width ** 2 * c0, {"amp": amp, "width": width})
 
     @classmethod
     def from_samples(cls, grid: Grid1D, c0: np.ndarray,
@@ -94,7 +92,7 @@ class InitialChemical:
         c0 = np.asarray(c0, dtype=float)
         if c0_prime is None:
             c0_prime = (np.roll(c0, -1) - np.roll(c0, 1)) / (2.0 * grid.h)
-        return cls(grid, c0, c0_prime, "custom")
+        return cls(grid, c0, c0_prime)
 
     def derivative_residual(self) -> float:
         """Max deviation of c0_prime from the periodic central difference of c0.
@@ -122,45 +120,19 @@ class ChemicalField:
         return float(np.max(np.abs(cd - self.gradient)))
 
 
-def drift_b(spec: KernelSpec, chem: Optional[InitialChemical], t: float, x=None) -> np.ndarray:
-    """Exogenous drift b(t, .) = chi e^{-lambda t} (c0' * g(t, .)).
-
-    With x=None returns the drift on the chemical's grid (spectral
-    evaluation); with an array x, closed-form tags are evaluated exactly and
-    sampled chemicals are linearly interpolated from the grid.
-    At t = 0 the convolution is the identity, so b(0, .) = chi c0'.
+def drift_b(spec: KernelSpec, chem: InitialChemical, t: float) -> np.ndarray:
+    """Exogenous drift b(t, .) = chi e^{-lambda t} (c0' * g(t, .)) on the
+    chemical's grid, by spectral evaluation.  At t = 0 the convolution is the
+    identity, so b(0, .) = chi c0'.
     """
-    if chem is None:
-        if x is None:
-            raise ValueError("need a grid or evaluation points when chem is None")
-        return np.zeros_like(np.asarray(x, dtype=float))
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     pref = spec.chi * math.exp(-spec.lam * t)
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        if chem.closed_form_tag == "sine":
-            a, w = chem.params["amp"], chem.params["freq"]
-            return pref * a * w * math.exp(-w * w * t / 2.0) * np.cos(w * x)
-        if chem.closed_form_tag == "gaussian_bump":
-            a, wd = chem.params["amp"], chem.params["width"]
-            v = wd * wd + t
-            return pref * (-a * wd * x / v ** 1.5) * np.exp(-x * x / (2.0 * v))
-        on_grid = drift_b(spec, chem, t)
-        return _periodic_interp(chem.grid, on_grid, x)
     if t == 0.0:
         return pref * chem.c0_prime.copy()
     xi = chem.grid.wavenumbers
     smoothed = np.fft.irfft(np.fft.rfft(chem.c0_prime) * np.exp(-xi * xi * t / 2.0), chem.grid.n)
     return pref * smoothed
-
-
-def _periodic_interp(grid: Grid1D, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    span = 2.0 * grid.half_width
-    xm = np.mod(x + grid.half_width, span) - grid.half_width
-    xp = np.append(grid.x, grid.half_width)
-    vp = np.append(values, values[0])
-    return np.interp(xm, xp, vp)
 
 
 def _duhamel_symbol_sum(history, lam: float, k: int) -> np.ndarray:
@@ -230,13 +202,16 @@ def ks_residual(history, chem: InitialChemical, lam: float,
     """Finite-difference residual of dc/dt - (1/2) c_xx + lambda c - rho.
 
     Central differences in both time (mesh neighbours) and space; returns the
-    spatial L^2 norm of the residual at each sampled interior node.  The
+    spatial L^2 norm of the residual at each sampled interior node (none
+    when M = 1).  The
     residual measures the consistency of the computed (rho, c) pair and
     shrinks under (h, dt) refinement.
     """
     grid, mesh = history.grid, history.mesh
     if sample_ks is None:
-        sample_ks = np.arange(2, mesh.steps - 1, max(1, mesh.steps // 16))
+        # below M = 4 the sample from node 2 on is empty: every interior node
+        sample_ks = np.arange(2, mesh.steps - 1, max(1, mesh.steps // 16)) \
+            if mesh.steps >= 4 else np.arange(1, mesh.steps)
     h, dt = grid.h, mesh.dt
     c = {j: _concentration(history, chem, lam, j)
          for j in {int(k) + d for k in sample_ks for d in (-1, 0, 1)}}

@@ -3,8 +3,7 @@
 Space is a periodic box [-L, L) with n equispaced points; time is a uniform
 mesh on [0, T].  All densities, drifts and chemical fields live on these
 grids.  The module also provides the Gaussian heat kernel, discrete
-periodic convolution (direct and FFT paths) and the composite 8-point
-Gauss-Legendre rule.
+periodic convolution by FFT and the composite 8-point Gauss-Legendre rule.
 
 Quadrature convention: on the periodic grid the trapezoid and rectangle
 rules coincide, so every integral is h * sum(values).
@@ -144,18 +143,11 @@ def _as_values(f) -> np.ndarray:
     return f.values if isinstance(f, DensityField) else np.asarray(f, dtype=float)
 
 
-def convolve(f, g_samples, grid: Grid1D, method: str = "fft") -> np.ndarray:
-    """Discrete convolution of two sampled fields, scaled by the spacing h.
+def convolve(f, g_samples, grid: Grid1D) -> np.ndarray:
+    """Discrete convolution of two sampled fields (arrays or DensityFields on
+    `grid`), scaled by the spacing h, by FFT.
 
     (f * g)_i = h * sum_j f_j g_{i-j}, with the index wrapped periodically.
-    The "fft" and "direct" paths agree to 1e-12 relative and exist to
-    cross-check each other.
-
-    Parameters
-    ----------
-    f, g_samples : array or DensityField
-        Fields sampled on `grid`.
-    method : {"fft", "direct"}
     """
     fv = _as_values(f)
     gv = _as_values(g_samples)
@@ -164,16 +156,9 @@ def convolve(f, g_samples, grid: Grid1D, method: str = "fft") -> np.ndarray:
     n = grid.n
     # both factors are sampled at x_i = -L + i h, so raw index convolution
     # lands the result at index (i + j), i.e. offset by the n/2 cells that
-    # encode x = 0; every path below undoes that offset
-    if method == "fft":
-        out = np.roll(np.fft.irfft(np.fft.rfft(fv) * np.fft.rfft(gv), n), -(n // 2))
-        return out * grid.h
-    if method == "direct":
-        # indices [n, 2n) of the linear convolution against a doubled copy
-        # hold the full circular sum; recenter exactly like the fft path
-        out = np.roll(np.convolve(fv, np.concatenate([gv, gv]))[n : 2 * n], -(n // 2))
-        return out * grid.h
-    raise ValueError(f"unknown convolution method {method!r}")
+    # encode x = 0; the roll undoes that offset
+    out = np.roll(np.fft.irfft(np.fft.rfft(fv) * np.fft.rfft(gv), n), -(n // 2))
+    return out * grid.h
 
 
 # Positive nodes of the 8-point Gauss-Legendre rule on [-1, 1] and their

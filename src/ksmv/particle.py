@@ -9,23 +9,15 @@ particle.  The time discretization of the singular integral copies
 mild.memory_drift exactly: each past position is frozen over its subinterval
 and the kernel's time profile is integrated over that subinterval in closed
 form, so the particle system and the density solver share the same
-quadrature bias and comparisons isolate Monte Carlo error.  Both
-evaluators below apply this one rule.
+quadrature bias and comparisons isolate Monte Carlo error.
 
-Two interaction evaluators:
-
-* "pairwise": the paper's literal system: b at the particle positions
-  (field.drift_b) and the x-space sum of J_{m dt} - J_{(m-1) dt} of
-  kernel.time_integrated_kernel for the subinterval of age m, over all
-  pairs and past rows: O(N^2 k) at step k, O(N^2 M^2) total.  Honest
-  baseline, only viable for small N.
-* "binned": the march's drift state U (mild), pushed by the spectrum of the
-  particles' cloud-in-cell deposit; b + B = irfft(U) comes back to the
-  particles by linear interpolation.  O(N + n log n) per step, with an
-  additional O(h^2) projection bias.
-
-Both run on one Euler stepper that takes a drift callback and keeps only
-the requested path rows.
+The interaction is evaluated on the grid: the march's drift state U (mild),
+pushed by the spectrum of the particles' cloud-in-cell deposit, gives
+b + B = irfft(U), which comes back to the particles by linear
+interpolation.  O(N + n log n) per step, with an O(h^2) projection bias
+against the paper's literal O(N^2 M^2) pairwise sum, which the tests keep
+as an oracle.  The Euler stepper takes a drift callback and keeps only the
+requested path rows.
 
 Randomness is counter-based (Philox, Salmon et al., SC'11) and step-major:
 step k of phase p owns the stream Philox(key=[seed, p], counter=[0, k, 0, 0]),
@@ -35,32 +27,31 @@ of each stream, so a step draws max(keys) + 1 values and indexes them by
 the keys; no (M, N) noise array is ever held.  Consequences, by
 construction:
 
-* paths are bit-reproducible for fixed (seed, keys, mesh, parameters), at
-  any thread count: which thread draws a stream does not change its bits;
+* paths are bit-reproducible for fixed (seed, keys, mesh, parameters), on
+  one thread or two: which thread draws a stream does not change its bits;
 * permuting the particle keys permutes the trajectories exactly;
 * the default keys arange(N) nest: a smaller run's streams are a prefix of
   a larger run's.
 
-Steps do not depend on each other's noise, so the stepper draws on T
-threads: thread k mod T draws step k, thread 0 being the main thread, and
-the others run at most two steps ahead into a ring of three reused step
-buffers.  T is the number of CPUs the process may run on
-(os.sched_getaffinity), at most 2; under `taskset -c 0` it is 1 and no
+Steps do not depend on each other's noise, so when the process may run on
+two CPUs or more (os.sched_getaffinity) one helper thread draws the odd
+steps, at most two steps ahead of the main thread, which draws the even
+ones, into a ring of three reused step buffers.  Under `taskset -c 0` no
 thread is started.  Each thread resets one Philox generator of its own to
-the stream of its step, and the helper threads are joined before the
-simulation returns or raises.
+the stream of its step, and the helper is joined before the simulation
+returns or raises.
 
-Helper i (i = 1 .. T - 1) pins itself, before its first draw, to CPU
-cpus[i mod len(cpus)] of the CPUs the process may run on, sorted and
-rotated to start at the CPU the main thread is on, so on two CPUs it draws
-beside the main thread, not in its place.  The main thread's affinity is
-never changed, and a refused pin leaves the helper unpinned.  Unpinned, the
-scheduler woke each helper draw onto the main thread's CPU: at N = 2e4 on a
-2-vCPU host, the drift the main thread computed while a draw ran took a
-median of 350-490 us, against 26-41 us at the other steps and 50-70 us with
-the helper pinned.  The main thread stayed on the CPU it started on for
-every step measured, which is why the helper's CPU is counted from it and
-not from the lowest one.  Pinning changes where a draw runs, never its bits.
+The helper pins itself, before its first draw, to the next CPU after the
+main thread's in the sorted list of CPUs the process may run on, so it
+draws beside the main thread, not in its place.  The main thread's
+affinity is never changed, and a refused pin leaves the helper unpinned.
+Unpinned, the scheduler woke each helper draw onto the main thread's CPU:
+at N = 2e4 on a 2-vCPU host, the drift the main thread computed while a
+draw ran took a median of 350-490 us, against 26-41 us at the other steps
+and 50-70 us with the helper pinned.  The main thread stayed on the CPU it
+started on for every step measured, which is why the helper's CPU is
+counted from it and not from the lowest one.  Pinning changes where a draw
+runs, never its bits.
 """
 
 from __future__ import annotations
@@ -74,8 +65,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import Grid1D, TimeMesh, DensityField
-from .kernel import KernelSpec, has_memory, time_integrated_kernel
-from .field import InitialChemical, drift_b
+from .kernel import KernelSpec
+# drift_b is not called here, but the traced benchmark wraps ksmv.particle.drift_b
+from .field import InitialChemical, drift_b  # noqa: F401
 from .mild import _drift_symbols, _push, _start_drift
 
 __all__ = [
@@ -126,12 +118,12 @@ class ParticleEnsemble:
 
 _INIT, _NOISE = 0, 1   # stream phases: initial uniforms, path noise
 _LEGACY_BLOCK = 20000
-_RING = 3               # step noise buffers in flight when a helper thread draws
+_RING = 3               # step noise buffers in flight when the helper thread draws
 
 
 def _draw_threads() -> int:
-    """T, the threads that draw the step noise: the CPUs this process may run
-    on, at most 2, so a helper never waits for a CPU the main thread holds."""
+    """T, the threads that draw the step noise: 2 (the main thread and one
+    helper) when this process may run on two CPUs or more, else 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     return min(2, cpus)
@@ -147,20 +139,17 @@ def _current_cpu() -> Optional[int]:
         return None
 
 
-def _helper_cpus(threads: int) -> List[Optional[int]]:
-    """The CPU of each helper thread i = 1 .. threads - 1: cpus[i mod len(cpus)]
-    of the CPUs this process may run on, sorted and rotated to start at the
-    main thread's CPU (cpus[0] as sorted when that is unknown), so no helper
-    shares the main thread's CPU while another is free; None where the
-    platform cannot pin."""
+def _helper_cpu() -> Optional[int]:
+    """The helper thread's CPU: the next after the main thread's (after the
+    first when that is unknown) in the sorted CPUs this process may run on,
+    so the helper does not share the main thread's CPU while another is
+    free; None where the platform cannot pin."""
     if not hasattr(os, "sched_getaffinity"):
-        return [None] * (threads - 1)
+        return None
     cpus = sorted(os.sched_getaffinity(0))
     main = _current_cpu()
-    if main in cpus:
-        at = cpus.index(main)
-        cpus = cpus[at:] + cpus[:at]
-    return [cpus[i % len(cpus)] for i in range(1, threads)]
+    at = cpus.index(main) if main in cpus else 0
+    return cpus[(at + 1) % len(cpus)]
 
 
 def _pin(cpu: Optional[int]):
@@ -230,11 +219,11 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     """Euler-Maruyama X_{k+1} = X_k + dt drift(k, X_k) + sqrt(dt) xi_k, with
     xi_k drawn step by step from the step-k noise stream.
 
-    Thread k mod T draws step k's noise, the main thread being thread 0
-    (T = _draw_threads()).  The others, each pinned to its own CPU
-    (_helper_cpus), draw into a ring of _RING step buffers, at most
-    _RING - 1 steps ahead of the main thread, and are shut down before this
-    returns or raises.  They never call drift.
+    With T = _draw_threads() = 2, the main thread draws the even steps'
+    noise and one helper, pinned to _helper_cpu(), the odd ones, into a
+    ring of _RING step buffers, at most _RING - 1 steps ahead of the main
+    thread; the helper is shut down before this returns or raises and never
+    calls drift.  With T = 1 the main thread draws every step.
 
     Keeps only the mesh rows in store_rows (default all; row 0 always) and
     returns them with the (rows, N) array, so working memory is O(N) plus
@@ -253,11 +242,11 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     threads = _draw_threads()
     ring = [np.empty(int(keys.max()) + 1) for _ in range(_RING if threads > 1 else 1)]
     own = _Streams(seed)
-    helpers, pending = [], {}
+    pool, pending = None, {}
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
-        helpers = [(ThreadPoolExecutor(1, initializer=_pin, initargs=(cpu,)), _Streams(seed))
-                   for cpu in _helper_cpus(threads)]
+        pool = ThreadPoolExecutor(1, initializer=_pin, initargs=(_helper_cpu(),))
+        helper = _Streams(seed)
     # x_{k+1} = (x_k + dt u_k) + sqrt(dt) xi_k, updated in place through one
     # step buffer
     x, step = x0.copy(), np.empty_like(x0)
@@ -269,8 +258,7 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
             # distinct ring buffers
             for j in range(ahead, min(M, k + len(ring))):
                 if j % threads:
-                    pool, streams = helpers[j % threads - 1]
-                    pending[j] = pool.submit(streams.draw, _NOISE, j, ring[j % len(ring)])
+                    pending[j] = pool.submit(helper.draw, _NOISE, j, ring[j % len(ring)])
             ahead = k + len(ring)
             np.multiply(drift(k, x), dt, out=step)
             x += step
@@ -283,7 +271,7 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
             if k + 1 in row_of:
                 out[row_of[k + 1]] = x
     finally:
-        for pool, _ in helpers:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
     return rows, out
 
@@ -300,68 +288,35 @@ def _inverse_cdf_sampler(p0: DensityField) -> Callable[[np.ndarray], np.ndarray]
 
 def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
                        chem: Optional[InitialChemical], mesh: TimeMesh,
-                       seed: int, interaction: str = "pairwise",
-                       particle_keys: Optional[np.ndarray] = None,
+                       seed: int, particle_keys: Optional[np.ndarray] = None,
                        store_rows: Optional[Sequence[int]] = None) -> ParticleEnsemble:
     """Simulate the interacting system.
 
-    interaction chooses the drift evaluator ("pairwise" or "binned").
     particle_keys (non-negative integers, default arange(N)) assigns each
     particle its variate in the per-step streams; permuting it permutes the
     trajectories.  Each step costs O(max key + 1) to draw.  store_rows
     selects which mesh rows to keep (default all; row 0 always); the stored
-    rows do not depend on it.  The binned evaluator then works in O(N) memory
-    plus those rows, while the pairwise one keeps every past row it sums over.
+    rows do not depend on it, and working memory is O(N) plus those rows.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    if interaction not in ("pairwise", "binned"):
-        raise ValueError(f"unknown interaction evaluator {interaction!r}")
     keys = _particle_keys(particle_keys, N)
-    grid, dt, nodes = p0.grid, mesh.dt, mesh.nodes
-    if interaction == "binned":
-        q, E1 = _drift_symbols(spec, grid, dt)
-        U = _start_drift(spec, chem, grid)
-        cic, u = _CloudInCell(grid, N), np.empty(N)
+    grid, nodes = p0.grid, mesh.nodes
+    q, E1 = _drift_symbols(spec, grid, mesh.dt)
+    U = _start_drift(spec, chem, grid)
+    cic, u = _CloudInCell(grid, N), np.empty(N)
 
-        def drift(k: int, x: np.ndarray) -> np.ndarray:
-            nonlocal U
-            cic.locate(x)
-            cic.interp(np.fft.irfft(U, grid.n), u)
-            U = _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()))
-            return u
-    else:
-        interacting = has_memory(spec)
-        past: List[np.ndarray] = []
-
-        def drift(k: int, x: np.ndarray) -> np.ndarray:
-            u = drift_b(spec, chem, float(nodes[k]), x)
-            if not interacting:
-                return u
-            past.append(x.copy())
-            return u if k == 0 else u + _pairwise_memory(spec, past, dt)
+    def drift(k: int, x: np.ndarray) -> np.ndarray:
+        nonlocal U
+        cic.locate(x)
+        cic.interp(np.fft.irfft(U, grid.n), u)
+        U = _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()))
+        return u
 
     x0 = _inverse_cdf_sampler(p0)(_keyed_draws(seed, _INIT, 0, keys))
     rows, X = _euler_paths(x0, drift, mesh, seed, keys, store_rows)
-    meta = {"init_sampling": "inverse-cdf", "interaction": interaction,
-            "row_times": nodes[rows]}
+    meta = {"init_sampling": "inverse-cdf", "row_times": nodes[rows]}
     return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
-
-
-def _pairwise_memory(spec: KernelSpec, past: Sequence[np.ndarray], dt: float) -> np.ndarray:
-    """(1/N) sum_j sum_{m=1}^{k} [J_{m dt} - J_{(m-1) dt}](X^i_k - X^j_{k-m}),
-    J_t = int_0^t K_s ds and J_0 = 0: particle i now (past[k]) against
-    particle j frozen over the subinterval of age m, as in mild.memory_drift."""
-    k = len(past) - 1
-    now = past[k][:, None]
-    acc = np.zeros(now.shape[0])
-    for m in range(1, k + 1):
-        diff = now - past[k - m][None, :]
-        J = time_integrated_kernel(spec, m * dt, diff)
-        if m > 1:
-            J = J - time_integrated_kernel(spec, (m - 1) * dt, diff)
-        acc += np.sum(J, axis=1)
-    return acc / len(past[k])
 
 
 class _CloudInCell:

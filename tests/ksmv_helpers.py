@@ -1,8 +1,9 @@
 """Helpers shared by the test modules: the acceptance-line recorder, test
 densities, row-wise history distances, the quadrature oracle for the
 sign-drift comparison density, the per-value reference text of the table
-writers, and sequential oracles for the particle noise streams and the
-cloud-in-cell cells.
+writers, sequential oracles for the particle noise streams and the
+cloud-in-cell cells, the direct periodic convolution sum, and the paper's
+literal pairwise particle system as an oracle for the binned one.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
@@ -10,13 +11,17 @@ The acceptance suite registers one line per criterion through
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
 
-from ksmv.grid import Grid1D, DensityField, heat_kernel
+from ksmv import particle
+from ksmv.field import InitialChemical, drift_b
+from ksmv.grid import Grid1D, DensityField, TimeMesh, heat_kernel
+from ksmv.kernel import KernelSpec, has_memory, time_integrated_kernel
 from ksmv.mild import MarginalHistory
+from ksmv.particle import ParticleEnsemble
 from ksmv.qz import QZParams
 
 ACCEPTANCE_LINES = {}
@@ -121,3 +126,59 @@ def cloud_in_cell_oracle(grid: Grid1D, positions: np.ndarray):
     idx = floor.astype(np.int64) % grid.n
     frac = rel - floor
     return idx, (idx + 1) % grid.n, 1.0 - frac, frac
+
+
+def direct_convolution(f: np.ndarray, g: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """h sum_j f_j g_{i-j}, index wrapped periodically, by direct summation:
+    indices [n, 2n) of the linear convolution against a doubled copy hold the
+    full circular sum, recentered by the n/2 cells that encode x = 0 as in
+    ksmv.grid.convolve."""
+    n = grid.n
+    return np.roll(np.convolve(f, np.concatenate([g, g]))[n:2 * n], -(n // 2)) * grid.h
+
+
+def periodic_interp(grid: Grid1D, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Linear interpolation of grid values at positions x folded into the box."""
+    span = 2.0 * grid.half_width
+    xm = np.mod(x + grid.half_width, span) - grid.half_width
+    return np.interp(xm, np.append(grid.x, grid.half_width), np.append(values, values[0]))
+
+
+def pairwise_memory(spec: KernelSpec, past: Sequence[np.ndarray], dt: float) -> np.ndarray:
+    """(1/N) sum_j sum_{m=1}^{k} [J_{m dt} - J_{(m-1) dt}](X^i_k - X^j_{k-m}),
+    J_t = int_0^t K_s ds and J_0 = 0: particle i now (past[k]) against
+    particle j frozen over the subinterval of age m, as in mild.memory_drift."""
+    k = len(past) - 1
+    now = past[k][:, None]
+    acc = np.zeros(now.shape[0])
+    for m in range(1, k + 1):
+        diff = now - past[k - m][None, :]
+        J = time_integrated_kernel(spec, m * dt, diff)
+        if m > 1:
+            J = J - time_integrated_kernel(spec, (m - 1) * dt, diff)
+        acc += np.sum(J, axis=1)
+    return acc / len(past[k])
+
+
+def pairwise_particles(N: int, p0: DensityField, spec: KernelSpec,
+                       chem: Optional[InitialChemical], mesh: TimeMesh, seed: int,
+                       store_rows: Optional[Sequence[int]] = None) -> ParticleEnsemble:
+    """The paper's literal particle system: b from the chemical's grid by
+    periodic linear interpolation plus the x-space pairwise memory sum over
+    all pairs and past rows, O(N^2 M^2).  Runs on the start sampler, streams
+    and stepper of ksmv.particle.simulate_particles (keys arange(N)), so the
+    two share every variate and differ only in the interaction."""
+    keys = np.arange(N)
+    nodes, past = mesh.nodes, []
+
+    def drift(k: int, x: np.ndarray) -> np.ndarray:
+        u = np.zeros(N) if chem is None else \
+            periodic_interp(chem.grid, drift_b(spec, chem, float(nodes[k])), x)
+        if not has_memory(spec):
+            return u
+        past.append(x.copy())
+        return u if k == 0 else u + pairwise_memory(spec, past, mesh.dt)
+
+    x0 = particle._inverse_cdf_sampler(p0)(particle._keyed_draws(seed, particle._INIT, 0, keys))
+    rows, X = particle._euler_paths(x0, drift, mesh, seed, keys, store_rows)
+    return ParticleEnsemble(mesh, X, seed, grid=p0.grid, meta={"row_times": nodes[rows]})

@@ -266,8 +266,7 @@ def test_criterion_10_mean_field_convergence():
     errs = []
     for N in (1000, 10000):
         # default key assignment nests the N=1000 streams inside the N=10000 run
-        ens = simulate_particles(N, p0, spec, chem, mesh, seed=1234,
-                                 interaction="binned")
+        ens = simulate_particles(N, p0, spec, chem, mesh, seed=1234)
         est = kde_density(ens, mesh.steps)
         errs.append(l1_distance(grid, est.values, ref.densities[-1]))
     elapsed = time.perf_counter() - t_start

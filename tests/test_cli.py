@@ -397,6 +397,24 @@ def test_main_solve_restart_mode(tmp_path, monkeypatch):
     assert (out / "solve_report_picard_with_restart.json").exists()
 
 
+@pytest.mark.parametrize("mode", ["march", "picard_with_restart"])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_main_solve_full_model_on_few_steps(tmp_path, monkeypatch, steps, mode):
+    # the residual samples the interior nodes that exist; at M = 1 there are
+    # none and the report leaves ks_residual_max out
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    text = (REPO / "configs" / "full_model.cfg").read_text()
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text(re.sub(r"(?m)^discretization\.m = \d+$", f"discretization.m = {steps}", text))
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "solve", "--mode", mode]) == 0
+    assert (out / "field.csv").exists()
+    if mode == "march":
+        names = {r["name"] for r in
+                 json.loads((out / "solve_report_march.json").read_text())["records"]}
+        assert ("ks_residual_max" in names) == (steps > 1)
+
+
 def test_main_solve_restart_tables_follow_the_rounded_step_count(tmp_path, monkeypatch):
     # T0 = 0.1015 cuts T = 0.4 into 4 windows, so M = 25 rounds up to 28 steps
     monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)

@@ -13,7 +13,7 @@ from ksmv.field import (InitialChemical, drift_b, chemical_concentration,
                         chemical_gradient, ks_residual)
 from ksmv.mild import MarginalHistory, march
 
-from ksmv_helpers import gaussian_density
+from ksmv_helpers import gaussian_density, periodic_interp
 
 PI_GRID = Grid1D(3.0 * math.pi, 256)   # sin(x) is an exact harmonic here
 
@@ -71,20 +71,12 @@ def test_drift_sine_closed_form():
         want = math.exp(-t / 2.0) * np.cos(PI_GRID.x)
         got = drift_b(spec, chem, t)
         assert np.max(np.abs(got - want)) < 1e-12
-    assert float(drift_b(spec, chem, 0.0, np.asarray(0.0))) == pytest.approx(1.0)
 
 
 def test_drift_constant_chemical_vanishes():
     g = Grid1D(5.0, 64)
     chem = InitialChemical.from_samples(g, np.full(g.n, 3.7), c0_prime=np.zeros(g.n))
     assert np.all(drift_b(KernelSpec(chi=2.0), chem, 0.5) == 0.0)
-
-
-def test_drift_none_chemical_is_zero():
-    out = drift_b(KernelSpec(), None, 0.3, np.array([0.0, 1.0]))
-    assert np.array_equal(out, np.zeros(2))
-    with pytest.raises(ValueError):
-        drift_b(KernelSpec(), None, 0.3)
 
 
 def test_drift_time_zero_is_chi_c0_prime():
@@ -103,12 +95,14 @@ def test_drift_bump_closed_form_vs_quadrature():
     g = Grid1D(12.0, 256)
     chem = InitialChemical.gaussian_bump(g, amp=1.5, width=0.9)
     spec = KernelSpec(chi=1.0, lam=0.3)
-    t, xv = 0.7, 1.1
+    t, node = 0.7, 140
+    xv = g.x[node]
+    assert xv == 1.125
     want, _ = integrate.quad(
         lambda y: -1.5 * y / 0.9 ** 2 * math.exp(-y * y / (2 * 0.9 ** 2))
         * heat_kernel(t, xv - y), -12, 12)
     want *= math.exp(-0.3 * t)
-    assert float(drift_b(spec, chem, t, np.asarray(xv))) == pytest.approx(want, rel=1e-9)
+    assert float(drift_b(spec, chem, t)[node]) == pytest.approx(want, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,12 +116,14 @@ def test_drift_uniform_bound(t, amp, harm):
 
 
 def test_drift_interp_matches_grid_at_nodes():
+    # the pairwise oracle's b at the particles: the grid drift interpolated,
+    # exact at the nodes and at their images one period away
     g = Grid1D(6.0, 128)
     chem = InitialChemical.from_samples(g, np.exp(np.sin(math.pi * g.x / 6.0)))
-    spec = KernelSpec(chi=1.0)
-    on_grid = drift_b(spec, chem, 0.4)
-    at_nodes = drift_b(spec, chem, 0.4, g.x)
-    assert np.max(np.abs(on_grid - at_nodes)) < 1e-12
+    on_grid = drift_b(KernelSpec(chi=1.0), chem, 0.4)
+    for shift in (0.0, 2.0 * g.half_width, -2.0 * g.half_width):
+        at_nodes = periodic_interp(g, on_grid, g.x + shift)
+        assert np.max(np.abs(on_grid - at_nodes)) < 1e-12
 
 
 # --- concentration ---------------------------------------------------------

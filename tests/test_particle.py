@@ -21,7 +21,7 @@ from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            _euler_paths, _keyed_draws)
 
 from ksmv_helpers import (cloud_in_cell_oracle, compare_histories, gaussian_density,
-                          l1_distance, step_noise_oracle)
+                          l1_distance, pairwise_particles, step_noise_oracle)
 
 FREE = KernelSpec(chi=0.0)   # interaction off: independent Brownian paths
 
@@ -39,8 +39,6 @@ def test_rejects_small_ensembles_and_bad_args():
     p0 = narrow_p0(g)
     with pytest.raises(ValueError):
         simulate_particles(1, p0, FREE, None, mesh, seed=1)
-    with pytest.raises(ValueError):
-        simulate_particles(8, p0, FREE, None, mesh, seed=1, interaction="tree")
     with pytest.raises(ValueError):
         simulate_particles(8, p0, FREE, None, mesh, seed=1,
                            particle_keys=np.arange(7))
@@ -147,17 +145,23 @@ def test_paths_follow_the_sequential_noise_oracle_at_any_thread_count(monkeypatc
 
 
 def test_noise_ring_survives_more_threads_than_cpus_and_fast_switching(monkeypatch):
-    # four drawing threads on at most two CPUs, switching every microsecond:
-    # a buffer refilled before its step is spent would break the bits
-    monkeypatch.setattr(particle, "_draw_threads", lambda: 4)
+    # the main thread and the helper on one CPU where the platform can pin,
+    # switching every microsecond: a buffer refilled before its step is spent
+    # would break the bits
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
     keys, M, dt = np.arange(3000), 60, 0.01
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        if mask:
+            os.sched_setaffinity(0, {min(mask)})
         _, X = _euler_paths(np.zeros(keys.size), lambda k, x: np.cos(x), TimeMesh(M * dt, M),
                             21, keys, [M])
     finally:
         sys.setswitchinterval(interval)
+        if mask:
+            os.sched_setaffinity(0, mask)
     x = np.zeros(keys.size)
     for k in range(M):
         x = (x + dt * np.cos(x)) + math.sqrt(dt) * step_noise_oracle(21, k, keys)
@@ -186,8 +190,7 @@ def test_no_noise_thread_outlives_a_simulation(monkeypatch):
     before = set(threading.enumerate())
     g = Grid1D(3.0 * math.pi, 64)
     simulate_particles(64, gaussian_density(g, 0.5), KernelSpec(chi=1.0, lam=0.5),
-                       InitialChemical.sine(g, amp=0.5, freq=1.0), TimeMesh(0.2, 9), seed=1,
-                       interaction="binned")
+                       InitialChemical.sine(g, amp=0.5, freq=1.0), TimeMesh(0.2, 9), seed=1)
     simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
                            N=64, seed=2)
     assert set(threading.enumerate()) == before
@@ -294,26 +297,6 @@ def test_a_refused_pin_leaves_the_paths_as_they_are(monkeypatch):
         assert np.array_equal(X[k + 1], x)
 
 
-@PINNABLE
-def test_more_helpers_than_cpus_pin_cyclically_with_the_same_bits(monkeypatch):
-    cpus = sorted(os.sched_getaffinity(0))
-    # the main thread on the last CPU: helper i takes cpus[(i - 1) mod len]
-    monkeypatch.setattr(particle, "_current_cpu", lambda: cpus[-1])
-    monkeypatch.setattr(particle, "_draw_threads", lambda: 4)
-    masks = _affinity_spy(monkeypatch)
-    keys, M, dt = np.arange(700), 13, 0.02
-    _, X = _euler_paths(np.zeros(keys.size), lambda k, x: np.sin(3.0 * x), TimeMesh(M * dt, M),
-                        8, keys, [M])
-    main = threading.get_ident()
-    for k, (ident, mask) in masks.items():
-        want = set(cpus) if k % 4 == 0 else {cpus[(k % 4 - 1) % len(cpus)]}
-        assert (ident == main) == (k % 4 == 0) and mask == want, k
-    x = np.zeros(keys.size)
-    for k in range(M):
-        x = (x + dt * np.sin(3.0 * x)) + math.sqrt(dt) * step_noise_oracle(8, k, keys)
-    assert np.array_equal(X[-1], x)
-
-
 def test_first_step_has_no_memory():
     g = Grid1D(10.0, 128)
     mesh = TimeMesh(0.3, 3)
@@ -328,13 +311,14 @@ def test_first_step_has_no_memory():
 
 
 def test_pairwise_memory_matches_direct_sum():
+    # the test-side pairwise oracle against a scalar sum over pairs and rows
     g = Grid1D(10.0, 128)
     mesh = TimeMesh(0.8, 4)
     spec = KernelSpec(chi=1.0, lam=0.3)
     N = 6
     p0 = gaussian_density(g, 0.5)
-    ens = simulate_particles(N, p0, spec, None, mesh, seed=9)
-    free = simulate_particles(N, p0, FREE, None, mesh, seed=9)
+    ens = pairwise_particles(N, p0, spec, None, mesh, seed=9)
+    free = pairwise_particles(N, p0, FREE, None, mesh, seed=9)
     X = ens.positions
     dt = mesh.dt
     k = 3
@@ -364,8 +348,8 @@ def test_binned_drift_is_the_grid_drift_state_interpolated():
     chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
     spec = KernelSpec(chi=1.0, lam=0.5)
     p0 = gaussian_density(g, 0.5)
-    X = simulate_particles(300, p0, spec, chem, mesh, seed=21, interaction="binned").positions
-    F = simulate_particles(300, p0, FREE, None, mesh, seed=21, interaction="binned").positions
+    X = simulate_particles(300, p0, spec, chem, mesh, seed=21).positions
+    F = simulate_particles(300, p0, FREE, None, mesh, seed=21).positions
     dt, xi = mesh.dt, g.wavenumbers
     got = (np.diff(X, axis=0) - np.diff(F, axis=0)) / dt
 
@@ -386,23 +370,23 @@ def test_binned_close_to_pairwise():
     chem = InitialChemical.gaussian_bump(g, amp=0.5, width=1.0)
     spec = KernelSpec(chi=1.0, lam=0.5)
     p0 = gaussian_density(g, 0.5)
-    pw = simulate_particles(256, p0, spec, chem, mesh, seed=13, interaction="pairwise")
-    bn = simulate_particles(256, p0, spec, chem, mesh, seed=13, interaction="binned")
+    pw = pairwise_particles(256, p0, spec, chem, mesh, seed=13)
+    bn = simulate_particles(256, p0, spec, chem, mesh, seed=13)
     assert float(np.max(np.abs(pw.positions - bn.positions))) < 5e-3
-    assert pw.meta["interaction"] == "pairwise"
-    assert bn.meta["interaction"] == "binned"
 
 
-@pytest.mark.parametrize("interaction", ["pairwise", "binned"])
-def test_stored_final_row_matches_full_run(interaction):
+# the pairwise oracle's drift keeps the past rows it is handed, the binned
+# one reuses its buffers: neither may see the stored rows depend on store_rows
+@pytest.mark.parametrize("simulate", [pairwise_particles, simulate_particles],
+                         ids=["pairwise", "binned"])
+def test_stored_final_row_matches_full_run(simulate):
     g = Grid1D(10.0, 256)
     mesh = TimeMesh(0.2, 12)
     chem = InitialChemical.gaussian_bump(g, amp=0.5, width=1.0)
     spec = KernelSpec(chi=1.0, lam=0.5)
     p0 = gaussian_density(g, 0.5)
-    full = simulate_particles(64, p0, spec, chem, mesh, seed=5, interaction=interaction)
-    last = simulate_particles(64, p0, spec, chem, mesh, seed=5, interaction=interaction,
-                              store_rows=[mesh.steps])
+    full = simulate(64, p0, spec, chem, mesh, seed=5)
+    last = simulate(64, p0, spec, chem, mesh, seed=5, store_rows=[mesh.steps])
     assert last.positions.shape == (2, 64)
     assert np.array_equal(last.positions, full.positions[[0, mesh.steps]])
     assert np.array_equal(last.snapshot_times, mesh.nodes[[0, mesh.steps]])
@@ -421,7 +405,7 @@ def test_binned_working_memory_is_linear_in_n():
     tracemalloc.start()
     try:
         simulate_particles(N, p0, KernelSpec(chi=1.0, lam=0.5), chem, TimeMesh(0.4, M),
-                           seed=3, interaction="binned", store_rows=[M])
+                           seed=3, store_rows=[M])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -440,7 +424,7 @@ def test_kde_error_decreases_with_ensemble_size():
     ref = march(p0, spec, chem, g, mesh)
     errs = []
     for N in (200, 2000):
-        ens = simulate_particles(N, p0, spec, chem, mesh, seed=99, interaction="binned")
+        ens = simulate_particles(N, p0, spec, chem, mesh, seed=99)
         est = kde_density(ens, mesh.steps)
         errs.append(l1_distance(g, est.values, ref.densities[-1]))
     assert errs[1] <= errs[0]
