@@ -34,9 +34,11 @@ construction:
   a larger run's.
 
 Steps do not depend on each other's noise, so when the process may run on
-two CPUs or more (os.sched_getaffinity) one helper thread draws the odd
-steps, at most two steps ahead of the main thread, which draws the even
-ones, into a ring of three reused step buffers.  Under `taskset -c 0` no
+two CPUs or more (os.sched_getaffinity) the main thread and one helper
+share a ring of three reused step buffers: steps are claimed in order from
+one counter, the helper draws as far ahead as the ring allows, and the
+main thread draws the next unclaimed step whenever the step it needs is
+not ready, so whichever thread is free draws.  Under `taskset -c 0` no
 thread is started.  Each thread resets one Philox generator of its own to
 the stream of its step, and the helper is joined before the simulation
 returns or raises.
@@ -47,17 +49,18 @@ draws beside the main thread, not in its place.  The main thread's
 affinity is never changed, and a refused pin leaves the helper unpinned.
 Unpinned, the scheduler woke each helper draw onto the main thread's CPU:
 at N = 2e4 on a 2-vCPU host, the drift the main thread computed while a
-draw ran took a median of 350-490 us, against 26-41 us at the other steps
-and 50-70 us with the helper pinned.  The main thread stayed on the CPU it
-started on for every step measured, which is why the helper's CPU is
-counted from it and not from the lowest one.  Pinning changes where a draw
-runs, never its bits.
+helper draw ran took a median of 350-490 us, against 26-41 us while none
+ran and 50-70 us with the helper pinned.  The main thread stayed on the
+CPU it started on for every step measured, which is why the helper's CPU
+is counted from it and not from the lowest one.  Pinning changes where a
+draw runs, never its bits.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -219,11 +222,14 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     """Euler-Maruyama X_{k+1} = X_k + dt drift(k, X_k) + sqrt(dt) xi_k, with
     xi_k drawn step by step from the step-k noise stream.
 
-    With T = _draw_threads() = 2, the main thread draws the even steps'
-    noise and one helper, pinned to _helper_cpu(), the odd ones, into a
-    ring of _RING step buffers, at most _RING - 1 steps ahead of the main
-    thread; the helper is shut down before this returns or raises and never
-    calls drift.  With T = 1 the main thread draws every step.
+    Steps are claimed in order from one counter, each with a free buffer of
+    a ring of _RING (one when T = _draw_threads() = 1), and step k's noise
+    lands in buffer k % _RING.  With T = 2 one helper, pinned to
+    _helper_cpu(), claims and draws as far ahead as the ring allows; the
+    main thread, when it needs step k and k is not ready, draws the next
+    unclaimed step itself while a buffer is free, and otherwise waits.  The
+    helper never calls drift, is joined before this returns or raises, and
+    an error it raises is raised here.
 
     Keeps only the mesh rows in store_rows (default all; row 0 always) and
     returns them with the (rows, N) array, so working memory is O(N) plus
@@ -241,38 +247,78 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     gather = not _is_arange(keys)
     threads = _draw_threads()
     ring = [np.empty(int(keys.max()) + 1) for _ in range(_RING if threads > 1 else 1)]
+    # a step holds a free buffer from its claim until the main thread has
+    # spent it, so the claimed steps not yet spent own distinct buffers
+    free, claim_lock = threading.Semaphore(len(ring)), threading.Lock()
+    ready = [threading.Event() for _ in ring]
+    claimed, failure = 0, []
+
+    def claim(blocking: bool) -> Optional[int]:
+        """The next unclaimed step, holding a free buffer; None when no buffer
+        is free (without blocking) or every step is claimed."""
+        nonlocal claimed
+        if not free.acquire(blocking):
+            return None
+        with claim_lock:
+            if claimed < M:
+                claimed += 1
+                return claimed - 1
+        free.release()
+        return None
+
+    def draw(streams: _Streams, j: int):
+        streams.draw(_NOISE, j, ring[j % len(ring)])
+        ready[j % len(ring)].set()
+
+    def help_draw(cpu: Optional[int]):
+        _pin(cpu)
+        try:
+            streams = _Streams(seed)
+            while (j := claim(True)) is not None:
+                draw(streams, j)
+        except BaseException as exc:
+            failure.append(exc)
+            for event in ready:
+                event.set()
+
     own = _Streams(seed)
-    pool, pending = None, {}
+    helper = None
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(1, initializer=_pin, initargs=(_helper_cpu(),))
-        helper = _Streams(seed)
+        helper = threading.Thread(target=help_draw, args=(_helper_cpu(),),
+                                  name="ksmv-noise", daemon=True)
+        helper.start()
     # x_{k+1} = (x_k + dt u_k) + sqrt(dt) xi_k, updated in place through one
     # step buffer
     x, step = x0.copy(), np.empty_like(x0)
     sqdt = math.sqrt(dt)
     try:
-        ahead = 0
         for k in range(M):
-            # steps before k are spent, so steps k .. k + len(ring) - 1 own
-            # distinct ring buffers
-            for j in range(ahead, min(M, k + len(ring))):
-                if j % threads:
-                    pending[j] = pool.submit(helper.draw, _NOISE, j, ring[j % len(ring)])
-            ahead = k + len(ring)
             np.multiply(drift(k, x), dt, out=step)
             x += step
-            xi = pending.pop(k).result() if k % threads \
-                else own.draw(_NOISE, k, ring[k % len(ring)])
+            slot = k % len(ring)
+            while not ready[slot].is_set():
+                j = claim(False)
+                if j is None:
+                    ready[slot].wait()
+                else:
+                    draw(own, j)
+            if failure:
+                raise failure[0]
+            xi = ring[slot]
             if gather:
                 xi = np.take(xi, keys, out=step)
             np.multiply(xi, sqdt, out=step)
             x += step
+            ready[slot].clear()
+            free.release()
             if k + 1 in row_of:
                 out[row_of[k + 1]] = x
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if helper is not None:
+            with claim_lock:
+                claimed = M
+            free.release(len(ring))
+            helper.join()
     return rows, out
 
 

@@ -168,21 +168,104 @@ def test_noise_ring_survives_more_threads_than_cpus_and_fast_switching(monkeypat
     assert np.array_equal(X[-1], x)
 
 
-def test_main_thread_draws_even_steps_and_the_helper_odd_ones(monkeypatch):
-    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
-    drawn_by, draw = {}, particle._Streams.draw
+WAIT_S = 30.0   # a bound on each forced wait, so that a broken ring fails and never hangs
+
+
+def _spy_draws(monkeypatch, M):
+    """Record (step, thread) of every noise draw, and give each step an Event
+    set once its noise is drawn."""
+    draws, drawn, draw = [], [threading.Event() for _ in range(M)], particle._Streams.draw
 
     def spy(self, phase, k, out):
-        if phase == 1:
-            drawn_by[k] = threading.get_ident()
-        return draw(self, phase, k, out)
+        result = draw(self, phase, k, out)
+        if phase == particle._NOISE:
+            draws.append((k, threading.get_ident()))
+            drawn[k].set()
+        return result
 
     monkeypatch.setattr(particle._Streams, "draw", spy)
-    simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
-                           N=50, seed=4)
-    assert sorted(drawn_by) == list(range(9))
-    main = threading.get_ident()
-    assert [drawn_by[k] == main for k in range(9)] == [k % 2 == 0 for k in range(9)]
+    return draws, drawn
+
+
+def _held_in_drift(drawn, drift):
+    """drift(k, x), called only once step k + 1 (step k at the last step) is
+    drawn: the helper draws in order and marks step k ready before it draws
+    k + 1, so the main thread never finds a step it needs unready."""
+    def held(k, x):
+        assert drawn[min(k + 1, len(drawn) - 1)].wait(WAIT_S), k
+        return drift(k, x)
+    return held
+
+
+def _oracle_paths(x0, drift, M, dt, seed, keys):
+    x, want = x0, [x0]
+    for k in range(M):
+        x = (x + dt * drift(k, x)) + math.sqrt(dt) * step_noise_oracle(seed, k, keys)
+        want.append(x)
+    return np.array(want)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_step_is_drawn_once_by_the_main_thread_or_the_helper(monkeypatch, threads):
+    monkeypatch.setattr(particle, "_draw_threads", lambda: threads)
+    M = 40
+    draws, _ = _spy_draws(monkeypatch, M)
+    simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, M),
+                           N=3000, seed=4)
+    assert sorted(k for k, _ in draws) == list(range(M))
+    assert len({ident for _, ident in draws}) <= threads
+
+
+def test_a_helper_held_back_leaves_every_draw_to_the_main_thread(monkeypatch):
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    M, keys = 9, np.array([4, 0, 2, 2, 7])
+    draws, drawn = _spy_draws(monkeypatch, M)
+    # the helper waits, before its first claim, until the last step is drawn
+    monkeypatch.setattr(particle, "_pin", lambda cpu: drawn[-1].wait(WAIT_S))
+    x0, drift = np.linspace(-1.0, 1.0, keys.size), lambda k, x: np.sin(x) + k
+    _, X = _euler_paths(x0, drift, TimeMesh(0.5, M), 13, keys, None)
+    assert draws == [(k, threading.get_ident()) for k in range(M)]
+    assert np.array_equal(X, _oracle_paths(x0, drift, M, 0.5 / M, 13, keys))
+
+
+def test_a_main_thread_held_in_its_drift_leaves_every_draw_to_the_helper(monkeypatch):
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    M, keys = 9, np.array([4, 0, 2, 2, 7])
+    draws, drawn = _spy_draws(monkeypatch, M)
+    x0, drift = np.linspace(-1.0, 1.0, keys.size), lambda k, x: np.sin(x) + k
+    _, X = _euler_paths(x0, _held_in_drift(drawn, drift), TimeMesh(0.5, M), 13, keys, None)
+    assert [k for k, _ in draws] == list(range(M))
+    assert threading.get_ident() not in {ident for _, ident in draws}
+    assert np.array_equal(X, _oracle_paths(x0, drift, M, 0.5 / M, 13, keys))
+
+
+def test_a_failing_helper_draw_is_raised_by_the_simulation(monkeypatch):
+    # the simulation runs on a thread of its own, so a hang fails the test
+    monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    before = set(threading.enumerate())
+    raised, tried, caught, draw = [], threading.Event(), [], particle._Streams.draw
+
+    def failing(self, phase, k, out):
+        if threading.current_thread() is not runner:
+            raised.append(FloatingPointError(f"helper draw {k} failed"))
+            tried.set()
+            raise raised[-1]
+        return draw(self, phase, k, out)
+
+    def simulate():
+        # the main thread waits in its first drift until the helper has tried a draw
+        held = lambda k, x: np.sin(x) if tried.wait(WAIT_S) else pytest.fail("no helper draw")
+        with pytest.raises(FloatingPointError) as err:
+            _euler_paths(np.zeros(50), held, TimeMesh(0.5, 9), 4, np.arange(50), None)
+        caught.append(err.value)
+
+    monkeypatch.setattr(particle._Streams, "draw", failing)
+    runner = threading.Thread(target=simulate, daemon=True)
+    runner.start()
+    runner.join(2 * WAIT_S)
+    assert not runner.is_alive()
+    assert raised and caught == raised[:1]
+    assert set(threading.enumerate()) == before
 
 
 def test_no_noise_thread_outlives_a_simulation(monkeypatch):
@@ -210,7 +293,7 @@ PINNABLE = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
 
 
 def _affinity_spy(monkeypatch):
-    """Record, for each noise step, the CPU mask of the thread that draws it."""
+    """Record, for each noise step, the thread that draws it and its CPU mask."""
     masks, draw = {}, particle._Streams.draw
 
     def spy(self, phase, k, out):
@@ -239,11 +322,13 @@ def test_helper_draws_on_a_cpu_other_than_the_main_threads(monkeypatch, main_at)
     cpus = sorted(os.sched_getaffinity(0))
     monkeypatch.setattr(particle, "_current_cpu", lambda: cpus[main_at])
     monkeypatch.setattr(particle, "_draw_threads", lambda: 2)
+    _, drawn = _spy_draws(monkeypatch, 9)
     masks = _affinity_spy(monkeypatch)
-    simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
-                           N=50, seed=4)
+    _euler_paths(np.zeros(50), _held_in_drift(drawn, lambda k, x: np.sin(x)), TimeMesh(0.5, 9),
+                 4, np.arange(50), None)
     main = threading.get_ident()
-    helper = {mask for ident, mask in masks.values() if ident != main}
+    assert main not in {ident for ident, _ in masks.values()}
+    helper = {mask for _, mask in masks.values()}
     # one CPU, the next after the main thread's in sorted order: never the
     # main thread's unless the process may use only that one
     assert helper == {frozenset({cpus[(main_at + 1) % len(cpus)]})}
