@@ -3,9 +3,10 @@
 
 For every (chi, lambda) pair in the sweep the script reports the
 contraction horizon T0 at two safety levels, the interaction budget D at
-a reference horizon, and whether the kernel condition suite passes on a
-moderate probe discretization.  Horizons are infinite when the decay rate
-caps the budget below the safety level; those rows print "inf".
+a reference horizon, and whether the kernel condition suite passes on
+[0, t-budget].  Horizons are infinite when the decay rate caps the budget
+below the safety level; those rows print "inf".  Exits 1 when the condition
+suite fails on any row.
 
 Example:
     python scripts/horizon_map.py --chis 0.5,1,2 --lams 0,0.5,1
@@ -20,7 +21,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ksmv.grid import Grid1D, TimeMesh
+from ksmv.grid import TimeMesh
 from ksmv.kernel import KernelSpec, check_hypotheses, find_T0, horizon_D
 from ksmv.cli import write_csv
 
@@ -33,7 +34,6 @@ def main(argv=None) -> int:
                     metavar=("LOW", "HIGH"))
     ap.add_argument("--t-budget", type=float, default=1.0,
                     help="horizon at which to report the interaction budget")
-    ap.add_argument("--probe-n", type=int, default=256)
     ap.add_argument("--probe-steps", type=int, default=200)
     ap.add_argument("--skip-checks", action="store_true",
                     help="skip the condition suite (horizons only)")
@@ -43,7 +43,6 @@ def main(argv=None) -> int:
     chis = [float(s) for s in args.chis.split(",")]
     lams = [float(s) for s in args.lams.split(",")]
     s_lo, s_hi = args.safety
-    grid = Grid1D(10.0, args.probe_n)
     mesh = TimeMesh(args.t_budget, args.probe_steps)
 
     header = (f"{'chi':>6} {'lambda':>7} {'T0@' + format(s_lo, '.2f'):>10} "
@@ -53,6 +52,7 @@ def main(argv=None) -> int:
     print(header)
 
     rows = []
+    failed = False
     for chi in chis:
         for lam in lams:
             spec = KernelSpec(chi=chi, lam=lam)
@@ -63,8 +63,9 @@ def main(argv=None) -> int:
                     f"{t0_hi:>10.4g} {budget:>8.4f}")
             ok = math.nan
             if not args.skip_checks:
-                report = check_hypotheses(spec, args.t_budget, grid, mesh)
+                report = check_hypotheses(spec, mesh)
                 ok = float(report.all_pass)
+                failed |= not report.all_pass
                 line += f" {'pass' if report.all_pass else 'FAIL':>10}"
             print(line)
             rows.append((chi, lam, t0_lo, t0_hi, budget, ok))
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
         write_csv(args.out, ("chi", "lambda", "t0_low", "t0_high",
                              "budget", "conditions_pass"), cols)
         print(f"wrote {args.out}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ Config grammar (flat key-value text, dotted section prefixes):
     # comment
     model.chi = 1.0
     model.lambda = 0.5
-    model.normalization = heat          # heat | two_pi
     model.kernel = keller_segel         # keller_segel | none
     initial.p0 = gaussian(0, 1)         # gaussian(mean, var) | uniform(a, b) | samples(path)
     initial.c0 = sine(0.3, 1)           # sine(amp, freq) | gaussian_bump(amp, width)
@@ -28,7 +27,9 @@ Config grammar (flat key-value text, dotted section prefixes):
 "none": the chemotaxis kernel with chi_eff = 0, so there is no memory
 drift) while keeping the chemical drift active; chi > 0 is required at
 config level either way.  A quadratic c0 with curvature q gives
-the linear restoring drift b(0, x) = -chi q x.
+the linear restoring drift b(0, x) = -chi q x.  `model.normalization = heat`
+is still read and changes nothing; any other value is refused (scale
+model.chi instead).
 
 Every number in the CSV and plot tables is written as "%.17g" % v, so reading
 a file back reproduces the arrays bit-for-bit.  The writers format a block of
@@ -145,7 +146,6 @@ class RunConfig:
 
     chi: float = 1.0
     lam: float = 0.0
-    normalization: str = "heat"
     kernel_kind: str = "keller_segel"
     p0_kind: str = "gaussian"
     p0_args: List = field(default_factory=lambda: [0.0, 1.0])
@@ -200,11 +200,10 @@ class RunConfig:
 
         cfg.chi = num("model.chi", cfg.chi, lambda v: v > 0, "chi must be > 0")
         cfg.lam = num("model.lambda", cfg.lam, lambda v: v >= 0, "lambda must be >= 0")
-        norm = take("model.normalization", cfg.normalization)
-        if norm not in ("heat", "two_pi"):
-            problems.append(f"model.normalization: expected heat|two_pi, got {norm!r}")
-        else:
-            cfg.normalization = norm
+        norm = take("model.normalization", "heat")
+        if norm != "heat":
+            problems.append(f"model.normalization: only heat is supported (scale model.chi "
+                            f"instead), got {norm!r}")
         kind = take("model.kernel", cfg.kernel_kind)
         if kind not in ("keller_segel", "none"):
             problems.append(f"model.kernel: expected keller_segel|none, got {kind!r}")
@@ -296,8 +295,7 @@ class RunConfig:
         return TimeMesh(self.horizon, self.steps)
 
     def make_spec(self) -> KernelSpec:
-        return KernelSpec(chi=self.chi, lam=self.lam, normalization=self.normalization,
-                          kind=self.kernel_kind)
+        return KernelSpec(chi=self.chi, lam=self.lam, kind=self.kernel_kind)
 
     def make_p0(self, grid: Grid1D) -> DensityField:
         if self.p0_kind == "gaussian":
@@ -488,7 +486,7 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> Path:
 def cmd_check_kernel(cfg: RunConfig, out: Path, run: RunReport):
     with run.phase("check"):
         spec = cfg.make_spec()
-        report = check_hypotheses(spec, cfg.horizon, cfg.make_grid(), cfg.make_mesh())
+        report = check_hypotheses(spec, cfg.make_mesh())
         # T0 = inf when D saturates below the safety level: Picard then
         # contracts on every horizon, and D(inf) is that saturation level
         T0 = find_T0(spec, cfg.safety)

@@ -16,7 +16,7 @@ Two routes to the chemical gradient exist on purpose:
 * :func:`chemical_gradient` assembles d/dx c directly from the density
   history with the same quadrature the memory drift uses,
   so that the structural identity  chi * d/dx c = b + B  holds on the shared
-  discretization (heat-normalized kernel);
+  discretization;
 * central differencing of :func:`chemical_concentration` gives an
   independent cross-check at O(h^2) + O(dt^2) accuracy.
 
@@ -183,14 +183,14 @@ def chemical_gradient(history, chem: InitialChemical, lam: float, k: int) -> np.
 
     Uses the decomposition d/dx c = e^{-lam t} (c0' * g(t)) + (1/chi) B-type
     sum, sharing the memory drift's quadrature, so that
-    chi * (d/dx c) - [b + B] vanishes on the shared discretization for the
-    heat-normalized kernel.  Kernel-free: only the decay rate lam enters.
+    chi * (d/dx c) - [b + B] vanishes on the shared discretization.
+    Kernel-free: only the decay rate lam enters.
     """
     from .mild import memory_drift  # local import, mild depends on this module
 
     history.require_rows(k)
     tk = history.mesh.nodes[k]
-    unit = KernelSpec(chi=1.0, lam=lam, normalization="heat")
+    unit = KernelSpec(chi=1.0, lam=lam)
     part_c0 = drift_b(unit, chem, tk)
     if k == 0:
         return part_c0

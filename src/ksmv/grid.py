@@ -2,8 +2,8 @@
 
 Space is a periodic box [-L, L) with n equispaced points; time is a uniform
 mesh on [0, T].  All densities, drifts and chemical fields live on these
-grids.  The module also provides the Gaussian heat kernel, discrete
-periodic convolution by FFT and the composite 8-point Gauss-Legendre rule.
+grids.  The module also provides the Gaussian heat kernel and the composite
+8-point Gauss-Legendre rule.
 
 Quadrature convention: on the periodic grid the trapezoid and rectangle
 rules coincide, so every integral is h * sum(values).
@@ -20,7 +20,6 @@ __all__ = [
     "TimeMesh",
     "DensityField",
     "heat_kernel",
-    "convolve",
     "gauss_legendre",
 ]
 
@@ -137,28 +136,6 @@ def heat_kernel(t: float, x) -> np.ndarray:
         raise ValueError(f"heat kernel needs t > 0, got t={t}")
     x = np.asarray(x, dtype=float)
     return np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-
-
-def _as_values(f) -> np.ndarray:
-    return f.values if isinstance(f, DensityField) else np.asarray(f, dtype=float)
-
-
-def convolve(f, g_samples, grid: Grid1D) -> np.ndarray:
-    """Discrete convolution of two sampled fields (arrays or DensityFields on
-    `grid`), scaled by the spacing h, by FFT.
-
-    (f * g)_i = h * sum_j f_j g_{i-j}, with the index wrapped periodically.
-    """
-    fv = _as_values(f)
-    gv = _as_values(g_samples)
-    if fv.shape != gv.shape or fv.shape != (grid.n,):
-        raise ValueError(f"field shapes {fv.shape}, {gv.shape} do not match grid n={grid.n}")
-    n = grid.n
-    # both factors are sampled at x_i = -L + i h, so raw index convolution
-    # lands the result at index (i + j), i.e. offset by the n/2 cells that
-    # encode x = 0; the roll undoes that offset
-    out = np.roll(np.fft.irfft(np.fft.rfft(fv) * np.fft.rfft(gv), n), -(n // 2))
-    return out * grid.h
 
 
 # Positive nodes of the 8-point Gauss-Legendre rule on [-1, 1] and their

@@ -2,14 +2,11 @@
 
 The chemotaxis kernel is the time-decayed gradient of the heat kernel,
 
-    K_t(x) = chi * exp(-lambda t) * (-x) / (c_norm * t^{3/2}) * exp(-x^2 / (2t)),
+    K_t(x) = chi_eff * exp(-lambda t) * d/dx g(t, x)
+           = chi_eff * exp(-lambda t) * (-x) / (sqrt(2 pi) t^{3/2}) * exp(-x^2 / (2t)),
 
 odd in x and singular in time: its L^1(R) norm scales like t^{-1/2} and its
-L^2(R) norm like t^{-3/4}.  Two normalization constants are supported.  With
-c_norm = sqrt(2 pi) ("heat", the default) the kernel is exactly
-chi * exp(-lambda t) * d/dx g(t, x), which is the constant consistent with the
-closed-form drift identities used elsewhere in this package; c_norm = 2 pi
-("two_pi") is kept as a switch, and simply rescales the kernel by 1/sqrt(2 pi).
+L^2(R) norm like t^{-3/4}.
 
 Closed forms implemented here (all pinned against adaptive quadrature in the
 test suite), with M(a, 1, z) Kummer's function:
@@ -17,7 +14,6 @@ test suite), with M(a, 1, z) Kummer's function:
     ||K_t||_L1 = chi_eff exp(-lambda t) sqrt(2/pi) t^{-1/2}
     ||K_t||_L2 = chi_eff exp(-lambda t) c2 t^{-3/4},   c2 = (1/2) pi^{-1/4}
     int_0^t K_s(u) ds      (erfc pair, any lambda >= 0)
-    int_0^t |K_s(u)| ds  = |int_0^t K_s(u) ds|   (K_s(u) has one sign in s)
     f1(t) = int_0^t ||K_{t-s}||_L1 s^{-1/2} ds
           = chi_eff sqrt(2 pi) exp(-lambda t) M(1/2, 1, lambda t)
     f2(t) = int_0^t ||K_{t-s}||_L2 s^{-1/4} ds
@@ -26,22 +22,21 @@ test suite), with M(a, 1, z) Kummer's function:
          = 2 chi_eff sqrt(2T/pi)                  for lambda = 0
          = chi_eff sqrt(2/lambda) erf(sqrt(lambda T))  otherwise,
 
-where chi_eff = chi for the heat normalization and chi / sqrt(2 pi) for the
-two_pi one, and chi_eff = 0 for kind "none" (`model.kernel = none`), whose
-closed forms all read 0.  The six-part integrability hypothesis on K (H.1 to
-H.6 below) is checked by :func:`check_hypotheses`; the contraction horizon
-T0 solves D(T0) = safety.
+where chi_eff = chi, and chi_eff = 0 for kind "none" (`model.kernel = none`),
+whose closed forms all read 0.  The six-part integrability hypothesis on K
+(H.1 to H.6 below) is reported by :func:`check_hypotheses` from closed forms
+of what each condition bounds; none samples a grid or a density.  The
+contraction horizon T0 solves D(T0) = safety.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid1D, TimeMesh, DensityField, convolve, gauss_legendre, heat_kernel
+from .grid import TimeMesh, gauss_legendre
 from .special import erfcx, kummer_scaled, lower_gamma
 
 __all__ = [
@@ -49,24 +44,19 @@ __all__ = [
     "has_memory",
     "HypothesisItem",
     "HypothesisReport",
-    "kernel_eval",
     "kernel_l1_norm",
     "kernel_l2_norm",
     "time_integrated_kernel",
-    "time_integrated_abs_kernel",
     "kernel_symbol",
     "integrated_kernel_symbol",
     "symbol_decay",
     "f1_profile",
     "f2_profile",
     "restart_profile",
-    "default_trial_densities",
     "check_hypotheses",
     "horizon_D",
     "find_T0",
 ]
-
-_NORM_CONSTANTS = {"heat": math.sqrt(2.0 * math.pi), "two_pi": 2.0 * math.pi}
 
 _L2_COEFF = 0.5 * math.pi ** -0.25  # ||d/dx g(t,.)||_L2 = _L2_COEFF * t^{-3/4}
 
@@ -84,7 +74,6 @@ class KernelSpec:
 
     chi: float = 1.0
     lam: float = 0.0
-    normalization: str = "heat"
     kind: str = "keller_segel"
 
     def __post_init__(self):
@@ -92,19 +81,14 @@ class KernelSpec:
             raise ValueError(f"need chi >= 0, got {self.chi}")
         if self.lam < 0:
             raise ValueError(f"need lambda >= 0, got {self.lam}")
-        if self.normalization not in _NORM_CONSTANTS:
-            raise ValueError(f"normalization must be one of {sorted(_NORM_CONSTANTS)}")
         if self.kind not in ("keller_segel", "none"):
             raise ValueError(f"kind must be keller_segel or none, got {self.kind!r}")
 
     @property
-    def kernel_chi(self) -> float:
-        return 0.0 if self.kind == "none" else self.chi   # "none" keeps chi for b only
-
-    @property
     def chi_eff(self) -> float:
-        """Coupling rescaled so the kernel reads chi_eff exp(-lam t) d/dx g(t, x)."""
-        return self.kernel_chi * math.sqrt(2.0 * math.pi) / _NORM_CONSTANTS[self.normalization]
+        """Coupling of the kernel chi_eff exp(-lam t) d/dx g(t, x): chi, and 0
+        for kind "none", which keeps chi for b only."""
+        return 0.0 if self.kind == "none" else self.chi
 
 
 def has_memory(spec: KernelSpec) -> bool:
@@ -116,14 +100,6 @@ def has_memory(spec: KernelSpec) -> bool:
 def _require_time(t: float):
     if t <= 0:
         raise ValueError(f"kernel is defined for t > 0, got t={t}")
-
-
-def kernel_eval(spec: KernelSpec, t: float, x) -> np.ndarray:
-    """Kernel value K_t(x), vectorized in x."""
-    _require_time(t)
-    x = np.asarray(x, dtype=float)
-    amp = spec.kernel_chi * math.exp(-spec.lam * t) / (_NORM_CONSTANTS[spec.normalization] * t ** 1.5)
-    return amp * (-x) * np.exp(-x * x / (2.0 * t))
 
 
 def kernel_l1_norm(spec: KernelSpec, t: float) -> float:
@@ -157,21 +133,6 @@ def time_integrated_kernel(spec: KernelSpec, t: float, u) -> np.ndarray:
     if s > 0.0:
         mag += np.where(p < 0.0, 2.0 * np.exp(-2.0 * r * s), 0.0)
     return -np.sign(u) * (0.5 * spec.chi_eff) * mag
-
-
-def time_integrated_abs_kernel(spec: KernelSpec, t: float, u) -> np.ndarray:
-    """Theta_t(u) = int_0^t |K_s(u)| ds; equals |J_t(u)| since K_s(u) has one sign in s.
-
-    At lambda = 0 this is chi_eff * erfc(|u| / sqrt(2t)); its supremum over u
-    (attained at u = 0) is chi_eff, which is the uniform bound behind the
-    smoothed-interaction hypothesis (H.5).
-    """
-    vals = np.abs(time_integrated_kernel(spec, t, u))
-    u = np.asarray(u, dtype=float)
-    # the odd closed form is 0 at exactly u = 0; a convolution wants the
-    # continuous extension there, which is the supremum chi_eff (the mass of
-    # the s-integral concentrates at s -> 0, so lambda drops out of the limit)
-    return np.where(u == 0.0, spec.chi_eff, vals)
 
 
 def kernel_symbol(spec: KernelSpec, t: float, xi: np.ndarray) -> np.ndarray:
@@ -273,21 +234,6 @@ class HypothesisReport:
         return all(item.passed for item in self.items.values())
 
 
-def default_trial_densities(grid: Grid1D) -> list:
-    """Probability densities exercising the sup in (H.5): Gaussians of several
-    widths and centers, a uniform, and a near-delta two cells wide."""
-    x = grid.x
-    trials = []
-    for var, center in ((0.04, 0.0), (0.25, 0.0), (1.0, 0.0), (1.0, 1.5), (0.09, -2.0)):
-        trials.append(DensityField(grid, heat_kernel(var, x - center)))
-    box = ((x >= -1.0) & (x < 1.0)).astype(float) / 2.0
-    trials.append(DensityField(grid, box))
-    delta = np.zeros(grid.n)
-    delta[grid.n // 2] = 1.0 / grid.h
-    trials.append(DensityField(grid, delta))
-    return trials
-
-
 def _l2_norm_integral(spec: KernelSpec, lo: float, hi: float) -> float:
     """int_lo^hi ||K_t||_L2 dt = chi_eff c2 lambda^{-1/4} [gamma(1/4, lambda hi)
     - gamma(1/4, lambda lo)], and chi_eff c2 4 (hi^{1/4} - lo^{1/4}) at lambda = 0."""
@@ -298,88 +244,85 @@ def _l2_norm_integral(spec: KernelSpec, lo: float, hi: float) -> float:
                                                       - lower_gamma(0.25, lam * lo))
 
 
-def check_hypotheses(spec: KernelSpec, T: float, grid: Grid1D, mesh: TimeMesh,
-                     trial_densities: Optional[Sequence[DensityField]] = None) -> HypothesisReport:
-    """Evaluate the six integrability conditions for K on [0, T].
+def check_hypotheses(spec: KernelSpec, mesh: TimeMesh) -> HypothesisReport:
+    """Evaluate the six integrability conditions for K on [0, T], T = mesh.horizon.
 
-    H.1 integrability of t -> ||K_t|| in L^1 and L^2 (refinement probe);
-    H.2 spatial continuity (max adjacent-value jump under grid refinement);
-    H.3 pointwise vanishing of the short-time limit off x = 0 (sampled probe);
+    Every record is a closed form:
+    H.1 integrability of t -> ||K_t|| in L^1 and L^2: the increments of
+        int_eps^T as eps quarters shrink by 4^{-1/2} and 4^{-1/4};
+    H.2 spatial continuity: sup_x |d/dx K_t| = chi_eff e^{-lambda t} / (sqrt(2 pi) t^{3/2});
+    H.3 vanishing short-time limit off x = 0: sup_{|x| >= delta} |K_t(x)|;
     H.4 boundedness of the singular time convolutions f1, f2 on mesh nodes;
-    H.5 uniform bound on trial-density smoothings of int_0^t |K_.(x - y)|;
+    H.5 uniform bound on probability-density smoothings of
+        Theta_t = int_0^t |K_s| ds: its supremum Theta_t(0) = chi_eff;
     H.6 boundedness of the horizon-restart integral.
-
-    Probes sample; they are evidence, not certificates.
     """
-    if T <= 0:
-        raise ValueError(f"need T > 0, got {T}")
-    if trial_densities is None:
-        trial_densities = default_trial_densities(grid)
-    if len(trial_densities) == 0:
-        raise ValueError("H.5 needs at least one trial density")
+    T = mesh.horizon
     items = {}
 
-    # H.1: int_eps^T of both norms for shrinking eps; integrable norms show
-    # geometrically decaying increments
-    eps = T * 4.0 ** -np.arange(1, 8)
+    # H.1: the last two increments under eps -> eps / 4, from eps below
+    # 1/lambda on, where the decay is negligible and the t^{-1/2} (L1) and
+    # t^{-3/4} (L2) singularities set the ratios 1/2 and 1/sqrt(2)
+    eps = (min(T, 1.0 / spec.lam) if spec.lam else T) * 4.0 ** -np.arange(5, 8)
+    inc = np.array([[horizon_D(spec, a) - horizon_D(spec, b) for a, b in zip(eps, eps[1:])],
+                    [_l2_norm_integral(spec, b, a) for a, b in zip(eps, eps[1:])]])
+    ratios = np.divide(inc[:, 1], inc[:, 0], out=np.zeros(2), where=inc[:, 0] > 0.0)
     D_T = horizon_D(spec, T)
-    vals1 = np.array([D_T - horizon_D(spec, e) for e in eps])
-    vals2 = np.array([_l2_norm_integral(spec, e, T) for e in eps])
-    inc1, inc2 = np.diff(vals1), np.diff(vals2)
-    tiny = 1e-14 * max(vals1[-1], 1.0)
-    ratio = max(inc1[-1] / max(inc1[0], tiny), inc2[-1] / max(inc2[0], tiny))
-    items["H1"] = HypothesisItem("H.1 time-integrability of ||K_t||", float(ratio), 0.9,
-                                 bool(ratio < 0.9),
-                                 f"L1 int={vals1[-1]:.4g}, L2 int={vals2[-1]:.4g}")
+    items["H1"] = HypothesisItem("H.1 time-integrability of ||K_t||", float(ratios.max()), 0.9,
+                                 bool(ratios.max() < 0.9),
+                                 f"increment ratios L1 {ratios[0]:.4f}, L2 {ratios[1]:.4f}; "
+                                 f"L1 int={D_T:.4g}, L2 int={_l2_norm_integral(spec, 0.0, T):.4g}")
 
-    # H.2: continuity probe at several times, jumps shrink under grid refinement
-    jumps = []
-    for factor in (1, 2, 4):
-        g2 = Grid1D(grid.half_width, grid.n * factor)
-        j = max(float(np.max(np.abs(np.diff(kernel_eval(spec, t, g2.x)))))
-                for t in (0.05 * T, 0.3 * T, T))
-        jumps.append(j)
-    h2_ok = bool(jumps[-1] <= 0.75 * jumps[0] + 1e-12)
-    items["H2"] = HypothesisItem("H.2 spatial continuity", jumps[-1], 0.75 * jumps[0] + 1e-12,
-                                 h2_ok, "max jumps under refinement: "
-                                 + ", ".join(f"{j:.3g}" for j in jumps))
+    # H.2: K_t is Lipschitz in x, steepest at x = 0
+    t2 = T * np.array([0.05, 0.3, 1.0])
+    slopes = spec.chi_eff * np.exp(-spec.lam * t2) / (math.sqrt(2.0 * math.pi) * t2 ** 1.5)
+    items["H2"] = HypothesisItem("H.2 spatial continuity", float(slopes.max()), math.inf,
+                                 bool(np.isfinite(slopes.max())),
+                                 "sup_x |dK_t/dx| at t = " + ", ".join(f"{t:.3g}" for t in t2))
 
-    # H.3: short-time limit off the origin; the kernel should die pointwise
-    xs = np.array([-2.0, -0.5, 0.3, 1.0, 3.0])
-    ts = T * 4.0 ** -np.arange(2, 9)
-    probe = np.array([[abs(float(kernel_eval(spec, t, np.asarray(xv)))) for xv in xs] for t in ts])
-    h3_ok = bool(np.all(probe[-1] <= probe[0] + 1e-12) and np.all(np.isfinite(probe)))
-    items["H3"] = HypothesisItem("H.3 vanishing short-time limit off 0", float(probe[-1].max()),
-                                 float(probe[0].max() + 1e-12), h3_ok,
-                                 f"|K_t(x)| at t={ts[-1]:.2g} vs t={ts[0]:.2g}, x != 0")
+    # H.3: sup_{|x| >= delta} |K_t(x)| sits at x = max(delta, sqrt(t)); below
+    # t = delta^2 / 3 it grows in t at lambda = 0, so the value at the short
+    # probe is below the lambda = 0 value at the long one
+    delta = 0.3
 
-    # H.4: f1, f2 on mesh nodes against their lambda = 0 plateau values
+    def off_origin_sup(t, lam):
+        x = max(delta, math.sqrt(t))
+        return (spec.chi_eff * math.exp(-lam * t) * x * math.exp(-x * x / (2.0 * t))
+                / (math.sqrt(2.0 * math.pi) * t ** 1.5))
+
+    t_long = min(T, delta ** 2 / 3.0)
+    h3_val, h3_bound = off_origin_sup(t_long / 16.0, spec.lam), off_origin_sup(t_long, 0.0)
+    items["H3"] = HypothesisItem("H.3 vanishing short-time limit off 0", h3_val, h3_bound,
+                                 bool(h3_val <= h3_bound),
+                                 f"sup over |x| >= {delta:g} at t={t_long / 16.0:.3g}, "
+                                 f"lambda=0 value at t={t_long:.3g}")
+
+    # H.4: f1, f2 on mesh nodes against their lambda = 0 plateau values,
+    # which e^{-z} M(a, 1, z) (a < 1) takes at z = 0 and falls from; the
+    # slack covers the rounding of the closed forms at lambda = 0
+    slack = 1.0 + 1e-12
     f1_sup = float(np.max(f1_profile(spec, mesh.nodes[1:])))
     f2_sup = float(np.max(f2_profile(spec, mesh.nodes[1:])))
-    f1_bound = spec.chi_eff * math.sqrt(2.0 * math.pi)
-    f2_bound = spec.chi_eff * math.pi ** 0.75 / math.sqrt(2.0)
-    h4_ok = bool(f1_sup <= f1_bound * 1.01 and f2_sup <= f2_bound * 1.01)
+    f1_plateau = spec.chi_eff * math.sqrt(2.0 * math.pi)
+    f2_plateau = spec.chi_eff * math.pi ** 0.75 / math.sqrt(2.0)
+    h4_ok = bool(f1_sup <= f1_plateau * slack and f2_sup <= f2_plateau * slack)
     items["H4"] = HypothesisItem("H.4 singular time convolutions f1, f2", f1_sup,
-                                 f1_bound * 1.01, h4_ok,
-                                 f"f2 sup {f2_sup:.6g}; plateaus {f1_bound:.6g}, "
-                                 f"{f2_bound:.6g} at lambda=0")
+                                 f1_plateau * slack, h4_ok,
+                                 f"f2 sup {f2_sup:.6g}; plateaus {f1_plateau:.6g}, "
+                                 f"{f2_plateau:.6g} at lambda=0")
 
-    # H.5: sup over trials, evaluation points and times of the smoothed
-    # absolute time integral; Theta_t grows in t so late times dominate
-    t_samples = mesh.horizon * np.array([0.1, 0.3, 1.0])
-    thetas = [time_integrated_abs_kernel(spec, t, grid.x) for t in t_samples]
-    h5_val = max(float(np.max(convolve(phi, theta, grid)))
-                 for theta in thetas for phi in trial_densities)
-    h5_ok = bool(np.isfinite(h5_val) and h5_val <= spec.chi_eff * (1.0 + 1e-9) + 1e-12)
-    items["H5"] = HypothesisItem("H.5 uniform smoothed-interaction bound", h5_val, spec.chi_eff,
-                                 h5_ok, f"{len(trial_densities)} trial densities")
+    # H.5: Theta_t = |J_t| peaks at u = 0, where the mass of the s-integral
+    # concentrates at s -> 0 and lambda drops out: Theta_t(0) = chi_eff at
+    # every t bounds every smoothing of Theta_t by a probability density
+    items["H5"] = HypothesisItem("H.5 uniform smoothed-interaction bound", spec.chi_eff,
+                                 spec.chi_eff, True, "sup_u Theta_t(u) = Theta_t(0) = chi_eff")
 
     # H.6: restart integral over a probe of shift times; the sup sits at shift 0
-    shifts = mesh.horizon * np.array([0.0, 0.1, 0.5, 1.0])
-    h6_sup = max(restart_profile(spec, mesh.horizon, sh) for sh in shifts)
-    h6_bound = spec.chi_eff * math.sqrt(2.0 * math.pi)
+    shifts = T * np.array([0.0, 0.1, 0.5, 1.0])
+    h6_sup = max(restart_profile(spec, T, sh) for sh in shifts)
+    h6_bound = spec.chi_eff * math.sqrt(2.0 * math.pi) * slack
     items["H6"] = HypothesisItem("H.6 horizon-restart integral", h6_sup, h6_bound,
-                                 bool(h6_sup <= h6_bound * 1.001),
+                                 bool(h6_sup <= h6_bound),
                                  "sup over shifts " + ", ".join(f"{sh:g}" for sh in shifts))
 
     return HypothesisReport(items=items, f1_sup=f1_sup, f2_sup=f2_sup, D_of_T=D_T)

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: the acceptance-line recorder, test
-densities, row-wise history distances, the quadrature oracle for the
+densities, row-wise history distances, pointwise kernel values K_t(x) and
+Theta_t(u) = int_0^t |K_s(u)| ds, the quadrature oracle for the
 sign-drift comparison density, the per-value reference text of the table
 writers, sequential oracles for the particle noise streams and the
 cloud-in-cell cells, the direct periodic convolution sum, and the paper's
@@ -128,11 +129,29 @@ def cloud_in_cell_oracle(grid: Grid1D, positions: np.ndarray):
     return idx, (idx + 1) % grid.n, 1.0 - frac, frac
 
 
+def kernel_eval(spec: KernelSpec, t: float, x) -> np.ndarray:
+    """Kernel value K_t(x) = chi_eff e^{-lambda t} d/dx g(t, x), vectorized in x."""
+    if t <= 0:
+        raise ValueError(f"kernel is defined for t > 0, got t={t}")
+    x = np.asarray(x, dtype=float)
+    return -spec.chi_eff * math.exp(-spec.lam * t) * x * heat_kernel(t, x) / t
+
+
+def time_integrated_abs_kernel(spec: KernelSpec, t: float, u) -> np.ndarray:
+    """Theta_t(u) = int_0^t |K_s(u)| ds = |J_t(u)|, since K_s(u) has one sign
+    in s.  The odd closed form J_t is 0 at exactly u = 0; Theta_t takes its
+    continuous extension there, the supremum chi_eff (the mass of the
+    s-integral concentrates at s -> 0, so lambda drops out of the limit)."""
+    u = np.asarray(u, dtype=float)
+    return np.where(u == 0.0, spec.chi_eff, np.abs(time_integrated_kernel(spec, t, u)))
+
+
 def direct_convolution(f: np.ndarray, g: np.ndarray, grid: Grid1D) -> np.ndarray:
     """h sum_j f_j g_{i-j}, index wrapped periodically, by direct summation:
     indices [n, 2n) of the linear convolution against a doubled copy hold the
-    full circular sum, recentered by the n/2 cells that encode x = 0 as in
-    ksmv.grid.convolve."""
+    full circular sum.  Both factors are sampled at x_i = -L + i h, so the
+    sum lands at index i + j; the roll by the n/2 cells that encode x = 0
+    recenters it on the grid."""
     n = grid.n
     return np.roll(np.convolve(f, np.concatenate([g, g]))[n:2 * n], -(n // 2)) * grid.h
 

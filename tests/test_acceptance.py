@@ -44,14 +44,13 @@ def midscale_full_model():
 
 def test_criterion_01_kernel_condition_suite():
     t_start = time.perf_counter()
-    grid = Grid1D(10.0, 512)
     mesh = TimeMesh(1.0, 200)
     all_pass = True
     worst_dev = 0.0
     for chi in (0.5, 1.0, 2.0):
         for lam in (0.0, 0.5):
             spec = KernelSpec(chi=chi, lam=lam)
-            report = check_hypotheses(spec, 1.0, grid, mesh)
+            report = check_hypotheses(spec, mesh)
             all_pass &= report.all_pass
             if lam == 0.0:
                 target = math.sqrt(2.0 * math.pi) * chi

@@ -20,14 +20,14 @@ from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       write_field_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
 from ksmv.kernel import (KernelSpec, find_T0, has_memory, horizon_D, integrated_kernel_symbol,
-                         kernel_eval, kernel_l1_norm, kernel_l2_norm)
+                         kernel_l1_norm, kernel_l2_norm)
 from ksmv.field import ChemicalField, drift_b
 from ksmv import mild
 from ksmv.mild import MarginalHistory
 from ksmv.particle import simulate_bounded_drift
 from ksmv.qz import QZParams, qz_density
 
-from ksmv_helpers import reference_rows
+from ksmv_helpers import kernel_eval, reference_rows
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -317,6 +317,17 @@ def test_main_usage_errors_exit_2(tmp_path, capsys):
     assert "model.chi" in err and "model.kernel" in err
 
 
+def test_model_normalization_reads_heat_and_refuses_every_other_value(tmp_path, capsys):
+    # heat is the one normalization and changes nothing; another constant
+    # is a rescaled chi, so the config says to scale model.chi instead
+    heat = RunConfig.from_file(str(mini_config(tmp_path, **{"model.normalization": "heat"})))
+    assert heat.config_hash() == RunConfig.from_file(str(mini_config(tmp_path))).config_hash()
+    cfg = mini_config(tmp_path, **{"model.normalization": "two_pi"})
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), "check-kernel"]) == 2
+    err = capsys.readouterr().err
+    assert "model.normalization" in err and "model.chi" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [("model.chi", "1" + "0" * 400), ("model.chi", "1e400"),
                                         ("discretization.n", "1e400"),
                                         ("discretization.n", "nan")])
@@ -452,6 +463,25 @@ def test_check_kernel_passes_when_D_saturates_below_safety(tmp_path, monkeypatch
     assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 0
     records = json.loads((out / "check_kernel_report.json").read_text())["records"]
     assert {r["name"]: r["passed"] for r in records}["contraction_D_at_T0"]
+
+
+@pytest.mark.parametrize("lam, T", [("100", "1.0"), ("0.5", "100")])
+def test_check_kernel_passes_on_admissible_kernels_with_large_lambda_t(
+        tmp_path, monkeypatch, lam, T):
+    # the kernel meets H.1 at every lambda >= 0; H.1's increments are taken
+    # below eps = 1/lambda, so large lambda T leaves its ratio at 1/sqrt(2)
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    text = (REPO / "configs" / "full_model.cfg").read_text()
+    assert "model.lambda = 0.5\n" in text and "discretization.t = 0.4\n" in text
+    cfg = tmp_path / "large_lambda_t.cfg"
+    cfg.write_text(text.replace("model.lambda = 0.5\n", f"model.lambda = {lam}\n")
+                   .replace("discretization.t = 0.4\n", f"discretization.t = {T}\n"))
+    out = tmp_path / "ck"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 0
+    records = {r["name"]: r for r in
+               json.loads((out / "check_kernel_report.json").read_text())["records"]}
+    assert records["H1"]["value"] == pytest.approx(2.0 ** -0.5, abs=1e-3)
+    assert all(r["passed"] for r in records.values())
 
 
 def test_check_kernel_on_none_kernel_uses_closed_forms(tmp_path, monkeypatch):

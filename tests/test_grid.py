@@ -1,5 +1,6 @@
-"""Grid, mesh, density container, heat kernel, convolution, and the composite
-Gauss-Legendre weights (with the arcsin-adapted nodes the H.6 check uses)."""
+"""Grid, mesh, density container, heat kernel, the direct periodic
+convolution sum of the test helpers, and the composite Gauss-Legendre
+weights (with the arcsin-adapted nodes the H.6 check uses)."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel, convolve, gauss_legendre
+from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel, gauss_legendre
 
 from ksmv_helpers import direct_convolution
 
@@ -98,7 +99,7 @@ def test_heat_kernel_quadrature_mass():
     assert g.integrate(heat_kernel(0.37, g.x)) == pytest.approx(1.0, abs=1e-10)
 
 
-# --- convolution -----------------------------------------------------------
+# --- the direct periodic convolution sum (the H.5 test's oracle) ---------
 
 
 def test_convolve_delta_identity():
@@ -106,7 +107,7 @@ def test_convolve_delta_identity():
     delta = np.zeros(g.n)
     delta[g.n // 2] = 1.0 / g.h     # discrete delta at x = 0
     smooth = heat_kernel(0.5, g.x)
-    out = convolve(delta, smooth, g)
+    out = direct_convolution(delta, smooth, g)
     assert np.allclose(out, smooth, atol=1e-12)
 
 
@@ -115,29 +116,16 @@ def test_convolve_recenters_shifted_delta():
     delta = np.zeros(g.n)
     delta[g.n // 2 + 10] = 1.0 / g.h
     smooth = heat_kernel(0.5, g.x)
-    out = convolve(delta, smooth, g)
+    out = direct_convolution(delta, smooth, g)
     assert np.allclose(out, np.roll(smooth, 10), atol=1e-12)
 
 
 def test_convolve_gaussian_semigroup():
     g = Grid1D(12.0, 1024)
     s, t = 0.4, 0.9
-    out = convolve(heat_kernel(s, g.x), heat_kernel(t, g.x), g)
+    out = direct_convolution(heat_kernel(s, g.x), heat_kernel(t, g.x), g)
     wrap_tail = math.exp(-g.half_width ** 2 / (2.0 * (s + t)))
     assert np.max(np.abs(out - heat_kernel(s + t, g.x))) < 1e-4 + 10.0 * wrap_tail
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.sampled_from([32, 64, 128]))
-def test_convolve_fft_matches_direct(data, n):
-    g = Grid1D(5.0, n)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
-    f = rng.standard_normal(n)
-    q = rng.standard_normal(n)
-    a = convolve(f, q, g)
-    b = direct_convolution(f, q, g)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    assert np.max(np.abs(a - b)) < 1e-12 * scale
 
 
 def test_convolve_mass_multiplicative():
@@ -146,15 +134,8 @@ def test_convolve_mass_multiplicative():
     f = np.abs(rng.standard_normal(g.n))
     q = np.abs(rng.standard_normal(g.n))
     prod = g.integrate(f) * g.integrate(q)
-    assert g.integrate(convolve(f, q, g)) == pytest.approx(prod, abs=1e-10 * max(1.0, prod))
-
-
-def test_convolve_rejects_mismatched_shapes():
-    g = Grid1D(5.0, 32)
-    with pytest.raises(ValueError):
-        convolve(np.zeros(16), np.zeros(32), g)
-    with pytest.raises(ValueError):
-        convolve(np.zeros(32), np.zeros(32), Grid1D(5.0, 64))
+    assert g.integrate(direct_convolution(f, q, g)) == pytest.approx(
+        prod, abs=1e-10 * max(1.0, prod))
 
 
 # --- composite Gauss-Legendre weights --------------------------------------

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
-from ksmv.grid import Grid1D, TimeMesh
-from ksmv.kernel import (KernelSpec, kernel_eval, kernel_l1_norm, kernel_l2_norm,
-                         time_integrated_kernel, time_integrated_abs_kernel,
-                         kernel_symbol, integrated_kernel_symbol, f1_profile,
-                         f2_profile, restart_profile, check_hypotheses,
+from ksmv.grid import Grid1D, TimeMesh, heat_kernel
+from ksmv.kernel import (KernelSpec, kernel_l1_norm, kernel_l2_norm,
+                         time_integrated_kernel, kernel_symbol, integrated_kernel_symbol,
+                         f1_profile, f2_profile, restart_profile, check_hypotheses,
                          horizon_D, find_T0)
+from ksmv_helpers import direct_convolution, kernel_eval, time_integrated_abs_kernel
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -37,8 +37,8 @@ def test_spec_validation():
         KernelSpec(chi=-1.0)
     with pytest.raises(ValueError):
         KernelSpec(lam=-0.1)
-    with pytest.raises(ValueError):
-        KernelSpec(normalization="fourier")
+    with pytest.raises(TypeError):   # one normalization: scale chi instead
+        KernelSpec(normalization="two_pi")
     with pytest.raises(ValueError):
         KernelSpec(kind="ripley")
     # no kernel but the chemotaxis one (or none) reaches the checker or a solver
@@ -46,10 +46,9 @@ def test_spec_validation():
         KernelSpec(kind="custom")
 
 
-def test_chi_eff_normalizations():
-    assert KernelSpec(chi=1.0).chi_eff == pytest.approx(1.0)
-    alt = KernelSpec(chi=1.0, normalization="two_pi")
-    assert alt.chi_eff == pytest.approx(1.0 / SQRT_2PI)
+def test_chi_eff_is_chi_and_zero_for_kind_none():
+    assert KernelSpec(chi=1.5).chi_eff == 1.5
+    assert KernelSpec(chi=1.5, kind="none").chi_eff == 0.0
 
 
 # --- pointwise values ------------------------------------------------------
@@ -65,7 +64,6 @@ def test_eval_zero_at_origin_and_frozen_value():
 def test_eval_matches_gaussian_derivative():
     spec = KernelSpec(chi=1.3, lam=0.7)
     t, x, eps = 0.6, 0.9, 1e-5
-    from ksmv.grid import heat_kernel
     fd = (heat_kernel(t, x + eps) - heat_kernel(t, x - eps)) / (2.0 * eps)
     want = 1.3 * math.exp(-0.7 * t) * fd
     assert float(kernel_eval(spec, t, x)) == pytest.approx(want, rel=1e-8)
@@ -76,13 +74,6 @@ def test_eval_odd(t, x):
     spec = KernelSpec(chi=1.0, lam=0.3)
     assert float(kernel_eval(spec, t, -x)) == pytest.approx(-float(kernel_eval(spec, t, x)),
                                                             abs=1e-300)
-
-
-def test_eval_normalization_ratio():
-    heat = KernelSpec(chi=1.0, normalization="heat")
-    alt = KernelSpec(chi=1.0, normalization="two_pi")
-    x = np.array([0.4, 1.0, 2.5])
-    assert np.allclose(kernel_eval(alt, 0.7, x) * SQRT_2PI, kernel_eval(heat, 0.7, x))
 
 
 def test_eval_rejects_nonpositive_time():
@@ -260,30 +251,129 @@ def test_restart_profile_closed_form():
 
 
 def test_checker_passes_for_chemotaxis_kernel():
-    g = Grid1D(10.0, 256)
     mesh = TimeMesh(1.0, 100)
     for chi, lam in ((1.0, 0.0), (2.0, 0.5)):
-        rep = check_hypotheses(KernelSpec(chi=chi, lam=lam), 1.0, g, mesh)
+        rep = check_hypotheses(KernelSpec(chi=chi, lam=lam), mesh)
         assert rep.all_pass, [it.name for it in rep.items.values() if not it.passed]
         assert set(rep.items) == {"H1", "H2", "H3", "H4", "H5", "H6"}
         assert rep.f1_sup <= chi * SQRT_2PI * 1.01
 
 
 def test_checker_f1_plateau_within_one_percent():
-    g = Grid1D(10.0, 256)
-    mesh = TimeMesh(1.0, 100)
-    rep = check_hypotheses(KernelSpec(chi=1.0, lam=0.0), 1.0, g, mesh)
+    rep = check_hypotheses(KernelSpec(chi=1.0, lam=0.0), TimeMesh(1.0, 100))
     assert rep.f1_sup == pytest.approx(SQRT_2PI, rel=1e-2)
     assert find_T0(KernelSpec(chi=1.0, lam=0.0), 0.5) == pytest.approx(math.pi / 32.0, rel=1e-10)
 
 
-def test_checker_requires_positive_horizon_and_trials():
-    g = Grid1D(10.0, 256)
-    mesh = TimeMesh(1.0, 50)
+def test_checker_reads_the_horizon_from_the_mesh():
+    spec = KernelSpec(chi=1.0, lam=0.5)
+    rep = check_hypotheses(spec, TimeMesh(2.5, 50))
+    assert rep.D_of_T == horizon_D(spec, 2.5)
+    assert rep.items["H6"].detail == "sup over shifts 0, 0.25, 1.25, 2.5"
     with pytest.raises(ValueError):
-        check_hypotheses(KernelSpec(), 0.0, g, mesh)
-    with pytest.raises(ValueError):
-        check_hypotheses(KernelSpec(), 1.0, g, mesh, trial_densities=[])
+        TimeMesh(0.0, 50)
+
+
+@pytest.mark.parametrize("T", [0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 15.0, 100.0, 1e4])
+def test_h1_increment_ratios_hold_at_every_decay_and_horizon(lam, T):
+    # H.1 compares the increments of int_eps^T ||K_t|| dt over [eps_7, eps_6]
+    # and [eps_6, eps_5], eps_j = min(T, 1/lambda) 4^{-j}.  Below 1/lambda
+    # the norms are t^{-1/2} and t^{-3/4} to first order, so the L1 ratio is
+    # 1/2 and the L2 one 1/sqrt(2), however large lambda T is
+    spec = KernelSpec(chi=1.0, lam=lam)
+    rep = check_hypotheses(spec, TimeMesh(T, 50))
+    eps = (min(T, 1.0 / lam) if lam else T) * 4.0 ** -np.arange(5, 8)
+
+    def increment(norm, a, b):
+        return integrate.quad(lambda t: norm(spec, t), a, b)[0]
+
+    r1, r2 = (increment(norm, eps[2], eps[1]) / increment(norm, eps[1], eps[0])
+              for norm in (kernel_l1_norm, kernel_l2_norm))
+    assert abs(r1 - 0.5) < 1e-3 and abs(r2 - 2.0 ** -0.5) < 1e-3
+    assert rep.items["H1"].value == pytest.approx(max(r1, r2), rel=1e-9)
+    assert rep.items["H1"].passed and rep.all_pass
+
+
+@pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 100.0])
+def test_h2_is_the_steepest_slope_by_central_differences(lam, T):
+    spec = KernelSpec(chi=1.3, lam=lam)
+    rep = check_hypotheses(spec, TimeMesh(T, 50))
+    slopes = []
+    for t in T * np.array([0.05, 0.3, 1.0]):
+        x = math.sqrt(t) * np.linspace(-4.0, 4.0, 4001)
+        step = 1e-4 * math.sqrt(t)
+        fd = (kernel_eval(spec, t, x + step) - kernel_eval(spec, t, x - step)) / (2.0 * step)
+        slopes.append(float(np.max(np.abs(fd))))
+    assert rep.items["H2"].value == pytest.approx(max(slopes), rel=1e-7)
+    assert rep.items["H2"].passed
+
+
+@pytest.mark.parametrize("T", [0.01, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1e4])
+def test_h3_is_the_sup_off_the_origin_by_dense_sampling(lam, T):
+    # H.3 reads sup_{|x| >= 0.3} |K_t| at t = t_long / 16 against its
+    # lambda = 0 value at t_long = min(T, 0.3^2 / 3); |K_t| is even in x
+    spec = KernelSpec(chi=2.0, lam=lam)
+    rep = check_hypotheses(spec, TimeMesh(T, 50))
+    t_long = min(T, 0.03)
+
+    def sampled_sup(s, t):
+        x = 0.3 + np.linspace(0.0, 10.0, 200001)
+        return float(np.max(np.abs(kernel_eval(s, t, x))))
+
+    assert rep.items["H3"].value == pytest.approx(sampled_sup(spec, t_long / 16.0), rel=1e-12)
+    assert rep.items["H3"].bound == pytest.approx(sampled_sup(KernelSpec(chi=2.0), t_long),
+                                                  rel=1e-12)
+    assert rep.items["H3"].passed
+
+
+def _trial_densities(grid):
+    """Probability densities on the grid: Gaussians of several widths and
+    centers, a uniform and a one-cell spike at x = 0."""
+    x = grid.x
+    trials = [heat_kernel(var, x - center) for var, center in
+              ((0.04, 0.0), (0.25, 0.0), (1.0, 0.0), (1.0, 1.5), (0.09, -2.0))]
+    trials.append(((x >= -1.0) & (x < 1.0)).astype(float) / 2.0)
+    spike = np.zeros(grid.n)
+    spike[grid.n // 2] = 1.0 / grid.h
+    trials.append(spike)
+    return trials
+
+
+@pytest.mark.parametrize("chi, lam", [(1.0, 0.0), (2.0, 0.5), (0.5, 100.0)])
+def test_h5_bounds_every_trial_density_smoothing(chi, lam):
+    # Theta_t = |J_t| smoothed by each density stays below Theta_t(0) =
+    # chi_eff, and the spike reaches it
+    grid, T = Grid1D(10.0, 256), 1.0
+    spec = KernelSpec(chi=chi, lam=lam)
+    rep = check_hypotheses(spec, TimeMesh(T, 50))
+    assert (rep.items["H5"].value, rep.items["H5"].bound) == (chi, chi)
+    sup = max(float(np.max(direct_convolution(phi, time_integrated_abs_kernel(spec, t, grid.x),
+                                              grid)))
+              for t in T * np.array([0.1, 0.3, 1.0]) for phi in _trial_densities(grid))
+    assert sup <= chi * (1.0 + 1e-9)
+    assert sup == pytest.approx(chi, rel=1e-12)
+
+
+def test_h4_and_h6_reach_their_plateaus_at_zero_decay_and_fall_below_with_decay():
+    # e^{-z} M(a, 1, z) falls from 1 for a < 1, so lambda > 0 stays below the
+    # lambda = 0 plateaus, which the closed forms hit to within rounding
+    for chi in (0.5, 1.0, 2.0):
+        f1_plateau = chi * SQRT_2PI
+        f2_plateau = chi * math.pi ** 0.75 / math.sqrt(2.0)
+        for lam in (0.0, 1e-12, 0.5, 100.0):
+            rep = check_hypotheses(KernelSpec(chi=chi, lam=lam), TimeMesh(1.0, 100))
+            assert rep.items["H4"].passed and rep.items["H6"].passed
+            assert rep.items["H4"].bound == rep.items["H6"].bound == f1_plateau * (1.0 + 1e-12)
+            if lam == 0.0:
+                assert rep.f1_sup == pytest.approx(f1_plateau, rel=1e-15)
+                assert rep.f2_sup == pytest.approx(f2_plateau, rel=1e-15)
+                assert rep.items["H6"].value == pytest.approx(f1_plateau, rel=1e-15)
+            else:
+                assert rep.f1_sup < f1_plateau and rep.f2_sup < f2_plateau
+                assert rep.items["H6"].value < f1_plateau
 
 
 # --- contraction horizon ---------------------------------------------------

@@ -12,8 +12,7 @@ REPO = Path(__file__).resolve().parents[1]
 SCRIPTS = {
     "particle_ladder.py": ["--ladder", "200,400", "--steps", "20"],
     "refinement_study.py": ["--levels", "2"],
-    "horizon_map.py": ["--chis", "1", "--lams", "0,0.5", "--probe-n", "64",
-                       "--probe-steps", "20"],
+    "horizon_map.py": ["--chis", "1", "--lams", "0,0.5", "--probe-steps", "20"],
     "command_times.py": ["--repeats", "1", "--config", str(REPO / "configs" / "heat_only.cfg")],
 }
 
