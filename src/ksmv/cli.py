@@ -599,9 +599,11 @@ def _histogram_error_ratio(counts: np.ndarray, ref: np.ndarray, width: float,
     9.8e-3 and 3.7e-3 in density at dt = 0.02, 0.008 and 0.004.
     """
     p, allowance = ref * width, 0.14 * math.sqrt(dt) * width
-    above = binomial_sf(counts, N, np.minimum(p + allowance, 1.0))
-    # P(X <= c) at probability q is P(N - X >= N - c) at 1 - q
-    below = binomial_sf(N - counts, N, np.minimum(1.0 - p + allowance, 1.0))
+    # P(X <= c) at probability q is P(N - X >= N - c) at 1 - q; one call
+    # takes both tails of every bin
+    tails = binomial_sf(np.concatenate([counts, N - counts]), N,
+                        np.minimum(np.concatenate([p + allowance, 1.0 - p + allowance]), 1.0))
+    above, below = tails[: counts.size], tails[counts.size :]
     p_values = np.minimum(2.0 * np.minimum(above, below), 1.0)
     with np.errstate(divide="ignore"):
         worst = float(np.max(np.log(1.0 / p_values)))

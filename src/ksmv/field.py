@@ -135,35 +135,43 @@ def drift_b(spec: KernelSpec, chem: InitialChemical, t: float) -> np.ndarray:
     return pref * smoothed
 
 
-def _duhamel_symbol_sum(history, lam: float, k: int) -> np.ndarray:
-    """rfft of int_0^{t_k} e^{-lam s} (rho_{t_k - s} * g(s, .)) ds.
+# concentration nodes per inverse transform call in ks_residual
+_RESIDUAL_BLOCK = 16
 
-    Trapezoid in the smooth factor rho_{t-s} * g(s); exact subinterval
-    integrals w0 e^{-lam s_j} of e^{-lam s}; F(0) takes its identity-limit
-    value rho_{t_k}.  With q = e^{-(lam + xi^2/2) dt}, r = e^{-xi^2 dt/2} and
-    the history's running memory sums S (the same ones the memory drift
-    uses) the trapezoid sum is (w0/2) [S_{k+1} - q^k rho_hat_0 + r S_k].
+
+def _concentration_spectra(history, chem: InitialChemical, lam: float,
+                           ks) -> np.ndarray:
+    """rfft of the concentration c at each mesh node k >= 1 of ks, one row per
+    node; the caller has checked the history rows up to max(ks).
+
+    The Duhamel term is the trapezoid in the smooth factor rho_{t-s} * g(s),
+    with exact subinterval integrals w0 e^{-lam s_j} of e^{-lam s} and F(0)
+    at its identity-limit value rho_{t_k}.  With q = e^{-(lam + xi^2/2) dt},
+    r = e^{-xi^2 dt/2} and the history's running memory sums S (the same
+    ones the memory drift uses) the trapezoid sum is
+    (w0/2) [S_{k+1} - q^k rho_hat_0 + r S_k].
     """
     grid, mesh = history.grid, history.mesh
-    xi = grid.wavenumbers
-    dt = mesh.dt
+    xi, dt, nodes = grid.wavenumbers, mesh.dt, mesh.nodes
     S = history.memory_sums(lam)
+    rho0_hat = history.spectra()[0]
+    r = symbol_decay(0.0, dt, xi)
     w0 = dt if lam == 0.0 else -math.expm1(-lam * dt) / lam
-    first = symbol_decay(lam, k * dt, xi) * history.spectra()[0]
-    return 0.5 * w0 * (S[k + 1] - first + symbol_decay(0.0, dt, xi) * S[k])
+    c0_hat = np.fft.rfft(chem.c0)
+    out = np.empty((len(ks), xi.size), dtype=complex)
+    for row, k in zip(out, ks):
+        tk = nodes[k]
+        duhamel = 0.5 * w0 * (S[k + 1] - symbol_decay(lam, k * dt, xi) * rho0_hat + r * S[k])
+        np.add(math.exp(-lam * tk) * c0_hat * np.exp(-xi * xi * tk / 2.0), duhamel, out=row)
+    return out
 
 
 def _concentration(history, chem: InitialChemical, lam: float, k: int) -> np.ndarray:
     """Concentration c at mesh node k on the grid, without its gradient."""
-    grid, mesh = history.grid, history.mesh
     history.require_rows(k)
     if k == 0:
         return chem.c0.copy()
-    tk = mesh.nodes[k]
-    xi = grid.wavenumbers
-    c_hat = math.exp(-lam * tk) * np.fft.rfft(chem.c0) * np.exp(-xi * xi * tk / 2.0)
-    c_hat = c_hat + _duhamel_symbol_sum(history, lam, k)
-    return np.fft.irfft(c_hat, grid.n)
+    return np.fft.irfft(_concentration_spectra(history, chem, lam, [k])[0], history.grid.n)
 
 
 def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -> ChemicalField:
@@ -197,8 +205,7 @@ def chemical_gradient(history, chem: InitialChemical, lam: float, k: int) -> np.
     return part_c0 + memory_drift(history, unit, k)
 
 
-def ks_residual(history, chem: InitialChemical, lam: float,
-                sample_ks: Optional[np.ndarray] = None) -> np.ndarray:
+def ks_residual(history, chem: InitialChemical, lam: float) -> np.ndarray:
     """Finite-difference residual of dc/dt - (1/2) c_xx + lambda c - rho.
 
     Central differences in both time (mesh neighbours) and space; returns the
@@ -208,17 +215,27 @@ def ks_residual(history, chem: InitialChemical, lam: float,
     shrinks under (h, dt) refinement.
     """
     grid, mesh = history.grid, history.mesh
-    if sample_ks is None:
-        # below M = 4 the sample from node 2 on is empty: every interior node
-        sample_ks = np.arange(2, mesh.steps - 1, max(1, mesh.steps // 16)) \
-            if mesh.steps >= 4 else np.arange(1, mesh.steps)
+    # below M = 4 the sample from node 2 on is empty: every interior node
+    ks = range(2, mesh.steps - 1, max(1, mesh.steps // 16)) if mesh.steps >= 4 \
+        else range(1, mesh.steps)
+    out = np.empty(len(ks))
+    if not ks:
+        return out
+    history.require_rows(ks[-1] + 1)
+    # each node the samples need is evaluated once, _RESIDUAL_BLOCK per inverse call
+    nodes = sorted({k + d for k in ks for d in (-1, 0, 1)})
+    c = np.empty((len(nodes), grid.n))
+    first = 1 if nodes[0] == 0 else 0
+    if first:
+        c[0] = chem.c0
+    for i in range(first, len(nodes), _RESIDUAL_BLOCK):
+        block = nodes[i : i + _RESIDUAL_BLOCK]
+        np.fft.irfft(_concentration_spectra(history, chem, lam, block), grid.n, axis=1,
+                     out=c[i : i + len(block)])
+    row = {k: i for i, k in enumerate(nodes)}
     h, dt = grid.h, mesh.dt
-    c = {j: _concentration(history, chem, lam, j)
-         for j in {int(k) + d for k in sample_ks for d in (-1, 0, 1)}}
-    out = np.empty(len(sample_ks))
-    for i, k in enumerate(sample_ks):
-        k = int(k)
-        c_prev, c_mid, c_next = c[k - 1], c[k], c[k + 1]
+    for i, k in enumerate(ks):
+        c_prev, c_mid, c_next = c[row[k - 1]], c[row[k]], c[row[k + 1]]
         dcdt = (c_next - c_prev) / (2.0 * dt)
         cxx = (np.roll(c_mid, -1) - 2.0 * c_mid + np.roll(c_mid, 1)) / h ** 2
         res = dcdt - 0.5 * cxx + lam * c_mid - history.densities[k]

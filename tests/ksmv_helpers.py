@@ -3,8 +3,10 @@ densities, row-wise history distances, pointwise kernel values K_t(x) and
 Theta_t(u) = int_0^t |K_s(u)| ds, the quadrature oracle for the
 sign-drift comparison density, the per-value reference text of the table
 writers, sequential oracles for the particle noise streams and the
-cloud-in-cell cells, the direct periodic convolution sum, and the paper's
-literal pairwise particle system as an oracle for the binned one.
+cloud-in-cell cells, the direct periodic convolution sum, the paper's
+literal pairwise particle system as an oracle for the binned one, the
+step-by-step solver loop and per-node residual as oracles for the batched
+ones, the per-element binomial tail, and a chemical whose march overflows.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
@@ -18,10 +20,10 @@ import numpy as np
 from scipy import integrate
 
 from ksmv import particle
-from ksmv.field import InitialChemical, drift_b
+from ksmv.field import InitialChemical, _concentration, drift_b
 from ksmv.grid import Grid1D, DensityField, TimeMesh, heat_kernel
 from ksmv.kernel import KernelSpec, has_memory, time_integrated_kernel
-from ksmv.mild import MarginalHistory
+from ksmv.mild import MarginalHistory, SchemeInstabilityError, _push
 from ksmv.particle import ParticleEnsemble
 from ksmv.qz import QZParams
 
@@ -201,3 +203,99 @@ def pairwise_particles(N: int, p0: DensityField, spec: KernelSpec,
     x0 = particle._inverse_cdf_sampler(p0)(particle._keyed_draws(seed, particle._INIT, 0, keys))
     rows, X = particle._euler_paths(x0, drift, mesh, seed, keys, store_rows)
     return ParticleEnsemble(mesh, X, seed, grid=p0.grid, meta={"row_times": nodes[rows]})
+
+
+def run_mild_oracle(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray,
+                    q: np.ndarray, E1: Optional[np.ndarray],
+                    pushed: Optional[np.ndarray]):
+    """ksmv.mild._run_mild one step at a time: u_k = irfft(U_k) by its own
+    call, U pushed by _push, three transform calls per step.  Same signature
+    and result (density stack, sup of |drift|), so a test can substitute it."""
+    n, M, dt = grid.n, mesh.steps, mesh.dt
+    xi = grid.wavenumbers
+    heat = np.exp(-xi * xi * dt / 2.0)
+    deriv = 1j * xi
+    P = np.empty((M + 1, n))
+    P[0] = p0_values
+    cur = np.fft.rfft(P[0])
+    cur /= cur[0].real * grid.h
+    sup_drift = 0.0
+    for k in range(M):
+        u = np.fft.irfft(U, n)
+        U = _push(U, q, E1, cur if pushed is None else pushed[k])
+        sup_drift = max(sup_drift, float(np.max(np.abs(u))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = heat * (cur - dt * deriv * np.fft.rfft(u * P[k]))
+        if not np.isfinite(nxt).all():
+            raise SchemeInstabilityError(k + 1)
+        P[k + 1] = np.fft.irfft(nxt, n)
+        cur = nxt
+    return P, sup_drift
+
+
+def ks_residual_oracle(history: MarginalHistory, chem: InitialChemical,
+                       lam: float) -> np.ndarray:
+    """ksmv.field.ks_residual node by node: each sample reads its three nodes
+    through field._concentration, which checks the history rows itself."""
+    grid, mesh = history.grid, history.mesh
+    M = mesh.steps
+    ks = range(2, M - 1, max(1, M // 16)) if M >= 4 else range(1, M)
+    out = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        c_prev, c_mid, c_next = (_concentration(history, chem, lam, j) for j in (k - 1, k, k + 1))
+        dcdt = (c_next - c_prev) / (2.0 * mesh.dt)
+        cxx = (np.roll(c_mid, -1) - 2.0 * c_mid + np.roll(c_mid, 1)) / grid.h ** 2
+        res = dcdt - 0.5 * cxx + lam * c_mid - history.densities[k]
+        out[i] = math.sqrt(grid.integrate(res * res))
+    return out
+
+
+def overflowing_chemical(grid: Grid1D) -> InitialChemical:
+    """c0 = 0 with c0' = 1e200: on a coarse mesh the march's first step leaves
+    a finite row of size ~1e198 and the second step's drift product overflows."""
+    return InitialChemical.from_samples(grid, np.zeros(grid.n), c0_prime=np.full(grid.n, 1e200))
+
+
+def _betainc_int_oracle(a: int, b: int, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for integers a, b >= 1 and
+    0 < x < 1, by Lentz's method on its continued fraction, one element in
+    plain floats; the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) keeps x on the
+    side where it converges."""
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc_int_oracle(b, a, 1.0 - x)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a + 1) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    tiny = 1e-300
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(10_000):
+        m = i // 2
+        if i == 0:
+            num = 1.0
+        elif i % 2 == 0:
+            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        else:
+            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        f *= c * d
+        if abs(1.0 - c * d) < 1e-16:
+            return front * (f - 1.0)
+    raise ArithmeticError(f"no convergence at a={a}, b={b}, x={x}")
+
+
+def _binomial_sf_one(k: int, n: int, p: float) -> float:
+    if k <= 0:
+        return 1.0
+    if k > n or p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    return _betainc_int_oracle(int(k), int(n - k + 1), float(p))
+
+
+def binomial_sf_oracle(k, n: int, p) -> np.ndarray:
+    """P(X >= k) for X ~ Binomial(n, p) by one continued fraction per element:
+    the oracle for ksmv.special.binomial_sf."""
+    return np.vectorize(_binomial_sf_one, otypes=[float])(k, n, p)

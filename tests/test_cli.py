@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from ksmv.mild import MarginalHistory
 from ksmv.particle import simulate_bounded_drift
 from ksmv.qz import QZParams, qz_density
 
-from ksmv_helpers import kernel_eval, reference_rows
+from ksmv_helpers import kernel_eval, overflowing_chemical, reference_rows
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -449,6 +450,20 @@ def test_main_picard_unconverged_exit_1(tmp_path, monkeypatch):
                                    "picard.k_max": "1"})
     rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "p"), "picard"])
     assert rc == 1
+
+
+def test_main_solve_overflow_exits_1_naming_the_step(tmp_path, monkeypatch, capsys):
+    # tests/test_mild.py's overflowing march, run by the command: the named
+    # error is its only report, with no floating-point warning before it
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    monkeypatch.setattr(cli.RunConfig, "make_chem", lambda self, grid: overflowing_chemical(grid))
+    cfg = mini_config(tmp_path, **{"discretization.l": "10", "discretization.n": "256",
+                                   "discretization.t": "1.0", "discretization.m": "8"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), "solve"])
+    assert rc == 1
+    assert capsys.readouterr().err == "instability: non-finite state at step 2\n"
 
 
 def test_check_kernel_passes_when_D_saturates_below_safety(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from ksmv import mild
 from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
 from ksmv.kernel import (KernelSpec, kernel_l1_norm, integrated_kernel_symbol,
                          symbol_decay)
@@ -17,7 +18,8 @@ from ksmv.mild import (MarginalHistory, SchemeInstabilityError,
                        PicardDivergenceError, running_sums, memory_drift,
                        march, picard, solve_global, _sup_l1_distance)
 
-from ksmv_helpers import gaussian_density, l1_distance
+from ksmv_helpers import (gaussian_density, l1_distance, overflowing_chemical,
+                          run_mild_oracle)
 
 G12 = Grid1D(12.0, 1024)
 MESH200 = TimeMesh(1.0, 200)
@@ -218,8 +220,8 @@ def test_march_rejects_foreign_or_unnormalized_p0():
 def _overflowing_march():
     g = Grid1D(10.0, 256)
     mesh = TimeMesh(1.0, 8)  # huge dt with a huge drift overflows fast
-    chem = InitialChemical.from_samples(g, np.zeros(g.n), c0_prime=np.full(g.n, 1e200))
-    return march(gaussian_density(g, 1.0), KernelSpec(chi=1.0, kind="none"), chem, g, mesh)
+    return march(gaussian_density(g, 1.0), KernelSpec(chi=1.0, kind="none"),
+                 overflowing_chemical(g), g, mesh)
 
 
 def test_march_instability_error_names_step():
@@ -281,6 +283,37 @@ def test_march_matches_step_by_step_definition():
         P[k + 1] = np.fft.irfft(nxt, g.n)
     hist = march(p0, spec, chem, g, mesh)
     assert np.max(np.sum(np.abs(hist.densities - P), axis=1)) * g.h < 1e-12
+
+
+# the march's paired inverse, and Picard blocks of mild._DRIFT_BLOCK = 64
+# steps: one, two and three steps, one block exactly, one step past it, and
+# 130 steps (two full blocks and a step)
+@pytest.mark.parametrize("M", [1, 2, 3, 64, 65, 130])
+@pytest.mark.parametrize("model", ["memory_and_chemical", "chemical_only", "memory_only"])
+def test_solvers_equal_the_step_by_step_loop(monkeypatch, M, model):
+    g = Grid1D(3.0 * math.pi, 64)
+    chem = None if model == "memory_only" else InitialChemical.sine(g, amp=0.5, freq=1.0)
+    spec = KernelSpec(chi=1.0, lam=0.5, kind="none" if model == "chemical_only" else "keller_segel")
+    p0 = gaussian_density(g, 1.0)
+
+    def solve_three_ways():
+        hist = march(p0, spec, chem, g, TimeMesh(0.4, M))
+        fixed_point, dists = picard(p0, spec, chem, g, TimeMesh(0.1, M), k_max=4, tol=0.0)
+        # T0 = 0.1015 cuts T = 0.4 into 4 windows of M steps
+        rest = solve_global(p0, spec, chem, g, 0.4, mode="picard_with_restart", steps=4 * M,
+                            k_max=4, tol=0.0)
+        return hist, fixed_point, dists, rest
+
+    batched = solve_three_ways()
+    monkeypatch.setattr(mild, "_run_mild", run_mild_oracle)
+    stepwise = solve_three_ways()
+    for got, want in zip(batched[:2], stepwise[:2]):
+        assert np.array_equal(got.densities, want.densities)
+        assert got.meta["sup_drift"] == want.meta["sup_drift"]
+    assert batched[2] == stepwise[2] and len(batched[2]) == 4
+    rest, want = batched[3], stepwise[3]
+    assert rest.meta["windows"] == (1 if model == "chemical_only" else 4)
+    assert np.array_equal(rest.densities, want.densities)
 
 
 def test_drift_b_evaluated_once_per_solve(monkeypatch):

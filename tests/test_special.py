@@ -1,12 +1,18 @@
-"""numpy special functions against scipy.special and 30-digit reference values."""
+"""numpy special functions against scipy.special, 30-digit reference values
+and a per-element continued fraction."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+from ksmv import cli, qz
 from ksmv.special import binomial_sf, erfc, erfcx, kummer_scaled, lower_gamma
+
+from ksmv_helpers import binomial_sf_oracle
 
 EPS = np.finfo(float).eps
 
@@ -68,3 +74,37 @@ def test_binomial_tail_matches_bdtrc(n):
     # elementwise in k and p together, as verify_bound calls it
     ks, ps = np.minimum([1, 2, 3], n), np.array([0.1, 0.2, 0.3])
     assert np.allclose(binomial_sf(ks, n, ps), special.bdtrc(ks - 1, n, ps), rtol=1e-11)
+
+
+def test_binomial_tail_equals_the_per_element_continued_fraction(tmp_path, monkeypatch):
+    # the tails a `ksmv qz` run at N = 2e4 asks for (the histogram check's
+    # and the bound check's), then a grid of k around and far from the mean
+    calls = []
+
+    def record(k, n, p):
+        calls.append((np.asarray(k), n, np.asarray(p, dtype=float)))
+        return binomial_sf(k, n, p)
+
+    monkeypatch.setattr(cli, "binomial_sf", record)
+    monkeypatch.setattr(qz, "binomial_sf", record)
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    text = (Path(__file__).resolve().parents[1] / "configs" / "full_model.cfg").read_text()
+    cfg = tmp_path / "qz.cfg"
+    cfg.write_text(re.sub(r"(?m)^particles\.n = \d+$", "particles.n = 20000", text))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "qz"), "qz"]) == 0
+    assert [(k.size, n) for k, n, _ in calls] == [(72, 20000), (50, 20000)]
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 10, 2000, 20000, 100000):
+        for p in (1e-7, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9):
+            sd = math.sqrt(n * p * (1.0 - p))
+            k = np.concatenate([np.arange(-1, 6), [n - 1, n, n + 1], rng.integers(0, n + 2, 40),
+                                np.round(n * p + sd * np.linspace(-12.0, 12.0, 49))])
+            calls.append((k.astype(int), n, np.full(k.size, p)))
+    for k, n, p in calls:
+        got, want = binomial_sf(k, n, p), binomial_sf_oracle(k, n, p)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        pos = want > 0.0
+        assert np.all(np.abs(got[pos] / want[pos] - 1.0) <= 1e-13), (n, p)
+        # and bit for bit: every element stops at the half-step its own loop
+        # stops at, and IEEE arithmetic rounds each operation alike in both
+        assert np.array_equal(got, want), (n, p)
