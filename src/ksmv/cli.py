@@ -198,6 +198,12 @@ class RunConfig:
                 problems.append(f"{key}: {desc}, got {v:g}")
             return v
 
+        for key, v in raw.items():
+            if isinstance(v, tuple) and v[0] != "samples" and \
+                    not all(math.isfinite(a) for a in v[1]):
+                problems.append(f"{key}: expected a finite number in each argument, got "
+                                f"{v[0]}({', '.join(f'{a:g}' for a in v[1])})")
+
         cfg.chi = num("model.chi", cfg.chi, lambda v: v > 0, "chi must be > 0")
         cfg.lam = num("model.lambda", cfg.lam, lambda v: v >= 0, "lambda must be >= 0")
         norm = take("model.normalization", "heat")
@@ -248,13 +254,9 @@ class RunConfig:
             problems.append(f"particles.seed: {problem}")
         else:
             cfg.seed = seed
-        bw = take("particles.bandwidth", "auto")
-        if bw == "auto":
-            cfg.bandwidth = None
-        elif isinstance(bw, (int, float)) and bw > 0:
-            cfg.bandwidth = float(bw)
-        else:
-            problems.append(f"particles.bandwidth: expected auto or a positive number, got {bw!r}")
+        if take("particles.bandwidth", "auto") != "auto":
+            cfg.bandwidth = num("particles.bandwidth", None, lambda v: v > 0,
+                                "bandwidth must be auto or > 0")
 
         cfg.safety = num("picard.safety", cfg.safety, lambda v: 0 < v < 1, "safety must be in (0,1)")
         kmax = num("picard.k_max", cfg.k_max, lambda v: v >= 1 and v == int(v), "k_max must be a positive integer")

@@ -112,15 +112,15 @@ class DensityField:
     def mass(self) -> float:
         return self.grid.integrate(self.values)
 
-    def normalized(self, clip_tol: float = CLIP_TOL) -> "DensityField":
+    def normalized(self) -> "DensityField":
         """Clip roundoff negativity and rescale to unit mass.
 
-        Values below -clip_tol are genuine scheme output and are kept (the
+        Values below -CLIP_TOL are genuine scheme output and are kept (the
         caller decides whether that is an instability); only the roundoff
-        band [-clip_tol, 0) is zeroed.
+        band [-CLIP_TOL, 0) is zeroed.
         """
         v = self.values.copy()
-        v[(v < 0.0) & (v >= -clip_tol)] = 0.0
+        v[(v < 0.0) & (v >= -CLIP_TOL)] = 0.0
         m = self.grid.integrate(v)
         if m <= 0.0:
             raise ValueError("density has non-positive mass, cannot normalize")

@@ -38,11 +38,11 @@ At n of a few hundred a transform call costs several times its per-row
 work, so the step loop counts calls.  A march step makes two: the forward
 transform of the flux u_k p_k, and one two-row inverse that yields p_{k+1}
 and the next drift u_{k+1}, whose state U_{k+1} is known by then.  A
-fixed-point iterate's drift reads only the previous iterate, so the
-iterate builds U for a block of up to 64 steps by the same recursion and
-inverts the block in one call; each step then makes one forward and one
-inverse call, 2 M + ceil(M / 64) calls per iterate.  Both give the values
-of the loop that inverts u_k and p_{k+1} by one call each.
+fixed-point iterate runs the same loop: the row it pushes comes from the
+previous iterate and is known before the step, just as the march's own
+row is.  A march or an iterate of M steps thus makes 2 M transform calls
+besides its setup, and gives the values of the loop that inverts u_k and
+p_{k+1} by one call each.
 
 The one-step march multiplies by the heat symbol and adds the one-step
 Duhamel drift term.  Mass is conserved exactly by construction: the heat
@@ -205,11 +205,6 @@ def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
     return q * U if E1 is None else q * U + E1 * p_hat
 
 
-# Picard steps whose drift one inverse transform call produces: the block
-# buffers hold this many rows however many steps there are
-_DRIFT_BLOCK = 64
-
-
 def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray,
               q: np.ndarray, E1: Optional[np.ndarray],
               pushed: Optional[np.ndarray]) -> Tuple[np.ndarray, float]:
@@ -218,9 +213,9 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
     (pushed=None) or pushed[k].  Returns (density stack, sup of |drift|
     seen).
 
-    Without pushed rows a step inverts its next row and next drift state in
-    one two-row call; with them the drift of up to _DRIFT_BLOCK steps is
-    built and inverted first (transform calls: module docstring).
+    r_k is known before step k either way, so a step inverts its next row
+    and next drift state in one two-row call (transform calls: module
+    docstring).
     """
     n, M, dt = grid.n, mesh.steps, mesh.dt
     xi = grid.wavenumbers
@@ -229,62 +224,35 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
     dt_deriv = dt * (1j * xi)
     P = np.empty((M + 1, n))
     P[0] = p0_values
-    cur = np.fft.rfft(P[0])
+    # pair = [P_hat_k, U_k] is inverted to [P_k, u_k] in one call
+    pair = np.stack([np.fft.rfft(P[0]), U])
+    cur = pair[0]
     cur /= cur[0].real * grid.h   # unit mass once: heat[0] = 1 and dt_deriv[0] = 0 keep cur[0]
     prod, flux, spare = np.empty(n), np.empty_like(cur), np.empty_like(cur)
-
-    def advance(k: int, u: np.ndarray, cur: np.ndarray):
-        """cur = P_hat_k becomes P_hat_{k+1}, by the drift u = u_k."""
-        np.multiply(u, P[k], out=prod)
-        np.fft.rfft(prod, out=flux)
-        np.multiply(dt_deriv, flux, out=flux)
-        np.subtract(cur, flux, out=flux)
-        np.multiply(heat, flux, out=cur)
-        if not np.isfinite(cur).all():
-            raise SchemeInstabilityError(k + 1)
+    inv, abs_u, sup = np.empty((2, n)), np.empty(n), np.zeros(n)
+    u = inv[1]
 
     # a blow-up overflows in a step first; the step's finiteness check names it
     with np.errstate(over="ignore", invalid="ignore"):
-        if pushed is None:
-            # pair = [P_hat_k, U_k] is inverted to [P_k, u_k] in one call
-            pair = np.stack([cur, U])
-            inv = np.empty((2, n))
-            np.fft.irfft(U, n, out=inv[1])
-            u, abs_u, sup = inv[1], np.empty(n), np.zeros(n)
-            for k in range(M):
-                np.abs(u, out=abs_u)
-                np.maximum(sup, abs_u, out=sup)
-                np.multiply(q, pair[1], out=pair[1])
-                if E1 is not None:
-                    np.multiply(E1, pair[0], out=spare)
-                    np.add(pair[1], spare, out=pair[1])
-                advance(k, u, pair[0])
-                np.fft.irfft(pair, n, axis=1, out=inv)
-                P[k + 1] = inv[0]
-            return P, float(np.max(sup))
-
-        # row j of U_block is U_{k0 + j}; row j + 1 starts as E1 pushed[k0 + j]
-        rows = min(M, _DRIFT_BLOCK)
-        U_block, u_block = np.empty((rows + 1, cur.size), dtype=complex), np.empty((rows, n))
-        U_block[0] = U
-        sup = 0.0
-        for k0 in range(0, M, rows):
-            m = min(rows, M - k0)
+        np.fft.irfft(U, n, out=u)
+        for k in range(M):
+            np.abs(u, out=abs_u)
+            np.maximum(sup, abs_u, out=sup)
+            np.multiply(q, pair[1], out=pair[1])
             if E1 is not None:
-                np.multiply(E1, pushed[k0 : k0 + m], out=U_block[1 : m + 1])
-            for j in range(m):
-                if E1 is None:
-                    np.multiply(q, U_block[j], out=U_block[j + 1])
-                else:
-                    np.multiply(q, U_block[j], out=spare)
-                    np.add(spare, U_block[j + 1], out=U_block[j + 1])
-            np.fft.irfft(U_block[:m], n, axis=1, out=u_block[:m])
-            sup = max(sup, float(np.max(np.abs(u_block[:m]))))
-            for j in range(m):
-                advance(k0 + j, u_block[j], cur)
-                np.fft.irfft(cur, n, out=P[k0 + j + 1])
-            U_block[0] = U_block[m]
-        return P, sup
+                np.multiply(E1, cur if pushed is None else pushed[k], out=spare)
+                np.add(pair[1], spare, out=pair[1])
+            # cur = P_hat_k becomes P_hat_{k+1}, by the drift u = u_k
+            np.multiply(u, P[k], out=prod)
+            np.fft.rfft(prod, out=flux)
+            np.multiply(dt_deriv, flux, out=flux)
+            np.subtract(cur, flux, out=flux)
+            np.multiply(heat, flux, out=cur)
+            if not np.isfinite(cur).all():
+                raise SchemeInstabilityError(k + 1)
+            np.fft.irfft(pair, n, axis=1, out=inv)
+            P[k + 1] = inv[0]
+    return P, float(np.max(sup))
 
 
 # how far the initial density's quadrature mass may sit from 1 on load

@@ -22,16 +22,13 @@ requested path rows.
 Randomness is counter-based (Philox, Salmon et al., SC'11) and step-major:
 step k of phase p owns the stream Philox(key=[seed, p], counter=[0, k, 0, 0]),
 with phase 0 for the initial inverse-CDF uniforms (k = 0) and phase 1 for
-the path noise of step k.  The particle with key kappa takes variate kappa
-of each stream, so a step draws max(keys) + 1 values and indexes them by
-the keys; no (M, N) noise array is ever held.  Consequences, by
-construction:
+the path noise of step k.  Particle i takes variate i of each stream, so
+a step draws N values; no (M, N) noise array is ever held.  Consequences,
+by construction:
 
-* paths are bit-reproducible for fixed (seed, keys, mesh, parameters), on
+* paths are bit-reproducible for fixed (seed, N, mesh, parameters), on
   one thread or two: which thread draws a stream does not change its bits;
-* permuting the particle keys permutes the trajectories exactly;
-* the default keys arange(N) nest: a smaller run's streams are a prefix of
-  a larger run's.
+* runs nest: a smaller run's streams are a prefix of a larger run's.
 
 Steps do not depend on each other's noise, so when the process may run on
 two CPUs or more (os.sched_getaffinity) the main thread and one helper
@@ -192,35 +189,19 @@ class _Streams:
         return self.gen.standard_normal(out=out)
 
 
-def _is_arange(keys: np.ndarray) -> bool:
-    """True when keys is arange(N): each particle takes the variate at its
-    own index, so the draws need no gather."""
-    return bool(np.array_equal(keys, np.arange(keys.size)))
-
-
-def _keyed_draws(seed: int, phase: int, k: int, keys: np.ndarray) -> np.ndarray:
-    """Variates keys[i] of the counter-based stream of step k and phase:
-    uniforms on [0, 1) for _INIT, standard normals for _NOISE.  Draws
-    max(keys) + 1 values, so the cost is O(max key + 1)."""
-    draws = _Streams(seed).draw(phase, k, np.empty(int(keys.max()) + 1))
-    return draws if _is_arange(keys) else draws[keys]
-
-
-def _particle_keys(particle_keys: Optional[np.ndarray], N: int) -> np.ndarray:
-    keys = np.arange(N) if particle_keys is None else np.asarray(particle_keys)
-    if keys.shape != (N,):
-        raise ValueError("particle_keys must have shape (N,)")
-    if not np.issubdtype(keys.dtype, np.integer) or int(keys.min()) < 0:
-        raise ValueError(f"particle_keys must be non-negative integers, got dtype "
-                         f"{keys.dtype} with minimum {keys.min()}")
-    return keys
+def _keyed_draws(seed: int, phase: int, k: int, N: int) -> np.ndarray:
+    """The first N variates of the counter-based stream of step k and phase
+    (variate i is particle i's): uniforms on [0, 1) for _INIT, standard
+    normals for _NOISE."""
+    return _Streams(seed).draw(phase, k, np.empty(N))
 
 
 def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
-                 mesh: TimeMesh, seed: int, keys: np.ndarray,
+                 mesh: TimeMesh, seed: int,
                  store_rows: Optional[Sequence[int]]) -> Tuple[List[int], np.ndarray]:
     """Euler-Maruyama X_{k+1} = X_k + dt drift(k, X_k) + sqrt(dt) xi_k, with
-    xi_k drawn step by step from the step-k noise stream.
+    xi_k drawn step by step from the step-k noise stream, variate i for
+    particle i.
 
     Steps are claimed in order from one counter, each with a free buffer of
     a ring of _RING (one when T = _draw_threads() = 1), and step k's noise
@@ -244,9 +225,8 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     row_of = {r: i for i, r in enumerate(rows)}
     out = np.empty((len(rows), x0.size))
     out[0] = x0
-    gather = not _is_arange(keys)
     threads = _draw_threads()
-    ring = [np.empty(int(keys.max()) + 1) for _ in range(_RING if threads > 1 else 1)]
+    ring = [np.empty(x0.size) for _ in range(_RING if threads > 1 else 1)]
     # a step holds a free buffer from its claim until the main thread has
     # spent it, so the claimed steps not yet spent own distinct buffers
     free, claim_lock = threading.Semaphore(len(ring)), threading.Lock()
@@ -304,10 +284,7 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
                     draw(own, j)
             if failure:
                 raise failure[0]
-            xi = ring[slot]
-            if gather:
-                xi = np.take(xi, keys, out=step)
-            np.multiply(xi, sqdt, out=step)
+            np.multiply(ring[slot], sqdt, out=step)
             x += step
             ready[slot].clear()
             free.release()
@@ -334,19 +311,16 @@ def _inverse_cdf_sampler(p0: DensityField) -> Callable[[np.ndarray], np.ndarray]
 
 def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
                        chem: Optional[InitialChemical], mesh: TimeMesh,
-                       seed: int, particle_keys: Optional[np.ndarray] = None,
+                       seed: int,
                        store_rows: Optional[Sequence[int]] = None) -> ParticleEnsemble:
     """Simulate the interacting system.
 
-    particle_keys (non-negative integers, default arange(N)) assigns each
-    particle its variate in the per-step streams; permuting it permutes the
-    trajectories.  Each step costs O(max key + 1) to draw.  store_rows
-    selects which mesh rows to keep (default all; row 0 always); the stored
-    rows do not depend on it, and working memory is O(N) plus those rows.
+    Particle i takes variate i of each per-step stream.  store_rows selects
+    which mesh rows to keep (default all; row 0 always); the stored rows do
+    not depend on it, and working memory is O(N) plus those rows.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    keys = _particle_keys(particle_keys, N)
     grid, nodes = p0.grid, mesh.nodes
     q, E1 = _drift_symbols(spec, grid, mesh.dt)
     U = _start_drift(spec, chem, grid)
@@ -359,8 +333,8 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
         U = _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()))
         return u
 
-    x0 = _inverse_cdf_sampler(p0)(_keyed_draws(seed, _INIT, 0, keys))
-    rows, X = _euler_paths(x0, drift, mesh, seed, keys, store_rows)
+    x0 = _inverse_cdf_sampler(p0)(_keyed_draws(seed, _INIT, 0, N))
+    rows, X = _euler_paths(x0, drift, mesh, seed, store_rows)
     meta = {"init_sampling": "inverse-cdf", "row_times": nodes[rows]}
     return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
 
@@ -436,7 +410,7 @@ def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
                            drift_bound: Optional[float] = None,
                            store_rows: Optional[Sequence[int]] = None,
                            block: int = _LEGACY_BLOCK) -> ParticleEnsemble:
-    """Independent Euler paths dX = b(t, X) dt + dW for particle keys 0..N-1.
+    """Independent Euler paths dX = b(t, X) dt + dW for N particles.
 
     x0_sampler maps the phase-0 uniforms to start positions (inverse-CDF
     style).  drift_bound is the caller-declared sup |b_fn|, recorded for the
@@ -450,13 +424,12 @@ def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
     if block != _LEGACY_BLOCK:
         warnings.warn("simulate_bounded_drift: `block` is deprecated and ignored",
                       DeprecationWarning, stacklevel=2)
-    keys = np.arange(N)
-    x0 = x0_sampler(_keyed_draws(seed, _INIT, 0, keys))
+    x0 = x0_sampler(_keyed_draws(seed, _INIT, 0, N))
     if x0.shape != (N,):
         raise ValueError("x0_sampler must map (N,) uniforms to (N,) positions")
     nodes = mesh.nodes
     rows, out = _euler_paths(x0, lambda k, x: b_fn(float(nodes[k]), x),
-                             mesh, seed, keys, store_rows)
+                             mesh, seed, store_rows)
     meta = {"init_sampling": "inverse-cdf", "row_times": nodes[rows]}
     return ParticleEnsemble(mesh, out, seed, drift_bound=drift_bound, meta=meta)
 

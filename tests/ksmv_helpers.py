@@ -114,11 +114,12 @@ def qz_density_oracle(params: QZParams, z: float) -> float:
     return val / (math.sqrt(2.0 * math.pi) * t ** 1.5) + math.exp(pref) * (gauss(z - x) - gauss(A))
 
 
-def step_noise_oracle(seed: int, k: int, keys: np.ndarray) -> np.ndarray:
-    """Variates keys[i] of the path-noise stream of step k, drawn by a new
-    generator on one thread: the stream every thread count must reproduce."""
+def step_noise_oracle(seed: int, k: int, N: int) -> np.ndarray:
+    """The first N variates of the path-noise stream of step k, drawn by a
+    new generator on one thread: the stream every thread count must
+    reproduce."""
     gen = np.random.Generator(np.random.Philox(key=[seed, 1], counter=[0, k, 0, 0]))
-    return gen.standard_normal(int(keys.max()) + 1)[keys]
+    return gen.standard_normal(N)
 
 
 def cloud_in_cell_oracle(grid: Grid1D, positions: np.ndarray):
@@ -187,9 +188,8 @@ def pairwise_particles(N: int, p0: DensityField, spec: KernelSpec,
     """The paper's literal particle system: b from the chemical's grid by
     periodic linear interpolation plus the x-space pairwise memory sum over
     all pairs and past rows, O(N^2 M^2).  Runs on the start sampler, streams
-    and stepper of ksmv.particle.simulate_particles (keys arange(N)), so the
-    two share every variate and differ only in the interaction."""
-    keys = np.arange(N)
+    and stepper of ksmv.particle.simulate_particles, so the two share every
+    variate and differ only in the interaction."""
     nodes, past = mesh.nodes, []
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
@@ -200,8 +200,8 @@ def pairwise_particles(N: int, p0: DensityField, spec: KernelSpec,
         past.append(x.copy())
         return u if k == 0 else u + pairwise_memory(spec, past, mesh.dt)
 
-    x0 = particle._inverse_cdf_sampler(p0)(particle._keyed_draws(seed, particle._INIT, 0, keys))
-    rows, X = particle._euler_paths(x0, drift, mesh, seed, keys, store_rows)
+    x0 = particle._inverse_cdf_sampler(p0)(particle._keyed_draws(seed, particle._INIT, 0, N))
+    rows, X = particle._euler_paths(x0, drift, mesh, seed, store_rows)
     return ParticleEnsemble(mesh, X, seed, grid=p0.grid, meta={"row_times": nodes[rows]})
 
 

@@ -331,7 +331,14 @@ def test_model_normalization_reads_heat_and_refuses_every_other_value(tmp_path, 
 
 @pytest.mark.parametrize("key, value", [("model.chi", "1" + "0" * 400), ("model.chi", "1e400"),
                                         ("discretization.n", "1e400"),
-                                        ("discretization.n", "nan")])
+                                        ("discretization.n", "nan"),
+                                        ("initial.c0", "sine(nan, 1)"),
+                                        ("initial.c0", "quadratic(inf)"),
+                                        ("initial.c0", "gaussian_bump(1, inf)"),
+                                        ("initial.p0", "gaussian(nan, 1)"),
+                                        ("initial.p0", "uniform(-inf, 1)"),
+                                        ("particles.bandwidth", "inf"),
+                                        ("particles.bandwidth", "1" + "0" * 400)])
 def test_non_finite_number_exits_2(tmp_path, capsys, key, value):
     cfg = mini_config(tmp_path, **{key: value})
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), "solve"]) == 2

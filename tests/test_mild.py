@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -285,9 +286,9 @@ def test_march_matches_step_by_step_definition():
     assert np.max(np.sum(np.abs(hist.densities - P), axis=1)) * g.h < 1e-12
 
 
-# the march's paired inverse, and Picard blocks of mild._DRIFT_BLOCK = 64
-# steps: one, two and three steps, one block exactly, one step past it, and
-# 130 steps (two full blocks and a step)
+# the paired inverse of the march and of every Picard iterate against three
+# calls per step: one, two and three steps, and 64, 65 and 130 steps, long
+# enough for the pushed rows and the carried drift state to show an index slip
 @pytest.mark.parametrize("M", [1, 2, 3, 64, 65, 130])
 @pytest.mark.parametrize("model", ["memory_and_chemical", "chemical_only", "memory_only"])
 def test_solvers_equal_the_step_by_step_loop(monkeypatch, M, model):
@@ -314,6 +315,26 @@ def test_solvers_equal_the_step_by_step_loop(monkeypatch, M, model):
     rest, want = batched[3], stepwise[3]
     assert rest.meta["windows"] == (1 if model == "chemical_only" else 4)
     assert np.array_equal(rest.densities, want.densities)
+
+
+@pytest.mark.parametrize("M", [1, 64, 65, 130])
+def test_march_and_picard_make_two_transform_calls_per_step(monkeypatch, M):
+    g = Grid1D(3.0 * math.pi, 64)
+    chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
+    spec = KernelSpec(chi=1.0, lam=0.5)
+    p0 = gaussian_density(g, 1.0)
+    # mild's own transform calls, not those of the functions it calls
+    calls = []
+    counted = lambda f: lambda *a, **kw: calls.append(f) or f(*a, **kw)
+    fft = types.SimpleNamespace(rfft=counted(np.fft.rfft), irfft=counted(np.fft.irfft))
+    monkeypatch.setattr(mild, "np", types.SimpleNamespace(**{**vars(np), "fft": fft}))
+    # setup: b_hat(0) forward, p_0 forward, u_0 inverse
+    march(p0, spec, chem, g, TimeMesh(0.4, M))
+    assert len(calls) == 2 * M + 3
+    # setup as the march's, plus iterate 0's one row forward
+    calls.clear()
+    picard(p0, spec, chem, g, TimeMesh(0.1, M), k_max=1)
+    assert len(calls) == 2 * M + 4
 
 
 def test_drift_b_evaluated_once_per_solve(monkeypatch):
