@@ -94,15 +94,6 @@ class InitialChemical:
             c0_prime = (np.roll(c0, -1) - np.roll(c0, 1)) / (2.0 * grid.h)
         return cls(grid, c0, c0_prime)
 
-    def derivative_residual(self) -> float:
-        """Max deviation of c0_prime from the periodic central difference of c0.
-
-        O(h^2 ||c0'''||) for smooth closed forms; a large value signals
-        inconsistent user samples.
-        """
-        cd = (np.roll(self.c0, -1) - np.roll(self.c0, 1)) / (2.0 * self.grid.h)
-        return float(np.max(np.abs(cd - self.c0_prime)))
-
 
 @dataclass
 class ChemicalField:

@@ -8,12 +8,15 @@ The chemotaxis kernel is the time-decayed gradient of the heat kernel,
 odd in x and singular in time: its L^1(R) norm scales like t^{-1/2} and its
 L^2(R) norm like t^{-3/4}.
 
-Closed forms implemented here (all pinned against adaptive quadrature in the
-test suite), with M(a, 1, z) Kummer's function:
+The norms
 
     ||K_t||_L1 = chi_eff exp(-lambda t) sqrt(2/pi) t^{-1/2}
     ||K_t||_L2 = chi_eff exp(-lambda t) c2 t^{-3/4},   c2 = (1/2) pi^{-1/4}
-    int_0^t K_s(u) ds      (erfc pair, any lambda >= 0)
+
+and the time-integrated kernel int_0^t K_s(u) ds (an erfc pair) serve the
+test suite, which pins them against adaptive quadrature.  Closed forms
+implemented here (pinned the same way), with M(a, 1, z) Kummer's function:
+
     f1(t) = int_0^t ||K_{t-s}||_L1 s^{-1/2} ds
           = chi_eff sqrt(2 pi) exp(-lambda t) M(1/2, 1, lambda t)
     f2(t) = int_0^t ||K_{t-s}||_L2 s^{-1/4} ds
@@ -37,17 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeMesh, gauss_legendre
-from .special import erfcx, kummer_scaled, lower_gamma
+from .special import kummer_scaled, lower_gamma
 
 __all__ = [
     "KernelSpec",
     "has_memory",
     "HypothesisItem",
     "HypothesisReport",
-    "kernel_l1_norm",
-    "kernel_l2_norm",
-    "time_integrated_kernel",
-    "kernel_symbol",
     "integrated_kernel_symbol",
     "symbol_decay",
     "f1_profile",
@@ -95,54 +94,6 @@ def has_memory(spec: KernelSpec) -> bool:
     """Whether the memory drift B is on: chi_eff > 0, so False for chi = 0 and
     for kind "none"."""
     return spec.chi_eff > 0.0
-
-
-def _require_time(t: float):
-    if t <= 0:
-        raise ValueError(f"kernel is defined for t > 0, got t={t}")
-
-
-def kernel_l1_norm(spec: KernelSpec, t: float) -> float:
-    _require_time(t)
-    return spec.chi_eff * math.exp(-spec.lam * t) * math.sqrt(2.0 / math.pi) / math.sqrt(t)
-
-
-def kernel_l2_norm(spec: KernelSpec, t: float) -> float:
-    _require_time(t)
-    return spec.chi_eff * math.exp(-spec.lam * t) * _L2_COEFF * t ** -0.75
-
-
-def time_integrated_kernel(spec: KernelSpec, t: float, u) -> np.ndarray:
-    """J_t(u) = int_0^t K_s(u) ds in closed form, vectorized in u.
-
-    Writing r = |u| / sqrt(2t), s = sqrt(lambda t) and p, q = r - s, r + s,
-
-        J_t(u) = -sign(u) (chi_eff / 2) [ e^{-2rs} erfc(p) + e^{-r^2 - s^2} erfcx(q) ],
-
-    which collapses to -sign(u) chi_eff erfc(r) when lambda = 0.  Since
-    2rs + p^2 = r^2 + s^2, e^{-2rs} erfc(p) is e^{-r^2 - s^2} erfcx(p) for
-    p >= 0 and 2 e^{-2rs} - e^{-r^2 - s^2} erfcx(-p) below, so nothing
-    overflows for large r.  J_t(0) = 0 by oddness.
-    """
-    _require_time(t)
-    u = np.asarray(u, dtype=float)
-    r = np.abs(u) / math.sqrt(2.0 * t)
-    s = math.sqrt(spec.lam * t)
-    p = r - s
-    mag = np.exp(-r * r - s * s) * (erfcx(r + s) + np.copysign(erfcx(np.abs(p)), p))
-    if s > 0.0:
-        mag += np.where(p < 0.0, 2.0 * np.exp(-2.0 * r * s), 0.0)
-    return -np.sign(u) * (0.5 * spec.chi_eff) * mag
-
-
-def kernel_symbol(spec: KernelSpec, t: float, xi: np.ndarray) -> np.ndarray:
-    """Fourier symbol K_hat_t(xi) = chi_eff e^{-lam t} (i xi) e^{-xi^2 t / 2}.
-
-    Convention f_hat(xi) = int f(x) e^{-i xi x} dx, matching numpy's fft of
-    grid samples up to the factor h.
-    """
-    _require_time(t)
-    return spec.chi_eff * math.exp(-spec.lam * t) * (1j * xi) * np.exp(-xi * xi * t / 2.0)
 
 
 def integrated_kernel_symbol(spec: KernelSpec, dt: float, xi: np.ndarray) -> np.ndarray:

@@ -37,12 +37,13 @@ M steps costs O(M n log n).
 At n of a few hundred a transform call costs several times its per-row
 work, so the step loop counts calls.  A march step makes two: the forward
 transform of the flux u_k p_k, and one two-row inverse that yields p_{k+1}
-and the next drift u_{k+1}, whose state U_{k+1} is known by then.  A
-fixed-point iterate runs the same loop: the row it pushes comes from the
-previous iterate and is known before the step, just as the march's own
-row is.  A march or an iterate of M steps thus makes 2 M transform calls
-besides its setup, and gives the values of the loop that inverts u_k and
-p_{k+1} by one call each.
+and the next drift u_{k+1}, whose state U_{k+1} is known by then.  The
+fixed-point iterates run the same loop as a batch of J lanes advancing in
+lockstep (below): a step makes one forward call over the J rows the lanes
+push and their J fluxes, and one inverse over their J next spectra and J
+drift states.  A march, or a batch of any width, of M steps thus makes
+2 M transform calls besides its setup, and gives the values of the loop
+that transforms every row by a call of its own.
 
 The one-step march multiplies by the heat symbol and adds the one-step
 Duhamel drift term.  Mass is conserved exactly by construction: the heat
@@ -51,8 +52,13 @@ keeps the zero mode of p_0's spectrum, which is normalized once to unit mass.
 
 Fixed-point iteration (the contraction construction): iterate j marches the
 linear equation whose drift runs the same recursion from U_0 but pushes the
-rows of iterate j-1 (iterate 1: the history frozen at p_0), so only the
-previous iterate is kept.  The discrete
+rows of iterate j-1 (iterate 1: the history frozen at p_0).  Step k of
+iterate j reads only row k of iterate j-1, which that iterate made at its
+step k-1, so a batch of consecutive iterates runs one step loop in
+lockstep, each lane pushing its predecessor's row (pipelined waveform
+relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1,
+1982), at 2 transform calls per step for the whole batch.  Only one
+batch of iterates is kept.  The discrete
 system is lower triangular in time, so the iterates collapse onto the march
 output; their successive L^1 distances contract at rate ~ D(T_0) when the
 horizon satisfies D(T_0) < 1.  Longer horizons are covered by restarting:
@@ -206,53 +212,90 @@ def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
 
 
 def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray,
-              q: np.ndarray, E1: Optional[np.ndarray],
-              pushed: Optional[np.ndarray]) -> Tuple[np.ndarray, float]:
-    """Shared march loop from the drift state U at t_0: u_k = irfft(U_k), then
-    U_{k+1} = q U_k + E1 r_k, where r_k is the row being produced
-    (pushed=None) or pushed[k].  Returns (density stack, sup of |drift|
-    seen).
+              q: np.ndarray, E1: Optional[np.ndarray], lead: Optional[np.ndarray] = None,
+              lanes: int = 1) -> Tuple[List[np.ndarray], List[float], Optional[int]]:
+    """Shared step loop of `lanes` solutions, all from p_0 and the drift
+    state U at t_0: u_k = irfft(U_k), then U_{k+1} = q U_k + E1 r_k.
 
-    r_k is known before step k either way, so a step inverts its next row
-    and next drift state in one two-row call (transform calls: module
-    docstring).
+    With lead None there is one lane and r_k is the spectrum it produces
+    (the march).  Otherwise lane 0 pushes lead[k] (a row stack, or one row
+    for every k) and lane j pushes row k of lane j - 1, so the lanes are
+    consecutive fixed-point iterates advancing in lockstep; their pushed
+    rows are transformed by the step's forward call (transform calls:
+    module docstring).
+
+    Returns (one density stack per lane, sup of |drift| per lane, failure).
+    A lane whose state turns non-finite ends the lanes kept at the one
+    before it, and failure is the step it failed at (None if every lane
+    stayed finite); when lane 0 fails the step raises SchemeInstabilityError.
     """
-    n, M, dt = grid.n, mesh.steps, mesh.dt
+    n, M, dt, J = grid.n, mesh.steps, mesh.dt, lanes
     xi = grid.wavenumbers
-    # the real symbols cast to complex once, not in every product
-    heat, q = np.exp(-xi * xi * dt / 2.0).astype(complex), q.astype(complex)
-    dt_deriv = dt * (1j * xi)
-    P = np.empty((M + 1, n))
-    P[0] = p0_values
-    # pair = [P_hat_k, U_k] is inverted to [P_k, u_k] in one call
-    pair = np.stack([np.fft.rfft(P[0]), U])
-    cur = pair[0]
-    cur /= cur[0].real * grid.h   # unit mass once: heat[0] = 1 and dt_deriv[0] = 0 keep cur[0]
-    prod, flux, spare = np.empty(n), np.empty_like(cur), np.empty_like(cur)
-    inv, abs_u, sup = np.empty((2, n)), np.empty(n), np.zeros(n)
-    u = inv[1]
+    # the symbols cast to complex once and tiled over the lanes, so every
+    # product below runs on flat views of the lanes' rows, as for one lane
+    heat, q = (np.tile(a.astype(complex), J) for a in (np.exp(-xi * xi * dt / 2.0), q))
+    dt_deriv = np.tile(dt * (1j * xi), J)
+    E1 = None if E1 is None else np.tile(E1, J)
+    rows = [np.empty((M + 1, n)) for _ in range(J)]
+    for P in rows:
+        P[0] = p0_values
+    # pair = [P_hat_k; U_k] is inverted to inv = [P_k; u_k] in one call
+    pair, inv = np.empty((2 * J, xi.size), dtype=complex), np.empty((2 * J, n))
+    p_hat = np.fft.rfft(p0_values)
+    p_hat /= p_hat[0].real * grid.h   # unit mass once: heat[0] = 1 and dt_deriv[0] = 0 keep it
+    pair[:J], pair[J:] = p_hat, U
+    inv[:J], inv[J:] = p0_values, np.fft.irfft(U, n)
+    (cur, Us), (now, u) = (a.reshape(2, -1) for a in (pair, inv))
+    # fwd = [pushed real rows; fluxes u_k p_k] is transformed in one call;
+    # the march pushes its own spectrum and transforms its flux alone
+    n_push = 0 if lead is None or E1 is None else J
+    fwd = np.empty((n_push + J, n))
+    fwd_hat = np.empty((n_push + J, xi.size), dtype=complex)
+    fluxes, flux = fwd[n_push:].reshape(-1), fwd_hat[n_push:].reshape(-1)
+    pushed = fwd_hat[:n_push].reshape(-1) if n_push else cur
+    # lane 0 pushes a lead row, and lane j the row lane j - 1 is at; a lead
+    # of one row (p_0 at every node) is transformed once, here
+    lead_rows, first = None, 0
+    if n_push and lead.ndim == 1:
+        fwd_hat[0], first = np.fft.rfft(lead), 1
+    elif n_push:
+        lead_rows = lead
+    fwd_in, fwd_out = fwd[first:], fwd_hat[first:]
+    shifted, earlier = fwd[1:n_push], inv[:n_push - 1]
+    stores = list(zip(rows, inv[:J]))
+    spare = np.empty_like(cur)
+    abs_u, sup = np.empty_like(u), np.zeros_like(u)
+    kept, failure = J, None
 
     # a blow-up overflows in a step first; the step's finiteness check names it
     with np.errstate(over="ignore", invalid="ignore"):
-        np.fft.irfft(U, n, out=u)
         for k in range(M):
             np.abs(u, out=abs_u)
             np.maximum(sup, abs_u, out=sup)
-            np.multiply(q, pair[1], out=pair[1])
+            if n_push:
+                if lead_rows is not None:
+                    fwd[0] = lead_rows[k]
+                shifted[...] = earlier
+            np.multiply(u, now, out=fluxes)
+            np.fft.rfft(fwd_in, axis=1, out=fwd_out)
+            np.multiply(q, Us, out=Us)
             if E1 is not None:
-                np.multiply(E1, cur if pushed is None else pushed[k], out=spare)
-                np.add(pair[1], spare, out=pair[1])
+                np.multiply(E1, pushed, out=spare)
+                np.add(Us, spare, out=Us)
             # cur = P_hat_k becomes P_hat_{k+1}, by the drift u = u_k
-            np.multiply(u, P[k], out=prod)
-            np.fft.rfft(prod, out=flux)
             np.multiply(dt_deriv, flux, out=flux)
             np.subtract(cur, flux, out=flux)
             np.multiply(heat, flux, out=cur)
             if not np.isfinite(cur).all():
-                raise SchemeInstabilityError(k + 1)
+                bad = int(np.argmin(np.isfinite(pair[:J]).all(axis=1)))
+                if bad < kept:
+                    kept, failure = bad, k + 1
+                if kept == 0:
+                    raise SchemeInstabilityError(failure)
             np.fft.irfft(pair, n, axis=1, out=inv)
-            P[k + 1] = inv[0]
-    return P, float(np.max(sup))
+            for P, row in stores:
+                P[k + 1] = row
+    return rows[:kept], np.max(sup.reshape(J, n)[:kept], axis=1).tolist(), failure
 
 
 # how far the initial density's quadrature mass may sit from 1 on load
@@ -282,8 +325,8 @@ def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     """
     _check_p0(p0, grid)
     q, E1 = _drift_symbols(spec, grid, mesh.dt)
-    P, sup_drift = _run_mild(p0.values, grid, mesh, _start_drift(spec, chem, grid),
-                             q, E1, None)
+    (P,), (sup_drift,), _ = _run_mild(p0.values, grid, mesh,
+                                      _start_drift(spec, chem, grid), q, E1)
     var0 = _variance(grid, p0.values)
     meta = {"provenance": "march", "sup_drift": sup_drift,
             "tail_bound": grid.tail_bound(mesh.horizon, max(var0, 1e-6))}
@@ -296,30 +339,66 @@ def _variance(grid: Grid1D, values: np.ndarray) -> float:
     return float(m2 - m1 * m1)
 
 
+# bytes of the working block of _sup_l1_distance
+_DISTANCE_BLOCK = 1 << 17
+
+
 def _sup_l1_distance(A: np.ndarray, B: np.ndarray, h: float) -> float:
-    diff = A - B
-    np.abs(diff, out=diff)   # one A-sized buffer, not two
-    return float(np.max(np.sum(diff, axis=1)) * h)
+    """Max over rows of h sum |A - B| (B a stack like A, or one row): a block
+    of rows at a time, so the only buffer is one block and not A-sized."""
+    B = np.broadcast_to(B, A.shape)
+    step = max(1, _DISTANCE_BLOCK // (8 * A.shape[1]))
+    diff, row_l1 = np.empty((min(step, len(A)), A.shape[1])), np.empty(len(A))
+    for s in range(0, len(A), step):
+        d = diff[: len(A) - s]
+        np.subtract(A[s : s + step], B[s : s + step], out=d)
+        np.abs(d, out=d)
+        np.sum(d, axis=1, out=row_l1[s : s + step])
+    return float(np.max(row_l1) * h)
+
+
+# iterates in picard's first batch when the caller knows no better width
+_FIRST_WIDTH = 4
+
+
+def _check_iteration(k_max: int, tol: float, width: int):
+    for name, v in (("k_max", k_max), ("width", width)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
 
 
 def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
            grid: Grid1D, mesh: TimeMesh, k_max: int = 25, tol: float = 1e-8,
-           start_drift: Optional[np.ndarray] = None) -> Tuple[MarginalHistory, List[float]]:
+           start_drift: Optional[np.ndarray] = None,
+           width: int = _FIRST_WIDTH) -> Tuple[MarginalHistory, List[float]]:
     """Fixed-point iteration on the contraction horizon; returns the last
     iterate and the distances between consecutive iterates.
 
     Iterate j runs the march's drift recursion from the same U_0 but pushes
     the rows of iterate j-1 instead of its own; iterate 1 pushes the history
-    frozen at p_0.  Only the previous iterate's rows and spectra are kept.
-    Distances are sup over nodes of the row L^1 difference between
-    consecutive iterates.  Stops at tol or k_max; three consecutive growing
-    distances raise PicardDivergenceError.
+    frozen at p_0.  Distances are sup over nodes of the row L^1 difference
+    between consecutive iterates.  Stops at the first iterate closer than
+    tol to its predecessor, or at iterate k_max; three consecutive growing
+    distances raise PicardDivergenceError.  tol = 0 runs all k_max iterates.
+
+    Step k of iterate j reads only row k of iterate j-1, so the iterates
+    advance in lockstep, a batch of them per step loop.  The first batch
+    runs `width` iterates (fewer if k_max comes first) and pushes p_0; the
+    stopping rule then reads their distances in order, so the result is
+    the iterate the one-at-a-time rule stops at, and the iterates after it
+    are discarded.  If no iterate of a batch stops the rule, a continuation
+    batch of width - 1 iterates (at least one) pushes the rows of the
+    batch's last iterate, so every batch holds `width` iterates' rows.
 
     start_drift is U_0, the rfft of the total drift at the first node; by
     default it is b(0,.) of chem.  The window restart passes the state it
-    carries (b plus the earlier windows' memory) with chem None.
+    carries (b plus the earlier windows' memory) with chem None, and the
+    previous window's iteration count as width.
     """
     _check_p0(p0, grid)
+    _check_iteration(k_max, tol, width)
     if start_drift is not None and chem is not None:
         raise ValueError("give chem or start_drift, not both")
     q, E1 = _drift_symbols(spec, grid, mesh.dt)
@@ -331,24 +410,29 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
 
     # iterate 0 is p_0 on every row: one row, broadcast
     prev = p0.values
-    prev_hat = np.broadcast_to(np.fft.rfft(prev), (mesh.steps + 1, grid.wavenumbers.size))
     distances: List[float] = []
     grow_streak = 0
-    for j in range(1, k_max + 1):
-        P, sup_drift = _run_mild(p0.values, grid, mesh, U0, q, E1, prev_hat)
-        d = _sup_l1_distance(P, prev, grid.h)
-        distances.append(d)
-        if len(distances) >= 2 and distances[-1] > distances[-2]:
-            grow_streak += 1
-            if grow_streak >= 3:
-                raise PicardDivergenceError(distances)
-        else:
-            grow_streak = 0
-        if d < tol or j == k_max:
-            break
-        prev, prev_hat = P, np.fft.rfft(P, axis=1)
-    return MarginalHistory(grid, mesh, P, {"provenance": f"iterate-{j}",
-                                           "sup_drift": sup_drift}), distances
+    lanes = width
+    while True:
+        lanes = min(lanes, k_max - len(distances))
+        batch, sups, failure = _run_mild(p0.values, grid, mesh, U0, q, E1, prev, lanes)
+        for P, sup_drift in zip(batch, sups):
+            d = _sup_l1_distance(P, prev, grid.h)
+            distances.append(d)
+            if len(distances) >= 2 and distances[-1] > distances[-2]:
+                grow_streak += 1
+                if grow_streak >= 3:
+                    raise PicardDivergenceError(distances)
+            else:
+                grow_streak = 0
+            if d < tol or len(distances) == k_max:
+                return MarginalHistory(grid, mesh, P, {"provenance": f"iterate-{len(distances)}",
+                                                       "sup_drift": sup_drift}), distances
+            prev = P
+        if failure is not None:
+            raise SchemeInstabilityError(failure)
+        del batch   # the lanes before prev, freed before the next batch
+        lanes = max(width - 1, 1)
 
 
 def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
@@ -383,15 +467,19 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     P = np.empty((M + 1, grid.n))
     P[0] = p0.values
     iterations = []
+    width = _FIRST_WIDTH
     for w in range(n_win):
         base = w * steps_w
         window_p0 = DensityField(grid, P[base], float(mesh_g.nodes[base]))
         last, dists = picard(window_p0, spec, None, grid, mesh_w,
-                             k_max=k_max, tol=tol, start_drift=U)
+                             k_max=k_max, tol=tol, start_drift=U, width=width)
         P[base : base + steps_w + 1] = last.densities
         iterations.append(len(dists))
+        # a window mostly needs as many iterates as the one before: one batch
+        width = len(dists)
         for p_hat in last.spectra()[:-1]:
             U = _push(U, q, E1, p_hat)
+        del last   # its rows and spectra, freed before the next window's batch
     meta = {"provenance": "picard_with_restart", "windows": n_win,
             "iterations_per_window": iterations,
             "tail_bound": grid.tail_bound(T, max(_variance(grid, p0.values), 1e-6))}

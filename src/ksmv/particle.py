@@ -112,9 +112,6 @@ class ParticleEnsemble:
     def snapshot_times(self) -> np.ndarray:
         return self.meta.get("row_times", self.mesh.nodes)
 
-    def marginal_variance(self, row: int) -> float:
-        return float(np.var(self.positions[row]))
-
 
 _INIT, _NOISE = 0, 1   # stream phases: initial uniforms, path noise
 _LEGACY_BLOCK = 20000

@@ -49,7 +49,6 @@ __all__ = [
     "QZParams",
     "BoundReport",
     "qz_density",
-    "qz_bound",
     "verify_bound",
 ]
 
@@ -94,18 +93,6 @@ def _tail_eval(t: float, a, beta: float):
     in closed form, vectorized in a: Gaussian term plus an erfc tail."""
     shift = (a - beta * t) / math.sqrt(2.0 * t)
     return _gauss(t, a - beta * t) + beta / 2.0 * erfc(shift)
-
-
-def qz_bound(t: float, x: float, y: float, beta: float) -> float:
-    """Universal density bound: any diffusion with unit noise and drift
-    bounded by beta has transition density p(t, x, y) at most this value.
-    It is the sign-drift density at the attractor, qz_density(p, y) with
-    p = QZParams(beta, y, x, t)."""
-    if t <= 0:
-        raise ValueError(f"need t > 0, got {t}")
-    if beta < 0:
-        raise ValueError(f"need beta >= 0, got {beta}")
-    return _tail_eval(t, abs(x - y), beta)
 
 
 @dataclass

@@ -1,12 +1,15 @@
 """Helpers shared by the test modules: the acceptance-line recorder, test
-densities, row-wise history distances, pointwise kernel values K_t(x) and
-Theta_t(u) = int_0^t |K_s(u)| ds, the quadrature oracle for the
+densities, row-wise history distances, pointwise kernel values K_t(x), the
+kernel's norms, time integral J_t(u) and symbol, Theta_t(u) =
+int_0^t |K_s(u)| ds, the universal density bound, the chemical derivative
+residual, an ensemble row's variance, the quadrature oracle for the
 sign-drift comparison density, the per-value reference text of the table
 writers, sequential oracles for the particle noise streams and the
 cloud-in-cell cells, the direct periodic convolution sum, the paper's
 literal pairwise particle system as an oracle for the binned one, the
-step-by-step solver loop and per-node residual as oracles for the batched
-ones, the per-element binomial tail, and a chemical whose march overflows.
+step-by-step solver loop, the one-iterate-at-a-time fixed-point iteration
+and the per-node residual as oracles for the batched ones, the per-element
+binomial tail, and a chemical whose march overflows.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
@@ -22,10 +25,12 @@ from scipy import integrate
 from ksmv import particle
 from ksmv.field import InitialChemical, _concentration, drift_b
 from ksmv.grid import Grid1D, DensityField, TimeMesh, heat_kernel
-from ksmv.kernel import KernelSpec, has_memory, time_integrated_kernel
-from ksmv.mild import MarginalHistory, SchemeInstabilityError, _push
+from ksmv.kernel import KernelSpec, has_memory
+from ksmv.mild import (MarginalHistory, PicardDivergenceError, SchemeInstabilityError,
+                       _drift_symbols, _push, _start_drift)
 from ksmv.particle import ParticleEnsemble
-from ksmv.qz import QZParams
+from ksmv.qz import QZParams, _tail_eval
+from ksmv.special import erfcx
 
 ACCEPTANCE_LINES = {}
 
@@ -132,12 +137,84 @@ def cloud_in_cell_oracle(grid: Grid1D, positions: np.ndarray):
     return idx, (idx + 1) % grid.n, 1.0 - frac, frac
 
 
-def kernel_eval(spec: KernelSpec, t: float, x) -> np.ndarray:
-    """Kernel value K_t(x) = chi_eff e^{-lambda t} d/dx g(t, x), vectorized in x."""
+def _require_time(t: float):
     if t <= 0:
         raise ValueError(f"kernel is defined for t > 0, got t={t}")
+
+
+def kernel_eval(spec: KernelSpec, t: float, x) -> np.ndarray:
+    """Kernel value K_t(x) = chi_eff e^{-lambda t} d/dx g(t, x), vectorized in x."""
+    _require_time(t)
     x = np.asarray(x, dtype=float)
     return -spec.chi_eff * math.exp(-spec.lam * t) * x * heat_kernel(t, x) / t
+
+
+def kernel_l1_norm(spec: KernelSpec, t: float) -> float:
+    """||K_t||_L1 = chi_eff e^{-lambda t} sqrt(2/pi) t^{-1/2}."""
+    _require_time(t)
+    return spec.chi_eff * math.exp(-spec.lam * t) * math.sqrt(2.0 / math.pi) / math.sqrt(t)
+
+
+def kernel_l2_norm(spec: KernelSpec, t: float) -> float:
+    """||K_t||_L2 = chi_eff e^{-lambda t} c2 t^{-3/4}, c2 = (1/2) pi^{-1/4}."""
+    _require_time(t)
+    return spec.chi_eff * math.exp(-spec.lam * t) * (0.5 * math.pi ** -0.25) * t ** -0.75
+
+
+def time_integrated_kernel(spec: KernelSpec, t: float, u) -> np.ndarray:
+    """J_t(u) = int_0^t K_s(u) ds in closed form, vectorized in u.
+
+    Writing r = |u| / sqrt(2t), s = sqrt(lambda t) and p, q = r - s, r + s,
+
+        J_t(u) = -sign(u) (chi_eff / 2) [ e^{-2rs} erfc(p) + e^{-r^2 - s^2} erfcx(q) ],
+
+    which collapses to -sign(u) chi_eff erfc(r) when lambda = 0.  Since
+    2rs + p^2 = r^2 + s^2, e^{-2rs} erfc(p) is e^{-r^2 - s^2} erfcx(p) for
+    p >= 0 and 2 e^{-2rs} - e^{-r^2 - s^2} erfcx(-p) below, so nothing
+    overflows for large r.  J_t(0) = 0 by oddness.
+    """
+    _require_time(t)
+    u = np.asarray(u, dtype=float)
+    r = np.abs(u) / math.sqrt(2.0 * t)
+    s = math.sqrt(spec.lam * t)
+    p = r - s
+    mag = np.exp(-r * r - s * s) * (erfcx(r + s) + np.copysign(erfcx(np.abs(p)), p))
+    if s > 0.0:
+        mag += np.where(p < 0.0, 2.0 * np.exp(-2.0 * r * s), 0.0)
+    return -np.sign(u) * (0.5 * spec.chi_eff) * mag
+
+
+def kernel_symbol(spec: KernelSpec, t: float, xi: np.ndarray) -> np.ndarray:
+    """Fourier symbol K_hat_t(xi) = chi_eff e^{-lam t} (i xi) e^{-xi^2 t / 2}.
+
+    Convention f_hat(xi) = int f(x) e^{-i xi x} dx, matching numpy's fft of
+    grid samples up to the factor h.
+    """
+    _require_time(t)
+    return spec.chi_eff * math.exp(-spec.lam * t) * (1j * xi) * np.exp(-xi * xi * t / 2.0)
+
+
+def qz_bound(t: float, x: float, y: float, beta: float) -> float:
+    """Universal density bound: any diffusion with unit noise and drift
+    bounded by beta has transition density p(t, x, y) at most this value.
+    It is the sign-drift density at the attractor, qz_density(p, y) with
+    p = QZParams(beta, y, x, t)."""
+    if t <= 0:
+        raise ValueError(f"need t > 0, got {t}")
+    if beta < 0:
+        raise ValueError(f"need beta >= 0, got {beta}")
+    return _tail_eval(t, abs(x - y), beta)
+
+
+def derivative_residual(chem: InitialChemical) -> float:
+    """Max deviation of c0_prime from the periodic central difference of c0:
+    O(h^2 ||c0'''||) for smooth closed forms."""
+    cd = (np.roll(chem.c0, -1) - np.roll(chem.c0, 1)) / (2.0 * chem.grid.h)
+    return float(np.max(np.abs(cd - chem.c0_prime)))
+
+
+def marginal_variance(ens: ParticleEnsemble, row: int) -> float:
+    return float(np.var(ens.positions[row]))
 
 
 def time_integrated_abs_kernel(spec: KernelSpec, t: float, u) -> np.ndarray:
@@ -231,6 +308,31 @@ def run_mild_oracle(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.n
         P[k + 1] = np.fft.irfft(nxt, n)
         cur = nxt
     return P, sup_drift
+
+
+def picard_oracle(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
+                  grid: Grid1D, mesh: TimeMesh, k_max: int = 25, tol: float = 1e-8,
+                  start_drift: Optional[np.ndarray] = None, width: Optional[int] = None):
+    """ksmv.mild.picard one iterate after another through run_mild_oracle:
+    iterate j pushes the rfft of iterate j - 1's real rows (iterate 0: p_0
+    on every row).  Same signature and result (last iterate, distances), so
+    a test can substitute it for mild.picard; width is accepted and unused."""
+    q, E1 = _drift_symbols(spec, grid, mesh.dt)
+    U0 = _start_drift(spec, chem, grid) if start_drift is None else start_drift
+    prev = np.tile(p0.values, (mesh.steps + 1, 1))
+    distances, grow_streak = [], 0
+    for j in range(1, k_max + 1):
+        P, sup_drift = run_mild_oracle(p0.values, grid, mesh, U0, q, E1,
+                                       np.fft.rfft(prev, axis=1))
+        distances.append(float(np.max(np.sum(np.abs(P - prev), axis=1)) * grid.h))
+        grow_streak = grow_streak + 1 if j >= 2 and distances[-1] > distances[-2] else 0
+        if grow_streak >= 3:
+            raise PicardDivergenceError(distances)
+        if distances[-1] < tol or j == k_max:
+            break
+        prev = P
+    return MarginalHistory(grid, mesh, P, {"provenance": f"iterate-{j}",
+                                           "sup_drift": sup_drift}), distances
 
 
 def ks_residual_oracle(history: MarginalHistory, chem: InitialChemical,

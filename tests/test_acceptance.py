@@ -14,14 +14,13 @@ from scipy import integrate
 
 from ksmv import cli
 from ksmv.grid import Grid1D, TimeMesh
-from ksmv.kernel import (KernelSpec, check_hypotheses, find_T0, horizon_D,
-                         f1_profile, kernel_l1_norm)
+from ksmv.kernel import KernelSpec, check_hypotheses, find_T0, horizon_D, f1_profile
 from ksmv.field import InitialChemical, drift_b, chemical_gradient, ks_residual
 from ksmv.mild import march, picard, solve_global, memory_drift
 from ksmv.particle import simulate_particles, simulate_bounded_drift, kde_density
 from ksmv.qz import QZParams, qz_density, verify_bound
 
-from ksmv_helpers import (record_criterion, gaussian_density, l1_distance,
+from ksmv_helpers import (record_criterion, gaussian_density, kernel_l1_norm, l1_distance,
                           qz_density_oracle)
 
 SINE_BOX = 3.0 * math.pi   # box half-width making the frequency-1 sine periodic

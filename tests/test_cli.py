@@ -20,15 +20,15 @@ from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       RunReport, write_csv, write_plot_table, write_history_csv,
                       write_field_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import (KernelSpec, find_T0, has_memory, horizon_D, integrated_kernel_symbol,
-                         kernel_l1_norm, kernel_l2_norm)
+from ksmv.kernel import KernelSpec, find_T0, has_memory, horizon_D, integrated_kernel_symbol
 from ksmv.field import ChemicalField, drift_b
 from ksmv import mild
 from ksmv.mild import MarginalHistory
 from ksmv.particle import simulate_bounded_drift
 from ksmv.qz import QZParams, qz_density
 
-from ksmv_helpers import kernel_eval, overflowing_chemical, reference_rows
+from ksmv_helpers import (kernel_eval, kernel_l1_norm, kernel_l2_norm, overflowing_chemical,
+                          reference_rows)
 
 REPO = Path(__file__).resolve().parents[1]
 

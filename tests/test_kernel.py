@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import (KernelSpec, kernel_l1_norm, kernel_l2_norm,
-                         time_integrated_kernel, kernel_symbol, integrated_kernel_symbol,
-                         f1_profile, f2_profile, restart_profile, check_hypotheses,
-                         horizon_D, find_T0)
-from ksmv_helpers import direct_convolution, kernel_eval, time_integrated_abs_kernel
+from ksmv.kernel import (KernelSpec, integrated_kernel_symbol, f1_profile, f2_profile,
+                         restart_profile, check_hypotheses, horizon_D, find_T0)
+from ksmv_helpers import (direct_convolution, kernel_eval, kernel_l1_norm, kernel_l2_norm,
+                          kernel_symbol, time_integrated_abs_kernel, time_integrated_kernel)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

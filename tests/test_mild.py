@@ -12,15 +12,14 @@ from scipy import integrate
 
 from ksmv import mild
 from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
-from ksmv.kernel import (KernelSpec, kernel_l1_norm, integrated_kernel_symbol,
-                         symbol_decay)
+from ksmv.kernel import KernelSpec, integrated_kernel_symbol, symbol_decay
 from ksmv.field import InitialChemical, drift_b
 from ksmv.mild import (MarginalHistory, SchemeInstabilityError,
                        PicardDivergenceError, running_sums, memory_drift,
                        march, picard, solve_global, _sup_l1_distance)
 
-from ksmv_helpers import (gaussian_density, l1_distance, overflowing_chemical,
-                          run_mild_oracle)
+from ksmv_helpers import (gaussian_density, kernel_l1_norm, l1_distance,
+                          overflowing_chemical, picard_oracle, run_mild_oracle)
 
 G12 = Grid1D(12.0, 1024)
 MESH200 = TimeMesh(1.0, 200)
@@ -286,35 +285,131 @@ def test_march_matches_step_by_step_definition():
     assert np.max(np.sum(np.abs(hist.densities - P), axis=1)) * g.h < 1e-12
 
 
-# the paired inverse of the march and of every Picard iterate against three
-# calls per step: one, two and three steps, and 64, 65 and 130 steps, long
-# enough for the pushed rows and the carried drift state to show an index slip
+def full_model(g, model="memory_and_chemical"):
+    chem = None if model == "memory_only" else InitialChemical.sine(g, amp=0.5, freq=1.0)
+    spec = KernelSpec(chi=1.0, lam=0.5, kind="none" if model == "chemical_only" else "keller_segel")
+    return spec, chem
+
+
+def assert_same_iteration(got, want):
+    (got_hist, got_dists), (want_hist, want_dists) = got, want
+    assert got_dists == want_dists
+    assert np.array_equal(got_hist.densities, want_hist.densities)
+    assert got_hist.meta == want_hist.meta
+
+
+# the march's paired inverse against three calls per step, and the Picard
+# iterates in lockstep against one iterate at a time: one, two and three
+# steps, and 64, 65 and 130 steps, long enough for the pushed rows and the
+# carried drift state to show an index slip
 @pytest.mark.parametrize("M", [1, 2, 3, 64, 65, 130])
 @pytest.mark.parametrize("model", ["memory_and_chemical", "chemical_only", "memory_only"])
 def test_solvers_equal_the_step_by_step_loop(monkeypatch, M, model):
     g = Grid1D(3.0 * math.pi, 64)
-    chem = None if model == "memory_only" else InitialChemical.sine(g, amp=0.5, freq=1.0)
-    spec = KernelSpec(chi=1.0, lam=0.5, kind="none" if model == "chemical_only" else "keller_segel")
+    spec, chem = full_model(g, model)
     p0 = gaussian_density(g, 1.0)
+    hist = march(p0, spec, chem, g, TimeMesh(0.4, M))
+    q, E1 = mild._drift_symbols(spec, g, 0.4 / M)
+    P, sup_drift = run_mild_oracle(p0.values, g, TimeMesh(0.4, M),
+                                   mild._start_drift(spec, chem, g), q, E1, None)
+    assert np.array_equal(hist.densities, P) and hist.meta["sup_drift"] == sup_drift
 
-    def solve_three_ways():
-        hist = march(p0, spec, chem, g, TimeMesh(0.4, M))
-        fixed_point, dists = picard(p0, spec, chem, g, TimeMesh(0.1, M), k_max=4, tol=0.0)
-        # T0 = 0.1015 cuts T = 0.4 into 4 windows of M steps
-        rest = solve_global(p0, spec, chem, g, 0.4, mode="picard_with_restart", steps=4 * M,
-                            k_max=4, tol=0.0)
-        return hist, fixed_point, dists, rest
+    args = (p0, spec, chem, g, TimeMesh(0.1, M))
+    got = picard(*args, k_max=4, tol=0.0)
+    assert len(got[1]) == 4
+    assert_same_iteration(got, picard_oracle(*args, k_max=4, tol=0.0))
 
-    batched = solve_three_ways()
-    monkeypatch.setattr(mild, "_run_mild", run_mild_oracle)
-    stepwise = solve_three_ways()
-    for got, want in zip(batched[:2], stepwise[:2]):
-        assert np.array_equal(got.densities, want.densities)
-        assert got.meta["sup_drift"] == want.meta["sup_drift"]
-    assert batched[2] == stepwise[2] and len(batched[2]) == 4
-    rest, want = batched[3], stepwise[3]
+    # T0 = 0.1015 cuts T = 0.4 into 4 windows of M steps
+    restart = lambda: solve_global(p0, spec, chem, g, 0.4, mode="picard_with_restart",
+                                   steps=4 * M, k_max=4, tol=0.0)
+    rest = restart()
+    monkeypatch.setattr(mild, "picard", picard_oracle)
+    want = restart()
     assert rest.meta["windows"] == (1 if model == "chemical_only" else 4)
     assert np.array_equal(rest.densities, want.densities)
+
+
+# 5 iterates per window: more than the default first width of 4
+LOCKSTEP_TOL = 1e-11
+
+
+def needed_iterates(g, M):
+    args = (gaussian_density(g, 1.0), *full_model(g), g, TimeMesh(0.1, M))
+    return len(picard_oracle(*args, tol=LOCKSTEP_TOL)[1])
+
+
+# first widths 1 and 2 run continuation batches; the needed count runs one
+# batch, and 3 more discard the iterates after the one the rule stops at
+@pytest.mark.parametrize("extra", ["one", "two", "needed", "needed+3"])
+def test_picard_batches_equal_the_one_at_a_time_iteration(monkeypatch, extra):
+    g = Grid1D(3.0 * math.pi, 64)
+    spec, chem = full_model(g)
+    p0 = gaussian_density(g, 1.0)
+    needed = needed_iterates(g, 40)
+    assert needed > mild._FIRST_WIDTH
+    width = {"one": 1, "two": 2, "needed": needed, "needed+3": needed + 3}[extra]
+    widths = []
+    run_mild = mild._run_mild
+    monkeypatch.setattr(mild, "_run_mild", lambda *a: widths.append(a[-1]) or run_mild(*a))
+    args = (p0, spec, chem, g, TimeMesh(0.1, 40))
+    got = picard(*args, tol=LOCKSTEP_TOL, width=width)
+    assert_same_iteration(got, picard_oracle(*args, tol=LOCKSTEP_TOL))
+    assert sum(widths) >= needed and sum(widths[:-1]) < needed
+    assert widths[1:] == [max(width - 1, 1)] * (len(widths) - 1)
+
+    # the restart's first window runs the first width, each later one the
+    # count its predecessor needed
+    monkeypatch.setattr(mild, "_FIRST_WIDTH", width)
+    restart = lambda: solve_global(p0, spec, chem, g, 0.4, mode="picard_with_restart",
+                                   steps=160, tol=LOCKSTEP_TOL)
+    widths.clear()
+    rest = restart()
+    assert widths[0] == width
+    assert rest.meta["iterations_per_window"] == [needed] * 4
+    assert widths[-3:] == [needed] * 3   # one batch per later window
+    monkeypatch.setattr(mild, "picard", picard_oracle)
+    want = restart()
+    assert rest.meta["iterations_per_window"] == want.meta["iterations_per_window"]
+    assert np.array_equal(rest.densities, want.densities)
+
+
+def test_a_failing_lane_ends_the_lanes_kept():
+    # lane 0 pushes zero rows (pure heat); lane 1 pushes lane 0's rows through
+    # a kernel of size 1e200, overflows, and ends the lanes kept at lane 0
+    g, mesh = Grid1D(3.0 * math.pi, 64), TimeMesh(0.1, 20)
+    p0 = gaussian_density(g, 1.0)
+    q, E1 = mild._drift_symbols(KernelSpec(chi=1e200), g, mesh.dt)
+    U0, lead = np.zeros(g.wavenumbers.size, dtype=complex), np.zeros((mesh.steps + 1, g.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept, sups, failure = mild._run_mild(p0.values, g, mesh, U0, q, E1, lead, 3)
+    want = run_mild_oracle(p0.values, g, mesh, U0, q, E1, np.fft.rfft(lead, axis=1))
+    assert len(kept) == 1 and np.array_equal(kept[0], want[0]) and sups == [want[1]]
+    with pytest.raises(SchemeInstabilityError) as err:
+        run_mild_oracle(p0.values, g, mesh, U0, q, E1, np.fft.rfft(kept[0], axis=1))
+    assert failure == err.value.step
+
+
+def test_picard_returns_before_a_failed_lane_or_raises_its_step(monkeypatch):
+    # the iterates the rule reads before a failed lane decide: the rule stops
+    # at iterate 2 and returns it, or reaches the failed lane and raises
+    g = Grid1D(3.0 * math.pi, 64)
+    spec, chem = full_model(g)
+    args = (gaussian_density(g, 1.0), spec, chem, g, TimeMesh(0.1, 20))
+    dists = picard_oracle(*args, k_max=4, tol=0.0)[1]
+    assert dists[1] < dists[0]
+    tol = dists[1] * (1.0 + 1e-9)
+    run_mild = mild._run_mild
+
+    def third_lane_fails(*a):
+        batch, sups, _ = run_mild(*a)
+        return batch[:2], sups[:2], 7
+
+    monkeypatch.setattr(mild, "_run_mild", third_lane_fails)
+    assert_same_iteration(picard(*args, tol=tol), picard_oracle(*args, tol=tol))
+    with pytest.raises(SchemeInstabilityError) as err:
+        picard(*args, k_max=4, tol=0.0)
+    assert err.value.step == 7
 
 
 @pytest.mark.parametrize("M", [1, 64, 65, 130])
@@ -331,10 +426,12 @@ def test_march_and_picard_make_two_transform_calls_per_step(monkeypatch, M):
     # setup: b_hat(0) forward, p_0 forward, u_0 inverse
     march(p0, spec, chem, g, TimeMesh(0.4, M))
     assert len(calls) == 2 * M + 3
-    # setup as the march's, plus iterate 0's one row forward
-    calls.clear()
-    picard(p0, spec, chem, g, TimeMesh(0.1, M), k_max=1)
-    assert len(calls) == 2 * M + 4
+    # setup as the march's, plus the pushed p_0 row forward; the 4 iterates
+    # advance in one batch, 2 calls per step for all of them
+    for k_max in (1, 4):
+        calls.clear()
+        picard(p0, spec, chem, g, TimeMesh(0.1, M), k_max=k_max, tol=0.0)
+        assert len(calls) == 2 * M + 4
 
 
 def test_drift_b_evaluated_once_per_solve(monkeypatch):
@@ -384,9 +481,10 @@ def test_picard_contracts_and_matches_march():
 
 
 def test_picard_memory_does_not_grow_with_iterations():
-    # the iteration keeps the previous iterate only: 3 and 6 iterates hold
-    # one history after return and peak at the same size (keeping every
-    # iterate's rows and spectra read 4.1 -> 9.1 MB held, 5.8 -> 10.7 MB peak)
+    # the iteration keeps one batch: 3 iterates (one batch of 4) and 6 (a
+    # continuation batch of 3 after its last iterate) hold one history
+    # after return and peak at the same size (keeping every iterate's rows
+    # and spectra read 4.1 -> 9.1 MB held, 5.8 -> 10.7 MB peak)
     spec = KernelSpec(chi=1.0, lam=0.0)
     g = Grid1D(10.0, 512)
     mesh = TimeMesh(math.pi / 32.0, 200)   # D(T0) = 0.5
@@ -409,8 +507,8 @@ def test_picard_memory_does_not_grow_with_iterations():
 
 
 def test_sup_l1_distance_works_in_one_buffer():
-    # picard's iterate distance at n = 1024, M = 400: the difference and its
-    # absolute value share one (M+1) x n buffer (two temporaries peak at 2x)
+    # picard's iterate distance at n = 1024, M = 400 works a block of rows
+    # at a time: its one buffer is a block, far below an (M+1) x n stack
     rng = np.random.default_rng(3)
     A, B = rng.random((401, 1024)), rng.random((401, 1024))
     h = 20.0 / 1024
@@ -420,7 +518,7 @@ def test_sup_l1_distance_works_in_one_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * A.nbytes
+    assert peak < 0.1 * A.nbytes
     assert got == float(np.max(np.sum(np.abs(A - B), axis=1)) * h)
     # iterate 1 compares against p_0 broadcast over the rows
     row = B[0]
@@ -461,6 +559,36 @@ def test_picard_divergence_reported(monkeypatch):
                    k_max=25, tol=1e-12)
     assert err.value.distances == [1.0, 2.0, 3.0, 4.0]
     assert "3 consecutive" in str(err.value) or "diverg" in str(err.value).lower()
+
+
+def test_picard_divergence_found_in_a_continuation_batch(monkeypatch):
+    # first width 3: iterates 1-3 grow twice, and the third growth (iterate
+    # 4) is the first iterate of the continuation batch
+    counter = iter(range(1, 100))
+    monkeypatch.setattr(mild, "_sup_l1_distance", lambda A, B, h: float(next(counter)))
+    widths = []
+    run_mild = mild._run_mild
+    monkeypatch.setattr(mild, "_run_mild", lambda *a: widths.append(a[-1]) or run_mild(*a))
+    g = Grid1D(10.0, 128)
+    with pytest.raises(PicardDivergenceError) as err:
+        picard(gaussian_density(g, 0.5), KernelSpec(chi=1.0), None, g, TimeMesh(0.1, 30),
+               k_max=25, tol=1e-12, width=3)
+    assert err.value.distances == [1.0, 2.0, 3.0, 4.0]
+    assert widths == [3, 2]
+
+
+@pytest.mark.parametrize("bad", [dict(k_max=0), dict(k_max=-1), dict(k_max=2.0),
+                                 dict(tol=math.nan), dict(tol=-1e-8)])
+def test_picard_and_restart_name_a_bad_k_max_or_tol(bad):
+    g = Grid1D(10.0, 64)
+    p0, spec = gaussian_density(g, 0.5), KernelSpec(chi=1.0)
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=name):
+        picard(p0, spec, None, g, TimeMesh(0.1, 5), **bad)
+    with pytest.raises(ValueError, match=name):
+        solve_global(p0, spec, None, g, 0.1, mode="picard_with_restart", steps=5, **bad)
+    with pytest.raises(ValueError, match="width"):
+        picard(p0, spec, None, g, TimeMesh(0.1, 5), width=0)
 
 
 # --- restart drift: memory of the rows before a window --------------------------

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import (KernelSpec, integrated_kernel_symbol, symbol_decay,
-                         time_integrated_kernel)
+from ksmv.kernel import KernelSpec, integrated_kernel_symbol, symbol_decay
 from ksmv.field import InitialChemical, drift_b
 from ksmv.mild import MarginalHistory, march, running_sums
 from ksmv import particle
@@ -21,7 +20,8 @@ from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            _euler_paths, _keyed_draws)
 
 from ksmv_helpers import (cloud_in_cell_oracle, compare_histories, gaussian_density,
-                          l1_distance, pairwise_particles, step_noise_oracle)
+                          l1_distance, marginal_variance, pairwise_particles,
+                          step_noise_oracle, time_integrated_kernel)
 
 FREE = KernelSpec(chi=0.0)   # interaction off: independent Brownian paths
 
@@ -59,7 +59,7 @@ def test_brownian_marginal_variance():
     mesh = TimeMesh(0.25, 50)
     N = 2000
     ens = simulate_particles(N, narrow_p0(g), FREE, None, mesh, seed=42)
-    var = ens.marginal_variance(mesh.steps)
+    var = marginal_variance(ens, mesh.steps)
     assert var == pytest.approx(0.25, abs=0.25 * 4.0 / math.sqrt(N))
 
 
@@ -511,7 +511,7 @@ def test_bounded_drift_brownian_variance_and_rows():
     assert np.allclose(ens.meta["row_times"], [0.0, 0.5, 1.0])
     assert ens.x0 == 0.0
     assert ens.drift_bound == 0.0
-    assert ens.marginal_variance(2) == pytest.approx(1.0, abs=4.0 / math.sqrt(5000))
+    assert marginal_variance(ens, 2) == pytest.approx(1.0, abs=4.0 / math.sqrt(5000))
 
 
 def test_bounded_drift_block_size_invariance():

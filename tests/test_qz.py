@@ -8,9 +8,9 @@ from scipy import integrate, optimize, special
 
 from ksmv.grid import TimeMesh
 from ksmv.particle import ParticleEnsemble, simulate_bounded_drift
-from ksmv.qz import QZParams, qz_density, qz_bound, verify_bound
+from ksmv.qz import QZParams, qz_density, verify_bound
 
-from ksmv_helpers import qz_density_oracle
+from ksmv_helpers import qz_bound, qz_density_oracle
 
 
 def test_params_validation():
