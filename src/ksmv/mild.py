@@ -218,8 +218,8 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
     state U at t_0: u_k = irfft(U_k), then U_{k+1} = q U_k + E1 r_k.
 
     With lead None there is one lane and r_k is the spectrum it produces
-    (the march).  Otherwise lane 0 pushes lead[k] (a row stack, or one row
-    for every k) and lane j pushes row k of lane j - 1, so the lanes are
+    (the march).  Otherwise lane 0 pushes row k of the stack lead and lane
+    j pushes row k of lane j - 1, so the lanes are
     consecutive fixed-point iterates advancing in lockstep; their pushed
     rows are transformed by the step's forward call (transform calls:
     module docstring).
@@ -253,14 +253,7 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
     fwd_hat = np.empty((n_push + J, xi.size), dtype=complex)
     fluxes, flux = fwd[n_push:].reshape(-1), fwd_hat[n_push:].reshape(-1)
     pushed = fwd_hat[:n_push].reshape(-1) if n_push else cur
-    # lane 0 pushes a lead row, and lane j the row lane j - 1 is at; a lead
-    # of one row (p_0 at every node) is transformed once, here
-    lead_rows, first = None, 0
-    if n_push and lead.ndim == 1:
-        fwd_hat[0], first = np.fft.rfft(lead), 1
-    elif n_push:
-        lead_rows = lead
-    fwd_in, fwd_out = fwd[first:], fwd_hat[first:]
+    # lane 0 pushes the lead row, and lane j the row lane j - 1 is at
     shifted, earlier = fwd[1:n_push], inv[:n_push - 1]
     stores = list(zip(rows, inv[:J]))
     spare = np.empty_like(cur)
@@ -273,11 +266,10 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
             np.abs(u, out=abs_u)
             np.maximum(sup, abs_u, out=sup)
             if n_push:
-                if lead_rows is not None:
-                    fwd[0] = lead_rows[k]
+                fwd[0] = lead[k]
                 shifted[...] = earlier
             np.multiply(u, now, out=fluxes)
-            np.fft.rfft(fwd_in, axis=1, out=fwd_out)
+            np.fft.rfft(fwd, axis=1, out=fwd_hat)
             np.multiply(q, Us, out=Us)
             if E1 is not None:
                 np.multiply(E1, pushed, out=spare)
@@ -339,40 +331,26 @@ def _variance(grid: Grid1D, values: np.ndarray) -> float:
     return float(m2 - m1 * m1)
 
 
-# bytes of the working block of _sup_l1_distance
-_DISTANCE_BLOCK = 1 << 17
-
-
 def _sup_l1_distance(A: np.ndarray, B: np.ndarray, h: float) -> float:
-    """Max over rows of h sum |A - B| (B a stack like A, or one row): a block
-    of rows at a time, so the only buffer is one block and not A-sized."""
-    B = np.broadcast_to(B, A.shape)
-    step = max(1, _DISTANCE_BLOCK // (8 * A.shape[1]))
-    diff, row_l1 = np.empty((min(step, len(A)), A.shape[1])), np.empty(len(A))
-    for s in range(0, len(A), step):
-        d = diff[: len(A) - s]
-        np.subtract(A[s : s + step], B[s : s + step], out=d)
-        np.abs(d, out=d)
-        np.sum(d, axis=1, out=row_l1[s : s + step])
-    return float(np.max(row_l1) * h)
+    diff = A - B
+    np.abs(diff, out=diff)   # one A-sized buffer, not two
+    return float(np.max(np.sum(diff, axis=1)) * h)
 
 
-# iterates in picard's first batch when the caller knows no better width
+# iterates in picard's first batch; continuation batches run one fewer
 _FIRST_WIDTH = 4
 
 
-def _check_iteration(k_max: int, tol: float, width: int):
-    for name, v in (("k_max", k_max), ("width", width)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+def _check_iteration(k_max: int, tol: float):
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 1:
+        raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
 
 
 def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
            grid: Grid1D, mesh: TimeMesh, k_max: int = 25, tol: float = 1e-8,
-           start_drift: Optional[np.ndarray] = None,
-           width: int = _FIRST_WIDTH) -> Tuple[MarginalHistory, List[float]]:
+           start_drift: Optional[np.ndarray] = None) -> Tuple[MarginalHistory, List[float]]:
     """Fixed-point iteration on the contraction horizon; returns the last
     iterate and the distances between consecutive iterates.
 
@@ -385,20 +363,20 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
 
     Step k of iterate j reads only row k of iterate j-1, so the iterates
     advance in lockstep, a batch of them per step loop.  The first batch
-    runs `width` iterates (fewer if k_max comes first) and pushes p_0; the
-    stopping rule then reads their distances in order, so the result is
+    runs _FIRST_WIDTH iterates (fewer if k_max comes first) and pushes p_0;
+    the stopping rule then reads their distances in order, so the result is
     the iterate the one-at-a-time rule stops at, and the iterates after it
     are discarded.  If no iterate of a batch stops the rule, a continuation
-    batch of width - 1 iterates (at least one) pushes the rows of the
-    batch's last iterate, so every batch holds `width` iterates' rows.
+    batch of one fewer iterates (at least one) pushes the rows of the
+    batch's last iterate, so every batch holds at most _FIRST_WIDTH
+    iterates' rows, whatever k_max is.
 
     start_drift is U_0, the rfft of the total drift at the first node; by
     default it is b(0,.) of chem.  The window restart passes the state it
-    carries (b plus the earlier windows' memory) with chem None, and the
-    previous window's iteration count as width.
+    carries (b plus the earlier windows' memory) with chem None.
     """
     _check_p0(p0, grid)
-    _check_iteration(k_max, tol, width)
+    _check_iteration(k_max, tol)
     if start_drift is not None and chem is not None:
         raise ValueError("give chem or start_drift, not both")
     q, E1 = _drift_symbols(spec, grid, mesh.dt)
@@ -409,10 +387,10 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     U0 = _start_drift(spec, chem, grid) if start_drift is None else start_drift
 
     # iterate 0 is p_0 on every row: one row, broadcast
-    prev = p0.values
+    prev = np.broadcast_to(p0.values, (mesh.steps + 1, grid.n))
     distances: List[float] = []
     grow_streak = 0
-    lanes = width
+    width = lanes = _FIRST_WIDTH
     while True:
         lanes = min(lanes, k_max - len(distances))
         batch, sups, failure = _run_mild(p0.values, grid, mesh, U0, q, E1, prev, lanes)
@@ -467,16 +445,13 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     P = np.empty((M + 1, grid.n))
     P[0] = p0.values
     iterations = []
-    width = _FIRST_WIDTH
     for w in range(n_win):
         base = w * steps_w
         window_p0 = DensityField(grid, P[base], float(mesh_g.nodes[base]))
         last, dists = picard(window_p0, spec, None, grid, mesh_w,
-                             k_max=k_max, tol=tol, start_drift=U, width=width)
+                             k_max=k_max, tol=tol, start_drift=U)
         P[base : base + steps_w + 1] = last.densities
         iterations.append(len(dists))
-        # a window mostly needs as many iterates as the one before: one batch
-        width = len(dists)
         for p_hat in last.spectra()[:-1]:
             U = _push(U, q, E1, p_hat)
         del last   # its rows and spectra, freed before the next window's batch

@@ -312,11 +312,11 @@ def run_mild_oracle(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.n
 
 def picard_oracle(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
                   grid: Grid1D, mesh: TimeMesh, k_max: int = 25, tol: float = 1e-8,
-                  start_drift: Optional[np.ndarray] = None, width: Optional[int] = None):
+                  start_drift: Optional[np.ndarray] = None):
     """ksmv.mild.picard one iterate after another through run_mild_oracle:
     iterate j pushes the rfft of iterate j - 1's real rows (iterate 0: p_0
     on every row).  Same signature and result (last iterate, distances), so
-    a test can substitute it for mild.picard; width is accepted and unused."""
+    a test can substitute it for mild.picard."""
     q, E1 = _drift_symbols(spec, grid, mesh.dt)
     U0 = _start_drift(spec, chem, grid) if start_drift is None else start_drift
     prev = np.tile(p0.values, (mesh.steps + 1, 1))
