@@ -363,13 +363,13 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
 
     Step k of iterate j reads only row k of iterate j-1, so the iterates
     advance in lockstep, a batch of them per step loop.  The first batch
-    runs _FIRST_WIDTH iterates (fewer if k_max comes first) and pushes p_0;
-    the stopping rule then reads their distances in order, so the result is
-    the iterate the one-at-a-time rule stops at, and the iterates after it
-    are discarded.  If no iterate of a batch stops the rule, a continuation
-    batch of one fewer iterates (at least one) pushes the rows of the
-    batch's last iterate, so every batch holds at most _FIRST_WIDTH
-    iterates' rows, whatever k_max is.
+    runs _FIRST_WIDTH iterates (2 without memory; fewer if k_max comes
+    first) and pushes p_0; the stopping rule then reads their distances in
+    order, so the result is the iterate the one-at-a-time rule stops at,
+    and the iterates after it are discarded.  If no iterate of a batch
+    stops the rule, a continuation batch of one fewer iterates (at least
+    one) pushes the rows of the batch's last iterate, so every batch holds
+    at most _FIRST_WIDTH iterates' rows, whatever k_max is.
 
     start_drift is U_0, the rfft of the total drift at the first node; by
     default it is b(0,.) of chem.  The window restart passes the state it
@@ -390,7 +390,9 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     prev = np.broadcast_to(p0.values, (mesh.steps + 1, grid.n))
     distances: List[float] = []
     grow_streak = 0
-    width = lanes = _FIRST_WIDTH
+    # without memory every iterate from the first on is the same history, so
+    # the rule stops at iterate 2 and a wider first batch would be discarded
+    width = lanes = _FIRST_WIDTH if E1 is not None else 2
     while True:
         lanes = min(lanes, k_max - len(distances))
         batch, sups, failure = _run_mild(p0.values, grid, mesh, U0, q, E1, prev, lanes)

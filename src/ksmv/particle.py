@@ -22,42 +22,32 @@ requested path rows.
 Randomness is counter-based (Philox, Salmon et al., SC'11) and step-major:
 step k of phase p owns the stream Philox(key=[seed, p], counter=[0, k, 0, 0]),
 with phase 0 for the initial inverse-CDF uniforms (k = 0) and phase 1 for
-the path noise of step k.  Particle i takes variate i of each stream, so
-a step draws N values; no (M, N) noise array is ever held.  Consequences,
-by construction:
+the path noise of step k.  Particle i takes the i-th draw of each stream,
+so a step draws for N particles and no (M, N) noise array is ever held.
 
-* paths are bit-reproducible for fixed (seed, N, mesh, parameters), on
-  one thread or two: which thread draws a stream does not change its bits;
-* runs nest: a smaller run's streams are a prefix of a larger run's.
+The noise is weak.  Step 0 takes sqrt(dt) times the stream's i-th standard
+normal; every step k >= 1 takes +-sqrt(dt) exactly, + where bit i of the
+stream's raw 64-bit words is set (bit i % 64 of word i // 64).  The results
+are laws (KDE and histograms at a node), and weak Euler needs only
+increments whose first moments match N(0, dt) (Kloeden & Platen, Numerical
+Solution of SDEs, 1992, sec. 14.1; Talay & Tubaro, Stoch. Anal. Appl. 8,
+1990): the two-point increment's first three moments are those of N(0, dt)
+and its fourth is dt^2, so the law at a node keeps the scheme's weak order.
+A two-point step reads N bits, not N normals: at N = 2e4 its increments
+took 28 us against 370 us for the Gaussian ones (a 2-vCPU Xeon host).  The
+Gaussian first step keeps paths that start at one point (qz's x = 1) off
+the lattice of spacing 2 sqrt(dt) they would otherwise never leave, whose
+histogram the qz check rejects (mc_histogram_sup read 1.9-3.8 against its
+bound 1 in 10 of 10 seeds at N = 2e4 with two-point steps from step 0).
+The paths run on the calling thread alone.  Consequences, by construction:
 
-Steps do not depend on each other's noise, so when the process may run on
-two CPUs or more (os.sched_getaffinity) the main thread and one helper
-share a ring of three reused step buffers: steps are claimed in order from
-one counter, the helper draws as far ahead as the ring allows, and the
-main thread draws the next unclaimed step whenever the step it needs is
-not ready, so whichever thread is free draws.  Under `taskset -c 0` no
-thread is started.  Each thread resets one Philox generator of its own to
-the stream of its step, and the helper is joined before the simulation
-returns or raises.
-
-The helper pins itself, before its first draw, to the next CPU after the
-main thread's in the sorted list of CPUs the process may run on, so it
-draws beside the main thread, not in its place.  The main thread's
-affinity is never changed, and a refused pin leaves the helper unpinned.
-Unpinned, the scheduler woke each helper draw onto the main thread's CPU:
-at N = 2e4 on a 2-vCPU host, the drift the main thread computed while a
-helper draw ran took a median of 350-490 us, against 26-41 us while none
-ran and 50-70 us with the helper pinned.  The main thread stayed on the
-CPU it started on for every step measured, which is why the helper's CPU
-is counted from it and not from the lowest one.  Pinning changes where a
-draw runs, never its bits.
+* paths are bit-reproducible for fixed (seed, N, mesh, parameters);
+* runs nest: a smaller run's draws are a prefix of a larger run's.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -115,55 +105,12 @@ class ParticleEnsemble:
 
 _INIT, _NOISE = 0, 1   # stream phases: initial uniforms, path noise
 _LEGACY_BLOCK = 20000
-_RING = 3               # step noise buffers in flight when the helper thread draws
-
-
-def _draw_threads() -> int:
-    """T, the threads that draw the step noise: 2 (the main thread and one
-    helper) when this process may run on two CPUs or more, else 1."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    return min(2, cpus)
-
-
-def _current_cpu() -> Optional[int]:
-    """The CPU the calling thread last ran on (field 39 of Linux's
-    /proc/thread-self/stat), or None where that cannot be read."""
-    try:
-        with open("/proc/thread-self/stat") as f:
-            return int(f.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _helper_cpu() -> Optional[int]:
-    """The helper thread's CPU: the next after the main thread's (after the
-    first when that is unknown) in the sorted CPUs this process may run on,
-    so the helper does not share the main thread's CPU while another is
-    free; None where the platform cannot pin."""
-    if not hasattr(os, "sched_getaffinity"):
-        return None
-    cpus = sorted(os.sched_getaffinity(0))
-    main = _current_cpu()
-    at = cpus.index(main) if main in cpus else 0
-    return cpus[(at + 1) % len(cpus)]
-
-
-def _pin(cpu: Optional[int]):
-    """Pin the calling thread (pid 0 is the caller on Linux) to one CPU; a
-    refused pin leaves it where it was."""
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(0, {cpu})
-        except OSError:
-            pass
 
 
 class _Streams:
     """The counter-based streams of one seed, drawn through one reused Philox
-    generator.  Resetting its state for a draw costs about 5 us, against 16 us
-    for a new generator, whose constructor also reads OS entropy.  A
-    generator is not shared between threads: each drawing thread owns one."""
+    generator.  Resetting its state for a draw costs about 3 us, against
+    16 us for a new generator, whose constructor also reads OS entropy."""
 
     def __init__(self, seed: int):
         # the constructor's key words, so that every seed a caller passes (a
@@ -172,47 +119,46 @@ class _Streams:
         self.key = self.bits.state["state"]["key"]
         self.gen = np.random.Generator(self.bits)
 
-    def draw(self, phase: int, k: int, out: np.ndarray) -> np.ndarray:
-        """Fill out with the first out.size variates of the stream of step k
-        and phase: uniforms on [0, 1) for _INIT, standard normals for _NOISE."""
+    def _at(self, phase: int, k: int):
+        """Move the generator to the start of the stream of step k and phase."""
         self.key[1] = phase
         self.bits.state = {"bit_generator": "Philox",
                            "state": {"counter": np.array([0, k, 0, 0], dtype=np.uint64),
                                      "key": self.key},
                            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
                            "has_uint32": 0, "uinteger": 0}
-        if phase == _INIT:
-            return self.gen.random(out=out)
-        return self.gen.standard_normal(out=out)
 
+    def uniforms(self, N: int) -> np.ndarray:
+        """The first N uniforms on [0, 1) of the initial stream."""
+        self._at(_INIT, 0)
+        return self.gen.random(N)
 
-def _keyed_draws(seed: int, phase: int, k: int, N: int) -> np.ndarray:
-    """The first N variates of the counter-based stream of step k and phase
-    (variate i is particle i's): uniforms on [0, 1) for _INIT, standard
-    normals for _NOISE."""
-    return _Streams(seed).draw(phase, k, np.empty(N))
+    def increments(self, k: int, sqdt: float, out: np.ndarray) -> np.ndarray:
+        """Fill out with step k's noise increments of size sqdt = sqrt(dt): at
+        k = 0, sqdt times the stream's standard normals; at k >= 1, exactly
+        +sqdt where bit i of the stream's raw words (little-endian) is set and
+        -sqdt where it is clear."""
+        self._at(_NOISE, k)
+        if k == 0:
+            self.gen.standard_normal(out=out)
+            return np.multiply(out, sqdt, out=out)
+        raw = self.bits.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
+        bits = np.unpackbits(raw.view(np.uint8), count=out.size, bitorder="little")
+        # 2 sqdt and 2 sqdt - sqdt are exact, so each increment is +-sqdt
+        np.multiply(bits, 2.0 * sqdt, out=out)
+        return np.subtract(out, sqdt, out=out)
 
 
 def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
                  mesh: TimeMesh, seed: int,
                  store_rows: Optional[Sequence[int]]) -> Tuple[List[int], np.ndarray]:
-    """Euler-Maruyama X_{k+1} = X_k + dt drift(k, X_k) + sqrt(dt) xi_k, with
-    xi_k drawn step by step from the step-k noise stream, variate i for
-    particle i.
-
-    Steps are claimed in order from one counter, each with a free buffer of
-    a ring of _RING (one when T = _draw_threads() = 1), and step k's noise
-    lands in buffer k % _RING.  With T = 2 one helper, pinned to
-    _helper_cpu(), claims and draws as far ahead as the ring allows; the
-    main thread, when it needs step k and k is not ready, draws the next
-    unclaimed step itself while a buffer is free, and otherwise waits.  The
-    helper never calls drift, is joined before this returns or raises, and
-    an error it raises is raised here.
+    """Euler-Maruyama X_{k+1} = (X_k + dt drift(k, X_k)) + dW_k, with dW_k
+    step k's noise increments (_Streams.increments), the i-th for particle i.
 
     Keeps only the mesh rows in store_rows (default all; row 0 always) and
     returns them with the (rows, N) array, so working memory is O(N) plus
-    the stored rows and the ring.  The positions passed to drift live in a
-    buffer that the step then updates: a drift that keeps them must copy them.
+    the stored rows.  The positions passed to drift live in a buffer that
+    the step then updates: a drift that keeps them must copy them.
     """
     M, dt = mesh.steps, mesh.dt
     rows = sorted({0, *(int(r) for r in store_rows)}) if store_rows is not None \
@@ -222,77 +168,15 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     row_of = {r: i for i, r in enumerate(rows)}
     out = np.empty((len(rows), x0.size))
     out[0] = x0
-    threads = _draw_threads()
-    ring = [np.empty(x0.size) for _ in range(_RING if threads > 1 else 1)]
-    # a step holds a free buffer from its claim until the main thread has
-    # spent it, so the claimed steps not yet spent own distinct buffers
-    free, claim_lock = threading.Semaphore(len(ring)), threading.Lock()
-    ready = [threading.Event() for _ in ring]
-    claimed, failure = 0, []
-
-    def claim(blocking: bool) -> Optional[int]:
-        """The next unclaimed step, holding a free buffer; None when no buffer
-        is free (without blocking) or every step is claimed."""
-        nonlocal claimed
-        if not free.acquire(blocking):
-            return None
-        with claim_lock:
-            if claimed < M:
-                claimed += 1
-                return claimed - 1
-        free.release()
-        return None
-
-    def draw(streams: _Streams, j: int):
-        streams.draw(_NOISE, j, ring[j % len(ring)])
-        ready[j % len(ring)].set()
-
-    def help_draw(cpu: Optional[int]):
-        _pin(cpu)
-        try:
-            streams = _Streams(seed)
-            while (j := claim(True)) is not None:
-                draw(streams, j)
-        except BaseException as exc:
-            failure.append(exc)
-            for event in ready:
-                event.set()
-
-    own = _Streams(seed)
-    helper = None
-    if threads > 1:
-        helper = threading.Thread(target=help_draw, args=(_helper_cpu(),),
-                                  name="ksmv-noise", daemon=True)
-        helper.start()
-    # x_{k+1} = (x_k + dt u_k) + sqrt(dt) xi_k, updated in place through one
-    # step buffer
+    streams, sqdt = _Streams(seed), math.sqrt(dt)
+    # x and one step buffer, updated in place
     x, step = x0.copy(), np.empty_like(x0)
-    sqdt = math.sqrt(dt)
-    try:
-        for k in range(M):
-            np.multiply(drift(k, x), dt, out=step)
-            x += step
-            slot = k % len(ring)
-            while not ready[slot].is_set():
-                j = claim(False)
-                if j is None:
-                    ready[slot].wait()
-                else:
-                    draw(own, j)
-            if failure:
-                raise failure[0]
-            np.multiply(ring[slot], sqdt, out=step)
-            x += step
-            ready[slot].clear()
-            free.release()
-            if k + 1 in row_of:
-                out[row_of[k + 1]] = x
-    finally:
-        if helper is not None:
-            with claim_lock:
-                claimed = M
-            free.release(len(ring))
-            helper.join()
+    for k in range(M):
+        np.multiply(drift(k, x), dt, out=step)
+        x += step
+        x += streams.increments(k, sqdt, step)
+        if k + 1 in row_of:
+            out[row_of[k + 1]] = x
     return rows, out
 
 
@@ -312,7 +196,7 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
                        store_rows: Optional[Sequence[int]] = None) -> ParticleEnsemble:
     """Simulate the interacting system.
 
-    Particle i takes variate i of each per-step stream.  store_rows selects
+    Particle i takes the i-th draw of each step's stream.  store_rows selects
     which mesh rows to keep (default all; row 0 always); the stored rows do
     not depend on it, and working memory is O(N) plus those rows.
     """
@@ -330,7 +214,7 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
         U = _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()))
         return u
 
-    x0 = _inverse_cdf_sampler(p0)(_keyed_draws(seed, _INIT, 0, N))
+    x0 = _inverse_cdf_sampler(p0)(_Streams(seed).uniforms(N))
     rows, X = _euler_paths(x0, drift, mesh, seed, store_rows)
     meta = {"init_sampling": "inverse-cdf", "row_times": nodes[rows]}
     return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
@@ -411,17 +295,21 @@ def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
 
     x0_sampler maps the phase-0 uniforms to start positions (inverse-CDF
     style).  drift_bound is the caller-declared sup |b_fn|, recorded for the
-    universal-bound checker.  store_rows selects which mesh rows to keep
+    universal-bound checker; it must be finite and >= 0.  store_rows selects which mesh rows to keep
     (default all; row 0 always); working memory is O(N) plus those rows.
 
     block is deprecated and ignored: all N paths advance together, and the
     paths never depended on it.  Passing a value other than the default
     issues a DeprecationWarning.
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    if drift_bound is not None and not (math.isfinite(drift_bound) and drift_bound >= 0):
+        raise ValueError(f"drift_bound must be finite and >= 0, got {drift_bound}")
     if block != _LEGACY_BLOCK:
         warnings.warn("simulate_bounded_drift: `block` is deprecated and ignored",
                       DeprecationWarning, stacklevel=2)
-    x0 = x0_sampler(_keyed_draws(seed, _INIT, 0, N))
+    x0 = x0_sampler(_Streams(seed).uniforms(N))
     if x0.shape != (N,):
         raise ValueError("x0_sampler must map (N,) uniforms to (N,) positions")
     nodes = mesh.nodes
@@ -450,8 +338,8 @@ def kde_density(ensemble: ParticleEnsemble, k: int,
             bandwidth = grid.h
         else:
             bandwidth = 1.06 * sigma * positions.size ** (-0.2)
-    if bandwidth <= 0:
-        raise ValueError(f"need bandwidth > 0, got {bandwidth}")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
     raw = _deposit(grid, positions)
     xi = grid.wavenumbers
     smooth = np.fft.irfft(np.fft.rfft(raw) * np.exp(-xi * xi * bandwidth ** 2 / 2.0), grid.n)

@@ -120,11 +120,15 @@ def qz_density_oracle(params: QZParams, z: float) -> float:
 
 
 def step_noise_oracle(seed: int, k: int, N: int) -> np.ndarray:
-    """The first N variates of the path-noise stream of step k, drawn by a
-    new generator on one thread: the stream every thread count must
-    reproduce."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, 1], counter=[0, k, 0, 0]))
-    return gen.standard_normal(N)
+    """Step k's path noise in units of sqrt(dt), drawn by a new generator:
+    the first N standard normals of the step-k stream at k = 0; at k >= 1,
+    +1 or -1 for particle i as bit i % 64 of the stream's raw word i // 64
+    is set or clear, read one particle at a time."""
+    bits = np.random.Philox(key=[seed, 1], counter=[0, k, 0, 0])
+    if k == 0:
+        return np.random.Generator(bits).standard_normal(N)
+    raw = [int(w) for w in bits.random_raw(N // 64 + 1)]
+    return np.array([1.0 if (raw[i // 64] >> (i % 64)) & 1 else -1.0 for i in range(N)])
 
 
 def cloud_in_cell_oracle(grid: Grid1D, positions: np.ndarray):
@@ -277,7 +281,7 @@ def pairwise_particles(N: int, p0: DensityField, spec: KernelSpec,
         past.append(x.copy())
         return u if k == 0 else u + pairwise_memory(spec, past, mesh.dt)
 
-    x0 = particle._inverse_cdf_sampler(p0)(particle._keyed_draws(seed, particle._INIT, 0, N))
+    x0 = particle._inverse_cdf_sampler(p0)(particle._Streams(seed).uniforms(N))
     rows, X = particle._euler_paths(x0, drift, mesh, seed, store_rows)
     return ParticleEnsemble(mesh, X, seed, grid=p0.grid, meta={"row_times": nodes[rows]})
 

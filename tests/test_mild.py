@@ -433,6 +433,15 @@ def test_march_and_picard_make_two_transform_calls_per_step(monkeypatch, M):
         calls.clear()
         picard(p0, spec, chem, g, TimeMesh(0.1, M), k_max=k_max, tol=0.0)
         assert len(calls) == 2 * M + 3
+    # without memory every iterate equals the first, so the rule stops at
+    # iterate 2: one batch of 2 lanes, no pushed rows to transform
+    lanes, run_mild = [], mild._run_mild
+    monkeypatch.setattr(mild, "_run_mild", lambda *a: lanes.append(a[-1]) or run_mild(*a))
+    calls.clear()
+    _, distances = picard(p0, KernelSpec(chi=0.0), chem, g, TimeMesh(0.1, M))
+    assert len(distances) == 2 and distances[1] == 0.0
+    assert lanes == [2]
+    assert len(calls) == 2 * M + 3
 
 
 def test_drift_b_evaluated_once_per_solve(monkeypatch):

@@ -1,5 +1,6 @@
 """Sign-drift comparison density and the universal bounded-drift bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -130,19 +131,23 @@ def test_verify_bound_passes_driftless_ensemble():
 
 def test_verify_bound_rejects_a_drift_stronger_than_beta():
     # the ensemble of `ksmv qz` (sign drift 0.5 toward 0 from x = 1, t = 1)
-    # declared with too small a drift bound
+    # declared with too small a drift bound, over 20 seeds: at N = 2000 the
+    # check rejects about 19 seeds in 20 (seeds 100-299: 184 of 200 with
+    # Gaussian steps, 192 with two-point steps), so one seed proves little
     mesh = TimeMesh(1.0, 1000)
-
-    def ensemble(declared):
-        return simulate_bounded_drift(lambda t, x: 0.5 * np.sign(-x), lambda u: np.ones_like(u),
-                                      mesh, 2000, seed=7, drift_bound=declared,
-                                      store_rows=[mesh.steps])
-
-    assert verify_bound(ensemble(0.5), beta=0.5, bins=50).passed
-    wrong = verify_bound(ensemble(0.1), beta=0.1, bins=50)
-    assert not wrong.passed
-    assert wrong.min_p_value() < 1e-10
-    assert "FAIL" in wrong.lines()[0]
+    wrongs = []
+    for seed in range(100, 120):
+        ens = simulate_bounded_drift(lambda t, x: 0.5 * np.sign(-x), lambda u: np.ones_like(u),
+                                     mesh, 2000, seed=seed, drift_bound=0.1,
+                                     store_rows=[mesh.steps])
+        assert verify_bound(dataclasses.replace(ens, drift_bound=0.5), beta=0.5, bins=50).passed
+        wrongs.append(verify_bound(ens, beta=0.1, bins=50))
+    rejected = [r for r in wrongs if not r.passed]
+    assert len(rejected) >= 16
+    # and far below the level 2e-5: a median smallest p-value of 1.1e-7
+    # (Gaussian) and 3.9e-8 (two-point) on these seeds
+    assert float(np.median([r.min_p_value() for r in wrongs])) < 1e-6
+    assert all("FAIL" in r.lines()[0] for r in rejected)
 
 
 def test_verify_bound_tests_sparse_bins():
