@@ -163,14 +163,10 @@ class RunConfig:
     tol: float = 1e-8
     out_dir: str = "out"
     formats: Tuple[str, ...] = ("csv",)
-    source_text: str = ""
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        text = Path(path).read_text()
-        cfg = cls.from_mapping(parse_config_text(text))
-        cfg.source_text = text
-        return cfg
+        return cls.from_mapping(parse_config_text(Path(path).read_text()))
 
     @classmethod
     def from_mapping(cls, raw: Dict[str, object]) -> "RunConfig":
@@ -284,7 +280,6 @@ class RunConfig:
 
     def resolved_lines(self) -> List[str]:
         d = asdict(self)
-        d.pop("source_text")
         return [f"{k} = {d[k]!r}" for k in sorted(d)]
 
     def config_hash(self) -> str:
@@ -568,7 +563,7 @@ def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
     with run.phase("march_oracle"):
         oracle = mild.march(p0, spec, chem, grid, mesh)
 
-    ladder = sorted({max(100, cfg.n_particles // 10), cfg.n_particles})
+    ladder = sorted({min(cfg.n_particles, max(100, cfg.n_particles // 10)), cfg.n_particles})
     l1s = []
     with run.phase("particles"):
         for N in ladder:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid1D, DensityField, heat_kernel
+from .grid import Grid1D
 from .kernel import KernelSpec, symbol_decay
 
 __all__ = [
@@ -145,7 +145,7 @@ def _concentration_spectra(history, chem: InitialChemical, lam: float,
     grid, mesh = history.grid, history.mesh
     xi, dt, nodes = grid.wavenumbers, mesh.dt, mesh.nodes
     S = history.memory_sums(lam)
-    rho0_hat = history.spectra()[0]
+    rho0_hat = np.fft.rfft(history.densities[0])
     r = symbol_decay(0.0, dt, xi)
     w0 = dt if lam == 0.0 else -math.expm1(-lam * dt) / lam
     c0_hat = np.fft.rfft(chem.c0)

@@ -11,7 +11,7 @@ rules coincide, so every integral is h * sum(values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -32,7 +32,9 @@ spectral state per frequency,
     U_0 = b_hat(0),    U_{k+1} = q U_k + E1 p_hat_k,    u_k = irfft(U_k),
 
 and b is evaluated once per solve.  It costs O(n) per step, so a march of
-M steps costs O(M n log n).
+M steps costs O(M n log n).  `_push` is the one place U advances: the
+march and the fixed-point lanes, the window restart's hand-off and the
+binned particles (ksmv.particle) all push through it, in place.
 
 At n of a few hundred a transform call costs several times its per-row
 work, so the step loop counts calls.  A march step makes two: the forward
@@ -127,7 +129,6 @@ class MarginalHistory:
         expected = (self.mesh.steps + 1, self.grid.n)
         if self.densities.shape != expected:
             raise ValueError(f"density stack must have shape {expected}")
-        self._spectra: Optional[np.ndarray] = None
         self._sums: Dict[float, np.ndarray] = {}
 
     def require_rows(self, k: int):
@@ -136,18 +137,12 @@ class MarginalHistory:
         if np.isnan(self.densities[: k + 1]).any():
             raise ValueError(f"history rows up to {k} are not all populated")
 
-    def spectra(self) -> np.ndarray:
-        """Cached rfft of every row (the solver's working representation)."""
-        if self._spectra is None:
-            self._spectra = np.fft.rfft(self.densities, axis=1)
-        return self._spectra
-
     def memory_sums(self, lam: float) -> np.ndarray:
         """Cached running sums S_0..S_{M+1} of the rows at decay rate lam
         (module docstring); row k depends on rows 0..k-1 only."""
         if lam not in self._sums:
             q = symbol_decay(lam, self.mesh.dt, self.grid.wavenumbers)
-            self._sums[lam] = running_sums(self.spectra(), q)
+            self._sums[lam] = running_sums(np.fft.rfft(self.densities, axis=1), q)
         return self._sums[lam]
 
     def masses(self) -> np.ndarray:
@@ -190,32 +185,35 @@ def memory_drift(history: MarginalHistory, spec: KernelSpec, k: int) -> np.ndarr
     return np.fft.irfft(B_hat, grid.n)
 
 
-def _drift_symbols(spec: KernelSpec, grid: Grid1D,
-                   dt: float) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """(q, E1) of the drift recursion at step dt; E1 is None without memory."""
+def _drift(spec: KernelSpec, chem: Optional[InitialChemical], grid: Grid1D,
+           dt: float) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(U_0, q, E1) of the drift recursion at step dt: U_0 = b_hat(0, .), the
+    drift state at the first node (zero without chem), and E1 None without
+    memory."""
     xi = grid.wavenumbers
+    U0 = np.zeros(xi.size, dtype=complex) if chem is None \
+        else np.fft.rfft(drift_b(spec, chem, 0.0))
     E1 = integrated_kernel_symbol(spec, dt, xi) if has_memory(spec) else None
-    return symbol_decay(spec.lam, dt, xi), E1
-
-
-def _start_drift(spec: KernelSpec, chem: Optional[InitialChemical], grid: Grid1D) -> np.ndarray:
-    """U_0 = b_hat(0, .), the drift state at the first node."""
-    if chem is None:
-        return np.zeros(grid.wavenumbers.size, dtype=complex)
-    return np.fft.rfft(drift_b(spec, chem, 0.0))
+    return U0, symbol_decay(spec.lam, dt, xi), E1
 
 
 def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
-          p_hat: np.ndarray) -> np.ndarray:
-    """The drift state one node on: b_hat decays by q, the memory gains E1 p_hat."""
-    return q * U if E1 is None else q * U + E1 * p_hat
+          p_hat: Optional[np.ndarray], spare: np.ndarray):
+    """Advance the drift state U one node in place, U <- q U + E1 p_hat: b_hat
+    decays by q and the memory gains E1 p_hat (ignored when E1 is None).
+    spare is a buffer of U's shape for the memory term."""
+    np.multiply(q, U, out=U)
+    if E1 is not None:
+        np.multiply(E1, p_hat, out=spare)
+        np.add(U, spare, out=U)
 
 
 def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray,
               q: np.ndarray, E1: Optional[np.ndarray], lead: Optional[np.ndarray] = None,
               lanes: int = 1) -> Tuple[List[np.ndarray], List[float], Optional[int]]:
     """Shared step loop of `lanes` solutions, all from p_0 and the drift
-    state U at t_0: u_k = irfft(U_k), then U_{k+1} = q U_k + E1 r_k.
+    state U at t_0: u_k = irfft(U_k), then U_{k+1} = q U_k + E1 r_k by
+    _push on the flat view of the lanes' states.
 
     With lead None there is one lane and r_k is the spectrum it produces
     (the march).  Otherwise lane 0 pushes row k of the stack lead and lane
@@ -270,10 +268,7 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
                 shifted[...] = earlier
             np.multiply(u, now, out=fluxes)
             np.fft.rfft(fwd, axis=1, out=fwd_hat)
-            np.multiply(q, Us, out=Us)
-            if E1 is not None:
-                np.multiply(E1, pushed, out=spare)
-                np.add(Us, spare, out=Us)
+            _push(Us, q, E1, pushed, spare)
             # cur = P_hat_k becomes P_hat_{k+1}, by the drift u = u_k
             np.multiply(dt_deriv, flux, out=flux)
             np.subtract(cur, flux, out=flux)
@@ -316,9 +311,8 @@ def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     U is pushed on by the row just used, O(n) per step.
     """
     _check_p0(p0, grid)
-    q, E1 = _drift_symbols(spec, grid, mesh.dt)
     (P,), (sup_drift,), _ = _run_mild(p0.values, grid, mesh,
-                                      _start_drift(spec, chem, grid), q, E1)
+                                      *_drift(spec, chem, grid, mesh.dt))
     var0 = _variance(grid, p0.values)
     meta = {"provenance": "march", "sup_drift": sup_drift,
             "tail_bound": grid.tail_bound(mesh.horizon, max(var0, 1e-6))}
@@ -379,12 +373,13 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     _check_iteration(k_max, tol)
     if start_drift is not None and chem is not None:
         raise ValueError("give chem or start_drift, not both")
-    q, E1 = _drift_symbols(spec, grid, mesh.dt)
+    U0, q, E1 = _drift(spec, chem, grid, mesh.dt)
+    if start_drift is not None:
+        U0 = start_drift
     D = horizon_D(spec, mesh.horizon)
     if D >= 1.0:
         warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",
                       RuntimeWarning, stacklevel=2)
-    U0 = _start_drift(spec, chem, grid) if start_drift is None else start_drift
 
     # iterate 0 is p_0 on every row: one row, broadcast
     prev = np.broadcast_to(p0.values, (mesh.steps + 1, grid.n))
@@ -441,8 +436,8 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     M = steps_w * n_win
     mesh_g = TimeMesh(T, M)
     mesh_w = TimeMesh(T / n_win, steps_w)
-    q, E1 = _drift_symbols(spec, grid, mesh_w.dt)
-    U = _start_drift(spec, chem, grid)
+    U, q, E1 = _drift(spec, chem, grid, mesh_w.dt)
+    spare = np.empty_like(U)
 
     P = np.empty((M + 1, grid.n))
     P[0] = p0.values
@@ -454,9 +449,9 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
                              k_max=k_max, tol=tol, start_drift=U)
         P[base : base + steps_w + 1] = last.densities
         iterations.append(len(dists))
-        for p_hat in last.spectra()[:-1]:
-            U = _push(U, q, E1, p_hat)
-        del last   # its rows and spectra, freed before the next window's batch
+        for p_hat in np.fft.rfft(last.densities[:-1], axis=1):
+            _push(U, q, E1, p_hat, spare)
+        del last   # its rows, freed before the next window's batch
     meta = {"provenance": "picard_with_restart", "windows": n_win,
             "iterations_per_window": iterations,
             "tail_bound": grid.tail_bound(T, max(_variance(grid, p0.values), 1e-6))}

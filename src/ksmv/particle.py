@@ -12,7 +12,8 @@ form, so the particle system and the density solver share the same
 quadrature bias and comparisons isolate Monte Carlo error.
 
 The interaction is evaluated on the grid: the march's drift state U (mild),
-pushed by the spectrum of the particles' cloud-in-cell deposit, gives
+pushed in place by mild._push (the one place U advances, for the solvers
+too) with the spectrum of the particles' cloud-in-cell deposit, gives
 b + B = irfft(U), which comes back to the particles by linear
 interpolation.  O(N + n log n) per step, with an O(h^2) projection bias
 against the paper's literal O(N^2 M^2) pairwise sum, which the tests keep
@@ -58,7 +59,7 @@ from .grid import Grid1D, TimeMesh, DensityField
 from .kernel import KernelSpec
 # drift_b is not called here, but the traced benchmark wraps ksmv.particle.drift_b
 from .field import InitialChemical, drift_b  # noqa: F401
-from .mild import _drift_symbols, _push, _start_drift
+from .mild import _drift, _push
 
 __all__ = [
     "ParticleEnsemble",
@@ -152,7 +153,7 @@ class _Streams:
 def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
                  mesh: TimeMesh, seed: int,
                  store_rows: Optional[Sequence[int]]) -> Tuple[List[int], np.ndarray]:
-    """Euler-Maruyama X_{k+1} = (X_k + dt drift(k, X_k)) + dW_k, with dW_k
+    """Weak Euler X_{k+1} = (X_k + dt drift(k, X_k)) + dW_k, with dW_k
     step k's noise increments (_Streams.increments), the i-th for particle i.
 
     Keeps only the mesh rows in store_rows (default all; row 0 always) and
@@ -203,15 +204,13 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     grid, nodes = p0.grid, mesh.nodes
-    q, E1 = _drift_symbols(spec, grid, mesh.dt)
-    U = _start_drift(spec, chem, grid)
-    cic, u = _CloudInCell(grid, N), np.empty(N)
+    U, q, E1 = _drift(spec, chem, grid, mesh.dt)
+    cic, u, spare = _CloudInCell(grid, N), np.empty(N), np.empty_like(U)
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
-        nonlocal U
         cic.locate(x)
         cic.interp(np.fft.irfft(U, grid.n), u)
-        U = _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()))
+        _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()), spare)
         return u
 
     x0 = _inverse_cdf_sampler(p0)(_Streams(seed).uniforms(N))

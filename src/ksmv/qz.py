@@ -38,6 +38,7 @@ from typing import List
 
 import numpy as np
 
+from .grid import heat_kernel
 from .special import binomial_sf, erfc
 
 # Family-wise false-alarm rate of the Monte Carlo histogram checks:
@@ -70,10 +71,6 @@ class QZParams:
             raise ValueError(f"need t > 0, got {self.t}")
 
 
-def _gauss(t: float, u) -> np.ndarray:
-    return np.exp(-np.asarray(u) ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-
-
 def qz_density(params: QZParams, z):
     """Transition density of the sign-drift diffusion at z (scalar or array)."""
     beta, y, x, t = params.beta, params.y, params.x, params.t
@@ -92,7 +89,7 @@ def _tail_eval(t: float, a, beta: float):
     """(2 pi t)^{-1/2} int_{a / sqrt t}^inf  z e^{-(z - beta sqrt t)^2 / 2} dz
     in closed form, vectorized in a: Gaussian term plus an erfc tail."""
     shift = (a - beta * t) / math.sqrt(2.0 * t)
-    return _gauss(t, a - beta * t) + beta / 2.0 * erfc(shift)
+    return heat_kernel(t, a - beta * t) + beta / 2.0 * erfc(shift)
 
 
 @dataclass

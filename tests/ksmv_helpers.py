@@ -27,7 +27,7 @@ from ksmv.field import InitialChemical, _concentration, drift_b
 from ksmv.grid import Grid1D, DensityField, TimeMesh, heat_kernel
 from ksmv.kernel import KernelSpec, has_memory
 from ksmv.mild import (MarginalHistory, PicardDivergenceError, SchemeInstabilityError,
-                       _drift_symbols, _push, _start_drift)
+                       _drift)
 from ksmv.particle import ParticleEnsemble
 from ksmv.qz import QZParams, _tail_eval
 from ksmv.special import erfcx
@@ -290,8 +290,9 @@ def run_mild_oracle(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.n
                     q: np.ndarray, E1: Optional[np.ndarray],
                     pushed: Optional[np.ndarray]):
     """ksmv.mild._run_mild one step at a time: u_k = irfft(U_k) by its own
-    call, U pushed by _push, three transform calls per step.  Same signature
-    and result (density stack, sup of |drift|), so a test can substitute it."""
+    call, U_{k+1} = q U_k + E1 r_k in a new array (no code shared with
+    mild._push), three transform calls per step.  Same signature and result
+    (density stack, sup of |drift|), so a test can substitute it."""
     n, M, dt = grid.n, mesh.steps, mesh.dt
     xi = grid.wavenumbers
     heat = np.exp(-xi * xi * dt / 2.0)
@@ -303,7 +304,7 @@ def run_mild_oracle(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.n
     sup_drift = 0.0
     for k in range(M):
         u = np.fft.irfft(U, n)
-        U = _push(U, q, E1, cur if pushed is None else pushed[k])
+        U = q * U if E1 is None else q * U + E1 * (cur if pushed is None else pushed[k])
         sup_drift = max(sup_drift, float(np.max(np.abs(u))))
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = heat * (cur - dt * deriv * np.fft.rfft(u * P[k]))
@@ -321,8 +322,9 @@ def picard_oracle(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChem
     iterate j pushes the rfft of iterate j - 1's real rows (iterate 0: p_0
     on every row).  Same signature and result (last iterate, distances), so
     a test can substitute it for mild.picard."""
-    q, E1 = _drift_symbols(spec, grid, mesh.dt)
-    U0 = _start_drift(spec, chem, grid) if start_drift is None else start_drift
+    U0, q, E1 = _drift(spec, chem, grid, mesh.dt)
+    if start_drift is not None:
+        U0 = start_drift
     prev = np.tile(p0.values, (mesh.steps + 1, 1))
     distances, grow_streak = [], 0
     for j in range(1, k_max + 1):

@@ -94,8 +94,7 @@ def test_from_mapping_aggregates_semantic_problems():
 
 def test_shipped_configs_parse():
     for path in sorted((REPO / "configs").glob("*.cfg")):
-        cfg = RunConfig.from_file(str(path))
-        assert cfg.source_text
+        RunConfig.from_file(str(path))
     full = RunConfig.from_file(str(REPO / "configs" / "full_model.cfg"))
     assert full.kernel_kind == "keller_segel"
     assert full.formats == ("csv", "plot")
@@ -617,6 +616,18 @@ def test_seed_override_lands_in_report(tmp_path, monkeypatch):
                      "solve"]) == 0
     payload = json.loads((out / "solve_report_march.json").read_text())
     assert payload["seed"] == 777
+
+
+def test_particle_ladder_runs_no_more_particles_than_configured(tmp_path, monkeypatch):
+    # the small rung is capped at particles.n: at N = 50 the ladder is the
+    # one configured rung, not 100 particles measured against 50
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    cfg = tmp_path / "full_model_50.cfg"
+    cfg.write_text((REPO / "configs" / "full_model.cfg").read_text() + "\nparticles.n = 50\n")
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "particles"]) == 0
+    lines = (out / "mean_field.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[0] == "50"
 
 
 @pytest.mark.parametrize("seed", [str(2 ** 53 + 1), str(2 ** 63 - 1)])

@@ -53,13 +53,32 @@ def test_history_shape_check_and_rows():
         hist.require_rows(5)
 
 
-def test_history_spectra_cache():
-    g = Grid1D(5.0, 32)
-    p0 = gaussian_density(g, 0.5)
-    hist = MarginalHistory(g, TimeMesh(1.0, 3), np.tile(p0.values, (4, 1)), {})
-    s1 = hist.spectra()
-    assert np.array_equal(s1[3], np.fft.rfft(p0.values))
-    assert hist.spectra() is s1
+@pytest.mark.parametrize("lanes", [0, 1, 3])
+@pytest.mark.parametrize("memory", [True, False])
+def test_push_advances_the_drift_state_in_place(lanes, memory):
+    # bit for bit the allocating rule q U + E1 p (q U without memory): on one
+    # row with the real q (restart hand-off, particles; lanes = 0), and on the
+    # flat lane view of a [spectra; states] buffer with the symbols cast and
+    # tiled over the lanes, as _run_mild pushes them
+    g = Grid1D(3.0 * math.pi, 64)
+    spec = KernelSpec(chi=1.0, lam=0.5, kind="keller_segel" if memory else "none")
+    U0, q, E1 = mild._drift(spec, InitialChemical.sine(g, 0.3, 1.0), g, 0.004)
+    assert (E1 is not None) == memory
+    rng = np.random.default_rng(3)
+    p = np.fft.rfft(rng.standard_normal((max(lanes, 1), g.n)), axis=1).reshape(-1)
+    if lanes:
+        q = np.tile(q.astype(complex), lanes)
+        E1 = None if E1 is None else np.tile(E1, lanes)
+        pair = np.empty((2 * lanes, U0.size), dtype=complex)
+        pair[lanes:] = U0
+        U = pair.reshape(2, -1)[1]
+    else:
+        U = U0.copy()
+    want = q * U if E1 is None else q * U + E1 * p
+    mild._push(U, q, E1, p, np.empty_like(U))
+    assert np.array_equal(U, want)
+    if lanes:
+        assert np.array_equal(pair[lanes:].reshape(-1), want)
 
 
 def test_history_require_rows_flags_nan():
@@ -309,9 +328,8 @@ def test_solvers_equal_the_step_by_step_loop(monkeypatch, M, model):
     spec, chem = full_model(g, model)
     p0 = gaussian_density(g, 1.0)
     hist = march(p0, spec, chem, g, TimeMesh(0.4, M))
-    q, E1 = mild._drift_symbols(spec, g, 0.4 / M)
     P, sup_drift = run_mild_oracle(p0.values, g, TimeMesh(0.4, M),
-                                   mild._start_drift(spec, chem, g), q, E1, None)
+                                   *mild._drift(spec, chem, g, 0.4 / M), None)
     assert np.array_equal(hist.densities, P) and hist.meta["sup_drift"] == sup_drift
 
     args = (p0, spec, chem, g, TimeMesh(0.1, M))
@@ -378,8 +396,8 @@ def test_a_failing_lane_ends_the_lanes_kept():
     # a kernel of size 1e200, overflows, and ends the lanes kept at lane 0
     g, mesh = Grid1D(3.0 * math.pi, 64), TimeMesh(0.1, 20)
     p0 = gaussian_density(g, 1.0)
-    q, E1 = mild._drift_symbols(KernelSpec(chi=1e200), g, mesh.dt)
-    U0, lead = np.zeros(g.wavenumbers.size, dtype=complex), np.zeros((mesh.steps + 1, g.n))
+    U0, q, E1 = mild._drift(KernelSpec(chi=1e200), None, g, mesh.dt)
+    lead = np.zeros((mesh.steps + 1, g.n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kept, sups, failure = mild._run_mild(p0.values, g, mesh, U0, q, E1, lead, 3)
@@ -669,7 +687,7 @@ def test_memory_sums_carried_across_windows_equal_one_pass():
     spec = KernelSpec(chi=1.0, lam=0.3)
     hist = march(gaussian_density(g, 0.5), spec, None, g, mesh)
     q = symbol_decay(spec.lam, mesh.dt, g.wavenumbers)
-    spectra = hist.spectra()
+    spectra = np.fft.rfft(hist.densities, axis=1)
     first = running_sums(spectra[:25], q)
     own = running_sums(spectra[25:], q)
     assert np.array_equal(first, hist.memory_sums(spec.lam)[:26])
