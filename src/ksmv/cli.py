@@ -32,11 +32,15 @@ is still read and changes nothing; any other value is refused (scale
 model.chi instead).
 
 Every number in the CSV and plot tables is written as "%.17g" % v, so reading
-a file back reproduces the arrays bit-for-bit.  The writers format a block of
-rows per %-format call, so their working memory does not grow with the
-table; the long-form tables (density.csv, field.csv) format each t and x
-once.  Each command times its output writes in the report's `write` phase,
-apart from the solve, field and other compute phases.
+a file back reproduces the arrays bit-for-bit.  One block formatter makes
+that text for a whole numpy block at once: the 17 digits from an exact
+product with a table of powers of ten, the text gathered by a layout table,
+and "%.17g" itself only where the product cannot decide the rounding (and
+for 0, inf, nan and extreme exponents).  The writers format and write
+_ROWS_PER_CALL rows at a time, so their working memory does not grow with
+the table; the long-form tables (density.csv, field.csv) format each t and
+x once.  Each command times its output writes in the report's `write`
+phase, apart from the solve, field and other compute phases.
 
 Exit codes: 0 all checks of the invoked command pass, 1 a scientific check
 failed, 2 configuration or usage error.  The default output directory comes
@@ -399,37 +403,207 @@ class RunReport:
 # --- serialization ---------------------------------------------------------
 
 
-# rows per %-format call.  A block's float objects and text take about
-# 0.3 MB per column, however many rows the table has.  Smaller blocks do not
-# save resident memory: a solve benchmark worker peaked at 51.0 MB with
-# 512-row blocks, against 48.2 MB with 4096 and with per-row writes
-_ROWS_PER_CALL = 4096
+# values per formatter pass and rows per write.  A pass's temporaries take
+# about 0.3 KB per value, most of it the 24 byte indices of each value's
+# text: with 1024 a long-form write peaks at 0.62 MB (tracemalloc), with 2048
+# at 1.04 MB, at about the same speed
+_ROWS_PER_CALL = 1024
+
+# |x| in [_FAST_MIN, _FAST_MAX] is scaled by 10^s with s in [_S_MIN, _S_MAX],
+# where the table's two doubles of 10^s and every partial product are normal
+_FAST_MIN, _FAST_MAX = 1e-260, 1e290
+_S_MIN, _S_MAX = -280, 280
+_SPLIT = 134217729.0    # 2^27 + 1: Veltkamp's split of a double into two halves
+_E16, _E17 = 10 ** 16, 10 ** 17
+_E_MAX = 300            # the exponent table's range, [-_E_MAX, _E_MAX]
+
+# columns of the 32 bytes a value's text is gathered from: "000d" (the
+# leading digit d), four 4-digit limbs, |E| as "0htu", ".-e+", NULs
+_ZERO, _DIGITS, _EXPONENT, _DOT, _MINUS, _EXP, _PLUS, _NUL = (
+    0, range(3, 20), range(21, 24), 24, 25, 26, 27, 28)
+_PUNCT = np.frombuffer(b".-e+\0\0\0\0", dtype=np.uint32)
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _format_tables():
+    """The formatter's tables, built from integers on first use:
+    - 10^s for s in [_S_MIN, _S_MAX] as hi + lo, hi correctly rounded and lo
+      the rounded rest, with hi already split (Dekker, Numer. Math. 18, 1971);
+    - the 4-character text "%04d" % i of each i < 10^4, as one uint32;
+    - by exponent E in [-_E_MAX, _E_MAX]: the text of |E| and the first
+      layout code of E's form;
+    - for each layout code (see _text), the 24 source columns of the text,
+      NUL-padded."""
+    hi, lo = [], []
+    for s in range(_S_MIN, _S_MAX + 1):
+        if s >= 0:
+            h = float(10 ** s)
+            hi.append(h)
+            lo.append(float(10 ** s - int(h)))
+        else:   # int / int is correctly rounded
+            d = 10 ** -s
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * d) / (den * d))
+    hi, lo = np.array(hi), np.array(lo)
+    limbs = np.frombuffer(b"".join(b"%04d" % i for i in range(10 ** 4)), dtype=np.uint32)
+    E = np.arange(-_E_MAX, _E_MAX + 1)
+    # forms 0-16: fixed with E = form >= 0; 17-20: fixed with E = 16 - form in
+    # [-4, -1]; 21-24: exponential, by the exponent's sign and digit count
+    form = np.where((E >= -4) & (E < 17), np.where(E >= 0, E, 16 - E),
+                    21 + 2 * (E < 0) + (np.abs(E) >= 100))
+    codes = []
+    for f in range(25):
+        for kept in range(1, 18):
+            if f < 17:    # every integer digit stays
+                point = f + 1
+                end = max(kept, point)
+                body = [*_DIGITS[:point], *([_DOT, *_DIGITS[point:end]] if end > point else [])]
+            elif f < 21:
+                body = [_ZERO, _DOT] + [_ZERO] * (f - 17) + [*_DIGITS[:kept]]
+            else:
+                negative, three = divmod(f - 21, 2)
+                body = [_DIGITS[0], *([_DOT, *_DIGITS[1:kept]] if kept > 1 else []),
+                        _EXP, _MINUS if negative else _PLUS, *_EXPONENT[1 - three:]]
+            for sign in ([], [_MINUS]):
+                codes.append(sign + body + [_NUL] * (24 - len(sign) - len(body)))
+    tables = ((*_split(hi), hi, lo), limbs, limbs[np.abs(E)], 34 * form,
+              np.array(codes, dtype=np.intp))
+    return tables
+
+
+def _scaled(a: np.ndarray, s: np.ndarray):
+    """(D, off, tie) for a * 10^s: D the nearest integer, off = 1 where the
+    product lies below 10^16 and -1 where it reaches 10^17, tie where its
+    fraction is within 1e-9 of 1/2.  The product is Dekker's exact product
+    of a and the table's hi plus a * lo; its error stays below 1e-14."""
+    (bh, bl, b, blo), *_ = _format_tables()
+    k = s - _S_MIN
+    bh, bl, b, blo = bh[k], bl[k], b[k], blo[k]
+    ah, al = _split(a)
+    p = a * b
+    rest = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + a * blo
+    whole = np.floor(p)
+    rest += p - whole
+    below = np.floor(rest)
+    rest -= below
+    floor = whole.astype(np.int64) + below.astype(np.int64)
+    off = (floor < _E16).astype(np.int64) - (floor >= _E17)
+    return floor + (rest >= 0.5), off, np.abs(rest - 0.5) < 1e-9
+
+
+def _digits(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, E, tie): |x| = D 10^(E - 16) to 17 significant digits,
+    D in [10^16, 10^17), for a = |x| in [_FAST_MIN, _FAST_MAX].  E starts at
+    floor(log10 a) and moves by one where the product misses [10^16, 10^17);
+    a D that rounds up to 10^17 is 10^16 with E + 1."""
+    E = np.floor(np.log10(a)).astype(np.int64)
+    D, off, tie = _scaled(a, 16 - E)
+    if off.any():
+        moved = np.flatnonzero(off)
+        E[moved] -= off[moved]
+        D[moved], _, tie[moved] = _scaled(a[moved], 16 - E[moved])
+    carry = D == _E17
+    D[carry] = _E16
+    E += carry
+    return D, E, tie
+
+
+def _text(D: np.ndarray, E: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """The %.17g text of the signed D 10^(E - 16), as S24: gathered from the
+    value's digits, exponent and punctuation by the columns of its layout
+    code, 34 form + 2 (kept - 1) + sign.  The form says fixed or exponential
+    and where the point goes, kept how many digits stay once trailing zeros
+    are stripped."""
+    _, limbs, exponents, forms, codes = _format_tables()
+    src = np.empty((D.size, 8), dtype=np.uint32)
+    for col in (4, 3, 2, 1):
+        D, limb = np.divmod(D, 10 ** 4)
+        src[:, col] = limbs[limb]
+    src[:, 0] = limbs[D]
+    src[:, 5] = exponents[E + _E_MAX]
+    src[:, 6:] = _PUNCT
+    text = src.view(np.uint8)
+    # trailing "0" digits, counted from the last; the leading digit is not 0
+    stripped = np.argmin(text[:, _DIGITS[-1]:_DIGITS[0] - 1:-1] == ord("0"), axis=1)
+    index = np.take(codes, forms[E + _E_MAX] + 2 * (16 - stripped) + negative, axis=0)
+    index += np.arange(0, 32 * D.size, 32)[:, None]
+    return np.take(text.ravel(), index).view("S24").ravel()
+
+
+def _format_block(v: np.ndarray) -> np.ndarray:
+    """The bytes of "%.17g" % x for each x in v, as S24.  Ties within 1e-9
+    of a half, 0, inf, nan and |x| outside [_FAST_MIN, _FAST_MAX] take
+    "%.17g" itself, which makes the text exact (Gay, 1990: correctly rounded
+    binary-decimal conversion)."""
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~fast] = 1.0
+    D, E, tie = _digits(a)
+    out = _text(D, E, np.signbit(v))
+    slow = np.flatnonzero(~fast | tie)
+    if slow.size:
+        out[slow] = [b"%.17g" % x for x in v[slow].tolist()]
+    return out
+
+
+def _format17(v) -> np.ndarray:
+    """The bytes of "%.17g" % x for each float x of v, flattened, as S24;
+    _ROWS_PER_CALL values per pass."""
+    v = np.asarray(v, dtype=float).ravel()
+    out = np.empty(v.size, dtype="S24")
+    for s in range(0, v.size, _ROWS_PER_CALL):
+        out[s:s + _ROWS_PER_CALL] = _format_block(v[s:s + _ROWS_PER_CALL])
+    return out
+
+
+def _text_bytes(values, shape: Tuple[int, ...]) -> np.ndarray:
+    return _format17(values).view(np.uint8).reshape(*shape, 24)
+
+
+def _row_buffer(rows: int, fields: int, sep: str) -> np.ndarray:
+    """Rows of fields slots: 24 bytes of text, NUL padded, and a separator,
+    the last one a newline.  The writers drop the padding, buf[buf != 0]."""
+    buf = np.zeros((rows, fields, 25), dtype=np.uint8)
+    buf[:, :, 24] = ord(sep)
+    buf[:, -1, 24] = ord("\n")
+    return buf
 
 
 def _write_rows(fh, cols: Sequence[np.ndarray], sep: str):
-    """Equal-length columns as %.17g rows joined by sep, one %-format call
-    per block of _ROWS_PER_CALL rows."""
+    """Equal-length columns as %.17g rows joined by sep, _ROWS_PER_CALL rows
+    per write."""
     cols = [np.asarray(c, dtype=float).ravel() for c in cols]
     if len({c.size for c in cols}) != 1:
         raise ValueError("columns must have equal length")
-    row = sep.join(["%.17g"] * len(cols)) + "\n"
-    for start in range(0, cols[0].size, _ROWS_PER_CALL):
-        block = np.column_stack([c[start:start + _ROWS_PER_CALL] for c in cols])
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    n = cols[0].size
+    buf = _row_buffer(min(n, _ROWS_PER_CALL), len(cols), sep)
+    for s in range(0, n, _ROWS_PER_CALL):
+        block = buf[:min(n - s, _ROWS_PER_CALL)]
+        block[:, :, :24] = _text_bytes(np.column_stack([c[s:s + _ROWS_PER_CALL] for c in cols]),
+                                       block.shape[:2])
+        fh.write(block[block != 0].tobytes())
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]):
     """Column-oriented CSV at 17 significant digits (exact float round-trip)."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         _write_rows(fh, columns, ",")
 
 
 def write_plot_table(path: Path, columns: Sequence[np.ndarray], comment: str = ""):
     """gnuplot-style whitespace table."""
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         if comment:
-            fh.write(f"# {comment}\n")
+            fh.write(f"# {comment}\n".encode())
         _write_rows(fh, columns, " ")
 
 
@@ -437,24 +611,26 @@ def _write_long_form(path: Path, header: Sequence[str], t: np.ndarray, x: np.nda
                      tables: Sequence[np.ndarray]):
     """CSV with one (t_k, x_i, v[k, i] for v in tables) row per node pair,
     the same text as write_csv of the repeated t and tiled x columns.  Each
-    x_i is formatted once, into one template per block of _ROWS_PER_CALL
-    nodes, and each t_k once per time row; a time row's templates take its
-    t_k text in place of a NUL marker, so a call formats only table values."""
+    t_k and x_i is formatted once; a block of rows, which may span several
+    times, formats only table values."""
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     tables = [np.asarray(v, dtype=float) for v in tables]
     if any(v.shape != (t.size, x.size) for v in tables):
         raise ValueError("value tables must have shape (len(t), len(x))")
-    tail = ",%.17g" * len(tables) + "\n"
-    starts = range(0, x.size, _ROWS_PER_CALL)
-    templates = ["".join(["\0%.17g" % xi + tail for xi in x[s:s + _ROWS_PER_CALL].tolist()])
-                 for s in starts]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, tk in enumerate(t.tolist()):
-            prefix = "%.17g," % tk
-            for s, template in zip(starts, templates):
-                block = np.column_stack([v[k, s:s + _ROWS_PER_CALL] for v in tables])
-                fh.write(template.replace("\0", prefix) % tuple(block.ravel().tolist()))
+    values = [v.ravel() for v in tables]
+    t_text, x_text = _text_bytes(t, t.shape), _text_bytes(x, x.shape)
+    n = t.size * x.size
+    buf = _row_buffer(min(n, _ROWS_PER_CALL), 2 + len(tables), ",")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for s in range(0, n, _ROWS_PER_CALL):
+            block = buf[:min(n - s, _ROWS_PER_CALL)]
+            k, i = np.divmod(np.arange(s, s + len(block)), x.size)
+            block[:, 0, :24] = t_text[k]
+            block[:, 1, :24] = x_text[i]
+            block[:, 2:, :24] = _text_bytes(np.column_stack([v[s:s + len(block)] for v in values]),
+                                            (len(block), len(values)))
+            fh.write(block[block != 0].tobytes())
 
 
 def write_history_csv(path: Path, history: mild.MarginalHistory):
@@ -570,9 +746,10 @@ def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
             ens = simulate_particles(N, p0, spec, chem, mesh, cfg.seed, store_rows=[mesh.steps])
             kde = kde_density(ens, -1, bandwidth=cfg.bandwidth)
             l1s.append(float(grid.integrate(np.abs(kde.values - oracle.densities[-1]))))
-    nonincreasing = all(b <= a * 1.02 for a, b in zip(l1s, l1s[1:]))
-    run.add("mean_field_l1_nonincreasing", l1s[-1], l1s[0] * 1.02, nonincreasing,
-            "  ".join(f"N={N}: L1={e:.4f}" for N, e in zip(ladder, l1s)))
+    if len(ladder) == 2:    # at particles.n <= 100 the one rung has no trend to check
+        small, large = l1s
+        run.add("mean_field_l1_nonincreasing", large, small * 1.02, large <= small * 1.02,
+                "  ".join(f"N={N}: L1={e:.4f}" for N, e in zip(ladder, l1s)))
     if "csv" in cfg.formats:
         with run.phase("write"):
             write_csv(out / "mean_field.csv", ("n_particles", "l1_vs_solver"),

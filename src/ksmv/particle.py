@@ -222,26 +222,30 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
 class _CloudInCell:
     """Cloud-in-cell cells and weights of N positions on a periodic grid.
 
-    locate(x) fills the cell index idx, its right neighbour idx1 and the
-    weights w0 = 1 - frac, w1 = frac; interp and deposit of one step share
-    them.  The buffers are allocated once and reused: a step that allocated
-    and freed its N-sized temporaries made the C allocator hand about 1 MB
-    back to the system and fault it in again on every step at N = 2e4.
+    locate(x) fills the cell index idx and the weights w0 = 1 - frac,
+    w1 = frac; interp and deposit of one step share them.  The right
+    neighbour (idx + 1) mod n is never stored: interp takes it from the
+    values rolled by one cell, and deposit adds the bins of w1 one cell to
+    the right, which sums the same particles in the same order (np.roll's
+    own overhead, twice a step, cost more than the stored index saved).  The
+    buffers are allocated once and reused: a step that allocated and freed
+    its N-sized temporaries made the C allocator hand about 1 MB back to the
+    system and fault it in again on every step at N = 2e4.
     """
 
     def __init__(self, grid: Grid1D, N: int):
         self.grid = grid
         self.rel, self.w0, self.w1, self.tmp = (np.empty(N) for _ in range(4))
-        self.idx, self.idx1 = np.empty(N, dtype=np.int64), np.empty(N, dtype=np.int64)
+        self.idx = np.empty(N, dtype=np.int64)
         self.mask, self.above = np.empty(N, dtype=bool), np.empty(N, dtype=bool)
 
     def locate(self, positions: np.ndarray):
-        """The bits of rel = mod(x + L, 2 L) / h, idx = floor(rel) mod n,
-        idx1 = (idx + 1) mod n, for finite x.  np.mod leaves offsets in
-        [0, 2 L) as they are, so only the others are folded.  An offset
-        folded from just below 0 can come back as 2 L, and rel within an
-        ulp below 2 L can round to n, so floor(rel) lies in [0, n] and the
-        integer remainders are a reset of n to 0."""
+        """The bits of rel = mod(x + L, 2 L) / h and idx = floor(rel) mod n
+        for finite x.  np.mod leaves offsets in [0, 2 L) as they are, so only
+        the others are folded.  An offset folded from just below 0 can come
+        back as 2 L, and rel within an ulp below 2 L can round to n, so
+        floor(rel) lies in [0, n] and the integer remainder is a reset of n
+        to 0."""
         g, rel, mask = self.grid, self.rel, self.mask
         period = 2.0 * g.half_width
         np.add(positions, g.half_width, out=rel)
@@ -255,14 +259,12 @@ class _CloudInCell:
         np.copyto(self.idx, 0, where=np.equal(self.idx, g.n, out=mask))
         np.subtract(rel, self.w0, out=self.w1)
         np.subtract(1.0, self.w1, out=self.w0)
-        np.add(self.idx, 1, out=self.idx1)
-        np.copyto(self.idx1, 0, where=np.equal(self.idx1, g.n, out=mask))
 
     def interp(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Linear interpolation of grid values at the located positions, into out."""
         np.take(values, self.idx, out=out)
         out *= self.w0
-        np.take(values, self.idx1, out=self.tmp)
+        np.take(np.concatenate((values[1:], values[:1])), self.idx, out=self.tmp)
         self.tmp *= self.w1
         out += self.tmp
         return out
@@ -272,7 +274,9 @@ class _CloudInCell:
         integrates to exactly 1."""
         g = self.grid
         out = np.bincount(self.idx, weights=self.w0, minlength=g.n)
-        out += np.bincount(self.idx1, weights=self.w1, minlength=g.n)
+        right = np.bincount(self.idx, weights=self.w1, minlength=g.n)
+        out[1:] += right[:-1]
+        out[0] += right[-1]
         return out / (self.idx.size * g.h)
 
 

@@ -141,6 +141,17 @@ def cloud_in_cell_oracle(grid: Grid1D, positions: np.ndarray):
     return idx, (idx + 1) % grid.n, 1.0 - frac, frac
 
 
+def cloud_in_cell_two_index_oracle(grid: Grid1D, positions: np.ndarray, values: np.ndarray):
+    """(interp, deposit): the grid values linearly interpolated at the
+    positions, and the cloud-in-cell projection of the positions, each from
+    the two stored indices of cloud_in_cell_oracle, idx and (idx + 1) mod n."""
+    idx, idx1, w0, w1 = cloud_in_cell_oracle(grid, positions)
+    interp = values[idx] * w0 + values[idx1] * w1
+    deposit = (np.bincount(idx, weights=w0, minlength=grid.n)
+               + np.bincount(idx1, weights=w1, minlength=grid.n)) / (positions.size * grid.h)
+    return interp, deposit
+
+
 def _require_time(t: float):
     if t <= 0:
         raise ValueError(f"kernel is defined for t > 0, got t={t}")

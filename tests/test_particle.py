@@ -18,7 +18,8 @@ from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            simulate_bounded_drift, kde_density, _CloudInCell, _deposit,
                            _euler_paths)
 
-from ksmv_helpers import (cloud_in_cell_oracle, compare_histories, gaussian_density,
+from ksmv_helpers import (cloud_in_cell_oracle, cloud_in_cell_two_index_oracle,
+                          compare_histories, gaussian_density,
                           l1_distance, marginal_variance, pairwise_particles,
                           step_noise_oracle, time_integrated_kernel)
 
@@ -475,22 +476,6 @@ def test_kde_needs_grid_and_positive_bandwidth():
             kde_density(ens2, 0, bandwidth=bad)
 
 
-def test_cloud_in_cell_buffers_match_direct_formulas():
-    # the reused-buffer interpolation and deposit against the plain expressions
-    g = Grid1D(5.0, 64)
-    rng = np.random.default_rng(1)
-    pos = rng.uniform(-20, 20, size=300)   # folds periodically
-    values = rng.normal(size=g.n)
-    idx, idx1, w0, w1 = cloud_in_cell_oracle(g, pos)
-    cic = _CloudInCell(g, pos.size)
-    cic.locate(pos)
-    interp = cic.interp(values, np.empty(pos.size))
-    assert np.array_equal(interp, values[idx] * w0 + values[idx1] * w1)
-    direct = (np.bincount(idx, weights=w0, minlength=g.n)
-              + np.bincount(idx1, weights=w1, minlength=g.n)) / (pos.size * g.h)
-    assert np.array_equal(cic.deposit(), direct)
-
-
 # on Grid1D(0.9, 100), 2 L / h rounds to just below n: an offset of exactly
 # 2 L left unfolded would land in cell n - 1, not cell 0
 _CIC_GRIDS = [Grid1D(3.0 * math.pi, 256), Grid1D(5.0, 64), Grid1D(1.0, 24), Grid1D(0.9, 100)]
@@ -499,6 +484,24 @@ _CIC_GRIDS = [Grid1D(3.0 * math.pi, 256), Grid1D(5.0, 64), Grid1D(1.0, 24), Grid
 def _box_edges(hw):
     return [v for edge in (-hw, hw)
             for v in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))]
+
+
+def test_cloud_in_cell_buffers_match_direct_formulas():
+    # the reused-buffer interpolation and deposit, which take the right
+    # neighbour from rolled values and bins, against a stored second index,
+    # bit for bit: the last cell's neighbour wraps to cell 0, and -L, +L and
+    # one ulp below +L sit at the wrap
+    rng = np.random.default_rng(1)
+    for grid in _CIC_GRIDS:
+        hw = grid.half_width
+        pos = np.concatenate([_box_edges(hw), rng.uniform(-hw, hw, 200),
+                              rng.uniform(-5 * hw, 5 * hw, 200)])
+        values = rng.normal(size=grid.n)
+        interp, deposit = cloud_in_cell_two_index_oracle(grid, pos, values)
+        cic = _CloudInCell(grid, pos.size)
+        cic.locate(pos)
+        assert cic.interp(values, np.empty(pos.size)).tobytes() == interp.tobytes()
+        assert cic.deposit().tobytes() == deposit.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -512,7 +515,8 @@ def test_locate_matches_the_fold_and_remainder_oracle(grid, data):
     pos = np.array(data.draw(st.lists(position, min_size=1, max_size=40)), dtype=float)
     cic = _CloudInCell(grid, pos.size)
     cic.locate(pos)
-    for got, want in zip((cic.idx, cic.idx1, cic.w0, cic.w1), cloud_in_cell_oracle(grid, pos)):
+    idx, _, w0, w1 = cloud_in_cell_oracle(grid, pos)
+    for got, want in zip((cic.idx, cic.w0, cic.w1), (idx, w0, w1)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
