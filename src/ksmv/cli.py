@@ -785,14 +785,27 @@ def _histogram_error_ratio(counts: np.ndarray, ref: np.ndarray, width: float,
 
 
 def _attracting_sign_drift(beta: float, N: int):
-    """b(t, x) = beta sign(0 - x) for N positions, by the ufuncs of that
-    expression (signed zeros included) into two reused N-vectors: the caller
-    must use the returned drift before the next call.  The sign goes into
-    the second vector because numpy's in-place sign took 120-152 us per
-    2e4-vector, against 16-29 us out of place."""
+    """b(t, x) = beta sign(0 - x) for N positions, bit for bit, into two
+    reused N-vectors: the caller must use the returned drift before the next
+    call.  When no x is zero or NaN, the drift is -beta or +beta as x's sign
+    bit is clear or set, written by putting that bit into -beta's on the
+    int64 views: two bitwise passes and no sign loop (at N = 2e4, 20 us
+    against 27 us for the expression's three ufuncs).  Any zero (either
+    sign) or NaN takes those ufuncs, with the sign out of place, since
+    numpy's in-place sign took 120-152 us per 2e4-vector."""
     diff, sign = np.empty(N), np.empty(N)
+    bits = sign.view(np.int64)
+    right, left = (beta * np.sign(0.0 - np.array([1.0, -1.0]))).view(np.int64)
+    # the bit rule holds when the two values differ in the sign bit alone,
+    # as they do for every beta but NaN
+    sign_bit = np.int64(np.iinfo(np.int64).min)
+    bit_rule = (right ^ left) == sign_bit
 
     def drift(t: float, x: np.ndarray) -> np.ndarray:
+        if bit_rule and np.abs(x, out=diff).min() > 0.0:
+            np.bitwise_and(x.view(np.int64), sign_bit, out=bits)
+            np.bitwise_xor(bits, right, out=bits)
+            return sign
         np.subtract(0.0, x, out=diff)
         np.sign(diff, out=sign)
         return np.multiply(beta, sign, out=sign)

@@ -34,13 +34,15 @@ increments whose first moments match N(0, dt) (Kloeden & Platen, Numerical
 Solution of SDEs, 1992, sec. 14.1; Talay & Tubaro, Stoch. Anal. Appl. 8,
 1990): the two-point increment's first three moments are those of N(0, dt)
 and its fourth is dt^2, so the law at a node keeps the scheme's weak order.
-A two-point step reads N bits, not N normals: at N = 2e4 its increments
-took 28 us against 370 us for the Gaussian ones (a 2-vCPU Xeon host).  The
-Gaussian first step keeps paths that start at one point (qz's x = 1) off
-the lattice of spacing 2 sqrt(dt) they would otherwise never leave, whose
-histogram the qz check rejects (mc_histogram_sup read 1.9-3.8 against its
-bound 1 in 10 of 10 seeds at N = 2e4 with two-point steps from step 0).
-The paths run on the calling thread alone.  Consequences, by construction:
+A two-point step reads N bits, not N normals, and turns each byte of them
+into its eight increments by one row of a 256 x 8 table: at N = 2e4 its
+increments took 21 us against 310 us for the Gaussian ones (a 2-vCPU Xeon
+host).  The Gaussian first step keeps paths that start at one point (qz's
+x = 1) off the lattice of spacing 2 sqrt(dt) they would otherwise never
+leave, whose histogram the qz check rejects (mc_histogram_sup read 1.9-3.8
+against its bound 1 in 10 of 10 seeds at N = 2e4 with two-point steps from
+step 0).  The paths run on the calling thread alone.  Consequences, by
+construction:
 
 * paths are bit-reproducible for fixed (seed, N, mesh, parameters);
 * runs nest: a smaller run's draws are a prefix of a larger run's.
@@ -59,7 +61,7 @@ from .grid import Grid1D, TimeMesh, DensityField
 from .kernel import KernelSpec
 # drift_b is not called here, but the traced benchmark wraps ksmv.particle.drift_b
 from .field import InitialChemical, drift_b  # noqa: F401
-from .mild import _drift, _push
+from .mild import SchemeInstabilityError, _drift, _push
 
 __all__ = [
     "ParticleEnsemble",
@@ -119,6 +121,7 @@ class _Streams:
         self.bits = np.random.Philox(key=[seed, _INIT])
         self.key = self.bits.state["state"]["key"]
         self.gen = np.random.Generator(self.bits)
+        self.table, self.table_sqdt = None, None
 
     def _at(self, phase: int, k: int):
         """Move the generator to the start of the stream of step k and phase."""
@@ -138,16 +141,26 @@ class _Streams:
         """Fill out with step k's noise increments of size sqdt = sqrt(dt): at
         k = 0, sqdt times the stream's standard normals; at k >= 1, exactly
         +sqdt where bit i of the stream's raw words (little-endian) is set and
-        -sqdt where it is clear."""
+        -sqdt where it is clear.  Those are gathered a byte at a time from a
+        256 x 8 table, row b holding the eight increments of byte b, built
+        once per step size: one gather, and no uint8-to-float cast loop."""
         self._at(_NOISE, k)
         if k == 0:
             self.gen.standard_normal(out=out)
             return np.multiply(out, sqdt, out=out)
-        raw = self.bits.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
-        bits = np.unpackbits(raw.view(np.uint8), count=out.size, bitorder="little")
-        # 2 sqdt and 2 sqdt - sqdt are exact, so each increment is +-sqdt
-        np.multiply(bits, 2.0 * sqdt, out=out)
-        return np.subtract(out, sqdt, out=out)
+        if self.table_sqdt != sqdt:
+            bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                 bitorder="little")
+            # 2 sqdt and 2 sqdt - sqdt are exact, so each increment is +-sqdt
+            self.table = np.subtract(bits * (2.0 * sqdt), sqdt)
+            self.table_sqdt = sqdt
+        raw = self.bits.random_raw(-(-out.size // 64)).astype("<u8", copy=False).view(np.uint8)
+        whole, tail = divmod(out.size, 8)
+        np.take(self.table, raw[:whole], axis=0, out=out[: 8 * whole].reshape(whole, 8),
+                mode="clip")
+        if tail:
+            out[8 * whole :] = self.table[raw[whole], :tail]
+        return out
 
 
 def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
@@ -199,7 +212,8 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
 
     Particle i takes the i-th draw of each step's stream.  store_rows selects
     which mesh rows to keep (default all; row 0 always); the stored rows do
-    not depend on it, and working memory is O(N) plus those rows.
+    not depend on it, and working memory is O(N) plus those rows.  A
+    non-finite position at node k raises SchemeInstabilityError(k).
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
@@ -208,13 +222,21 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
     cic, u, spare = _CloudInCell(grid, N), np.empty(N), np.empty_like(U)
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
-        cic.locate(x)
+        try:
+            cic.locate(x)
+        except ValueError:      # a non-finite position
+            raise SchemeInstabilityError(k) from None
         cic.interp(np.fft.irfft(U, grid.n), u)
         _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()), spare)
         return u
 
     x0 = _inverse_cdf_sampler(p0)(_Streams(seed).uniforms(N))
-    rows, X = _euler_paths(x0, drift, mesh, seed, store_rows)
+    # a blow-up overflows in a step first; the next locate names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, X = _euler_paths(x0, drift, mesh, seed, store_rows)
+    # each step locates its start, which leaves node M, when stored, to check
+    if not np.isfinite(X[-1]).all():
+        raise SchemeInstabilityError(rows[-1])
     meta = {"init_sampling": "inverse-cdf", "row_times": nodes[rows]}
     return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
 
@@ -241,17 +263,22 @@ class _CloudInCell:
 
     def locate(self, positions: np.ndarray):
         """The bits of rel = mod(x + L, 2 L) / h and idx = floor(rel) mod n
-        for finite x.  np.mod leaves offsets in [0, 2 L) as they are, so only
-        the others are folded.  An offset folded from just below 0 can come
-        back as 2 L, and rel within an ulp below 2 L can round to n, so
-        floor(rel) lies in [0, n] and the integer remainder is a reset of n
-        to 0."""
+        for finite x; a non-finite x raises ValueError, so idx always lies in
+        [0, n).  np.mod leaves offsets in [0, 2 L) as they are, so only the
+        others are folded, and only when the smallest or largest offset is
+        outside.  An offset folded from just below 0 can come back as 2 L, and
+        rel within an ulp below 2 L can round to n, so floor(rel) lies in
+        [0, n] and the integer remainder is a reset of n to 0."""
         g, rel, mask = self.grid, self.rel, self.mask
         period = 2.0 * g.half_width
         np.add(positions, g.half_width, out=rel)
-        np.less(rel, 0.0, out=mask)
-        mask |= np.greater_equal(rel, period, out=self.above)
-        if mask.any():
+        # written so that a NaN, which fails every comparison, enters the branch
+        lo, hi = rel.min(), rel.max()
+        if not (lo >= 0.0 and hi < period):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("non-finite particle positions")
+            np.less(rel, 0.0, out=mask)
+            mask |= np.greater_equal(rel, period, out=self.above)
             np.mod(rel, period, out=rel, where=mask)
         np.divide(rel, g.h, out=rel)
         np.floor(rel, out=self.w0)     # w0 holds floor(rel) until the last weight
@@ -262,9 +289,10 @@ class _CloudInCell:
 
     def interp(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Linear interpolation of grid values at the located positions, into out."""
-        np.take(values, self.idx, out=out)
+        # locate left every index in [0, n), so the gathers skip the bounds check
+        np.take(values, self.idx, out=out, mode="clip")
         out *= self.w0
-        np.take(np.concatenate((values[1:], values[:1])), self.idx, out=self.tmp)
+        np.take(np.concatenate((values[1:], values[:1])), self.idx, out=self.tmp, mode="clip")
         self.tmp *= self.w1
         out += self.tmp
         return out

@@ -4,12 +4,12 @@ kernel's norms, time integral J_t(u) and symbol, Theta_t(u) =
 int_0^t |K_s(u)| ds, the universal density bound, the chemical derivative
 residual, an ensemble row's variance, the quadrature oracle for the
 sign-drift comparison density, the per-value reference text of the table
-writers, sequential oracles for the particle noise streams and the
-cloud-in-cell cells, the direct periodic convolution sum, the paper's
-literal pairwise particle system as an oracle for the binned one, the
-step-by-step solver loop, the one-iterate-at-a-time fixed-point iteration
-and the per-node residual as oracles for the batched ones, the per-element
-binomial tail, and a chemical whose march overflows.
+writers, sequential oracles for the particle noise streams, the unpacked
+two-point increments and the cloud-in-cell cells, the direct periodic
+convolution sum, the paper's literal pairwise particle system as an oracle
+for the binned one, the step-by-step solver loop, the one-iterate-at-a-time
+fixed-point iteration and the per-node residual as oracles for the batched
+ones, the per-element binomial tail, and a chemical whose march overflows.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
@@ -129,6 +129,16 @@ def step_noise_oracle(seed: int, k: int, N: int) -> np.ndarray:
         return np.random.Generator(bits).standard_normal(N)
     raw = [int(w) for w in bits.random_raw(N // 64 + 1)]
     return np.array([1.0 if (raw[i // 64] >> (i % 64)) & 1 else -1.0 for i in range(N)])
+
+
+def two_point_increments_oracle(seed: int, k: int, N: int, sqdt: float) -> np.ndarray:
+    """Step k >= 1's two-point increments bit by bit: the stream's raw words
+    unpacked to N bits b_i (little-endian), then 2 sqdt b_i - sqdt."""
+    raw = np.random.Philox(key=[seed, 1], counter=[0, k, 0, 0]).random_raw(-(-N // 64))
+    bits = np.unpackbits(raw.astype("<u8", copy=False).view(np.uint8), count=N,
+                         bitorder="little")
+    out = np.multiply(bits, 2.0 * sqdt, dtype=float)
+    return np.subtract(out, sqdt, out=out)
 
 
 def cloud_in_cell_oracle(grid: Grid1D, positions: np.ndarray):

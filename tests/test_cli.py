@@ -22,7 +22,7 @@ from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       write_field_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
 from ksmv.kernel import KernelSpec, find_T0, has_memory, horizon_D, integrated_kernel_symbol
-from ksmv.field import ChemicalField, drift_b
+from ksmv.field import ChemicalField, InitialChemical, drift_b
 from ksmv import mild
 from ksmv.mild import MarginalHistory
 from ksmv.particle import simulate_bounded_drift
@@ -515,6 +515,24 @@ def test_main_solve_overflow_exits_1_naming_the_step(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == "instability: non-finite state at step 2\n"
 
 
+def test_main_particles_overflow_exits_1_naming_the_step(tmp_path, monkeypatch, capsys):
+    # a chemical slope of 1e306 and dt = 500 overflow the particles' first
+    # step; the march oracle, which would stop the command first, runs
+    # without the chemical
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    monkeypatch.setattr(cli.RunConfig, "make_chem", lambda self, grid: InitialChemical.from_samples(
+        grid, np.zeros(grid.n), c0_prime=np.full(grid.n, 1e306)))
+    march = mild.march
+    monkeypatch.setattr(mild, "march", lambda p0, spec, chem, grid, mesh:
+                        march(p0, spec, None, grid, mesh))
+    cfg = mini_config(tmp_path, **{"discretization.t": "1000", "discretization.m": "2"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), "particles"])
+    assert rc == 1
+    assert capsys.readouterr().err == "instability: non-finite state at step 1\n"
+
+
 def test_check_kernel_passes_when_D_saturates_below_safety(tmp_path, monkeypatch):
     # D(T) saturates at chi sqrt(2 / lambda) = 0.25 < safety 0.5, so T0 = inf
     # and Picard contracts on every horizon
@@ -735,6 +753,33 @@ def test_qz_sign_drift_in_place_keeps_the_bits_of_the_expression():
     fused = simulate_bounded_drift(drift, start, **kw)
     plain = simulate_bounded_drift(lambda t, x: beta * np.sign(0.0 - x), start, **kw)
     assert fused.positions.tobytes() == plain.positions.tobytes()
+
+
+_NONZERO = st.one_of(
+    st.floats(allow_nan=False).filter(lambda v: v != 0.0),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                     1e-300, -1e-300, math.inf, -math.inf, np.finfo(float).max,
+                     -np.finfo(float).max]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_NONZERO, min_size=1, max_size=70),
+       beta=st.sampled_from([0.5, 0.25, 4.0, 0.0, -0.0, -1.5, 1e-310, math.inf, math.nan]))
+def test_qz_sign_drift_without_zeros_or_nans_keeps_the_bits_of_the_expression(x, beta):
+    # no zero or NaN: the sign-bit drift, whose bits must be the expression's
+    # at every beta (at NaN the ufuncs run)
+    x = np.array(x)
+    drift = cli._attracting_sign_drift(beta, x.size)
+    assert drift(0.0, x).tobytes() == (beta * np.sign(0.0 - x)).tobytes()
+
+
+@pytest.mark.parametrize("odd", [0.0, -0.0, math.nan], ids=["+0", "-0", "nan"])
+@pytest.mark.parametrize("at", [0, 12345, 19999])
+def test_qz_sign_drift_with_one_zero_or_nan_keeps_the_bits_of_the_expression(odd, at):
+    x = np.random.default_rng(at).normal(size=20000)
+    x[at] = odd
+    drift = cli._attracting_sign_drift(0.5, x.size)
+    assert drift(0.0, x).tobytes() == (0.5 * np.sign(0.0 - x)).tobytes()
 
 
 def test_qz_histogram_check_accepts_true_drift_and_rejects_wrong_drift():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
 from ksmv.kernel import KernelSpec, integrated_kernel_symbol, symbol_decay
 from ksmv.field import InitialChemical, drift_b
-from ksmv.mild import MarginalHistory, march, running_sums
+from ksmv.mild import MarginalHistory, SchemeInstabilityError, march, running_sums
 from ksmv import particle
 from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            simulate_bounded_drift, kde_density, _CloudInCell, _deposit,
@@ -21,7 +21,8 @@ from ksmv.particle import (ParticleEnsemble, simulate_particles,
 from ksmv_helpers import (cloud_in_cell_oracle, cloud_in_cell_two_index_oracle,
                           compare_histories, gaussian_density,
                           l1_distance, marginal_variance, pairwise_particles,
-                          step_noise_oracle, time_integrated_kernel)
+                          step_noise_oracle, time_integrated_kernel,
+                          two_point_increments_oracle)
 
 FREE = KernelSpec(chi=0.0)   # interaction off: independent Brownian paths
 
@@ -133,6 +134,20 @@ def test_steps_after_the_first_are_exactly_plus_or_minus_sqrt_dt(dt, N):
                         None)
     assert np.array_equal(X[1], first)
     assert np.array_equal(X[2], first + streams.increments(1, sqdt, np.empty(N)))
+
+
+def test_two_point_table_matches_the_unpacked_bits():
+    # the byte table against the bits unpacked one by one, bit for bit: N
+    # below, at and past the 8 bits of a byte and the 64 of a word, and one
+    # stream whose step size changes from call to call
+    for N in (1, 7, 8, 9, 63, 64, 65, 2003, 20000):
+        streams = particle._Streams(23)
+        for dt in (0.5 / 7, 1e-3, 0.3, 0.5 / 7):
+            sqdt = math.sqrt(dt)
+            for k in (1, 2, 999):
+                got = streams.increments(k, sqdt, np.empty(N))
+                assert got.tobytes() == two_point_increments_oracle(23, k, N, sqdt).tobytes(), \
+                    (N, dt, k)
 
 
 def test_two_point_increments_have_the_gaussian_moments():
@@ -518,6 +533,32 @@ def test_locate_matches_the_fold_and_remainder_oracle(grid, data):
     idx, _, w0, w1 = cloud_in_cell_oracle(grid, pos)
     for got, want in zip((cic.idx, cic.w0, cic.w1), (idx, w0, w1)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_positions_raise_a_named_error(bad):
+    # locate names a non-finite position before it casts an index from it;
+    # the simulation names the node the position sits at
+    g = Grid1D(5.0, 64)
+    pos = np.linspace(-4.0, 4.0, 50)
+    for at in (0, 17, 49):
+        x = pos.copy()
+        x[at] = bad
+        with pytest.raises(ValueError, match="non-finite particle positions"):
+            _CloudInCell(g, x.size).locate(x)
+        with pytest.raises(ValueError, match="non-finite particle positions"):
+            _deposit(g, x)
+    # a chemical slope of 1e306 and dt = 500: the first step overflows, and
+    # no floating-point warning comes before the named error
+    chem = InitialChemical.from_samples(g, np.zeros(g.n), c0_prime=np.full(g.n, 1e306))
+    args = (50, gaussian_density(g, 0.5), KernelSpec(chi=1.0, lam=0.5), chem)
+    with pytest.raises(SchemeInstabilityError) as err:
+        simulate_particles(*args, TimeMesh(1000.0, 2), seed=1)
+    assert err.value.step == 1
+    # at M = 1 the overflow is at the last node, which no step locates
+    with pytest.raises(SchemeInstabilityError) as err:
+        simulate_particles(*args, TimeMesh(1e10, 1), seed=1)
+    assert err.value.step == 1
 
 
 def test_deposit_unit_mass():
