@@ -23,6 +23,10 @@ Two routes to the chemical gradient exist on purpose:
 The exogenous drift is b(t, x) = chi e^{-lambda t} E[c0'(x + W_t)], bounded
 by chi ||c0'||_inf for all times, and evaluated spectrally on the chemical's
 grid.
+
+:func:`ks_residual`, the finite-difference residual of the equation for c,
+serves acceptance criterion 6 and scripts/refinement_study.py; it is
+evaluated node by node, since no command calls it.
 """
 
 from __future__ import annotations
@@ -126,14 +130,8 @@ def drift_b(spec: KernelSpec, chem: InitialChemical, t: float) -> np.ndarray:
     return pref * smoothed
 
 
-# concentration nodes per inverse transform call in ks_residual
-_RESIDUAL_BLOCK = 16
-
-
-def _concentration_spectra(history, chem: InitialChemical, lam: float,
-                           ks) -> np.ndarray:
-    """rfft of the concentration c at each mesh node k >= 1 of ks, one row per
-    node; the caller has checked the history rows up to max(ks).
+def _concentration(history, chem: InitialChemical, lam: float, k: int) -> np.ndarray:
+    """Concentration c at mesh node k on the grid, without its gradient.
 
     The Duhamel term is the trapezoid in the smooth factor rho_{t-s} * g(s),
     with exact subinterval integrals w0 e^{-lam s_j} of e^{-lam s} and F(0)
@@ -142,27 +140,18 @@ def _concentration_spectra(history, chem: InitialChemical, lam: float,
     ones the memory drift uses) the trapezoid sum is
     (w0/2) [S_{k+1} - q^k rho_hat_0 + r S_k].
     """
+    history.require_rows(k)
+    if k == 0:
+        return chem.c0.copy()
     grid, mesh = history.grid, history.mesh
-    xi, dt, nodes = grid.wavenumbers, mesh.dt, mesh.nodes
+    xi, dt, tk = grid.wavenumbers, mesh.dt, mesh.nodes[k]
     S = history.memory_sums(lam)
     rho0_hat = np.fft.rfft(history.densities[0])
     r = symbol_decay(0.0, dt, xi)
     w0 = dt if lam == 0.0 else -math.expm1(-lam * dt) / lam
-    c0_hat = np.fft.rfft(chem.c0)
-    out = np.empty((len(ks), xi.size), dtype=complex)
-    for row, k in zip(out, ks):
-        tk = nodes[k]
-        duhamel = 0.5 * w0 * (S[k + 1] - symbol_decay(lam, k * dt, xi) * rho0_hat + r * S[k])
-        np.add(math.exp(-lam * tk) * c0_hat * np.exp(-xi * xi * tk / 2.0), duhamel, out=row)
-    return out
-
-
-def _concentration(history, chem: InitialChemical, lam: float, k: int) -> np.ndarray:
-    """Concentration c at mesh node k on the grid, without its gradient."""
-    history.require_rows(k)
-    if k == 0:
-        return chem.c0.copy()
-    return np.fft.irfft(_concentration_spectra(history, chem, lam, [k])[0], history.grid.n)
+    duhamel = 0.5 * w0 * (S[k + 1] - symbol_decay(lam, k * dt, xi) * rho0_hat + r * S[k])
+    c_hat = math.exp(-lam * tk) * np.fft.rfft(chem.c0) * np.exp(-xi * xi * tk / 2.0) + duhamel
+    return np.fft.irfft(c_hat, grid.n)
 
 
 def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -> ChemicalField:
@@ -201,34 +190,20 @@ def ks_residual(history, chem: InitialChemical, lam: float) -> np.ndarray:
 
     Central differences in both time (mesh neighbours) and space; returns the
     spatial L^2 norm of the residual at each sampled interior node (none
-    when M = 1).  The
-    residual measures the consistency of the computed (rho, c) pair and
-    shrinks under (h, dt) refinement.
+    when M = 1), each sample reading its three nodes through _concentration,
+    which checks the history rows itself.  The residual measures the
+    consistency of the computed (rho, c) pair and shrinks under (h, dt)
+    refinement.
     """
     grid, mesh = history.grid, history.mesh
+    M = mesh.steps
     # below M = 4 the sample from node 2 on is empty: every interior node
-    ks = range(2, mesh.steps - 1, max(1, mesh.steps // 16)) if mesh.steps >= 4 \
-        else range(1, mesh.steps)
+    ks = range(2, M - 1, max(1, M // 16)) if M >= 4 else range(1, M)
     out = np.empty(len(ks))
-    if not ks:
-        return out
-    history.require_rows(ks[-1] + 1)
-    # each node the samples need is evaluated once, _RESIDUAL_BLOCK per inverse call
-    nodes = sorted({k + d for k in ks for d in (-1, 0, 1)})
-    c = np.empty((len(nodes), grid.n))
-    first = 1 if nodes[0] == 0 else 0
-    if first:
-        c[0] = chem.c0
-    for i in range(first, len(nodes), _RESIDUAL_BLOCK):
-        block = nodes[i : i + _RESIDUAL_BLOCK]
-        np.fft.irfft(_concentration_spectra(history, chem, lam, block), grid.n, axis=1,
-                     out=c[i : i + len(block)])
-    row = {k: i for i, k in enumerate(nodes)}
-    h, dt = grid.h, mesh.dt
     for i, k in enumerate(ks):
-        c_prev, c_mid, c_next = c[row[k - 1]], c[row[k]], c[row[k + 1]]
-        dcdt = (c_next - c_prev) / (2.0 * dt)
-        cxx = (np.roll(c_mid, -1) - 2.0 * c_mid + np.roll(c_mid, 1)) / h ** 2
+        c_prev, c_mid, c_next = (_concentration(history, chem, lam, j) for j in (k - 1, k, k + 1))
+        dcdt = (c_next - c_prev) / (2.0 * mesh.dt)
+        cxx = (np.roll(c_mid, -1) - 2.0 * c_mid + np.roll(c_mid, 1)) / grid.h ** 2
         res = dcdt - 0.5 * cxx + lam * c_mid - history.densities[k]
         out[i] = math.sqrt(grid.integrate(res * res))
     return out

@@ -224,9 +224,13 @@ def check_hypotheses(spec: KernelSpec, mesh: TimeMesh) -> HypothesisReport:
                                  f"increment ratios L1 {ratios[0]:.4f}, L2 {ratios[1]:.4f}; "
                                  f"L1 int={D_T:.4g}, L2 int={_l2_norm_integral(spec, 0.0, T):.4g}")
 
-    # H.2: K_t is Lipschitz in x, steepest at x = 0
+    # H.2: K_t is Lipschitz in x, steepest at x = 0.  As the exp of a log-sum
+    # the slope reads inf, and fails, where t^{3/2} would underflow to 0, and
+    # 0 at chi_eff = 0
     t2 = T * np.array([0.05, 0.3, 1.0])
-    slopes = spec.chi_eff * np.exp(-spec.lam * t2) / (math.sqrt(2.0 * math.pi) * t2 ** 1.5)
+    with np.errstate(divide="ignore", over="ignore"):
+        slopes = np.exp(np.log(spec.chi_eff / math.sqrt(2.0 * math.pi)) - spec.lam * t2
+                        - 1.5 * np.log(t2))
     items["H2"] = HypothesisItem("H.2 spatial continuity", float(slopes.max()), math.inf,
                                  bool(np.isfinite(slopes.max())),
                                  "sup_x |dK_t/dx| at t = " + ", ".join(f"{t:.3g}" for t in t2))
@@ -236,10 +240,12 @@ def check_hypotheses(spec: KernelSpec, mesh: TimeMesh) -> HypothesisReport:
     # probe is below the lambda = 0 value at the long one
     delta = 0.3
 
+    # as the exp of one log-sum: t^{3/2} alone underflows to 0 at t ~ 1e-300,
+    # but the exponent is at most 3.8, its value at t = delta^2 / 3
     def off_origin_sup(t, lam):
         x = max(delta, math.sqrt(t))
-        return (spec.chi_eff * math.exp(-lam * t) * x * math.exp(-x * x / (2.0 * t))
-                / (math.sqrt(2.0 * math.pi) * t ** 1.5))
+        return (spec.chi_eff * x / math.sqrt(2.0 * math.pi)
+                * math.exp(-lam * t - x * x / (2.0 * t) - 1.5 * math.log(t)))
 
     t_long = min(T, delta ** 2 / 3.0)
     h3_val, h3_bound = off_origin_sup(t_long / 16.0, spec.lam), off_origin_sup(t_long, 0.0)

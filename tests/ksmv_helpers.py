@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from ksmv import particle
-from ksmv.field import InitialChemical, _concentration, drift_b
+from ksmv.field import InitialChemical, drift_b
 from ksmv.grid import Grid1D, DensityField, TimeMesh, heat_kernel
 from ksmv.kernel import KernelSpec, has_memory
 from ksmv.mild import (MarginalHistory, PicardDivergenceError, SchemeInstabilityError,
@@ -360,23 +360,6 @@ def picard_oracle(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChem
         prev = P
     return MarginalHistory(grid, mesh, P, {"provenance": f"iterate-{j}",
                                            "sup_drift": sup_drift}), distances
-
-
-def ks_residual_oracle(history: MarginalHistory, chem: InitialChemical,
-                       lam: float) -> np.ndarray:
-    """ksmv.field.ks_residual node by node: each sample reads its three nodes
-    through field._concentration, which checks the history rows itself."""
-    grid, mesh = history.grid, history.mesh
-    M = mesh.steps
-    ks = range(2, M - 1, max(1, M // 16)) if M >= 4 else range(1, M)
-    out = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        c_prev, c_mid, c_next = (_concentration(history, chem, lam, j) for j in (k - 1, k, k + 1))
-        dcdt = (c_next - c_prev) / (2.0 * mesh.dt)
-        cxx = (np.roll(c_mid, -1) - 2.0 * c_mid + np.roll(c_mid, 1)) / grid.h ** 2
-        res = dcdt - 0.5 * cxx + lam * c_mid - history.densities[k]
-        out[i] = math.sqrt(grid.integrate(res * res))
-    return out
 
 
 def overflowing_chemical(grid: Grid1D) -> InitialChemical:

@@ -460,8 +460,6 @@ def test_main_solve_restart_mode(tmp_path, monkeypatch):
 @pytest.mark.parametrize("mode", ["march", "picard_with_restart"])
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_main_solve_full_model_on_few_steps(tmp_path, monkeypatch, steps, mode):
-    # the residual samples the interior nodes that exist; at M = 1 there are
-    # none and the report leaves ks_residual_max out
     monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
     text = (REPO / "configs" / "full_model.cfg").read_text()
     cfg = tmp_path / "few.cfg"
@@ -469,10 +467,20 @@ def test_main_solve_full_model_on_few_steps(tmp_path, monkeypatch, steps, mode):
     out = tmp_path / "run"
     assert cli.main(["--config", str(cfg), "--out", str(out), "solve", "--mode", mode]) == 0
     assert (out / "field.csv").exists()
-    if mode == "march":
-        names = {r["name"] for r in
-                 json.loads((out / "solve_report_march.json").read_text())["records"]}
-        assert ("ks_residual_max" in names) == (steps > 1)
+
+
+# a record with bound inf cannot fail, and so checks nothing; mass_drift keeps
+# every report, the plot-only one included, from being empty
+@pytest.mark.parametrize("mode", ["march", "picard_with_restart"])
+@pytest.mark.parametrize("name", ["heat_only", "ou_surrogate", "full_model"])
+def test_solve_reports_only_records_that_can_fail(tmp_path, monkeypatch, name, mode):
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    out = tmp_path / name
+    assert cli.main(["--config", str(REPO / "configs" / f"{name}.cfg"), "--out", str(out),
+                     "solve", "--mode", mode]) == 0
+    records = json.loads((out / f"solve_report_{mode}.json").read_text())["records"]
+    assert "mass_drift" in {r["name"] for r in records}
+    assert all(math.isfinite(r["bound"]) for r in records)
 
 
 def test_main_solve_restart_tables_follow_the_rounded_step_count(tmp_path, monkeypatch):
@@ -580,6 +588,26 @@ def test_check_kernel_on_none_kernel_uses_closed_forms(tmp_path, monkeypatch):
         assert (records[item]["value"], records[item]["bound"]) == (0.0, 0.0)
         assert records[item]["passed"]
     assert records["contraction_D_at_T0"]["value"] == 0.0
+
+
+def test_check_kernel_at_a_horizon_of_1e_300_fails_h2_by_name(tmp_path, monkeypatch, capsys):
+    # t^{3/2} underflows to 0 at t ~ 1e-300: the slope of H.2 reads inf and
+    # fails, H.3 reads 0, and neither raises nor warns
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    text = (REPO / "configs" / "full_model.cfg").read_text()
+    assert "discretization.t = 0.4\n" in text
+    cfg = tmp_path / "t1e-300.cfg"
+    cfg.write_text(text.replace("discretization.t = 0.4\n", "discretization.t = 1e-300\n"))
+    out = tmp_path / "ck"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 1
+    assert "[FAIL] H2" in capsys.readouterr().out
+    records = {r["name"]: r for r in
+               json.loads((out / "check_kernel_report.json").read_text())["records"]}
+    assert records["H2"]["value"] == math.inf and not records["H2"]["passed"]
+    assert records["H3"]["value"] == 0.0 and records["H3"]["passed"]
+    assert [n for n, r in records.items() if not r["passed"]] == ["H2"]
 
 
 @pytest.mark.parametrize("lam", ["0.5", "0"])
