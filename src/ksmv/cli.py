@@ -35,12 +35,14 @@ Every number in the CSV and plot tables is written as "%.17g" % v, so reading
 a file back reproduces the arrays bit-for-bit.  One block formatter makes
 that text for a whole numpy block at once: the 17 digits from an exact
 product with a table of powers of ten, the text gathered by a layout table,
-and "%.17g" itself only where the product cannot decide the rounding (and
-for 0, inf, nan and extreme exponents).  The writers format and write
-_ROWS_PER_CALL rows at a time, so their working memory does not grow with
-the table; the long-form tables (density.csv, field.csv) format each t and
-x once.  Each command times its output writes in the report's `write`
-phase, apart from the solve, field and other compute phases.
+0 and -0 as such, and "%.17g" itself only where the product cannot decide
+the rounding (and for inf, nan and extreme exponents).  The writers format
+and write _VALUES_PER_PASS values at a time, so their working memory does
+not grow with the table; the long-form tables (density.csv, field.csv)
+format each t and x once, and each of their passes is whole time rows or a
+run of nodes within one.  Each command times its output writes in the
+report's `write` phase, apart from the solve, field and other compute
+phases.
 
 Exit codes: 0 all checks of the invoked command pass, 1 a scientific check
 failed, 2 configuration or usage error.  The default output directory comes
@@ -404,11 +406,12 @@ class RunReport:
 # --- serialization ---------------------------------------------------------
 
 
-# values per formatter pass and rows per write.  A pass's temporaries take
+# values per formatter pass, and so per write.  A pass's temporaries peak at
 # about 0.3 KB per value, most of it the 24 byte indices of each value's
-# text: with 1024 a long-form write peaks at 0.62 MB (tracemalloc), with 2048
-# at 1.04 MB, at about the same speed
-_ROWS_PER_CALL = 1024
+# text, so a pass holds at most this many values: solve-wide's density.csv
+# (n = 4096) then peaks at 0.93 MB (tracemalloc) and takes two passes per
+# time row; one pass per row would peak at 1.3 MB
+_VALUES_PER_PASS = 2048
 
 # |x| in [_FAST_MIN, _FAST_MAX] is scaled by 10^s with s in [_S_MIN, _S_MAX],
 # where the table's two doubles of 10^s and every partial product are normal
@@ -535,21 +538,30 @@ def _text(D: np.ndarray, E: np.ndarray, negative: np.ndarray) -> np.ndarray:
     # trailing "0" digits, counted from the last; the leading digit is not 0
     stripped = np.argmin(text[:, _DIGITS[-1]:_DIGITS[0] - 1:-1] == ord("0"), axis=1)
     index = np.take(codes, forms[E + _E_MAX] + 2 * (16 - stripped) + negative, axis=0)
+    del stripped   # freed before the index grows: the index is the pass's peak
     index += np.arange(0, 32 * D.size, 32)[:, None]
-    return np.take(text.ravel(), index).view("S24").ravel()
+    # every index is in range: clip never clips, and unlike the default mode
+    # it writes the text without a buffer of its size
+    out = np.empty((D.size, 24), dtype=np.uint8)
+    np.take(text.ravel(), index, out=out, mode="clip")
+    return out.view("S24").ravel()
 
 
 def _format_block(v: np.ndarray) -> np.ndarray:
-    """The bytes of "%.17g" % x for each x in v, as S24.  Ties within 1e-9
-    of a half, 0, inf, nan and |x| outside [_FAST_MIN, _FAST_MAX] take
-    "%.17g" itself, which makes the text exact (Gay, 1990: correctly rounded
-    binary-decimal conversion)."""
+    """The bytes of "%.17g" % x for each x in v, as S24.  0 and -0 are
+    written as such; ties within 1e-9 of a half, inf, nan and |x| outside
+    [_FAST_MIN, _FAST_MAX] take "%.17g" itself, which makes the text exact
+    (Gay, 1990: correctly rounded binary-decimal conversion)."""
     a = np.abs(v)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    zero = a == 0.0
     a[~fast] = 1.0
     D, E, tie = _digits(a)
-    out = _text(D, E, np.signbit(v))
-    slow = np.flatnonzero(~fast | tie)
+    del a   # freed before the text stage, the pass's peak
+    negative = np.signbit(v)
+    out = _text(D, E, negative)
+    out[zero] = np.where(negative[zero], b"-0", b"0")
+    slow = np.flatnonzero(~(fast | zero) | tie)
     if slow.size:
         out[slow] = [b"%.17g" % x for x in v[slow].tolist()]
     return out
@@ -557,11 +569,13 @@ def _format_block(v: np.ndarray) -> np.ndarray:
 
 def _format17(v) -> np.ndarray:
     """The bytes of "%.17g" % x for each float x of v, flattened, as S24;
-    _ROWS_PER_CALL values per pass."""
+    _VALUES_PER_PASS values per pass."""
     v = np.asarray(v, dtype=float).ravel()
+    if v.size <= _VALUES_PER_PASS:   # one pass: its text, not a copy beside it
+        return _format_block(v)
     out = np.empty(v.size, dtype="S24")
-    for s in range(0, v.size, _ROWS_PER_CALL):
-        out[s:s + _ROWS_PER_CALL] = _format_block(v[s:s + _ROWS_PER_CALL])
+    for s in range(0, v.size, _VALUES_PER_PASS):
+        out[s:s + _VALUES_PER_PASS] = _format_block(v[s:s + _VALUES_PER_PASS])
     return out
 
 
@@ -569,28 +583,28 @@ def _text_bytes(values, shape: Tuple[int, ...]) -> np.ndarray:
     return _format17(values).view(np.uint8).reshape(*shape, 24)
 
 
-def _row_buffer(rows: int, fields: int, sep: str) -> np.ndarray:
+def _row_buffer(shape: Tuple[int, ...], fields: int, sep: str) -> np.ndarray:
     """Rows of fields slots: 24 bytes of text, NUL padded, and a separator,
     the last one a newline.  The writers drop the padding, buf[buf != 0]."""
-    buf = np.zeros((rows, fields, 25), dtype=np.uint8)
-    buf[:, :, 24] = ord(sep)
-    buf[:, -1, 24] = ord("\n")
+    buf = np.zeros((*shape, fields, 25), dtype=np.uint8)
+    buf[..., 24] = ord(sep)
+    buf[..., -1, 24] = ord("\n")
     return buf
 
 
 def _write_rows(fh, cols: Sequence[np.ndarray], sep: str):
-    """Equal-length columns as %.17g rows joined by sep, _ROWS_PER_CALL rows
-    per write."""
+    """Equal-length columns as %.17g rows joined by sep, one pass of
+    _VALUES_PER_PASS values (whole rows, at least one) per write."""
     cols = [np.asarray(c, dtype=float).ravel() for c in cols]
     if len({c.size for c in cols}) != 1:
         raise ValueError("columns must have equal length")
-    n = cols[0].size
-    buf = _row_buffer(min(n, _ROWS_PER_CALL), len(cols), sep)
-    for s in range(0, n, _ROWS_PER_CALL):
-        block = buf[:min(n - s, _ROWS_PER_CALL)]
-        block[:, :, :24] = _text_bytes(np.column_stack([c[s:s + _ROWS_PER_CALL] for c in cols]),
+    n, rows = cols[0].size, max(1, _VALUES_PER_PASS // len(cols))
+    buf = _row_buffer((min(n, rows),), len(cols), sep)
+    for s in range(0, n, rows):
+        block = buf[:min(n - s, rows)]
+        block[:, :, :24] = _text_bytes(np.column_stack([c[s:s + rows] for c in cols]),
                                        block.shape[:2])
-        fh.write(block[block != 0].tobytes())
+        fh.write(block[block != 0])
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]):
@@ -612,26 +626,28 @@ def _write_long_form(path: Path, header: Sequence[str], t: np.ndarray, x: np.nda
                      tables: Sequence[np.ndarray]):
     """CSV with one (t_k, x_i, v[k, i] for v in tables) row per node pair,
     the same text as write_csv of the repeated t and tiled x columns.  Each
-    t_k and x_i is formatted once; a block of rows, which may span several
-    times, formats only table values."""
+    t_k and x_i is formatted once.  A pass of _VALUES_PER_PASS table values
+    is whole time rows, or a run of x nodes within one time row: its t text
+    is broadcast, its x text a slice, and it formats only table values."""
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     tables = [np.asarray(v, dtype=float) for v in tables]
     if any(v.shape != (t.size, x.size) for v in tables):
         raise ValueError("value tables must have shape (len(t), len(x))")
-    values = [v.ravel() for v in tables]
     t_text, x_text = _text_bytes(t, t.shape), _text_bytes(x, x.shape)
-    n = t.size * x.size
-    buf = _row_buffer(min(n, _ROWS_PER_CALL), 2 + len(tables), ",")
+    cols = max(1, min(x.size, _VALUES_PER_PASS // len(tables)))
+    rows = max(1, _VALUES_PER_PASS // (len(tables) * cols))
+    buf = _row_buffer((min(t.size, rows), cols), 2 + len(tables), ",")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for s in range(0, n, _ROWS_PER_CALL):
-            block = buf[:min(n - s, _ROWS_PER_CALL)]
-            k, i = np.divmod(np.arange(s, s + len(block)), x.size)
-            block[:, 0, :24] = t_text[k]
-            block[:, 1, :24] = x_text[i]
-            block[:, 2:, :24] = _text_bytes(np.column_stack([v[s:s + len(block)] for v in values]),
-                                            (len(block), len(values)))
-            fh.write(block[block != 0].tobytes())
+        for k in range(0, t.size, rows):
+            for i in range(0, x.size, cols):
+                block = buf[:min(t.size - k, rows), :min(x.size - i, cols)]
+                r, c = block.shape[:2]
+                block[:, :, 0, :24] = t_text[k:k + r, None]
+                block[:, :, 1, :24] = x_text[i:i + c]
+                block[:, :, 2:, :24] = _text_bytes(
+                    np.stack([v[k:k + r, i:i + c] for v in tables], axis=-1), (r, c, len(tables)))
+                fh.write(block[block != 0])
 
 
 def write_history_csv(path: Path, history: mild.MarginalHistory):
@@ -676,9 +692,14 @@ def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
     p0 = cfg.make_p0(grid)
     chem = cfg.make_chem(grid)
     with run.phase("solve"):
-        history = mild.solve_global(p0, spec, chem, grid, cfg.horizon, mode=mode,
-                                    steps=cfg.steps, safety=cfg.safety,
-                                    k_max=cfg.k_max, tol=cfg.tol)
+        try:
+            history = mild.solve_global(p0, spec, chem, grid, cfg.horizon, mode=mode,
+                                        steps=cfg.steps, safety=cfg.safety,
+                                        k_max=cfg.k_max, tol=cfg.tol)
+        except mild.RestartTooLargeError as exc:
+            raise ConfigError([f"model.chi, discretization.t, picard.safety: the restart cuts "
+                               f"T = {cfg.horizon:g} into {exc}; lower model.chi or "
+                               "discretization.t, or raise picard.safety"]) from None
     # the restart rounds the step count up to a multiple of its windows
     mesh = history.mesh
 

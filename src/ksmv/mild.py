@@ -33,19 +33,22 @@ spectral state per frequency,
 
 and b is evaluated once per solve.  It costs O(n) per step, so a march of
 M steps costs O(M n log n).  `_push` is the one place U advances: the
-march and the fixed-point lanes, the window restart's hand-off and the
-binned particles (ksmv.particle) all push through it, in place.
+march, the fixed-point lanes (and with them the window restart's
+hand-off) and the binned particles (ksmv.particle) all push through it,
+in place.
 
 At n of a few hundred a transform call costs several times its per-row
-work, so the step loop counts calls.  A march step makes two: the forward
-transform of the flux u_k p_k, and one two-row inverse that yields p_{k+1}
-and the next drift u_{k+1}, whose state U_{k+1} is known by then.  The
-fixed-point iterates run the same loop as a batch of J lanes advancing in
-lockstep (below): a step makes one forward call over the J rows the lanes
-push and their J fluxes, and one inverse over their J next spectra and J
-drift states.  A march, or a batch of any width, of M steps thus makes
-2 M transform calls besides its setup, and gives the values of the loop
-that transforms every row by a call of its own.
+work, so the step loop counts calls and rows.  A march step makes two: the
+forward transform of the flux u_k p_k, one row, and one two-row inverse
+that yields p_{k+1} and the next drift u_{k+1}, whose state U_{k+1} is
+known by then.  The fixed-point iterates run the same loop as a batch of J
+lanes advancing in lockstep (below): each lane pushes a spectrum straight
+from the buffer the inverse reads, so a step's forward call transforms the
+J fluxes alone, J rows, and its inverse the J next spectra and J drift
+states.  A march, or a batch of any width, of M steps thus makes 2 M
+transform calls besides its setup (a batch one more: the inverse that
+gives its last iterate's rows when they are read), and gives the values of
+the loop that transforms every row by a call of its own.
 
 The one-step march multiplies by the heat symbol and adds the one-step
 Duhamel drift term.  Mass is conserved exactly by construction: the heat
@@ -54,20 +57,26 @@ keeps the zero mode of p_0's spectrum, which is normalized once to unit mass.
 
 Fixed-point iteration (the contraction construction): iterate j marches the
 linear equation whose drift runs the same recursion from U_0 but pushes the
-rows of iterate j-1 (iterate 1: the history frozen at p_0).  Step k of
-iterate j reads only row k of iterate j-1, which that iterate made at its
-step k-1, so a batch of consecutive iterates runs one step loop in
-lockstep, each lane pushing its predecessor's row (pipelined waveform
+spectra of iterate j-1 (iterate 1: the history frozen at p_0, whose
+spectrum at every node is the march's unit-mass p_hat_0).  Step k of
+iterate j reads only spectrum k of iterate j-1, which that iterate made at
+its step k-1, so a batch of consecutive iterates runs one step loop in
+lockstep, each lane pushing its predecessor's spectrum (pipelined waveform
 relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1,
-1982), at 2 transform calls per step for the whole batch.  Only one
-batch of iterates is kept.  The discrete
-system is lower triangular in time, so the iterates collapse onto the march
-output; their successive L^1 distances contract at rate ~ D(T_0) when the
-horizon satisfies D(T_0) < 1.  Longer horizons are covered by restarting:
-the drift state U reached at a window's start (b plus the memory of every
-earlier window) is that window's U_0, and after the window U is pushed on
-over its accepted rows, so the concatenated discretization reproduces the
-single global march.
+1982), at 2 transform calls per step for the whole batch.  Only one batch
+of iterates is kept; its last iterate keeps its spectra in place of its
+rows, for a continuation batch to push.  The discrete system is lower
+triangular in time, so the iterates collapse onto the march output, the
+prefix exactly: iterate j pushes the march's own spectra up to node j, so
+its rows 0..j+1 are the march's bit for bit.  Their successive L^1
+distances contract at rate ~ D(T_0) when the horizon satisfies D(T_0) < 1.
+Longer horizons are covered by restarting: the drift state U reached at a
+window's start (b plus the memory of every earlier window) is that
+window's U_0, and the window hands on its end state, U_0 pushed over its
+accepted iterate's spectra.  The batch pushes that state in its step loop:
+it is the next lane's final state, or one more state pushed beside the
+last lane.  So the concatenated discretization reproduces the single
+global march.
 """
 
 from __future__ import annotations
@@ -88,6 +97,7 @@ __all__ = [
     "MarginalHistory",
     "SchemeInstabilityError",
     "PicardDivergenceError",
+    "RestartTooLargeError",
     "running_sums",
     "memory_drift",
     "march",
@@ -110,6 +120,16 @@ class PicardDivergenceError(RuntimeError):
     def __init__(self, distances):
         super().__init__(f"fixed-point iteration diverging, distances {distances}")
         self.distances = list(distances)
+
+
+class RestartTooLargeError(MemoryError):
+    """The window restart's row array, one row per node of all its windows,
+    cannot be allocated; raised before any window runs."""
+
+    def __init__(self, windows: int, T0: float, shape: Tuple[int, int]):
+        super().__init__(f"{windows} windows of at most T0 = {T0:.3g}, whose {shape} row "
+                         "array cannot be allocated")
+        self.windows, self.T0 = windows, T0
 
 
 @dataclass
@@ -208,53 +228,76 @@ def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
         np.add(U, spare, out=U)
 
 
+def _unit_spectrum(p0_values: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """rfft of p_0 scaled to unit mass, once: the heat symbol's 1 and the
+    derivative symbol's 0 at frequency zero keep that mass in every step."""
+    p_hat = np.fft.rfft(p0_values)
+    p_hat /= p_hat[0].real * grid.h
+    return p_hat
+
+
 def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray,
               q: np.ndarray, E1: Optional[np.ndarray], lead: Optional[np.ndarray] = None,
-              lanes: int = 1) -> Tuple[List[np.ndarray], List[float], Optional[int]]:
+              lanes: int = 1) -> Tuple[List[np.ndarray], List[float], Optional[int], np.ndarray]:
     """Shared step loop of `lanes` solutions, all from p_0 and the drift
     state U at t_0: u_k = irfft(U_k), then U_{k+1} = q U_k + E1 r_k by
     _push on the flat view of the lanes' states.
 
     With lead None there is one lane and r_k is the spectrum it produces
-    (the march).  Otherwise lane 0 pushes row k of the stack lead and lane
-    j pushes row k of lane j - 1, so the lanes are
-    consecutive fixed-point iterates advancing in lockstep; their pushed
-    rows are transformed by the step's forward call (transform calls:
-    module docstring).
+    (the march).  Otherwise lane 0 pushes the lead's spectra, one spectrum
+    held at every node (1-D) or row k of a stack, and lane j the spectrum
+    lane j - 1 holds at step k, so the lanes are consecutive fixed-point
+    iterates advancing in lockstep; no pushed row is transformed (transform
+    calls: module docstring).
 
-    Returns (one density stack per lane, sup of |drift| per lane, failure).
-    A lane whose state turns non-finite ends the lanes kept at the one
-    before it, and failure is the step it failed at (None if every lane
-    stayed finite); when lane 0 fails the step raises SchemeInstabilityError.
+    Returns (one stack per lane, sup of |drift| per lane, failure, ends).
+    A stack holds the lane's density rows, except that the last lane of a
+    batch keeps its spectra instead, P_hat_0..P_hat_M.  ends[j] is the
+    state U_M pushed over lane j's spectra 0..M-1: the next lane's final
+    state, and for the last lane (and the march) one more state pushed
+    beside the lanes.  A lane whose state turns non-finite ends the lanes
+    kept at the one before it, and failure is the step it failed at (None
+    if every lane stayed finite); when lane 0 fails the step raises
+    SchemeInstabilityError.
     """
     n, M, dt, J = grid.n, mesh.steps, mesh.dt, lanes
     xi = grid.wavenumbers
-    # the symbols cast to complex once and tiled over the lanes, so every
-    # product below runs on flat views of the lanes' rows, as for one lane
-    heat, q = (np.tile(a.astype(complex), J) for a in (np.exp(-xi * xi * dt / 2.0), q))
+    batch = lead is not None
+    extra = int(batch)   # a batch's lead spectrum and its end state
+    # the symbols cast to complex once and tiled over the lanes (the states
+    # over one more in a batch), so every product below runs on flat views
+    # of the lanes' rows, as for one lane
+    heat = np.tile(np.exp(-xi * xi * dt / 2.0).astype(complex), J)
     dt_deriv = np.tile(dt * (1j * xi), J)
-    E1 = None if E1 is None else np.tile(E1, J)
-    rows = [np.empty((M + 1, n)) for _ in range(J)]
-    for P in rows:
-        P[0] = p0_values
+    q = np.tile(q.astype(complex), J + extra)
+    E1 = None if E1 is None else np.tile(E1, J + extra)
+    # hats = [lead; P_hat_k of the lanes; U_k of the lanes; end state] in a
+    # batch, [P_hat_k; U_k] in the march: state i pushes spectrum i, and
     # pair = [P_hat_k; U_k] is inverted to inv = [P_k; u_k] in one call
-    pair, inv = np.empty((2 * J, xi.size), dtype=complex), np.empty((2 * J, n))
-    p_hat = np.fft.rfft(p0_values)
-    p_hat /= p_hat[0].real * grid.h   # unit mass once: heat[0] = 1 and dt_deriv[0] = 0 keep it
-    pair[:J], pair[J:] = p_hat, U
+    hats = np.empty((2 * (J + extra), xi.size), dtype=complex)
+    spectra, state_rows = hats[:J + extra], hats[J + extra:]
+    pushed, states = spectra.reshape(-1), state_rows.reshape(-1)
+    pair = hats[extra:extra + 2 * J]
+    cur = pair[:J].reshape(-1)
+    pair[:J] = _unit_spectrum(p0_values, grid)
+    state_rows[:] = U
+    per_node = batch and lead.ndim == 2
+    if batch and not per_node:
+        hats[0] = lead
+    inv = np.empty((2 * J, n))
     inv[:J], inv[J:] = p0_values, np.fft.irfft(U, n)
-    (cur, Us), (now, u) = (a.reshape(2, -1) for a in (pair, inv))
-    # fwd = [pushed real rows; fluxes u_k p_k] is transformed in one call;
-    # the march pushes its own spectrum and transforms its flux alone
-    n_push = 0 if lead is None or E1 is None else J
-    fwd = np.empty((n_push + J, n))
-    fwd_hat = np.empty((n_push + J, xi.size), dtype=complex)
-    fluxes, flux = fwd[n_push:].reshape(-1), fwd_hat[n_push:].reshape(-1)
-    pushed = fwd_hat[:n_push].reshape(-1) if n_push else cur
-    # lane 0 pushes the lead row, and lane j the row lane j - 1 is at
-    shifted, earlier = fwd[1:n_push], inv[:n_push - 1]
-    stores = list(zip(rows, inv[:J]))
-    spare = np.empty_like(cur)
+    now, u = inv[:J].reshape(-1), inv[J:].reshape(-1)
+    # the forward call transforms the J fluxes u_k p_k alone
+    fwd, fwd_hat = np.empty((J, n)), np.empty((J, xi.size), dtype=complex)
+    fluxes, flux = fwd.reshape(-1), fwd_hat.reshape(-1)
+    rows = [np.empty((M + 1, n)) for _ in range(J - extra)]
+    stores = list(zip(rows, inv))
+    if batch:   # the last lane keeps its spectra, which the next batch pushes
+        rows.append(np.empty((M + 1, xi.size), dtype=complex))
+        stores.append((rows[-1], pair[J - 1]))
+    for P, row in stores:
+        P[0] = row
+    spare = np.empty_like(states)
     abs_u, sup = np.empty_like(u), np.zeros_like(u)
     kept, failure = J, None
 
@@ -263,12 +306,11 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
         for k in range(M):
             np.abs(u, out=abs_u)
             np.maximum(sup, abs_u, out=sup)
-            if n_push:
-                fwd[0] = lead[k]
-                shifted[...] = earlier
+            if per_node:
+                hats[0] = lead[k]
             np.multiply(u, now, out=fluxes)
             np.fft.rfft(fwd, axis=1, out=fwd_hat)
-            _push(Us, q, E1, pushed, spare)
+            _push(states, q, E1, pushed, spare)
             # cur = P_hat_k becomes P_hat_{k+1}, by the drift u = u_k
             np.multiply(dt_deriv, flux, out=flux)
             np.subtract(cur, flux, out=flux)
@@ -282,7 +324,8 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
             np.fft.irfft(pair, n, axis=1, out=inv)
             for P, row in stores:
                 P[k + 1] = row
-    return rows[:kept], np.max(sup.reshape(J, n)[:kept], axis=1).tolist(), failure
+    ends = state_rows[extra:extra + kept].copy()
+    return rows[:kept], np.max(sup.reshape(J, n)[:kept], axis=1).tolist(), failure, ends
 
 
 # how far the initial density's quadrature mass may sit from 1 on load
@@ -311,8 +354,8 @@ def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     U is pushed on by the row just used, O(n) per step.
     """
     _check_p0(p0, grid)
-    (P,), (sup_drift,), _ = _run_mild(p0.values, grid, mesh,
-                                      *_drift(spec, chem, grid, mesh.dt))
+    (P,), (sup_drift,), _, _ = _run_mild(p0.values, grid, mesh,
+                                         *_drift(spec, chem, grid, mesh.dt))
     var0 = _variance(grid, p0.values)
     meta = {"provenance": "march", "sup_drift": sup_drift,
             "tail_bound": grid.tail_bound(mesh.horizon, max(var0, 1e-6))}
@@ -349,21 +392,26 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     iterate and the distances between consecutive iterates.
 
     Iterate j runs the march's drift recursion from the same U_0 but pushes
-    the rows of iterate j-1 instead of its own; iterate 1 pushes the history
-    frozen at p_0.  Distances are sup over nodes of the row L^1 difference
+    the spectra of iterate j-1 instead of its own; iterate 1 pushes the
+    history frozen at p_0, the march's unit-mass p_hat_0 at every node.
+    Distances are sup over nodes of the row L^1 difference
     between consecutive iterates.  Stops at the first iterate closer than
     tol to its predecessor, or at iterate k_max; three consecutive growing
     distances raise PicardDivergenceError.  tol = 0 runs all k_max iterates.
 
-    Step k of iterate j reads only row k of iterate j-1, so the iterates
-    advance in lockstep, a batch of them per step loop.  The first batch
+    Step k of iterate j reads only spectrum k of iterate j-1, so the
+    iterates advance in lockstep, a batch of them per step loop.  The first batch
     runs _FIRST_WIDTH iterates (2 without memory; fewer if k_max comes
-    first) and pushes p_0; the stopping rule then reads their distances in
-    order, so the result is the iterate the one-at-a-time rule stops at,
+    first) and pushes p_hat_0; the stopping rule then reads their distances
+    in order, so the result is the iterate the one-at-a-time rule stops at,
     and the iterates after it are discarded.  If no iterate of a batch
     stops the rule, a continuation batch of one fewer iterates (at least
-    one) pushes the rows of the batch's last iterate, so every batch holds
-    at most _FIRST_WIDTH iterates' rows, whatever k_max is.
+    one) pushes the spectra the batch's last iterate kept, so every batch
+    holds at most _FIRST_WIDTH iterates' rows or spectra, whatever k_max is.
+
+    The result's meta holds end_drift, U_0 pushed over the result's spectra
+    0..M-1: the drift state at the window's end, which the restart hands to
+    the next window.
 
     start_drift is U_0, the rfft of the total drift at the first node; by
     default it is b(0,.) of chem.  The window restart passes the state it
@@ -381,8 +429,10 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
         warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",
                       RuntimeWarning, stacklevel=2)
 
-    # iterate 0 is p_0 on every row: one row, broadcast
+    # iterate 0 is p_0 on every row: one row, broadcast, whose spectrum
+    # the first batch's lane 0 pushes
     prev = np.broadcast_to(p0.values, (mesh.steps + 1, grid.n))
+    lead = _unit_spectrum(p0.values, grid)
     distances: List[float] = []
     grow_streak = 0
     # without memory every iterate from the first on is the same history, so
@@ -390,8 +440,14 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     width = lanes = _FIRST_WIDTH if E1 is not None else 2
     while True:
         lanes = min(lanes, k_max - len(distances))
-        batch, sups, failure = _run_mild(p0.values, grid, mesh, U0, q, E1, prev, lanes)
-        for P, sup_drift in zip(batch, sups):
+        batch, sups, failure, ends = _run_mild(p0.values, grid, mesh, U0, q, E1, lead, lanes)
+        if prev is None:   # a continuation: the lead's rows, back from its spectra
+            prev, lead = _rows(lead, p0.values), None
+        for j, sup_drift in enumerate(sups):
+            # each lane's stack is dropped once read: prev is all that stays
+            P, batch[j] = batch[j], None
+            if P.dtype == complex:   # the batch's last lane keeps its spectra
+                lead, P = P, _rows(P, p0.values)
             d = _sup_l1_distance(P, prev, grid.h)
             distances.append(d)
             if len(distances) >= 2 and distances[-1] > distances[-2]:
@@ -401,13 +457,25 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
             else:
                 grow_streak = 0
             if d < tol or len(distances) == k_max:
-                return MarginalHistory(grid, mesh, P, {"provenance": f"iterate-{len(distances)}",
-                                                       "sup_drift": sup_drift}), distances
+                meta = {"provenance": f"iterate-{len(distances)}", "sup_drift": sup_drift,
+                        "end_drift": ends[j]}
+                return MarginalHistory(grid, mesh, P, meta), distances
             prev = P
         if failure is not None:
             raise SchemeInstabilityError(failure)
-        del batch   # the lanes before prev, freed before the next batch
+        # the next batch pushes the lead's spectra; their rows are rebuilt
+        # after it, so no batch holds them beside the spectra
+        prev = P = None
         lanes = max(width - 1, 1)
+
+
+def _rows(spectra: np.ndarray, p0_values: np.ndarray) -> np.ndarray:
+    """The density rows of a lane kept as spectra: p_0 and one batched
+    inverse of P_hat_1..P_hat_M, the rows the step loop's inverse makes."""
+    P = np.empty((len(spectra), p0_values.size))
+    P[0] = p0_values
+    np.fft.irfft(spectra[1:], p0_values.size, axis=1, out=P[1:])
+    return P
 
 
 def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
@@ -420,8 +488,9 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     In restart mode the horizon is cut into equal windows no longer than the
     contraction horizon T0 (D(T0) <= safety).  Each window runs the iteration
     from the drift state U carried to its start, which holds b and the memory
-    of all earlier windows; U is then pushed on over the window's accepted
-    rows.
+    of all earlier windows, and hands on its end state.  A row array over
+    all windows that cannot be allocated raises RestartTooLargeError before
+    any window runs.
     """
     if T <= 0:
         raise ValueError(f"need T > 0, got {T}")
@@ -436,10 +505,12 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     M = steps_w * n_win
     mesh_g = TimeMesh(T, M)
     mesh_w = TimeMesh(T / n_win, steps_w)
-    U, q, E1 = _drift(spec, chem, grid, mesh_w.dt)
-    spare = np.empty_like(U)
+    U = _drift(spec, chem, grid, mesh_w.dt)[0]
 
-    P = np.empty((M + 1, grid.n))
+    try:
+        P = np.empty((M + 1, grid.n))
+    except (ValueError, MemoryError) as exc:   # too many elements, or too many bytes
+        raise RestartTooLargeError(n_win, T0, (M + 1, grid.n)) from exc
     P[0] = p0.values
     iterations = []
     for w in range(n_win):
@@ -449,8 +520,7 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
                              k_max=k_max, tol=tol, start_drift=U)
         P[base : base + steps_w + 1] = last.densities
         iterations.append(len(dists))
-        for p_hat in np.fft.rfft(last.densities[:-1], axis=1):
-            _push(U, q, E1, p_hat, spare)
+        U = last.meta["end_drift"]
         del last   # its rows, freed before the next window's batch
     meta = {"provenance": "picard_with_restart", "windows": n_win,
             "iterations_per_window": iterations,

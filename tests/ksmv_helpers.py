@@ -310,56 +310,70 @@ def pairwise_particles(N: int, p0: DensityField, spec: KernelSpec,
 def run_mild_oracle(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray,
                     q: np.ndarray, E1: Optional[np.ndarray],
                     pushed: Optional[np.ndarray]):
-    """ksmv.mild._run_mild one step at a time: u_k = irfft(U_k) by its own
-    call, U_{k+1} = q U_k + E1 r_k in a new array (no code shared with
-    mild._push), three transform calls per step.  Same signature and result
-    (density stack, sup of |drift|), so a test can substitute it."""
+    """ksmv.mild._run_mild for one lane, one step at a time: u_k = irfft(U_k)
+    by its own call, U_{k+1} = q U_k + E1 r_k in a new array (no code shared
+    with mild._push), three transform calls per step; r_k is the lane's own
+    spectrum, or row k of the spectra `pushed`.  Returns (density stack, sup
+    of |drift|, spectra P_hat_0..P_hat_M)."""
     n, M, dt = grid.n, mesh.steps, mesh.dt
     xi = grid.wavenumbers
     heat = np.exp(-xi * xi * dt / 2.0)
     deriv = 1j * xi
     P = np.empty((M + 1, n))
     P[0] = p0_values
-    cur = np.fft.rfft(P[0])
-    cur /= cur[0].real * grid.h
+    spectra = np.empty((M + 1, xi.size), dtype=complex)
+    spectra[0] = np.fft.rfft(P[0])
+    spectra[0] /= spectra[0, 0].real * grid.h
     sup_drift = 0.0
     for k in range(M):
+        cur = spectra[k]
         u = np.fft.irfft(U, n)
         U = q * U if E1 is None else q * U + E1 * (cur if pushed is None else pushed[k])
         sup_drift = max(sup_drift, float(np.max(np.abs(u))))
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = heat * (cur - dt * deriv * np.fft.rfft(u * P[k]))
-        if not np.isfinite(nxt).all():
+            spectra[k + 1] = heat * (cur - dt * deriv * np.fft.rfft(u * P[k]))
+        if not np.isfinite(spectra[k + 1]).all():
             raise SchemeInstabilityError(k + 1)
-        P[k + 1] = np.fft.irfft(nxt, n)
-        cur = nxt
-    return P, sup_drift
+        P[k + 1] = np.fft.irfft(spectra[k + 1], n)
+    return P, sup_drift, spectra
+
+
+def pushed_state(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
+                 spectra: np.ndarray) -> np.ndarray:
+    """U pushed over every row of spectra by U <- q U + E1 r, in new arrays."""
+    for r in spectra:
+        U = q * U if E1 is None else q * U + E1 * r
+    return U
 
 
 def picard_oracle(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
                   grid: Grid1D, mesh: TimeMesh, k_max: int = 25, tol: float = 1e-8,
                   start_drift: Optional[np.ndarray] = None):
     """ksmv.mild.picard one iterate after another through run_mild_oracle:
-    iterate j pushes the rfft of iterate j - 1's real rows (iterate 0: p_0
-    on every row).  Same signature and result (last iterate, distances), so
-    a test can substitute it for mild.picard."""
+    iterate j pushes iterate j - 1's spectra (iterate 0: p_0 on every row,
+    whose spectra are the march's unit-mass p_hat_0).  Same signature and
+    result (last iterate, distances; meta's end_drift is U_0 pushed over
+    the last iterate's spectra 0..M-1), so a test can substitute it for
+    mild.picard."""
     U0, q, E1 = _drift(spec, chem, grid, mesh.dt)
     if start_drift is not None:
         U0 = start_drift
     prev = np.tile(p0.values, (mesh.steps + 1, 1))
+    p_hat0 = np.fft.rfft(p0.values)
+    prev_hat = np.tile(p_hat0 / (p_hat0[0].real * grid.h), (mesh.steps + 1, 1))
     distances, grow_streak = [], 0
     for j in range(1, k_max + 1):
-        P, sup_drift = run_mild_oracle(p0.values, grid, mesh, U0, q, E1,
-                                       np.fft.rfft(prev, axis=1))
+        P, sup_drift, spectra = run_mild_oracle(p0.values, grid, mesh, U0, q, E1, prev_hat)
         distances.append(float(np.max(np.sum(np.abs(P - prev), axis=1)) * grid.h))
         grow_streak = grow_streak + 1 if j >= 2 and distances[-1] > distances[-2] else 0
         if grow_streak >= 3:
             raise PicardDivergenceError(distances)
         if distances[-1] < tol or j == k_max:
             break
-        prev = P
-    return MarginalHistory(grid, mesh, P, {"provenance": f"iterate-{j}",
-                                           "sup_drift": sup_drift}), distances
+        prev, prev_hat = P, spectra
+    return MarginalHistory(grid, mesh, P, {
+        "provenance": f"iterate-{j}", "sup_drift": sup_drift,
+        "end_drift": pushed_state(U0, q, E1, spectra[:-1])}), distances
 
 
 def overflowing_chemical(grid: Grid1D) -> InitialChemical:

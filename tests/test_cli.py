@@ -221,26 +221,35 @@ SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e308, -1e308, 1e-300, -1e-300, np.inf,
                            0.1, 1.0 / 3.0])
 
 
-# one and four blocks of rows, each give or take a row
-@pytest.mark.parametrize("rows", [0, 1, *(blocks * cli._ROWS_PER_CALL + d
+# a pass holds _VALUES_PER_PASS values in whole rows: the two-column table
+# writes one and four passes of rows and the four-column one two and eight,
+# each give or take a row
+@pytest.mark.parametrize("rows", [0, 1, *(blocks * (cli._VALUES_PER_PASS // 2) + d
                                           for blocks in (1, 4) for d in (-1, 0, 1))])
 def test_row_writers_match_per_value_reference(tmp_path, rows):
     rng = np.random.default_rng(rows)
     a = np.resize(SPECIAL_VALUES, rows)
     b = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
-    c = rng.permutation(a)
-    write_csv(tmp_path / "t.csv", ("a", "b", "c"), (a, b, c))
-    assert (tmp_path / "t.csv").read_text() == "a,b,c\n" + reference_rows((a, b, c), ",")
+    c, d = rng.permutation(a), -b
+    write_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), (a, b, c, d))
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n" + reference_rows((a, b, c, d), ",")
     write_plot_table(tmp_path / "t.dat", (a, b), comment="a b")
     assert (tmp_path / "t.dat").read_text() == "# a b\n" + reference_rows((a, b), " ")
 
 
-def test_long_form_writers_match_write_csv_of_repeated_and_tiled_columns(tmp_path):
-    n = cli._ROWS_PER_CALL + 16    # two blocks of x nodes, the second partial
+# the density table's passes split each time row at a pass (n above one
+# pass) or hold whole time rows (n at most one pass, the last pass partial
+# where the rows do not fill it); the field table's two value tables halve
+# the nodes of a pass.  n is even, as the grid requires.  Every table holds
+# 0.0 and -0.0.
+@pytest.mark.parametrize("n", [cli._VALUES_PER_PASS + d for d in (-2, 0, 2)]
+                         + [cli._VALUES_PER_PASS // 3 // 2 * 2])
+def test_long_form_writers_match_write_csv_of_repeated_and_tiled_columns(tmp_path, n):
     grid = Grid1D(4.0, n)
     mesh = TimeMesh(0.3, 3)
-    rng = np.random.default_rng(3)
-    tables = [rng.permutation(np.resize(SPECIAL_VALUES, (4, n)).ravel()).reshape(4, n)
+    rng = np.random.default_rng(n)
+    special = np.append(SPECIAL_VALUES, 0.0)
+    tables = [rng.permutation(np.resize(special, (4, n)).ravel()).reshape(4, n)
               for _ in range(2)]
     hist = MarginalHistory(grid, mesh, tables[0], {})
     write_history_csv(tmp_path / "density.csv", hist)
@@ -386,6 +395,21 @@ def test_non_finite_number_exits_2(tmp_path, capsys, key, value):
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), "solve"]) == 2
     err = capsys.readouterr().err
     assert f"{key}: expected a finite number" in err and "Traceback" not in err
+
+
+def test_restart_whose_rows_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypatch):
+    # at chi = 1e8 the contraction horizon T0 is about 1e-17, so the restart
+    # would cut T into about 1e16 windows: the row array is refused by name
+    # before any window runs, and the march still solves the config
+    cfg = mini_config(tmp_path, **{"model.chi": "1e8", "model.lambda": "0.5",
+                                   "model.kernel": "keller_segel"})
+    monkeypatch.setattr(cli.mild, "picard", lambda *a, **kw: pytest.fail("a window ran"))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run"), "solve"]
+    assert cli.main([*argv, "--mode", "picard_with_restart"]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("model.chi", "discretization.t", "picard.safety"))
+    assert "windows" in err and "Traceback" not in err
+    assert cli.main(argv) in (0, 1)
 
 
 @pytest.mark.parametrize("c0", ["quadratic(1, 2)", "gaussian_bump(1, 0)",

@@ -19,7 +19,8 @@ from ksmv.mild import (MarginalHistory, SchemeInstabilityError,
                        march, picard, solve_global, _sup_l1_distance)
 
 from ksmv_helpers import (gaussian_density, kernel_l1_norm, l1_distance,
-                          overflowing_chemical, picard_oracle, run_mild_oracle)
+                          overflowing_chemical, picard_oracle, pushed_state,
+                          run_mild_oracle)
 
 G12 = Grid1D(12.0, 1024)
 MESH200 = TimeMesh(1.0, 200)
@@ -57,7 +58,7 @@ def test_history_shape_check_and_rows():
 @pytest.mark.parametrize("memory", [True, False])
 def test_push_advances_the_drift_state_in_place(lanes, memory):
     # bit for bit the allocating rule q U + E1 p (q U without memory): on one
-    # row with the real q (restart hand-off, particles; lanes = 0), and on the
+    # row with the real q (the binned particles; lanes = 0), and on the
     # flat lane view of a [spectra; states] buffer with the symbols cast and
     # tiled over the lanes, as _run_mild pushes them
     g = Grid1D(3.0 * math.pi, 64)
@@ -314,7 +315,9 @@ def assert_same_iteration(got, want):
     (got_hist, got_dists), (want_hist, want_dists) = got, want
     assert got_dists == want_dists
     assert np.array_equal(got_hist.densities, want_hist.densities)
-    assert got_hist.meta == want_hist.meta
+    got_meta, want_meta = dict(got_hist.meta), dict(want_hist.meta)
+    assert np.array_equal(got_meta.pop("end_drift"), want_meta.pop("end_drift"))
+    assert got_meta == want_meta
 
 
 # the march's paired inverse against three calls per step, and the Picard
@@ -328,8 +331,8 @@ def test_solvers_equal_the_step_by_step_loop(monkeypatch, M, model):
     spec, chem = full_model(g, model)
     p0 = gaussian_density(g, 1.0)
     hist = march(p0, spec, chem, g, TimeMesh(0.4, M))
-    P, sup_drift = run_mild_oracle(p0.values, g, TimeMesh(0.4, M),
-                                   *mild._drift(spec, chem, g, 0.4 / M), None)
+    P, sup_drift, _ = run_mild_oracle(p0.values, g, TimeMesh(0.4, M),
+                                      *mild._drift(spec, chem, g, 0.4 / M), None)
     assert np.array_equal(hist.densities, P) and hist.meta["sup_drift"] == sup_drift
 
     args = (p0, spec, chem, g, TimeMesh(0.1, M))
@@ -392,19 +395,22 @@ def test_picard_batches_equal_the_one_at_a_time_iteration(monkeypatch, extra):
 
 
 def test_a_failing_lane_ends_the_lanes_kept():
-    # lane 0 pushes zero rows (pure heat); lane 1 pushes lane 0's rows through
-    # a kernel of size 1e200, overflows, and ends the lanes kept at lane 0
+    # lane 0 pushes zero spectra (pure heat); lane 1 pushes lane 0's spectra
+    # through a kernel of size 1e200, overflows, and ends the lanes kept at
+    # lane 0, whose end state (lane 1's) is still finite
     g, mesh = Grid1D(3.0 * math.pi, 64), TimeMesh(0.1, 20)
     p0 = gaussian_density(g, 1.0)
     U0, q, E1 = mild._drift(KernelSpec(chi=1e200), None, g, mesh.dt)
-    lead = np.zeros((mesh.steps + 1, g.n))
+    lead = np.zeros((mesh.steps + 1, U0.size), dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kept, sups, failure = mild._run_mild(p0.values, g, mesh, U0, q, E1, lead, 3)
-    want = run_mild_oracle(p0.values, g, mesh, U0, q, E1, np.fft.rfft(lead, axis=1))
+        kept, sups, failure, ends = mild._run_mild(p0.values, g, mesh, U0, q, E1, lead, 3)
+    want = run_mild_oracle(p0.values, g, mesh, U0, q, E1, lead)
     assert len(kept) == 1 and np.array_equal(kept[0], want[0]) and sups == [want[1]]
+    assert ends.shape == (1, U0.size)
+    assert np.array_equal(ends[0], pushed_state(U0, q, E1, want[2][:-1]))
     with pytest.raises(SchemeInstabilityError) as err:
-        run_mild_oracle(p0.values, g, mesh, U0, q, E1, np.fft.rfft(kept[0], axis=1))
+        run_mild_oracle(p0.values, g, mesh, U0, q, E1, want[2])
     assert failure == err.value.step
 
 
@@ -420,8 +426,8 @@ def test_picard_returns_before_a_failed_lane_or_raises_its_step(monkeypatch):
     run_mild = mild._run_mild
 
     def third_lane_fails(*a):
-        batch, sups, _ = run_mild(*a)
-        return batch[:2], sups[:2], 7
+        batch, sups, _, ends = run_mild(*a)
+        return batch[:2], sups[:2], 7, ends[:2]
 
     monkeypatch.setattr(mild, "_run_mild", third_lane_fails)
     assert_same_iteration(picard(*args, tol=tol), picard_oracle(*args, tol=tol))
@@ -436,30 +442,88 @@ def test_march_and_picard_make_two_transform_calls_per_step(monkeypatch, M):
     chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
     spec = KernelSpec(chi=1.0, lam=0.5)
     p0 = gaussian_density(g, 1.0)
-    # mild's own transform calls, not those of the functions it calls
+    # mild's own transform calls, not those of the functions it calls, with
+    # the shape each transforms
     calls = []
-    counted = lambda f: lambda *a, **kw: calls.append(f) or f(*a, **kw)
+    counted = lambda f: lambda a, *r, **kw: calls.append((f, np.shape(a))) or f(a, *r, **kw)
     fft = types.SimpleNamespace(rfft=counted(np.fft.rfft), irfft=counted(np.fft.irfft))
     monkeypatch.setattr(mild, "np", types.SimpleNamespace(**{**vars(np), "fft": fft}))
-    # setup: b_hat(0) forward, p_0 forward, u_0 inverse
+    # the steps' forward calls are the only forward calls over a stack of rows
+    forward_rows = lambda: [shape[0] for f, shape in calls if f is np.fft.rfft and len(shape) == 2]
+    # setup: b_hat(0) forward, p_0 forward, u_0 inverse; each step's forward
+    # call transforms the flux alone
     march(p0, spec, chem, g, TimeMesh(0.4, M))
     assert len(calls) == 2 * M + 3
-    # setup as the march's (the pushed p_0 rows are transformed by the steps'
-    # forward calls); the 4 iterates advance in one batch, 2 calls per step
-    # for all of them
+    assert forward_rows() == [1] * M
+    # setup as the march's plus picard's own p_0 forward for the lead; the J
+    # iterates advance in one batch, 2 calls per step for all of them, whose
+    # forward call transforms their J fluxes and no pushed row; the last
+    # iterate's rows come back from one inverse when the rule reads them
     for k_max in (1, 4):
         calls.clear()
         picard(p0, spec, chem, g, TimeMesh(0.1, M), k_max=k_max, tol=0.0)
-        assert len(calls) == 2 * M + 3
+        assert len(calls) == 2 * M + 5
+        assert forward_rows() == [k_max] * M
+        assert calls[-1] == (np.fft.irfft, (M, g.wavenumbers.size))
+    # a continuation batch of 2 after the first batch of 4 pushes the
+    # spectra the first batch's last iterate kept: its forward calls take
+    # its 2 fluxes alone, and one more inverse rebuilds that iterate's rows
+    calls.clear()
+    picard(p0, spec, chem, g, TimeMesh(0.1, M), k_max=6, tol=0.0)
+    assert len(calls) == (2 * M + 5) + (2 * M + 4)
+    assert forward_rows() == [4] * M + [2] * M
     # without memory every iterate equals the first, so the rule stops at
-    # iterate 2: one batch of 2 lanes, no pushed rows to transform
+    # iterate 2: one batch of 2 lanes
     lanes, run_mild = [], mild._run_mild
     monkeypatch.setattr(mild, "_run_mild", lambda *a: lanes.append(a[-1]) or run_mild(*a))
     calls.clear()
     _, distances = picard(p0, KernelSpec(chi=0.0), chem, g, TimeMesh(0.1, M))
     assert len(distances) == 2 and distances[1] == 0.0
     assert lanes == [2]
-    assert len(calls) == 2 * M + 3
+    assert len(calls) == 2 * M + 5
+
+
+@pytest.mark.parametrize("model", ["memory_and_chemical", "memory_only"])
+def test_picard_iterate_j_is_the_march_on_rows_up_to_j_plus_1(model):
+    # iterate j pushes iterate j-1's spectra, which are the march's own up to
+    # row j, so its drift and rows are the march's bit for bit on rows
+    # 0..j+1, in the first batch (j <= 4) and in continuation batches; an
+    # iterate that pushed transforms of its predecessor's real rows left the
+    # march by row 6 here, whatever j was
+    g = Grid1D(3.0 * math.pi, 64)
+    spec, chem = full_model(g, model)
+    p0, mesh = gaussian_density(g, 1.0), TimeMesh(0.1, 20)
+    ref = march(p0, spec, chem, g, mesh).densities
+    for j in range(1, 9):
+        P = picard(p0, spec, chem, g, mesh, k_max=j, tol=0.0)[0].densities
+        assert np.array_equal(P[:j + 2], ref[:j + 2]), j
+
+
+@pytest.mark.parametrize("k_max, stop", [(1, None), (4, 2), (4, None), (6, None), (12, None)])
+def test_picard_end_drift_is_the_state_pushed_over_the_accepted_iterate(k_max, stop):
+    # the state picard hands on is U_0 pushed by _push over spectra 0..M-1 of
+    # the iterate it returns: the next lane's state (iterate 2 of a batch of
+    # 4, stopped by tol), or the one pushed beside the last lane (k_max 1
+    # and 4), also after continuation batches (k_max 6 and 12)
+    g = Grid1D(3.0 * math.pi, 64)
+    spec, chem = full_model(g)
+    p0, mesh = gaussian_density(g, 1.0), TimeMesh(0.1, 20)
+    tol = 0.0
+    if stop is not None:
+        dists = picard_oracle(p0, spec, chem, g, mesh, k_max=k_max, tol=0.0)[1]
+        tol = dists[stop - 1] * (1.0 + 1e-9)
+    last, dists = picard(p0, spec, chem, g, mesh, k_max=k_max, tol=tol)
+    assert len(dists) == (stop or k_max)
+    # the accepted iterate's spectra, from the one-at-a-time oracle chain
+    U0, q, E1 = mild._drift(spec, chem, g, mesh.dt)
+    spectra = np.tile(mild._unit_spectrum(p0.values, g), (mesh.steps + 1, 1))
+    for _ in range(len(dists)):
+        P, _sup, spectra = run_mild_oracle(p0.values, g, mesh, U0, q, E1, spectra)
+    assert np.array_equal(P, last.densities)
+    U = U0.copy()
+    for p_hat in spectra[:-1]:
+        mild._push(U, q, E1, p_hat, np.empty_like(U))
+    assert np.array_equal(last.meta["end_drift"], U)
 
 
 def test_drift_b_evaluated_once_per_solve(monkeypatch):
@@ -732,6 +796,30 @@ def test_solve_global_two_windows_match_march():
     assert rest.meta["windows"] == 2
     gap = max(l1_distance(g, rest.densities[k], ref.densities[k]) for k in range(121))
     assert gap < 1e-8
+
+
+@pytest.mark.parametrize("cause", ["elements", "bytes"])
+def test_restart_names_a_row_array_it_cannot_allocate(monkeypatch, cause):
+    # chi = 1e8 cuts T = 0.4 into about 4e16 windows, past numpy's largest
+    # array; a row array of too many bytes fails to allocate.  Either way
+    # the restart says so by name before any window runs
+    g = Grid1D(3.0 * math.pi, 64)
+    spec = KernelSpec(chi=1e8 if cause == "elements" else 1.0, lam=0.5)
+    if cause == "bytes":
+        real_empty = np.empty
+
+        def empty(shape, *a, **kw):
+            if shape == (401, g.n):
+                raise MemoryError("no room")
+            return real_empty(shape, *a, **kw)
+
+        monkeypatch.setattr(mild, "np", types.SimpleNamespace(**{**vars(np), "empty": empty}))
+    monkeypatch.setattr(mild, "picard", lambda *a, **kw: pytest.fail("a window ran"))
+    with pytest.raises(mild.RestartTooLargeError) as err:
+        solve_global(gaussian_density(g, 1.0), spec, None, g, 0.4, mode="picard_with_restart",
+                     steps=400)
+    assert err.value.windows == (4 if cause == "bytes" else math.ceil(0.4 / err.value.T0 - 1e-12))
+    assert isinstance(err.value.__cause__, ValueError if cause == "elements" else MemoryError)
 
 
 def test_solve_global_rejects_bad_args():
