@@ -321,6 +321,15 @@ class RunConfig:
     def make_chem(self, grid: Grid1D) -> Optional[InitialChemical]:
         if self.c0_kind == "none":
             return None
+        try:
+            with np.errstate(all="ignore"):   # an overflow is named below
+                return self._chem(grid)
+        except ValueError:   # InitialChemical found a sample that is not finite
+            args = ", ".join(f"{a:g}" if isinstance(a, float) else str(a) for a in self.c0_args)
+            raise ConfigError([f"initial.c0: {self.c0_kind}({args}) or its derivative is not "
+                               "finite on the grid"]) from None
+
+    def _chem(self, grid: Grid1D) -> InitialChemical:
         if self.c0_kind == "sine":
             amp, freq = (self.c0_args + [1.0, 1.0])[:2]
             return InitialChemical.sine(grid, amp=amp, freq=freq)
@@ -747,6 +756,16 @@ def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
                       (np.arange(1, len(distances) + 1, dtype=float), np.array(distances)))
 
 
+@contextlib.contextmanager
+def _particle_buffers(N: int):
+    """Name particles.n when the with-block's N-vectors cannot be allocated."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:   # too many bytes, or too many elements
+        raise ConfigError([f"particles.n: the buffers of {N:.6g} particles cannot be "
+                           f"allocated ({exc})"]) from None
+
+
 def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
     spec, grid, mesh = cfg.make_spec(), cfg.make_grid(), cfg.make_mesh()
     p0 = cfg.make_p0(grid)
@@ -758,7 +777,8 @@ def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
     l1s = []
     with run.phase("particles"):
         for N in ladder:
-            ens = simulate_particles(N, p0, spec, chem, mesh, cfg.seed, store_rows=[mesh.steps])
+            with _particle_buffers(cfg.n_particles):
+                ens = simulate_particles(N, p0, spec, chem, mesh, cfg.seed, store_rows=[mesh.steps])
             kde = kde_density(ens, -1, bandwidth=cfg.bandwidth)
             l1s.append(float(grid.integrate(np.abs(kde.values - oracle.densities[-1]))))
     if len(ladder) == 2:    # at particles.n <= 100 the one rung has no trend to check
@@ -859,10 +879,11 @@ def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
 
         mesh = TimeMesh(1.0, 1000)
         beta = 0.5
-        ens = simulate_bounded_drift(_attracting_sign_drift(beta, cfg.n_particles),
-                                     lambda u: np.full_like(u, 1.0), mesh,
-                                     cfg.n_particles, cfg.seed, drift_bound=beta,
-                                     store_rows=[mesh.steps])
+        with _particle_buffers(cfg.n_particles):
+            ens = simulate_bounded_drift(_attracting_sign_drift(beta, cfg.n_particles),
+                                         lambda u: np.full_like(u, 1.0), mesh,
+                                         cfg.n_particles, cfg.seed, drift_bound=beta,
+                                         store_rows=[mesh.steps])
         zs = np.linspace(-3.0, 4.0, 36)
         width = zs[1] - zs[0]
         edges = np.concatenate([zs - width / 2.0, [zs[-1] + width / 2.0]])
@@ -894,7 +915,9 @@ def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
 SOLVE_MODES = ("march", "picard_with_restart")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(prog="ksmv", description=__doc__.splitlines()[0])
     ap.add_argument("--config", required=True, help="path to a run config file")
     ap.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT_DIR} or config)")

@@ -108,12 +108,6 @@ class ChemicalField:
     gradient: np.ndarray
     time_tag: float = 0.0
 
-    def gradient_vs_central_difference(self) -> float:
-        """Sup distance between the stored gradient and the central difference
-        of the stored values (cross-method agreement, O(h^2))."""
-        cd = (np.roll(self.values, -1) - np.roll(self.values, 1)) / (2.0 * self.grid.h)
-        return float(np.max(np.abs(cd - self.gradient)))
-
 
 def drift_b(spec: KernelSpec, chem: InitialChemical, t: float) -> np.ndarray:
     """Exogenous drift b(t, .) = chi e^{-lambda t} (c0' * g(t, .)) on the
@@ -158,9 +152,7 @@ def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -
     """Concentration c at mesh node k from the density history, with gradient.
 
     The returned gradient is :func:`chemical_gradient`, assembled from the
-    memory drift rather than by differentiating c; the independent check that
-    it is the derivative of c is gradient_vs_central_difference(), its
-    distance to a central difference of the returned values.
+    memory drift rather than by differentiating c.
     """
     return ChemicalField(history.grid, _concentration(history, chem, lam, k),
                          chemical_gradient(history, chem, lam, k), history.mesh.nodes[k])

@@ -136,8 +136,7 @@ class RestartTooLargeError(MemoryError):
 class MarginalHistory:
     """The density family across the mesh: row k of `densities` is p_{t_k}.
 
-    meta carries provenance and run diagnostics.  Instances are treated as
-    immutable once built.
+    meta carries run diagnostics.  Instances are treated as immutable once built.
     """
 
     grid: Grid1D
@@ -171,14 +170,6 @@ class MarginalHistory:
 
     def max_mass_drift(self) -> float:
         return float(np.max(np.abs(self.masses() - 1.0)))
-
-    def scaling_table(self) -> dict:
-        """sqrt(t_k) ||p_k||_inf and t_k^{1/4} ||p_k||_L2 per row (smoothing
-        diagnostics; both stay bounded for integrable initial data)."""
-        t = self.mesh.nodes
-        linf = np.max(np.abs(self.densities), axis=1)
-        l2 = np.sqrt(np.sum(self.densities ** 2, axis=1) * self.grid.h)
-        return {"t": t, "sqrt_t_linf": np.sqrt(t) * linf, "qrt_t_l2": t ** 0.25 * l2}
 
 
 def running_sums(spectra: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -357,8 +348,7 @@ def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
     (P,), (sup_drift,), _, _ = _run_mild(p0.values, grid, mesh,
                                          *_drift(spec, chem, grid, mesh.dt))
     var0 = _variance(grid, p0.values)
-    meta = {"provenance": "march", "sup_drift": sup_drift,
-            "tail_bound": grid.tail_bound(mesh.horizon, max(var0, 1e-6))}
+    meta = {"sup_drift": sup_drift, "tail_bound": grid.tail_bound(mesh.horizon, max(var0, 1e-6))}
     return MarginalHistory(grid, mesh, P, meta)
 
 
@@ -457,8 +447,7 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
             else:
                 grow_streak = 0
             if d < tol or len(distances) == k_max:
-                meta = {"provenance": f"iterate-{len(distances)}", "sup_drift": sup_drift,
-                        "end_drift": ends[j]}
+                meta = {"sup_drift": sup_drift, "end_drift": ends[j]}
                 return MarginalHistory(grid, mesh, P, meta), distances
             prev = P
         if failure is not None:
@@ -522,7 +511,6 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
         iterations.append(len(dists))
         U = last.meta["end_drift"]
         del last   # its rows, freed before the next window's batch
-    meta = {"provenance": "picard_with_restart", "windows": n_win,
-            "iterations_per_window": iterations,
+    meta = {"windows": n_win, "iterations_per_window": iterations,
             "tail_bound": grid.tail_bound(T, max(_variance(grid, p0.values), 1e-6))}
     return MarginalHistory(grid, mesh_g, P, meta)

@@ -237,8 +237,7 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
     # each step locates its start, which leaves node M, when stored, to check
     if not np.isfinite(X[-1]).all():
         raise SchemeInstabilityError(rows[-1])
-    meta = {"init_sampling": "inverse-cdf", "row_times": nodes[rows]}
-    return ParticleEnsemble(mesh, X, seed, grid=grid, meta=meta)
+    return ParticleEnsemble(mesh, X, seed, grid=grid, meta={"row_times": nodes[rows]})
 
 
 class _CloudInCell:
@@ -346,8 +345,8 @@ def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
     nodes = mesh.nodes
     rows, out = _euler_paths(x0, lambda k, x: b_fn(float(nodes[k]), x),
                              mesh, seed, store_rows)
-    meta = {"init_sampling": "inverse-cdf", "row_times": nodes[rows]}
-    return ParticleEnsemble(mesh, out, seed, drift_bound=drift_bound, meta=meta)
+    return ParticleEnsemble(mesh, out, seed, drift_bound=drift_bound,
+                            meta={"row_times": nodes[rows]})
 
 
 def kde_density(ensemble: ParticleEnsemble, k: int,

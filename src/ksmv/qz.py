@@ -108,8 +108,6 @@ class BoundReport:
     """Outcome of checking an ensemble against the universal bound; a bin is
     a violation when its p-value falls below level."""
 
-    beta: float
-    times: List[float]
     level: float
     checks: List[BinCheck] = field(default_factory=list)
     violations: List[BinCheck] = field(default_factory=list)
@@ -120,15 +118,6 @@ class BoundReport:
 
     def min_p_value(self) -> float:
         return min((c.p_value for c in self.checks), default=1.0)
-
-    def lines(self) -> List[str]:
-        out = [f"universal bound check, beta={self.beta:g}: "
-               f"{'PASS' if self.passed else 'FAIL'} ({len(self.checks)} bins, "
-               f"smallest p-value {self.min_p_value():.3e} vs level {self.level:.3e})"]
-        for v in self.violations:
-            out.append(f"  t={v.time:g} z={v.center:+.3f}: {v.count} paths where the bound "
-                       f"allows bin probability {v.bound_prob:.4g} (p-value {v.p_value:.3e})")
-        return out
 
 
 def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
@@ -154,7 +143,7 @@ def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
         raise ValueError("pointwise bound check needs a deterministic start x0")
     times = [float(t) for t in ensemble.snapshot_times]
     level = QZ_HISTOGRAM_ALPHA / (bins * max(1, sum(t > 0 for t in times)))
-    report = BoundReport(beta=beta, times=times, level=level)
+    report = BoundReport(level=level)
     N = ensemble.n_particles
     for t, positions in zip(times, ensemble.positions):
         if t <= 0:

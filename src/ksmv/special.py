@@ -1,14 +1,15 @@
 """Special functions for the kernel and comparison-density diagnostics, in
 numpy and the math module alone.
 
-erfcx(z) = e^{z^2} erfc(z) for z >= 0 is t exp(P(u)) with t = 2 / (2 + z)
-and u = 2t - 1, in the manner of Schonfelder (Math. Comp. 32, 1978): P is
-the degree-24 truncation of the Chebyshev series of log(erfcx(z) / t) in u,
-fitted at 60 digits and written in powers of u.  The magnitudes of those
-coefficients sum to 1.5, so Horner's rule loses nothing, and erfcx is within
-7e-16 relative of the exact value on [0, inf).  erfc(z) = e^{-z^2} erfcx(z)
-for z >= 0 and 2 - erfc(-z) below; e^{-z^2} is taken as e^{-h^2} e^{-(z-h)(z+h)}
-with h = z rounded down to a sixteenth, whose square is exact, so the
+erfc's helper, the scaled erfcx(z) = e^{z^2} erfc(z) for z >= 0, is
+t exp(P(u)) with t = 2 / (2 + z) and u = 2t - 1, in the manner of
+Schonfelder (Math. Comp. 32, 1978): P is the degree-24 truncation of the
+Chebyshev series of log(erfcx(z) / t) in u, fitted at 60 digits and written
+in powers of u.  The magnitudes of those coefficients sum to 1.5, so
+Horner's rule loses nothing, and erfcx is within 7e-16 relative of the exact
+value on [0, inf).  erfc(z) = e^{-z^2} erfcx(z) for z >= 0 and
+2 - erfc(-z) below; e^{-z^2} is taken as e^{-h^2} e^{-(z-h)(z+h)} with
+h = z rounded down to a sixteenth, whose square is exact, so the
 rounding of z^2 does not enter.
 
 kummer_scaled(a, z) = e^{-z} M(a, 1, z) sums Kummer's series, scaled by
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-__all__ = ["erfcx", "erfc", "kummer_scaled", "lower_gamma", "binomial_sf"]
+__all__ = ["erfc", "kummer_scaled", "lower_gamma", "binomial_sf"]
 
 # powers u^0 .. u^24 of P(u) ~ log(erfcx(z) / t)
 _ERFCX_POLY = np.array([
@@ -52,32 +53,13 @@ def _erfcx_nonneg(z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _exp_sq(z: np.ndarray, sign: float) -> np.ndarray:
-    """e^{sign z^2} for z >= 0 without the rounding error of z^2; z is
-    clipped at 30, where e^{-z^2} is 0 and e^{z^2} inf in float64."""
-    z = np.minimum(z, 30.0)
-    hi = np.floor(16.0 * z) / 16.0
-    return np.exp(sign * hi * hi) * np.exp(sign * (z - hi) * (z + hi))
-
-
-def erfcx(z) -> np.ndarray:
-    """Scaled complementary error function e^{z^2} erfc(z), vectorized; inf
-    where it overflows (z below about -26.6)."""
-    z = np.asarray(z, dtype=float)
-    a = np.abs(z)
-    out = _erfcx_nonneg(a)
-    neg = z < 0.0
-    if np.any(neg):
-        with np.errstate(over="ignore"):
-            out = np.where(neg, 2.0 * _exp_sq(a, 1.0) - out, out)
-    return out
-
-
 def erfc(z) -> np.ndarray:
     """Complementary error function, vectorized."""
     z = np.asarray(z, dtype=float)
     a = np.abs(z)
-    out = _exp_sq(a, -1.0) * _erfcx_nonneg(a)
+    c = np.minimum(a, 30.0)   # e^{-z^2} is 0 in float64 from z = 30 on
+    hi = np.floor(16.0 * c) / 16.0
+    out = np.exp(-hi * hi) * np.exp(-(c - hi) * (c + hi)) * _erfcx_nonneg(a)
     return np.where(z < 0.0, 2.0 - out, out)
 
 

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.special import erfcx
 
 from ksmv import particle
 from ksmv.field import InitialChemical, drift_b
@@ -30,7 +31,6 @@ from ksmv.mild import (MarginalHistory, PicardDivergenceError, SchemeInstability
                        _drift)
 from ksmv.particle import ParticleEnsemble
 from ksmv.qz import QZParams, _tail_eval
-from ksmv.special import erfcx
 
 ACCEPTANCE_LINES = {}
 
@@ -372,8 +372,7 @@ def picard_oracle(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChem
             break
         prev, prev_hat = P, spectra
     return MarginalHistory(grid, mesh, P, {
-        "provenance": f"iterate-{j}", "sup_drift": sup_drift,
-        "end_drift": pushed_state(U0, q, E1, spectra[:-1])}), distances
+        "sup_drift": sup_drift, "end_drift": pushed_state(U0, q, E1, spectra[:-1])}), distances
 
 
 def overflowing_chemical(grid: Grid1D) -> InitialChemical:

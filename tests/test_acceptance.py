@@ -153,10 +153,12 @@ def test_criterion_07_density_scalings():
     mesh = TimeMesh(1.0, 400)
     spec = KernelSpec(chi=1.0, lam=0.5)
     hist = march(gaussian_density(grid, 1e-2), spec, None, grid, mesh)
-    scal = hist.scaling_table()
-    sel = scal["t"] >= 0.01 - 1e-12
-    r_inf = float(np.max(scal["sqrt_t_linf"][sel]) / np.min(scal["sqrt_t_linf"][sel]))
-    r_l2 = float(np.max(scal["qrt_t_l2"][sel]) / np.min(scal["qrt_t_l2"][sel]))
+    t = mesh.nodes
+    sel = t >= 0.01 - 1e-12
+    sqrt_t_linf = (np.sqrt(t) * np.max(np.abs(hist.densities), axis=1))[sel]
+    qrt_t_l2 = (t ** 0.25 * np.sqrt(np.sum(hist.densities ** 2, axis=1) * grid.h))[sel]
+    r_inf = float(np.max(sqrt_t_linf) / np.min(sqrt_t_linf))
+    r_l2 = float(np.max(qrt_t_l2) / np.min(qrt_t_l2))
     ok = r_inf < 2.0 and r_l2 < 2.0
     record_criterion(7, ok, f"sqrt(t)||p||_inf spread {r_inf:.2f}x and t^(1/4)||p||_L2 "
                      f"spread {r_l2:.2f}x, both < 2x over t in [0.01, 1]")

@@ -432,7 +432,10 @@ _BAD_SAMPLES = {"text.txt": "1.0\nabc\n" + "1.0\n" * 30,
     ("initial.p0", "samples({tmp}/text.txt)"), ("initial.c0", "samples({tmp}/text.txt)"),
     ("initial.p0", "samples({tmp}/nan.txt)"), ("initial.c0", "samples({tmp}/inf.txt)"),
     ("initial.p0", "samples({tmp}/negative.txt)"),
-    ("initial.p0", "uniform(20, 30)"), ("initial.p0", "gaussian(100, 1)")])
+    ("initial.p0", "uniform(20, 30)"), ("initial.p0", "gaussian(100, 1)"),
+    # finite arguments whose c0 is not finite on the grid: the width's square
+    # underflows to 0, or -q x^2 / 2 overflows (and no warning comes first)
+    ("initial.c0", "gaussian_bump(1, 1e-300)"), ("initial.c0", "quadratic(1e308)")])
 @pytest.mark.parametrize("command", ["solve", "particles"])
 def test_main_bad_initial_data_exits_2(tmp_path, capsys, key, value, command):
     for name, text in _BAD_SAMPLES.items():
@@ -441,6 +444,17 @@ def test_main_bad_initial_data_exits_2(tmp_path, capsys, key, value, command):
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), command]) == 2
     err = capsys.readouterr().err
     assert f"{key}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["1e15", "1e300"])
+@pytest.mark.parametrize("command", ["particles", "qz"])
+def test_particle_count_that_cannot_be_allocated_exits_2(tmp_path, capsys, command, n):
+    # numpy refuses the N-vectors at once: MemoryError for 1e15 particles
+    # (petabytes), ValueError for 1e300 (more elements than an index holds)
+    cfg = mini_config(tmp_path, **{"particles.n": n})
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), command]) == 2
+    err = capsys.readouterr().err
+    assert "particles.n: " in err and "cannot be allocated" in err and "Traceback" not in err
 
 
 def test_main_solve_heat_only(tmp_path, monkeypatch):
@@ -729,6 +743,21 @@ def test_seed_override_lands_in_report(tmp_path, monkeypatch):
                      "solve"]) == 0
     payload = json.loads((out / "solve_report_march.json").read_text())
     assert payload["seed"] == 777
+
+
+def test_each_main_call_reads_its_own_arguments(tmp_path, monkeypatch):
+    # the parser is built once per process, and each call still parses its
+    # own argv: no --seed or --mode carries over to the next call
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    cfg = mini_config(tmp_path)
+    calls = [(["--seed", "11"], ["--mode", "picard_with_restart"], "picard_with_restart", 11),
+             (["--seed", "12"], [], "march", 12), ([], [], "march", 7)]
+    for i, (seed, mode, want_mode, want_seed) in enumerate(calls):
+        out = tmp_path / f"run{i}"
+        assert cli.main(["--config", str(cfg), "--out", str(out), *seed, "solve", *mode]) == 0
+        payload = json.loads((out / f"solve_report_{want_mode}.json").read_text())
+        assert (payload["command"], payload["seed"]) == (f"solve[{want_mode}]", want_seed)
 
 
 def test_particle_ladder_runs_no_more_particles_than_configured(tmp_path, monkeypatch):

@@ -183,7 +183,9 @@ def test_gradient_cross_method_agreement():
     p0 = gaussian_density(g, 0.5)
     hist = march(p0, spec, chem, g, mesh)
     c = chemical_concentration(hist, chem, 0.5, mesh.steps)
-    assert c.gradient_vs_central_difference() < 5.0 * g.h ** 2
+    # the gradient comes from the memory drift, not from differencing c
+    cd = (np.roll(c.values, -1) - np.roll(c.values, 1)) / (2.0 * g.h)
+    assert float(np.max(np.abs(cd - c.gradient))) < 5.0 * g.h ** 2
 
 
 def test_gradient_zero_at_symmetry_point():

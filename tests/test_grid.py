@@ -1,6 +1,6 @@
 """Grid, mesh, density container, heat kernel, the direct periodic
 convolution sum of the test helpers, and the composite Gauss-Legendre
-weights (with the arcsin-adapted nodes the H.6 check uses)."""
+weights, also on arcsin-adapted nodes for end-point singularities."""
 
 import math
 

@@ -9,7 +9,7 @@ from scipy import integrate, optimize
 
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
 from ksmv.kernel import (KernelSpec, integrated_kernel_symbol, f1_profile, f2_profile,
-                         restart_profile, check_hypotheses, horizon_D, find_T0)
+                         check_hypotheses, horizon_D, find_T0)
 from ksmv_helpers import (direct_convolution, kernel_eval, kernel_l1_norm, kernel_l2_norm,
                           kernel_symbol, time_integrated_abs_kernel, time_integrated_kernel)
 
@@ -227,23 +227,22 @@ def test_profiles_stay_finite_and_positive_at_large_decay():
     assert f1 == pytest.approx(SQRT_2PI / math.sqrt(math.pi * 1e3), rel=1e-3)
     assert f2 == pytest.approx(0.5 * math.pi ** -0.25 * math.pi * math.sqrt(2.0)
                                * 1e3 ** -0.25 / math.gamma(0.75), rel=1e-3)
-    assert restart_profile(spec, 1.0, 0.0) == pytest.approx(f1, rel=1e-12)
+    h6 = check_hypotheses(spec, TimeMesh(1.0, 10)).items["H6"].value
+    assert h6 == pytest.approx(f1, rel=1e-12)
 
 
-def test_restart_profile_closed_form():
+def test_restart_integral_peaks_at_zero_shift():
+    # ||K_t||_L1 falls in t, so the restart integral R(T, s) falls in the
+    # shift s, and H.6's sup over shifts is R(T, 0) = f1(T)
     T = 0.4
     for lam in (0.0, 0.5, 32.0):
         spec = KernelSpec(chi=1.0, lam=lam)
-        for shift in (0.0, 0.1, 0.4):
-            got = restart_profile(spec, T, shift)
-            if lam == 0.0:
-                want = math.sqrt(2.0 / math.pi) * 2.0 * math.asin(math.sqrt(T / (T + shift)))
-                assert got == pytest.approx(want, rel=1e-14)
-            want = math.sqrt(2.0 / math.pi) * _quad_profile(lam, T, 0.5, 0.5, shift)
-            assert got == pytest.approx(want, rel=1e-11)
-        # at shift 0 the restart integral is f1 at the horizon
-        assert restart_profile(spec, T, 0.0) == pytest.approx(float(f1_profile(spec, T)),
-                                                              rel=1e-13)
+        restart = [math.sqrt(2.0 / math.pi) * _quad_profile(lam, T, 0.5, 0.5, shift)
+                   for shift in T * np.array([0.0, 0.1, 0.5, 1.0])]
+        assert np.all(np.diff(restart) < 0.0)
+        h6 = check_hypotheses(spec, TimeMesh(T, 40)).items["H6"].value
+        assert h6 == pytest.approx(float(f1_profile(spec, T)), rel=1e-12)
+        assert h6 == pytest.approx(restart[0], rel=1e-11)
 
 
 # --- hypothesis checker ----------------------------------------------------
@@ -255,12 +254,12 @@ def test_checker_passes_for_chemotaxis_kernel():
         rep = check_hypotheses(KernelSpec(chi=chi, lam=lam), mesh)
         assert rep.all_pass, [it.name for it in rep.items.values() if not it.passed]
         assert set(rep.items) == {"H1", "H2", "H3", "H4", "H5", "H6"}
-        assert rep.f1_sup <= chi * SQRT_2PI * 1.01
+        assert rep.items["H4"].value <= chi * SQRT_2PI * 1.01
 
 
 def test_checker_f1_plateau_within_one_percent():
     rep = check_hypotheses(KernelSpec(chi=1.0, lam=0.0), TimeMesh(1.0, 100))
-    assert rep.f1_sup == pytest.approx(SQRT_2PI, rel=1e-2)
+    assert rep.items["H4"].value == pytest.approx(SQRT_2PI, rel=1e-2)
     assert find_T0(KernelSpec(chi=1.0, lam=0.0), 0.5) == pytest.approx(math.pi / 32.0, rel=1e-10)
 
 
@@ -268,7 +267,7 @@ def test_checker_reads_the_horizon_from_the_mesh():
     spec = KernelSpec(chi=1.0, lam=0.5)
     rep = check_hypotheses(spec, TimeMesh(2.5, 50))
     assert rep.D_of_T == horizon_D(spec, 2.5)
-    assert rep.items["H6"].detail == "sup over shifts 0, 0.25, 1.25, 2.5"
+    assert rep.items["H6"].detail == "f1 at T = 2.5, the sup over shifts s >= 0"
     with pytest.raises(ValueError):
         TimeMesh(0.0, 50)
 
@@ -363,15 +362,18 @@ def test_h4_and_h6_reach_their_plateaus_at_zero_decay_and_fall_below_with_decay(
         f1_plateau = chi * SQRT_2PI
         f2_plateau = chi * math.pi ** 0.75 / math.sqrt(2.0)
         for lam in (0.0, 1e-12, 0.5, 100.0):
-            rep = check_hypotheses(KernelSpec(chi=chi, lam=lam), TimeMesh(1.0, 100))
+            spec, mesh = KernelSpec(chi=chi, lam=lam), TimeMesh(1.0, 100)
+            rep = check_hypotheses(spec, mesh)
+            f1_sup = rep.items["H4"].value
+            f2_sup = float(np.max(f2_profile(spec, mesh.nodes[1:])))
             assert rep.items["H4"].passed and rep.items["H6"].passed
             assert rep.items["H4"].bound == rep.items["H6"].bound == f1_plateau * (1.0 + 1e-12)
             if lam == 0.0:
-                assert rep.f1_sup == pytest.approx(f1_plateau, rel=1e-15)
-                assert rep.f2_sup == pytest.approx(f2_plateau, rel=1e-15)
+                assert f1_sup == pytest.approx(f1_plateau, rel=1e-15)
+                assert f2_sup == pytest.approx(f2_plateau, rel=1e-15)
                 assert rep.items["H6"].value == pytest.approx(f1_plateau, rel=1e-15)
             else:
-                assert rep.f1_sup < f1_plateau and rep.f2_sup < f2_plateau
+                assert f1_sup < f1_plateau and f2_sup < f2_plateau
                 assert rep.items["H6"].value < f1_plateau
 
 

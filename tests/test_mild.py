@@ -222,7 +222,6 @@ def test_march_full_model_conserves_mass():
     # bit, so every row's quadrature mass is 1 up to the row sum's roundoff
     assert hist.masses().shape == (mesh.steps + 1,)
     assert np.max(np.abs(hist.masses() - 1.0)) <= 1e-14
-    assert hist.meta["provenance"] == "march"
     assert 0.0 < hist.meta["tail_bound"] < 1e-6
 
 
@@ -264,10 +263,11 @@ def test_march_scaling_table_bounded():
     g = Grid1D(8.0, 1024)
     mesh = TimeMesh(1.0, 200)
     hist = march(gaussian_density(g, 0.01), KernelSpec(chi=0.0), None, g, mesh)
-    table = hist.scaling_table()
-    keep = (table["t"] >= 0.01) & (table["t"] <= 1.0)
-    for key in ("sqrt_t_linf", "qrt_t_l2"):
-        vals = table[key][keep]
+    t = mesh.nodes
+    keep = (t >= 0.01) & (t <= 1.0)
+    sqrt_t_linf = np.sqrt(t) * np.max(np.abs(hist.densities), axis=1)
+    qrt_t_l2 = t ** 0.25 * np.sqrt(np.sum(hist.densities ** 2, axis=1) * g.h)
+    for vals in (sqrt_t_linf[keep], qrt_t_l2[keep]):
         assert np.max(vals) / np.min(vals) < 2.0
 
 
@@ -553,7 +553,6 @@ def test_picard_no_interaction_is_immediate_fixed_point():
     fixed_point, dists = picard(gaussian_density(g, 1.0), KernelSpec(chi=0.0), chem, g, mesh)
     assert len(dists) == 2
     assert dists[1] == 0.0
-    assert fixed_point.meta["provenance"] == "iterate-2"
 
 
 def test_picard_contracts_and_matches_march():

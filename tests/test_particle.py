@@ -82,7 +82,6 @@ def test_inverse_cdf_initial_sampling_moments():
     x0 = ens.positions[0]
     assert abs(float(np.mean(x0))) < 4.0 / math.sqrt(N)
     assert float(np.std(x0)) == pytest.approx(1.0, abs=4.0 / math.sqrt(N))
-    assert ens.meta["init_sampling"] == "inverse-cdf"
 
 
 # --- determinism and exchangeability ----------------------------------------

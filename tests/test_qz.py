@@ -126,7 +126,6 @@ def test_verify_bound_passes_driftless_ensemble():
     assert len(report.checks) == 80          # two positive-time rows, t=0 skipped
     assert report.level == pytest.approx(1e-3 / 80)
     assert report.min_p_value() > report.level
-    assert "PASS" in report.lines()[0]
 
 
 def test_verify_bound_rejects_a_drift_stronger_than_beta():
@@ -147,7 +146,6 @@ def test_verify_bound_rejects_a_drift_stronger_than_beta():
     # and far below the level 2e-5: a median smallest p-value of 1.1e-7
     # (Gaussian) and 3.9e-8 (two-point) on these seeds
     assert float(np.median([r.min_p_value() for r in wrongs])) < 1e-6
-    assert all("FAIL" in r.lines()[0] for r in rejected)
 
 
 def test_verify_bound_tests_sparse_bins():

@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 
 from ksmv import cli, qz
-from ksmv.special import binomial_sf, erfc, erfcx, kummer_scaled, lower_gamma
+from ksmv.special import _erfcx_nonneg, binomial_sf, erfc, kummer_scaled, lower_gamma
 
 from ksmv_helpers import binomial_sf_oracle
 
@@ -20,14 +20,16 @@ EPS = np.finfo(float).eps
 ERFC_EXACT = {0.5: 0.4795001221869535, 3.0: 2.209049699858544e-05,
               10.0: 2.088487583762545e-45, 20.0: 5.395865611607901e-176,
               26.0: 5.663192408856143e-296, -3.0: 1.9999779095030015}
-ERFCX_EXACT = {-3.0: 16205.988853999586, 5.0: 0.11070463773306863,
-               30.0: 0.01879588886141675, 1e4: 5.641895807268084e-05}
+ERFCX_EXACT = {5.0: 0.11070463773306863, 30.0: 0.01879588886141675,
+               1e4: 5.641895807268084e-05}
 
 
 def test_erfc_and_erfcx_match_scipy_and_exact_values():
     z = np.concatenate([np.linspace(-6.0, 40.0, 46001), -np.geomspace(1e-8, 6.0, 200),
                         np.geomspace(1e-8, 1e8, 400)])
-    assert np.max(np.abs(erfcx(z) / special.erfcx(z) - 1.0)) <= 1e-14
+    # erfc's helper covers z >= 0 only; erfc reflects below
+    nonneg = z[z >= 0.0]
+    assert np.max(np.abs(_erfcx_nonneg(nonneg) / special.erfcx(nonneg) - 1.0)) <= 1e-14
     # scipy's erfc carries the rounding of z^2, about eps z^2 relative; the
     # helper splits z^2 exactly.  Past z = 26.6 both underflow to subnormals
     # or 0, which only an absolute tolerance can compare
@@ -40,9 +42,9 @@ def test_erfc_and_erfcx_match_scipy_and_exact_values():
     for v, exact in ERFC_EXACT.items():
         assert float(erfc(v)) == pytest.approx(exact, rel=2e-15)
     for v, exact in ERFCX_EXACT.items():
-        assert float(erfcx(v)) == pytest.approx(exact, rel=2e-15)
+        assert float(_erfcx_nonneg(np.float64(v))) == pytest.approx(exact, rel=2e-15)
     assert erfc(np.array([-np.inf, np.inf])).tolist() == [2.0, 0.0]
-    assert erfcx(np.array([np.inf, -30.0])).tolist() == [0.0, math.inf]
+    assert _erfcx_nonneg(np.array([np.inf])).tolist() == [0.0]
 
 
 def test_kummer_scaled_and_lower_gamma_match_scipy():
