@@ -31,12 +31,18 @@ whose closed forms all read 0.  The six-part integrability hypothesis on K
 of what each condition bounds; none samples a grid or a density (H.6 is
 f1(T): ||K_t||_L1 falls in t, so that is the restart integral's sup).  The
 contraction horizon T0 solves D(T0) = safety.
+
+Beside the symbols sits `_push`, the one drift-state update
+U <- q U + E1 p_hat: the march, the fixed-point lanes, the window restart,
+the binned particles and the chemical field's c and d/dx c lanes all push
+through it (ksmv.mild, ksmv.particle, ksmv.field).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -116,6 +122,17 @@ def symbol_decay(lam: float, a: float, xi: np.ndarray) -> np.ndarray:
     """e^{-(lam + xi^2/2) a}: the ratio K_hat_{s+a} / K_hat_s of the kernel
     symbol at ages a apart (also the damped heat symbol at time a)."""
     return np.exp(-(lam + xi * xi / 2.0) * a)
+
+
+def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
+          p_hat: Optional[np.ndarray], spare: np.ndarray):
+    """Advance the drift state U one node in place, U <- q U + E1 p_hat: b_hat
+    decays by q and the memory gains E1 p_hat (ignored when E1 is None).
+    spare is a buffer of U's shape for the memory term."""
+    np.multiply(q, U, out=U)
+    if E1 is not None:
+        np.multiply(E1, p_hat, out=spare)
+        np.add(U, spare, out=U)
 
 
 def f1_profile(spec: KernelSpec, t) -> np.ndarray:

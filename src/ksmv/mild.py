@@ -24,18 +24,17 @@ and the whole memory sum is one running sum per frequency:
 
     B_hat_k = E1 S_k,    S_0 = 0,    S_{k+1} = q S_k + p_hat_k.
 
-The chemical field reads this sum.  The solvers and the binned particles
-carry more: the exogenous drift b = chi e^{-lam t} g(t,.) * c0' obeys
+The exogenous drift b = chi e^{-lam t} g(t,.) * c0' obeys
 b_hat(t + dt) = q b_hat(t) exactly, so the whole drift u = b + B is one
 spectral state per frequency,
 
     U_0 = b_hat(0),    U_{k+1} = q U_k + E1 p_hat_k,    u_k = irfft(U_k),
 
 and b is evaluated once per solve.  It costs O(n) per step, so a march of
-M steps costs O(M n log n).  `_push` is the one place U advances: the
-march, the fixed-point lanes (and with them the window restart's
-hand-off) and the binned particles (ksmv.particle) all push through it,
-in place.
+M steps costs O(M n log n).  `kernel._push` is the one place U advances:
+the march, the fixed-point lanes (and with them the window restart's
+hand-off), the binned particles (ksmv.particle) and the chemical field's
+c and d/dx c (ksmv.field) all push through it, in place.
 
 At n of a few hundred a transform call costs several times its per-row
 work, so the step loop counts calls and rows.  A march step makes two: the
@@ -84,13 +83,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .grid import Grid1D, TimeMesh, DensityField
 from .kernel import (KernelSpec, has_memory, horizon_D, find_T0,
-                     integrated_kernel_symbol, symbol_decay)
+                     integrated_kernel_symbol, symbol_decay, _push)
 from .field import InitialChemical, drift_b
 
 __all__ = [
@@ -98,8 +97,6 @@ __all__ = [
     "SchemeInstabilityError",
     "PicardDivergenceError",
     "RestartTooLargeError",
-    "running_sums",
-    "memory_drift",
     "march",
     "picard",
     "solve_global",
@@ -148,7 +145,6 @@ class MarginalHistory:
         expected = (self.mesh.steps + 1, self.grid.n)
         if self.densities.shape != expected:
             raise ValueError(f"density stack must have shape {expected}")
-        self._sums: Dict[float, np.ndarray] = {}
 
     def require_rows(self, k: int):
         if not 0 <= k <= self.mesh.steps:
@@ -156,44 +152,12 @@ class MarginalHistory:
         if np.isnan(self.densities[: k + 1]).any():
             raise ValueError(f"history rows up to {k} are not all populated")
 
-    def memory_sums(self, lam: float) -> np.ndarray:
-        """Cached running sums S_0..S_{M+1} of the rows at decay rate lam
-        (module docstring); row k depends on rows 0..k-1 only."""
-        if lam not in self._sums:
-            q = symbol_decay(lam, self.mesh.dt, self.grid.wavenumbers)
-            self._sums[lam] = running_sums(np.fft.rfft(self.densities, axis=1), q)
-        return self._sums[lam]
-
     def masses(self) -> np.ndarray:
         """Quadrature mass of each row."""
         return np.sum(self.densities, axis=1) * self.grid.h
 
     def max_mass_drift(self) -> float:
         return float(np.max(np.abs(self.masses() - 1.0)))
-
-
-def running_sums(spectra: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """S_0 = 0 and S_{l+1} = q S_l + spectra[l]: the memory sums over the
-    given rows, one more row than spectra."""
-    S = np.empty((len(spectra) + 1, q.size), dtype=complex)
-    S[0] = 0.0
-    q = q.astype(complex)   # cast once, not in every product
-    for l, row in enumerate(spectra):
-        np.multiply(q, S[l], out=S[l + 1])
-        S[l + 1] += row
-    return S
-
-
-def memory_drift(history: MarginalHistory, spec: KernelSpec, k: int) -> np.ndarray:
-    """B(t_k, .) = irfft(E1 S_k) on the grid, from history rows 0..k-1 (row k
-    itself is never touched)."""
-    history.require_rows(max(k - 1, 0))
-    grid, mesh = history.grid, history.mesh
-    if not has_memory(spec) or k == 0:
-        return np.zeros(grid.n)
-    E1 = integrated_kernel_symbol(spec, mesh.dt, grid.wavenumbers)
-    B_hat = E1 * history.memory_sums(spec.lam)[k]
-    return np.fft.irfft(B_hat, grid.n)
 
 
 def _drift(spec: KernelSpec, chem: Optional[InitialChemical], grid: Grid1D,
@@ -206,17 +170,6 @@ def _drift(spec: KernelSpec, chem: Optional[InitialChemical], grid: Grid1D,
         else np.fft.rfft(drift_b(spec, chem, 0.0))
     E1 = integrated_kernel_symbol(spec, dt, xi) if has_memory(spec) else None
     return U0, symbol_decay(spec.lam, dt, xi), E1
-
-
-def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
-          p_hat: Optional[np.ndarray], spare: np.ndarray):
-    """Advance the drift state U one node in place, U <- q U + E1 p_hat: b_hat
-    decays by q and the memory gains E1 p_hat (ignored when E1 is None).
-    spare is a buffer of U's shape for the memory term."""
-    np.multiply(q, U, out=U)
-    if E1 is not None:
-        np.multiply(E1, p_hat, out=spare)
-        np.add(U, spare, out=U)
 
 
 def _unit_spectrum(p0_values: np.ndarray, grid: Grid1D) -> np.ndarray:

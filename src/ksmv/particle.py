@@ -5,20 +5,20 @@ Each of N particles follows an Euler scheme for
     dX^i = [ b(t, X^i) + (1/N) sum_j int_0^t K_{t-s}(X^i - X^j_s) ds ] dt + dW^i,
 
 where the memory integral runs over the whole recorded past of every other
-particle.  The time discretization of the singular integral copies
-mild.memory_drift exactly: each past position is frozen over its subinterval
-and the kernel's time profile is integrated over that subinterval in closed
-form, so the particle system and the density solver share the same
-quadrature bias and comparisons isolate Monte Carlo error.
+particle.  The time discretization of the singular integral is the
+march's memory rule (ksmv.mild): each past position is frozen over its
+subinterval and the kernel's time profile is integrated over that
+subinterval in closed form, so the particle system and the density solver
+share the same quadrature bias and comparisons isolate Monte Carlo error.
 
 The interaction is evaluated on the grid: the march's drift state U (mild),
-pushed in place by mild._push (the one place U advances, for the solvers
-too) with the spectrum of the particles' cloud-in-cell deposit, gives
-b + B = irfft(U), which comes back to the particles by linear
-interpolation.  O(N + n log n) per step, with an O(h^2) projection bias
-against the paper's literal O(N^2 M^2) pairwise sum, which the tests keep
-as an oracle.  The Euler stepper takes a drift callback and keeps only the
-requested path rows.
+pushed in place by kernel._push (the one place U advances, for the solvers
+and the chemical field too) with the spectrum of the particles'
+cloud-in-cell deposit, gives b + B = irfft(U), which comes back to the
+particles by linear interpolation.  O(N + n log n) per step, with an
+O(h^2) projection bias against the paper's literal O(N^2 M^2) pairwise
+sum, which the tests keep as an oracle.  The Euler stepper takes a drift
+callback and keeps only the requested path rows.
 
 Randomness is counter-based (Philox, Salmon et al., SC'11) and step-major:
 step k of phase p owns the stream Philox(key=[seed, p], counter=[0, k, 0, 0]),
@@ -58,10 +58,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import Grid1D, TimeMesh, DensityField
-from .kernel import KernelSpec
+from .kernel import KernelSpec, _push
 # drift_b is not called here, but the traced benchmark wraps ksmv.particle.drift_b
 from .field import InitialChemical, drift_b  # noqa: F401
-from .mild import SchemeInstabilityError, _drift, _push
+from .mild import SchemeInstabilityError, _drift
 
 __all__ = [
     "ParticleEnsemble",
@@ -74,7 +74,8 @@ __all__ = [
 @dataclass
 class ParticleEnsemble:
     """Simulated particle paths: row k of positions is the ensemble at
-    snapshot_times[k] (all mesh nodes unless only some rows were stored).
+    snapshot_times[k] (all mesh nodes unless only some rows were stored),
+    one row per snapshot time.
 
     Immutable after simulation.  x0 is set when the start is deterministic
     (all particles at one point), else None.  drift_bound is the declared
@@ -91,6 +92,9 @@ class ParticleEnsemble:
     def __post_init__(self):
         if self.positions.ndim != 2:
             raise ValueError("positions must be a (rows, N) array")
+        rows, times = len(self.positions), len(self.snapshot_times)
+        if rows != times:
+            raise ValueError(f"positions has {rows} rows for {times} snapshot times")
 
     @property
     def n_particles(self) -> int:
@@ -373,5 +377,4 @@ def kde_density(ensemble: ParticleEnsemble, k: int,
     raw = _deposit(grid, positions)
     xi = grid.wavenumbers
     smooth = np.fft.irfft(np.fft.rfft(raw) * np.exp(-xi * xi * bandwidth ** 2 / 2.0), grid.n)
-    t_tag = float(ensemble.snapshot_times[k]) if k < len(ensemble.snapshot_times) else 0.0
-    return DensityField(grid, smooth, t_tag)
+    return DensityField(grid, smooth, float(ensemble.snapshot_times[k]))

@@ -9,7 +9,8 @@ two-point increments and the cloud-in-cell cells, the direct periodic
 convolution sum, the paper's literal pairwise particle system as an oracle
 for the binned one, the step-by-step solver loop, the one-iterate-at-a-time
 fixed-point iteration and the per-node residual as oracles for the batched
-ones, the per-element binomial tail, and a chemical whose march overflows.
+ones, the memory sums and the memory drift as oracles for the pushed drift
+states, the per-element binomial tail, and a chemical whose march overflows.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
@@ -26,7 +27,7 @@ from scipy.special import erfcx
 from ksmv import particle
 from ksmv.field import InitialChemical, drift_b
 from ksmv.grid import Grid1D, DensityField, TimeMesh, heat_kernel
-from ksmv.kernel import KernelSpec, has_memory
+from ksmv.kernel import KernelSpec, has_memory, integrated_kernel_symbol, symbol_decay
 from ksmv.mild import (MarginalHistory, PicardDivergenceError, SchemeInstabilityError,
                        _drift)
 from ksmv.particle import ParticleEnsemble
@@ -271,7 +272,8 @@ def periodic_interp(grid: Grid1D, values: np.ndarray, x: np.ndarray) -> np.ndarr
 def pairwise_memory(spec: KernelSpec, past: Sequence[np.ndarray], dt: float) -> np.ndarray:
     """(1/N) sum_j sum_{m=1}^{k} [J_{m dt} - J_{(m-1) dt}](X^i_k - X^j_{k-m}),
     J_t = int_0^t K_s ds and J_0 = 0: particle i now (past[k]) against
-    particle j frozen over the subinterval of age m, as in mild.memory_drift."""
+    particle j frozen over the subinterval of age m, as in the march's memory
+    rule (ksmv.mild)."""
     k = len(past) - 1
     now = past[k][:, None]
     acc = np.zeros(now.shape[0])
@@ -312,7 +314,7 @@ def run_mild_oracle(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.n
                     pushed: Optional[np.ndarray]):
     """ksmv.mild._run_mild for one lane, one step at a time: u_k = irfft(U_k)
     by its own call, U_{k+1} = q U_k + E1 r_k in a new array (no code shared
-    with mild._push), three transform calls per step; r_k is the lane's own
+    with kernel._push), three transform calls per step; r_k is the lane's own
     spectrum, or row k of the spectra `pushed`.  Returns (density stack, sup
     of |drift|, spectra P_hat_0..P_hat_M)."""
     n, M, dt = grid.n, mesh.steps, mesh.dt
@@ -344,6 +346,28 @@ def pushed_state(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
     for r in spectra:
         U = q * U if E1 is None else q * U + E1 * r
     return U
+
+
+def running_sums(spectra: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """S_0 = 0 and S_{l+1} = q S_l + spectra[l]: the memory sums over the
+    given rows, one more row than spectra."""
+    S = np.empty((len(spectra) + 1, q.size), dtype=complex)
+    S[0] = 0.0
+    for l, row in enumerate(spectra):
+        S[l + 1] = q * S[l] + row
+    return S
+
+
+def memory_drift(history: MarginalHistory, spec: KernelSpec, k: int) -> np.ndarray:
+    """B(t_k, .) = irfft(E1 S_k) on the grid: the zero state pushed over the
+    spectra of rows 0..k-1 by pushed_state (row k itself is never read)."""
+    grid, dt = history.grid, history.mesh.dt
+    xi = grid.wavenumbers
+    E1 = integrated_kernel_symbol(spec, dt, xi) if has_memory(spec) else None
+    start = np.zeros(xi.size, dtype=complex)
+    U = pushed_state(start, symbol_decay(spec.lam, dt, xi), E1,
+                     np.fft.rfft(history.densities[:k], axis=1))
+    return np.fft.irfft(U, grid.n)
 
 
 def picard_oracle(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],

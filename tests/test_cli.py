@@ -21,7 +21,7 @@ from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       RunReport, write_csv, write_plot_table, write_history_csv,
                       write_field_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import KernelSpec, find_T0, has_memory, horizon_D, integrated_kernel_symbol
+from ksmv.kernel import find_T0, has_memory, horizon_D, integrated_kernel_symbol
 from ksmv.field import ChemicalField, InitialChemical, drift_b
 from ksmv import mild
 from ksmv.mild import MarginalHistory
@@ -121,9 +121,7 @@ def test_none_kernel_builds_zero_interaction():
     assert spec.kind == "none"
     assert spec.chi == 1.0 and spec.chi_eff == 0.0
     assert not has_memory(spec)
-    hist = mild.march(cfg.make_p0(cfg.make_grid()), KernelSpec(chi=1.0, lam=0.3), None,
-                      cfg.make_grid(), cfg.make_mesh())
-    assert np.all(mild.memory_drift(hist, spec, cfg.steps) == 0.0)
+    assert mild._drift(spec, None, cfg.make_grid(), cfg.make_mesh().dt)[2] is None
     assert np.all(kernel_eval(spec, 0.3, np.linspace(-2, 2, 9)) == 0.0)
     assert kernel_l1_norm(spec, 0.3) == 0.0 and kernel_l2_norm(spec, 0.3) == 0.0
     grid = cfg.make_grid()

@@ -9,13 +9,19 @@ from scipy import integrate
 
 from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
 from ksmv.kernel import KernelSpec
-from ksmv.field import (InitialChemical, drift_b, chemical_concentration,
-                        chemical_gradient, ks_residual)
+from ksmv.field import InitialChemical, drift_b, chemical_concentration, ks_residual
 from ksmv.mild import MarginalHistory, march
 
-from ksmv_helpers import derivative_residual, gaussian_density, periodic_interp
+from ksmv_helpers import (derivative_residual, gaussian_density, memory_drift,
+                          periodic_interp, running_sums)
 
 PI_GRID = Grid1D(3.0 * math.pi, 256)   # sin(x) is an exact harmonic here
+
+
+def snapped(grid, freq):
+    """The grid harmonic InitialChemical.sine snaps freq to."""
+    fund = math.pi / grid.half_width
+    return max(1, round(freq / fund)) * fund
 
 
 # --- initial chemical ------------------------------------------------------
@@ -24,16 +30,19 @@ PI_GRID = Grid1D(3.0 * math.pi, 256)   # sin(x) is an exact harmonic here
 def test_sine_snaps_to_grid_harmonic():
     g = Grid1D(10.0, 256)
     chem = InitialChemical.sine(g, amp=1.0, freq=1.0)
-    fund = math.pi / 10.0
-    assert chem.params["freq"] == pytest.approx(3.0 * fund, rel=1e-15)
+    freq = snapped(g, 1.0)
+    assert freq == pytest.approx(3.0 * math.pi / 10.0, rel=1e-15)
+    assert np.array_equal(chem.c0, np.sin(freq * g.x))
+    assert np.array_equal(chem.c0_prime, freq * np.cos(freq * g.x))
     # central-difference residual of a sampled sine is w^3 h^2 / 6 exactly
-    assert derivative_residual(chem) < 0.2 * chem.params["freq"] ** 3 * g.h ** 2
+    assert derivative_residual(chem) < 0.2 * freq ** 3 * g.h ** 2
 
 
 def test_sine_on_commensurate_box_keeps_frequency():
     chem = InitialChemical.sine(PI_GRID, amp=0.5, freq=1.0)
-    assert chem.params["freq"] == pytest.approx(1.0, rel=1e-15)
+    assert snapped(PI_GRID, 1.0) == pytest.approx(1.0, rel=1e-15)
     assert np.allclose(chem.c0, 0.5 * np.sin(PI_GRID.x), atol=1e-15)
+    assert np.allclose(chem.c0_prime, 0.5 * np.cos(PI_GRID.x), atol=1e-15)
 
 
 def test_bump_derivative_consistent():
@@ -111,7 +120,7 @@ def test_drift_uniform_bound(t, amp, harm):
     freq = harm * math.pi / PI_GRID.half_width
     chem = InitialChemical.sine(PI_GRID, amp=amp, freq=freq)
     spec = KernelSpec(chi=1.7, lam=0.0)
-    bound = 1.7 * amp * chem.params["freq"]
+    bound = 1.7 * amp * snapped(PI_GRID, freq)
     assert float(np.max(np.abs(drift_b(spec, chem, t)))) <= bound * (1.0 + 1e-12)
 
 
@@ -194,7 +203,7 @@ def test_gradient_zero_at_symmetry_point():
     rows = np.tile(heat_kernel(0.5, g.x), (mesh.steps + 1, 1))
     hist = MarginalHistory(g, mesh, rows, {})
     chem = InitialChemical.from_samples(g, np.full(g.n, 2.0), c0_prime=np.zeros(g.n))
-    grad = chemical_gradient(hist, chem, 0.0, mesh.steps)
+    grad = chemical_concentration(hist, chem, 0.0, mesh.steps).gradient
     assert abs(grad[g.n // 2]) < 1e-14    # even density, odd kernel
 
 
@@ -203,8 +212,6 @@ def test_gradient_zero_at_symmetry_point():
 
 @pytest.mark.parametrize("chi", [1.0, 1.3])
 def test_gradient_identity_with_memory_drift(chi):
-    from ksmv.mild import memory_drift
-
     g = Grid1D(3.0 * math.pi, 256)
     mesh = TimeMesh(0.3, 60)
     chem = InitialChemical.sine(g, amp=0.3, freq=1.0)
@@ -213,10 +220,49 @@ def test_gradient_identity_with_memory_drift(chi):
     hist = march(p0, spec, chem, g, mesh)
     worst = 0.0
     for k in (0, 1, mesh.steps // 2, mesh.steps):
-        lhs = chi * chemical_gradient(hist, chem, spec.lam, k)
+        lhs = chi * chemical_concentration(hist, chem, spec.lam, k).gradient
         rhs = drift_b(spec, chem, float(mesh.nodes[k])) + memory_drift(hist, spec, k)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12
+
+
+# --- the two lanes against the explicit memory sums -------------------------
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("kind", ["keller_segel", "none"])
+@pytest.mark.parametrize("c0", ["sine", "quadratic"])
+def test_concentration_lanes_match_the_memory_sum_formulas(lam, kind, c0):
+    # full_model.cfg's history at chi = 1.3: with S_0 = 0, S_{l+1} = q S_l +
+    # rho_hat_l, c_hat_k = e^{-(lam + xi^2/2) t_k} c0_hat
+    # + (w0/2) [S_{k+1} - q^k rho_hat_0 + r S_k] and d/dx c_hat_k =
+    # e^{-(lam + xi^2/2) t_k} c0'_hat + E1 S_k, E1 of the unit kernel
+    g = Grid1D(3.0 * math.pi, 256)
+    mesh = TimeMesh(0.4, 100)
+    chem = (InitialChemical.sine(g, amp=0.3, freq=1.0) if c0 == "sine" else
+            InitialChemical.from_samples(g, -g.x ** 2 / 2.0, c0_prime=-g.x))
+    hist = march(gaussian_density(g, 0.5), KernelSpec(chi=1.3, lam=lam, kind=kind), chem, g, mesh)
+    dt, xi = mesh.dt, g.wavenumbers
+    rate = lam + xi * xi / 2.0
+    q, r = np.exp(-rate * dt), np.exp(-xi * xi * dt / 2.0)
+    w0 = dt if lam == 0.0 else -math.expm1(-lam * dt) / lam
+    frac = np.full_like(xi, dt)
+    np.divide(-np.expm1(-rate * dt), rate, out=frac, where=rate > 0.0)
+    E1 = 1j * xi * frac
+    rho_hat = np.fft.rfft(hist.densities, axis=1)
+    S = running_sums(rho_hat, q)
+    c0_hat, c0p_hat = np.fft.rfft(chem.c0), np.fft.rfft(chem.c0_prime)
+    worst = [0.0, 0.0]
+    for k in range(mesh.steps + 1):
+        field = chemical_concentration(hist, chem, lam, k)
+        decay = np.exp(-rate * k * dt)
+        c_hat = decay * c0_hat
+        if k:
+            c_hat = c_hat + 0.5 * w0 * (S[k + 1] - decay * rho_hat[0] + r * S[k])
+        want = (np.fft.irfft(c_hat, g.n), np.fft.irfft(decay * c0p_hat + E1 * S[k], g.n))
+        for i, (got, ref) in enumerate(zip((field.values, field.gradient), want)):
+            worst[i] = max(worst[i], float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
+    assert max(worst) < 1e-13, worst
 
 
 # --- concentration bounds on a real run ------------------------------------

@@ -12,15 +12,15 @@ from scipy import integrate
 
 from ksmv import mild
 from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
-from ksmv.kernel import KernelSpec, integrated_kernel_symbol, symbol_decay
-from ksmv.field import InitialChemical, drift_b
+from ksmv.kernel import KernelSpec, _push, integrated_kernel_symbol, symbol_decay
+from ksmv.field import InitialChemical, chemical_concentration, drift_b
 from ksmv.mild import (MarginalHistory, SchemeInstabilityError,
-                       PicardDivergenceError, running_sums, memory_drift,
-                       march, picard, solve_global, _sup_l1_distance)
+                       PicardDivergenceError, march, picard, solve_global,
+                       _sup_l1_distance)
 
-from ksmv_helpers import (gaussian_density, kernel_l1_norm, l1_distance,
+from ksmv_helpers import (gaussian_density, kernel_l1_norm, l1_distance, memory_drift,
                           overflowing_chemical, picard_oracle, pushed_state,
-                          run_mild_oracle)
+                          run_mild_oracle, running_sums)
 
 G12 = Grid1D(12.0, 1024)
 MESH200 = TimeMesh(1.0, 200)
@@ -35,6 +35,14 @@ QUAD_TOL = dict(epsabs=1e-14, epsrel=1e-13)
 def frozen_gaussian_history(grid, mesh, var=1.0):
     rows = np.tile(heat_kernel(var, grid.x), (mesh.steps + 1, 1))
     return MarginalHistory(grid, mesh, rows, {})
+
+
+def memory_gradient(hist, lam, k):
+    """d/dx c at node k with c0 = c0' = 0: the memory drift B(t_k, .) of the
+    unit kernel KernelSpec(1, lam), by the chemical field's gradient lane."""
+    zero = np.zeros(hist.grid.n)
+    chem = InitialChemical.from_samples(hist.grid, zero, c0_prime=zero)
+    return chemical_concentration(hist, chem, lam, k).gradient
 
 
 # --- history container -----------------------------------------------------
@@ -76,7 +84,7 @@ def test_push_advances_the_drift_state_in_place(lanes, memory):
     else:
         U = U0.copy()
     want = q * U if E1 is None else q * U + E1 * p
-    mild._push(U, q, E1, p, np.empty_like(U))
+    _push(U, q, E1, p, np.empty_like(U))
     assert np.array_equal(U, want)
     if lanes:
         assert np.array_equal(pair[lanes:].reshape(-1), want)
@@ -98,7 +106,7 @@ def test_history_require_rows_flags_nan():
 
 def test_memory_drift_empty_integral():
     hist = frozen_gaussian_history(G12, MESH200)
-    B = memory_drift(hist, KernelSpec(chi=1.0), 0)
+    B = memory_gradient(hist, 0.0, 0)
     assert B.shape == (G12.n,)
     assert np.all(B == 0.0)
 
@@ -106,7 +114,7 @@ def test_memory_drift_empty_integral():
 def test_memory_drift_frozen_gaussian_oracle():
     # rows all g(1,.): B(t, x) = -x int_0^t g(1+u, x) / (1+u) du
     hist = frozen_gaussian_history(G12, MESH200)
-    B = memory_drift(hist, KernelSpec(chi=1.0, lam=0.0), MESH200.steps)
+    B = memory_gradient(hist, 0.0, MESH200.steps)
     idx = range(8, G12.n, 61)
     worst = 0.0
     for i in idx:
@@ -120,7 +128,7 @@ def test_memory_drift_frozen_gaussian_oracle():
 def test_memory_drift_decay_oracle():
     hist = frozen_gaussian_history(G12, MESH200)
     lam = 0.5
-    B = memory_drift(hist, KernelSpec(chi=1.0, lam=lam), MESH200.steps)
+    B = memory_gradient(hist, lam, MESH200.steps)
     xv = G12.x[700]
     want, _ = integrate.quad(
         lambda u: -xv * math.exp(-lam * u) * heat_kernel(1.0 + u, xv) / (1.0 + u), 0, 1.0,
@@ -130,7 +138,7 @@ def test_memory_drift_decay_oracle():
 
 def test_memory_drift_odd_for_even_history():
     hist = frozen_gaussian_history(G12, MESH200, var=0.7)
-    B = memory_drift(hist, KernelSpec(chi=1.0, lam=0.2), 50)
+    B = memory_gradient(hist, 0.2, 50)
     n = G12.n
     mirrored = -B[np.mod(n - np.arange(n), n)]
     assert np.max(np.abs(B - mirrored)) < 1e-13
@@ -146,8 +154,8 @@ def test_memory_drift_causal_bit_for_bit(k):
     zeroed = hist.densities.copy()
     zeroed[k:] = 0.0
     censored = MarginalHistory(g, mesh, zeroed, {})
-    a = memory_drift(hist, spec, k)
-    b = memory_drift(censored, spec, k)
+    a = memory_gradient(hist, spec.lam, k)
+    b = memory_gradient(censored, spec.lam, k)
     assert np.array_equal(a, b)
 
 
@@ -156,9 +164,8 @@ def test_memory_drift_rejects_custom_kernels():
     # none, no memory drift); a custom kernel is refused before any solver runs
     with pytest.raises(ValueError, match="keller_segel or none"):
         KernelSpec(chi=1.0, lam=0.3, kind="custom")
-    hist = frozen_gaussian_history(G12, MESH200)
     none = KernelSpec(chi=1.0, lam=0.3, kind="none")
-    assert np.all(memory_drift(hist, none, 100) == 0.0)
+    assert mild._drift(none, None, G12, MESH200.dt)[2] is None   # no memory term to push
     g, mesh = Grid1D(10.0, 64), TimeMesh(0.1, 5)
     p0 = gaussian_density(g, 0.5)
     heat = march(p0, KernelSpec(chi=0.0), None, g, mesh)
@@ -169,9 +176,15 @@ def test_memory_drift_rejects_custom_kernels():
 
 
 def test_memory_drift_zero_coupling_shortcut():
-    hist = frozen_gaussian_history(G12, MESH200)
-    B = memory_drift(hist, KernelSpec(chi=0.0), 17)
-    assert np.all(B == 0.0)
+    # chi = 0 switches off b and B: U_0 = 0 and no E1, so no memory term is
+    # pushed, and a march with a chemical is the heat march bit for bit
+    g, mesh = Grid1D(10.0, 64), TimeMesh(0.1, 5)
+    chem = InitialChemical.sine(g, 0.3, 1.0)
+    U0, q, E1 = mild._drift(KernelSpec(chi=0.0, lam=0.3), chem, g, mesh.dt)
+    assert E1 is None and np.all(U0 == 0.0)
+    free = march(gaussian_density(g, 0.5), KernelSpec(chi=0.0), None, g, mesh)
+    coupled = march(gaussian_density(g, 0.5), KernelSpec(chi=0.0, lam=0.3), chem, g, mesh)
+    assert np.array_equal(free.densities, coupled.densities)
 
 
 # --- march -----------------------------------------------------------------
@@ -522,7 +535,7 @@ def test_picard_end_drift_is_the_state_pushed_over_the_accepted_iterate(k_max, s
     assert np.array_equal(P, last.densities)
     U = U0.copy()
     for p_hat in spectra[:-1]:
-        mild._push(U, q, E1, p_hat, np.empty_like(U))
+        _push(U, q, E1, p_hat, np.empty_like(U))
     assert np.array_equal(last.meta["end_drift"], U)
 
 
@@ -719,7 +732,7 @@ def test_restart_drift_frozen_gaussian_oracle():
     spec = KernelSpec(chi=1.0, lam=0.0)
     for j in (0, 20, 50):
         t = j * hist.mesh.dt
-        b1 = memory_drift(hist, spec, 50 + j)
+        b1 = memory_gradient(hist, spec.lam, 50 + j)
         mirrored = -b1[np.mod(G12.n - np.arange(G12.n), G12.n)]
         assert np.max(np.abs(b1 - mirrored)) < 1e-13   # odd for an even prefix
         for i in (300, 512, 700):
@@ -735,7 +748,7 @@ def test_restart_drift_young_bound():
     spec = KernelSpec(chi=1.0, lam=0.0)
     for j in (0, 24):
         t = j * hist.mesh.dt
-        b1 = memory_drift(hist, spec, 50 + j)
+        b1 = memory_gradient(hist, spec.lam, 50 + j)
         total, _ = integrate.quad(lambda s: kernel_l1_norm(spec, T0 + t - s), 0, T0,
                                   points=[T0])
         bound = float(np.max(hist.densities)) * total
@@ -753,12 +766,12 @@ def test_memory_sums_carried_across_windows_equal_one_pass():
     spectra = np.fft.rfft(hist.densities, axis=1)
     first = running_sums(spectra[:25], q)
     own = running_sums(spectra[25:], q)
-    assert np.array_equal(first, hist.memory_sums(spec.lam)[:26])
+    assert np.array_equal(first, running_sums(spectra, q)[:26])
     E1 = integrated_kernel_symbol(spec, mesh.dt, g.wavenumbers)
     for j in (0, 1, 10):
         carried = symbol_decay(spec.lam, j * mesh.dt, g.wavenumbers) * first[-1]
         split = np.fft.irfft(E1 * (carried + own[j]), g.n)
-        assert np.allclose(split, memory_drift(hist, spec, 25 + j), rtol=0, atol=1e-13)
+        assert np.allclose(split, memory_gradient(hist, spec.lam, 25 + j), rtol=0, atol=1e-13)
 
 
 # --- global solves ----------------------------------------------------------

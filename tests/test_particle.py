@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
 from ksmv.kernel import KernelSpec, integrated_kernel_symbol, symbol_decay
 from ksmv.field import InitialChemical, drift_b
-from ksmv.mild import MarginalHistory, SchemeInstabilityError, march, running_sums
+from ksmv.mild import MarginalHistory, SchemeInstabilityError, march
 from ksmv import particle
 from ksmv.particle import (ParticleEnsemble, simulate_particles,
                            simulate_bounded_drift, kde_density, _CloudInCell, _deposit,
@@ -21,7 +21,7 @@ from ksmv.particle import (ParticleEnsemble, simulate_particles,
 from ksmv_helpers import (cloud_in_cell_oracle, cloud_in_cell_two_index_oracle,
                           compare_histories, gaussian_density,
                           l1_distance, marginal_variance, pairwise_particles,
-                          step_noise_oracle, time_integrated_kernel,
+                          running_sums, step_noise_oracle, time_integrated_kernel,
                           two_point_increments_oracle)
 
 FREE = KernelSpec(chi=0.0)   # interaction off: independent Brownian paths
@@ -60,6 +60,20 @@ def test_x0_property_detects_deterministic_start():
     rows2 = rows.copy()
     rows2[0, 3] = 0.0
     assert ParticleEnsemble(mesh, rows2, seed=0).x0 is None
+
+
+def test_ensemble_needs_one_row_per_snapshot_time():
+    # four rows on a one-step mesh once passed: verify_bound zipped the two
+    # node times with the rows and skipped rows 2-3, and kde_density tagged
+    # row 3 with t = 0
+    with pytest.raises(ValueError, match="4 rows for 2 snapshot times"):
+        ParticleEnsemble(TimeMesh(1.0, 1), np.zeros((4, 10)), seed=0)
+    with pytest.raises(ValueError, match="2 rows for 3 snapshot times"):
+        ParticleEnsemble(TimeMesh(1.0, 4), np.zeros((2, 10)), seed=0,
+                         meta={"row_times": np.array([0.0, 0.5, 1.0])})
+    kept = ParticleEnsemble(TimeMesh(1.0, 4), np.zeros((2, 10)), seed=0,
+                            grid=Grid1D(5.0, 64), meta={"row_times": np.array([0.0, 1.0])})
+    assert kde_density(kept, 1, bandwidth=0.5).time_tag == 1.0
 
 
 # --- Brownian baseline ------------------------------------------------------
