@@ -6,6 +6,7 @@ Config grammar (flat key-value text, dotted section prefixes):
     # comment
     model.chi = 1.0
     model.lambda = 0.5
+    model.normalization = heat          # heat only
     model.kernel = keller_segel         # keller_segel | none
     initial.p0 = gaussian(0, 1)         # gaussian(mean, var) | uniform(a, b) | samples(path)
     initial.c0 = sine(0.3, 1)           # sine(amp, freq) | gaussian_bump(amp, width)
@@ -29,7 +30,8 @@ drift) while keeping the chemical drift active; chi > 0 is required at
 config level either way.  A quadratic c0 with curvature q gives
 the linear restoring drift b(0, x) = -chi q x.  `model.normalization = heat`
 is still read and changes nothing; any other value is refused (scale
-model.chi instead).
+model.chi instead).  CONFIG_KEYS holds these keys in this order, each with
+the RunConfig fields it sets and its check.
 
 Every number in the CSV and plot tables is written as "%.17g" % v, so reading
 a file back reproduces the arrays bit-for-bit.  One block formatter makes
@@ -135,16 +137,100 @@ def parse_config_text(text: str) -> Dict[str, object]:
     return out
 
 
-def _seed_problem(seed) -> Optional[str]:
+class _Problem(str):
+    """What a config check refuses a value for; from_mapping prefixes the key."""
+
+
+def _seed_problem(seed) -> Optional[_Problem]:
     """Why seed is no particle seed, or None: seeds are integers in [0, 2^63),
     the range whose Philox key words keep every bit."""
     if isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2 ** 63:
         return None
-    return f"seed must be an integer in [0, 2^63), got {seed!r}"
+    return _Problem(f"seed must be an integer in [0, 2^63), got {seed!r}")
 
 
-# initial.c0 forms and how many arguments each takes (missing ones default to 1)
-_C0_MAX_ARGS = {"sine": 2, "gaussian_bump": 2, "quadratic": 1, "samples": 1}
+def _number(cond, desc: str, cast=float):
+    """The check of a numeric key: a finite number that meets cond, as cast."""
+    def check(v):
+        if not isinstance(v, (int, float)):
+            return _Problem(f"expected a number, got {v!r}")
+        try:
+            v = float(v)
+        except OverflowError:   # an integer literal beyond the float range
+            v = math.inf
+        if not math.isfinite(v):
+            return _Problem(f"expected a finite number, got {v:g}")
+        return cast(v) if cond(v) else _Problem(f"{desc}, got {v:g}")
+    return check
+
+
+def _p0_form(v):
+    if not (isinstance(v, tuple) and v[0] in ("gaussian", "uniform", "samples")):
+        return _Problem(f"expected gaussian(m,v)|uniform(a,b)|samples(path), got {v!r}")
+    kind, args = v
+    if kind == "gaussian" and (len(args) != 2 or args[1] <= 0):
+        return _Problem("gaussian needs (mean, var > 0)")
+    if kind == "uniform" and (len(args) != 2 or args[0] >= args[1]):
+        return _Problem("uniform needs (a, b) with a < b")
+    return kind, list(args)
+
+
+def _c0_form(v):
+    if v in ("none", ("none", [])):
+        return "none", []
+    # each form's most arguments; missing ones default to 1
+    most = isinstance(v, tuple) and {"sine": 2, "gaussian_bump": 2, "quadratic": 1,
+                                     "samples": 1}.get(v[0])
+    if not most:
+        return _Problem(f"expected sine|gaussian_bump|quadratic|samples|none, got {v!r}")
+    kind, args = v
+    if len(args) > most:
+        return _Problem(f"{kind} takes at most {most} args")
+    if kind == "gaussian_bump" and len(args) == 2 and args[1] <= 0:
+        return _Problem("gaussian_bump needs (amp, width > 0)")
+    return kind, list(args)
+
+
+def _formats(v):
+    fmts = tuple(f.strip() for f in str(v).split(",") if f.strip())
+    bad = [f for f in fmts if f not in ("csv", "plot")]
+    return _Problem(f"unknown formats {bad}") if bad else fmts or ("csv",)
+
+
+_positive = functools.partial(_number, lambda v: v > 0)
+_bandwidth = _positive("bandwidth must be auto or > 0")
+
+
+def _count(least: int, desc: str):
+    return _number(lambda v: v >= least and v == int(v), desc, cast=int)
+
+
+# config key -> (the RunConfig fields it sets, its check), in the order
+# from_mapping reports problems.  A check returns the value, one per field,
+# or a _Problem; an absent key leaves the fields' defaults
+CONFIG_KEYS = {
+    "model.chi": (("chi",), _positive("chi must be > 0")),
+    "model.lambda": (("lam",), _number(lambda v: v >= 0, "lambda must be >= 0")),
+    "model.normalization": ((), lambda v: v if v == "heat" else _Problem(
+        f"only heat is supported (scale model.chi instead), got {v!r}")),
+    "model.kernel": (("kernel_kind",), lambda v: v if v in ("keller_segel", "none")
+                     else _Problem(f"expected keller_segel|none, got {v!r}")),
+    "initial.p0": (("p0_kind", "p0_args"), _p0_form),
+    "initial.c0": (("c0_kind", "c0_args"), _c0_form),
+    "discretization.l": (("half_width",), _positive("L must be > 0")),
+    "discretization.n": (("n",), _number(lambda v: v >= 16 and v % 2 == 0,
+                                         "n must be an even integer >= 16", cast=int)),
+    "discretization.t": (("horizon",), _positive("T must be > 0")),
+    "discretization.m": (("steps",), _count(1, "M must be a positive integer")),
+    "particles.n": (("n_particles",), _count(2, "N must be an integer >= 2")),
+    "particles.seed": (("seed",), lambda v: _seed_problem(v) or v),
+    "particles.bandwidth": (("bandwidth",), lambda v: None if v == "auto" else _bandwidth(v)),
+    "picard.safety": (("safety",), _number(lambda v: 0 < v < 1, "safety must be in (0,1)")),
+    "picard.k_max": (("k_max",), _count(1, "k_max must be a positive integer")),
+    "picard.tol": (("tol",), _positive("tol must be > 0")),
+    "outputs.directory": (("out_dir",), str),
+    "outputs.formats": (("formats",), _formats),
+}
 
 
 @dataclass
@@ -178,107 +264,20 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, raw: Dict[str, object]) -> "RunConfig":
         cfg = cls()
-        problems: List[str] = []
-        known = set()
-
-        def take(key, default=None):
-            known.add(key)
-            return raw.get(key, default)
-
-        def num(key, default, cond=None, desc=""):
-            v = take(key, default)
-            if not isinstance(v, (int, float)):
-                problems.append(f"{key}: expected a number, got {v!r}")
-                return default
-            try:
-                v = float(v)
-            except OverflowError:   # an integer literal beyond the float range
-                v = math.inf
-            if not math.isfinite(v):
-                problems.append(f"{key}: expected a finite number, got {v:g}")
-                return default
-            if cond is not None and not cond(v):
-                problems.append(f"{key}: {desc}, got {v:g}")
-            return v
-
-        for key, v in raw.items():
-            if isinstance(v, tuple) and v[0] != "samples" and \
-                    not all(math.isfinite(a) for a in v[1]):
-                problems.append(f"{key}: expected a finite number in each argument, got "
-                                f"{v[0]}({', '.join(f'{a:g}' for a in v[1])})")
-
-        cfg.chi = num("model.chi", cfg.chi, lambda v: v > 0, "chi must be > 0")
-        cfg.lam = num("model.lambda", cfg.lam, lambda v: v >= 0, "lambda must be >= 0")
-        norm = take("model.normalization", "heat")
-        if norm != "heat":
-            problems.append(f"model.normalization: only heat is supported (scale model.chi "
-                            f"instead), got {norm!r}")
-        kind = take("model.kernel", cfg.kernel_kind)
-        if kind not in ("keller_segel", "none"):
-            problems.append(f"model.kernel: expected keller_segel|none, got {kind!r}")
-        else:
-            cfg.kernel_kind = kind
-
-        p0 = take("initial.p0", (cfg.p0_kind, cfg.p0_args))
-        if isinstance(p0, tuple) and p0[0] in ("gaussian", "uniform", "samples"):
-            cfg.p0_kind, cfg.p0_args = p0[0], list(p0[1])
-            if p0[0] == "gaussian" and (len(p0[1]) != 2 or p0[1][1] <= 0):
-                problems.append("initial.p0: gaussian needs (mean, var > 0)")
-            if p0[0] == "uniform" and (len(p0[1]) != 2 or p0[1][0] >= p0[1][1]):
-                problems.append("initial.p0: uniform needs (a, b) with a < b")
-        else:
-            problems.append(f"initial.p0: expected gaussian(m,v)|uniform(a,b)|samples(path), got {p0!r}")
-
-        c0 = take("initial.c0", (cfg.c0_kind, cfg.c0_args))
-        if c0 == "none" or c0 == ("none", []):
-            cfg.c0_kind, cfg.c0_args = "none", []
-        elif isinstance(c0, tuple) and c0[0] in _C0_MAX_ARGS:
-            cfg.c0_kind, cfg.c0_args = c0[0], list(c0[1])
-            if len(c0[1]) > _C0_MAX_ARGS[c0[0]]:
-                problems.append(f"initial.c0: {c0[0]} takes at most {_C0_MAX_ARGS[c0[0]]} args")
-            elif c0[0] == "gaussian_bump" and len(c0[1]) == 2 and c0[1][1] <= 0:
-                problems.append("initial.c0: gaussian_bump needs (amp, width > 0)")
-        else:
-            problems.append(f"initial.c0: expected sine|gaussian_bump|quadratic|samples|none, got {c0!r}")
-
-        cfg.half_width = num("discretization.l", cfg.half_width, lambda v: v > 0, "L must be > 0")
-        n_val = num("discretization.n", cfg.n, lambda v: v >= 16 and v == int(v) and int(v) % 2 == 0,
-                    "n must be an even integer >= 16")
-        cfg.n = int(n_val)
-        cfg.horizon = num("discretization.t", cfg.horizon, lambda v: v > 0, "T must be > 0")
-        m_val = num("discretization.m", cfg.steps, lambda v: v >= 1 and v == int(v), "M must be a positive integer")
-        cfg.steps = int(m_val)
-
-        n_part = num("particles.n", cfg.n_particles, lambda v: v >= 2 and v == int(v), "N must be an integer >= 2")
-        cfg.n_particles = int(n_part)
-        seed = take("particles.seed", cfg.seed)
-        problem = _seed_problem(seed)
-        if problem:
-            problems.append(f"particles.seed: {problem}")
-        else:
-            cfg.seed = seed
-        if take("particles.bandwidth", "auto") != "auto":
-            cfg.bandwidth = num("particles.bandwidth", None, lambda v: v > 0,
-                                "bandwidth must be auto or > 0")
-
-        cfg.safety = num("picard.safety", cfg.safety, lambda v: 0 < v < 1, "safety must be in (0,1)")
-        kmax = num("picard.k_max", cfg.k_max, lambda v: v >= 1 and v == int(v), "k_max must be a positive integer")
-        cfg.k_max = int(kmax)
-        cfg.tol = num("picard.tol", cfg.tol, lambda v: v > 0, "tol must be > 0")
-
-        out_dir = take("outputs.directory", cfg.out_dir)
-        cfg.out_dir = str(out_dir)
-        fmts = take("outputs.formats", "csv")
-        fmt_list = tuple(f.strip() for f in str(fmts).split(",") if f.strip())
-        bad = [f for f in fmt_list if f not in ("csv", "plot")]
-        if bad:
-            problems.append(f"outputs.formats: unknown formats {bad}")
-        else:
-            cfg.formats = fmt_list or ("csv",)
-
-        unknown = sorted(set(raw) - known)
-        for key in unknown:
-            problems.append(f"unknown key {key}")
+        problems = [f"{key}: expected a finite number in each argument, got "
+                    f"{v[0]}({', '.join(f'{a:g}' for a in v[1])})"
+                    for key, v in raw.items() if isinstance(v, tuple) and v[0] != "samples"
+                    and not all(map(math.isfinite, v[1]))]
+        for key, (fields, check) in CONFIG_KEYS.items():
+            if key not in raw:
+                continue
+            value = check(raw[key])
+            if isinstance(value, _Problem):
+                problems.append(f"{key}: {value}")
+            else:
+                for name, v in zip(fields, value if len(fields) > 1 else [value]):
+                    setattr(cfg, name, v)
+        problems += [f"unknown key {key}" for key in sorted(set(raw) - set(CONFIG_KEYS))]
         if problems:
             raise ConfigError(problems)
         return cfg
@@ -302,21 +301,24 @@ class RunConfig:
         return KernelSpec(chi=self.chi, lam=self.lam, kind=self.kernel_kind)
 
     def make_p0(self, grid: Grid1D) -> DensityField:
+        with np.errstate(all="ignore"):   # an overflow leaves no mass, which is named below
+            p0 = DensityField(grid, self._p0(grid), 0.0)
+            try:
+                return p0.normalized()
+            except ValueError:   # normalized() found no positive mass
+                L = grid.half_width
+                raise ConfigError([f"initial.p0: no positive mass in the box [-{L:g}, {L:g}]"]) from None
+
+    def _p0(self, grid: Grid1D) -> np.ndarray:
         if self.p0_kind == "gaussian":
             mean, var = self.p0_args
-            vals = heat_kernel(var, grid.x - mean)
-        elif self.p0_kind == "uniform":
+            return heat_kernel(var, grid.x - mean)
+        if self.p0_kind == "uniform":
             a, b = self.p0_args
             lo = np.clip((np.minimum(grid.x + grid.h / 2.0, b) - np.maximum(grid.x - grid.h / 2.0, a)),
                          0.0, grid.h)
-            vals = lo / (grid.h * (b - a))
-        else:
-            vals = _load_samples("initial.p0", self.p0_args[0], grid)
-        try:
-            return DensityField(grid, vals, 0.0).normalized()
-        except ValueError:   # normalized() found no positive mass
-            L = grid.half_width
-            raise ConfigError([f"initial.p0: no positive mass in the box [-{L:g}, {L:g}]"]) from None
+            return lo / (grid.h * (b - a))
+        return _load_samples("initial.p0", self.p0_args[0], grid)
 
     def make_chem(self, grid: Grid1D) -> Optional[InitialChemical]:
         if self.c0_kind == "none":
@@ -340,6 +342,17 @@ class RunConfig:
             (q,) = self.c0_args or [1.0]
             return InitialChemical.from_samples(grid, -q * grid.x ** 2 / 2.0, c0_prime=-q * grid.x)
         return InitialChemical.from_samples(grid, _load_samples("initial.c0", self.c0_args[0], grid))
+
+
+@contextlib.contextmanager
+def _allocation(keys: str, arrays: str):
+    """Name keys when the with-block's arrays cannot be allocated: numpy
+    refuses too many bytes (MemoryError) or elements (ValueError), and
+    linspace a count past 2^63 - 1 (IndexError)."""
+    try:
+        yield
+    except (MemoryError, ValueError, IndexError) as exc:
+        raise ConfigError([f"{keys}: the {arrays} cannot be allocated ({exc})"]) from None
 
 
 def _load_samples(key: str, path: str, grid: Grid1D) -> np.ndarray:
@@ -682,13 +695,25 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> Path:
     return path
 
 
+def _contraction_horizon(cfg: RunConfig, spec: KernelSpec) -> float:
+    """find_T0 at picard.safety, refused where it underflows: to 0, or so far
+    that T / T0 overflows."""
+    T0 = find_T0(spec, cfg.safety)
+    if T0 == 0.0 or cfg.horizon / T0 == math.inf:
+        raise ConfigError([f"picard.safety, model.chi: the contraction horizon T0 underflows "
+                           f"at safety {cfg.safety:g} and chi {cfg.chi:g} (T0 = {T0:.3g}); "
+                           "raise picard.safety or lower model.chi"])
+    return T0
+
+
 def cmd_check_kernel(cfg: RunConfig, out: Path, run: RunReport):
     with run.phase("check"):
         spec = cfg.make_spec()
-        report = check_hypotheses(spec, cfg.make_mesh())
         # T0 = inf when D saturates below the safety level: Picard then
         # contracts on every horizon, and D(inf) is that saturation level
-        T0 = find_T0(spec, cfg.safety)
+        T0 = _contraction_horizon(cfg, spec)
+        with _allocation("discretization.m", f"arrays of {cfg.steps:.6g} time steps"):
+            report = check_hypotheses(spec, cfg.make_mesh())
         D0 = horizon_D(spec, T0) if has_memory(spec) else 0.0
     for key, item in report.items.items():
         run.add(key, item.value, item.bound, item.passed, f"{item.name}: {item.detail}")
@@ -698,17 +723,21 @@ def cmd_check_kernel(cfg: RunConfig, out: Path, run: RunReport):
 
 def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
     spec, grid = cfg.make_spec(), cfg.make_grid()
-    p0 = cfg.make_p0(grid)
-    chem = cfg.make_chem(grid)
-    with run.phase("solve"):
+    if mode != "march":   # the restart's windows are at most T0 long
+        _contraction_horizon(cfg, spec)
+    with _allocation("discretization.n", f"arrays of {cfg.n:.6g} grid points"):
+        p0 = cfg.make_p0(grid)
+        chem = cfg.make_chem(grid)
+    with run.phase("solve"), _allocation("discretization.m", f"arrays of {cfg.steps:.6g} time steps"):
         try:
             history = mild.solve_global(p0, spec, chem, grid, cfg.horizon, mode=mode,
                                         steps=cfg.steps, safety=cfg.safety,
                                         k_max=cfg.k_max, tol=cfg.tol)
         except mild.RestartTooLargeError as exc:
-            raise ConfigError([f"model.chi, discretization.t, picard.safety: the restart cuts "
-                               f"T = {cfg.horizon:g} into {exc}; lower model.chi or "
-                               "discretization.t, or raise picard.safety"]) from None
+            raise ConfigError([f"model.chi, discretization.t, discretization.m, picard.safety: "
+                               f"the restart cuts T = {cfg.horizon:g} into {exc}; lower "
+                               "model.chi, discretization.t or discretization.m, or raise "
+                               "picard.safety"]) from None
     # the restart rounds the step count up to a multiple of its windows
     mesh = history.mesh
 
@@ -718,10 +747,10 @@ def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
     with run.phase("write"):
         if "csv" in cfg.formats:
             write_history_csv(out / "density.csv", history)
+            with np.errstate(over="ignore"):   # l2 reads inf where the squares overflow
+                l2 = np.sqrt(np.sum(history.densities ** 2, axis=1) * grid.h)
             write_csv(out / "summary.csv", ("t", "mass", "linf", "l2"),
-                      (mesh.nodes, history.masses(),
-                       np.max(np.abs(history.densities), axis=1),
-                       np.sqrt(np.sum(history.densities ** 2, axis=1) * grid.h)))
+                      (mesh.nodes, history.masses(), np.max(np.abs(history.densities), axis=1), l2))
         if "plot" in cfg.formats:
             write_plot_table(out / "density_final.dat", (grid.x, history.densities[-1]),
                              comment=f"x p at t={cfg.horizon:g}")
@@ -736,14 +765,16 @@ def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
 
 def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
     spec, grid = cfg.make_spec(), cfg.make_grid()
-    p0 = cfg.make_p0(grid)
-    chem = cfg.make_chem(grid)
-    horizon = min(cfg.horizon, find_T0(spec, cfg.safety))
+    horizon = min(cfg.horizon, _contraction_horizon(cfg, spec))
     mesh = TimeMesh(horizon, cfg.steps)
-    with run.phase("picard"):
-        fixed_point, distances = mild.picard(p0, spec, chem, grid, mesh,
-                                             k_max=cfg.k_max, tol=cfg.tol)
-    march_hist = mild.march(p0, spec, chem, grid, mesh)
+    with _allocation("discretization.n", f"arrays of {cfg.n:.6g} grid points"):
+        p0 = cfg.make_p0(grid)
+        chem = cfg.make_chem(grid)
+    with _allocation("discretization.m", f"arrays of {cfg.steps:.6g} time steps"):
+        with run.phase("picard"):
+            fixed_point, distances = mild.picard(p0, spec, chem, grid, mesh,
+                                                 k_max=cfg.k_max, tol=cfg.tol)
+        march_hist = mild.march(p0, spec, chem, grid, mesh)
     gap = mild._sup_l1_distance(fixed_point.densities, march_hist.densities, grid.h)
     converged = distances[-1] < cfg.tol
     run.add("iteration_converged", distances[-1], cfg.tol, converged,
@@ -756,28 +787,19 @@ def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
                       (np.arange(1, len(distances) + 1, dtype=float), np.array(distances)))
 
 
-@contextlib.contextmanager
-def _particle_buffers(N: int):
-    """Name particles.n when the with-block's N-vectors cannot be allocated."""
-    try:
-        yield
-    except (MemoryError, ValueError) as exc:   # too many bytes, or too many elements
-        raise ConfigError([f"particles.n: the buffers of {N:.6g} particles cannot be "
-                           f"allocated ({exc})"]) from None
-
-
 def cmd_particles(cfg: RunConfig, out: Path, run: RunReport):
     spec, grid, mesh = cfg.make_spec(), cfg.make_grid(), cfg.make_mesh()
-    p0 = cfg.make_p0(grid)
-    chem = cfg.make_chem(grid)
-    with run.phase("march_oracle"):
+    with _allocation("discretization.n", f"arrays of {cfg.n:.6g} grid points"):
+        p0 = cfg.make_p0(grid)
+        chem = cfg.make_chem(grid)
+    with run.phase("march_oracle"), _allocation("discretization.m", f"arrays of {cfg.steps:.6g} time steps"):
         oracle = mild.march(p0, spec, chem, grid, mesh)
 
     ladder = sorted({min(cfg.n_particles, max(100, cfg.n_particles // 10)), cfg.n_particles})
     l1s = []
     with run.phase("particles"):
         for N in ladder:
-            with _particle_buffers(cfg.n_particles):
+            with _allocation("particles.n", f"buffers of {cfg.n_particles:.6g} particles"):
                 ens = simulate_particles(N, p0, spec, chem, mesh, cfg.seed, store_rows=[mesh.steps])
             kde = kde_density(ens, -1, bandwidth=cfg.bandwidth)
             l1s.append(float(grid.integrate(np.abs(kde.values - oracle.densities[-1]))))
@@ -879,7 +901,7 @@ def cmd_qz(cfg: RunConfig, out: Path, run: RunReport):
 
         mesh = TimeMesh(1.0, 1000)
         beta = 0.5
-        with _particle_buffers(cfg.n_particles):
+        with _allocation("particles.n", f"buffers of {cfg.n_particles:.6g} particles"):
             ens = simulate_bounded_drift(_attracting_sign_drift(beta, cfg.n_particles),
                                          lambda u: np.full_like(u, 1.0), mesh,
                                          cfg.n_particles, cfg.seed, drift_bound=beta,

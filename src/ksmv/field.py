@@ -75,9 +75,9 @@ class InitialChemical:
     @classmethod
     def gaussian_bump(cls, grid: Grid1D, amp: float = 1.0, width: float = 1.0) -> "InitialChemical":
         """c0 = amp exp(-x^2 / (2 width^2))."""
-        x = grid.x
-        c0 = amp * np.exp(-x * x / (2.0 * width ** 2))
-        return cls(grid, c0, -x / width ** 2 * c0)
+        x, width_sq = grid.x, np.float64(width) ** 2   # inf past 1e154: a flat c0
+        c0 = amp * np.exp(-x * x / (2.0 * width_sq))
+        return cls(grid, c0, -x / width_sq * c0)
 
     @classmethod
     def from_samples(cls, grid: Grid1D, c0: np.ndarray,
@@ -106,11 +106,15 @@ def drift_b(spec: KernelSpec, chem: InitialChemical, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     pref = spec.chi * math.exp(-spec.lam * t)
-    if t == 0.0:
-        return pref * chem.c0_prime.copy()
-    xi = chem.grid.wavenumbers
-    smoothed = np.fft.irfft(np.fft.rfft(chem.c0_prime) * np.exp(-xi * xi * t / 2.0), chem.grid.n)
-    return pref * smoothed
+    # xi^2 overflows only where the heat symbol is 0, and a drift past the
+    # float range reads inf, which the solvers' step checks name
+    with np.errstate(over="ignore"):
+        if t == 0.0:
+            return pref * chem.c0_prime.copy()
+        xi = chem.grid.wavenumbers
+        heat = np.exp(-xi * xi * t / 2.0)
+        smoothed = np.fft.irfft(np.fft.rfft(chem.c0_prime) * heat, chem.grid.n)
+        return pref * smoothed
 
 
 def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -> ChemicalField:

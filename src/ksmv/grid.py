@@ -72,7 +72,8 @@ class Grid1D:
         Reported per run because the continuum problem lives on the whole line
         and the periodic box is a truncation of our choosing.
         """
-        return float(np.exp(-self.half_width ** 2 / (2.0 * (sigma0_sq + t_max))))
+        with np.errstate(over="ignore"):   # past L = 1e154 the bound is 0
+            return float(np.exp(-np.float64(self.half_width) ** 2 / (2.0 * (sigma0_sq + t_max))))
 
 
 @dataclass(frozen=True)

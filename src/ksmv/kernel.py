@@ -41,6 +41,7 @@ through it (ksmv.mild, ksmv.particle, ksmv.field).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,8 +113,9 @@ def integrated_kernel_symbol(spec: KernelSpec, dt: float, xi: np.ndarray) -> np.
     """
     if dt <= 0:
         raise ValueError(f"need dt > 0, got {dt}")
-    rate = spec.lam + xi * xi / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # xi^2 overflows only where the symbol is 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rate = spec.lam + xi * xi / 2.0
         frac = np.where(rate > 0.0, -np.expm1(-rate * dt) / np.where(rate > 0.0, rate, 1.0), dt)
     return spec.chi_eff * (1j * xi) * frac
 
@@ -121,7 +123,8 @@ def integrated_kernel_symbol(spec: KernelSpec, dt: float, xi: np.ndarray) -> np.
 def symbol_decay(lam: float, a: float, xi: np.ndarray) -> np.ndarray:
     """e^{-(lam + xi^2/2) a}: the ratio K_hat_{s+a} / K_hat_s of the kernel
     symbol at ages a apart (also the damped heat symbol at time a)."""
-    return np.exp(-(lam + xi * xi / 2.0) * a)
+    with np.errstate(over="ignore"):   # xi^2 overflows only where the decay is 0
+        return np.exp(-(lam + xi * xi / 2.0) * a)
 
 
 def _push(U: np.ndarray, q: np.ndarray, E1: Optional[np.ndarray],
@@ -142,16 +145,18 @@ def f1_profile(spec: KernelSpec, t) -> np.ndarray:
     The lambda = 0 value chi_eff sqrt(2 pi) is the plateau, and f1 falls
     from it as lambda t grows.
     """
-    t = np.asarray(t, dtype=float)
-    return spec.chi_eff * math.sqrt(2.0 * math.pi) * kummer_scaled(0.5, spec.lam * t)
+    with np.errstate(over="ignore"):   # lambda t past the float range: inf, where e^-z M is 0
+        z = spec.lam * np.asarray(t, dtype=float)
+    return spec.chi_eff * math.sqrt(2.0 * math.pi) * kummer_scaled(0.5, z)
 
 
 def f2_profile(spec: KernelSpec, t) -> np.ndarray:
     """f2(t) = int_0^t ||K_{t - s}||_L2 s^{-1/4} ds
     = chi_eff c2 Gamma(1/4) Gamma(3/4) e^{-lambda t} M(3/4, 1, lambda t),
     vectorized in t, with c2 = pi^{-1/4} / 2 from ||K_t||_L2."""
-    t = np.asarray(t, dtype=float)
-    return spec.chi_eff * _L2_COEFF * _GAMMA_QUARTERS * kummer_scaled(0.75, spec.lam * t)
+    with np.errstate(over="ignore"):   # lambda t past the float range: inf, where e^-z M is 0
+        z = spec.lam * np.asarray(t, dtype=float)
+    return spec.chi_eff * _L2_COEFF * _GAMMA_QUARTERS * kummer_scaled(0.75, z)
 
 
 @dataclass
@@ -304,7 +309,10 @@ def find_T0(spec: KernelSpec, safety: float) -> float:
     if spec.chi_eff == 0.0:
         return math.inf
     if spec.lam == 0.0:
-        return math.pi * safety ** 2 / (8.0 * spec.chi_eff ** 2)
+        # as a product the square saturates, to 0 at a huge chi_eff and, at a
+        # tiny one, to inf, where the largest float horizon is the answer
+        ratio = safety / spec.chi_eff
+        return min(math.pi * ratio * ratio / 8.0, sys.float_info.max)
     ceiling = spec.chi_eff * math.sqrt(2.0 / spec.lam)
     if ceiling <= safety:
         return math.inf

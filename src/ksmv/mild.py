@@ -104,10 +104,11 @@ __all__ = [
 
 
 class SchemeInstabilityError(RuntimeError):
-    """The march produced a non-finite state; names the offending step."""
+    """The march produced a non-finite state, or the restart a row whose mass
+    roundoff moved; names the offending step."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state at step {step}")
+    def __init__(self, step: int, what: str = "non-finite state"):
+        super().__init__(f"{what} at step {step}")
         self.step = step
 
 
@@ -164,10 +165,14 @@ def _drift(spec: KernelSpec, chem: Optional[InitialChemical], grid: Grid1D,
            dt: float) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(U_0, q, E1) of the drift recursion at step dt: U_0 = b_hat(0, .), the
     drift state at the first node (zero without chem), and E1 None without
-    memory."""
+    memory.  A b(0, .) past the float range is a non-finite state at step 0."""
     xi = grid.wavenumbers
-    U0 = np.zeros(xi.size, dtype=complex) if chem is None \
-        else np.fft.rfft(drift_b(spec, chem, 0.0))
+    U0 = np.zeros(xi.size, dtype=complex)
+    if chem is not None:
+        b0 = drift_b(spec, chem, 0.0)
+        if not np.isfinite(b0).all():
+            raise SchemeInstabilityError(0)
+        U0 = np.fft.rfft(b0)
     E1 = integrated_kernel_symbol(spec, dt, xi) if has_memory(spec) else None
     return U0, symbol_decay(spec.lam, dt, xi), E1
 
@@ -211,8 +216,11 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
     # the symbols cast to complex once and tiled over the lanes (the states
     # over one more in a batch), so every product below runs on flat views
     # of the lanes' rows, as for one lane
-    heat = np.tile(np.exp(-xi * xi * dt / 2.0).astype(complex), J)
-    dt_deriv = np.tile(dt * (1j * xi), J)
+    # xi^2 overflows only where the heat symbol is 0, and dt xi where a step
+    # blows up, which the step's finiteness check names
+    with np.errstate(over="ignore"):
+        heat = np.tile(np.exp(-xi * xi * dt / 2.0).astype(complex), J)
+        dt_deriv = np.tile(dt * (1j * xi), J)
     q = np.tile(q.astype(complex), J + extra)
     E1 = None if E1 is None else np.tile(E1, J + extra)
     # hats = [lead; P_hat_k of the lanes; U_k of the lanes; end state] in a
@@ -306,8 +314,10 @@ def march(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
 
 
 def _variance(grid: Grid1D, values: np.ndarray) -> float:
-    m1 = grid.integrate(grid.x * values)
-    m2 = grid.integrate(grid.x ** 2 * values)
+    """p_0's variance, which reads nan where x^2 overflows (|x| past 1e154)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1 = grid.integrate(grid.x * values)
+        m2 = grid.integrate(grid.x ** 2 * values)
     return float(m2 - m1 * m1)
 
 
@@ -458,6 +468,9 @@ def solve_global(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemi
     for w in range(n_win):
         base = w * steps_w
         window_p0 = DensityField(grid, P[base], float(mesh_g.nodes[base]))
+        mass = window_p0.mass()
+        if abs(mass - 1.0) > _P0_MASS_TOL:   # rows so large that roundoff moved their sum
+            raise SchemeInstabilityError(base, f"a row of mass {mass:.6g}")
         last, dists = picard(window_p0, spec, None, grid, mesh_w,
                              k_max=k_max, tol=tol, start_drift=U)
         P[base : base + steps_w + 1] = last.densities

@@ -364,17 +364,24 @@ def kde_density(ensemble: ParticleEnsemble, k: int,
         raise ValueError("ensemble has no grid to estimate on")
     grid = ensemble.grid
     positions = ensemble.positions[k]
-    sigma = float(np.std(positions))
     if bandwidth is None:
+        # a spread whose square overflows gives bandwidth inf: the uniform density
+        with np.errstate(over="ignore"):
+            sigma = float(np.std(positions))
         if sigma == 0.0:
             warnings.warn("degenerate ensemble; falling back to bandwidth = h",
                           RuntimeWarning, stacklevel=2)
             bandwidth = grid.h
         else:
             bandwidth = 1.06 * sigma * positions.size ** (-0.2)
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
+    elif not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
-    raw = _deposit(grid, positions)
-    xi = grid.wavenumbers
-    smooth = np.fft.irfft(np.fft.rfft(raw) * np.exp(-xi * xi * bandwidth ** 2 / 2.0), grid.n)
+    spectrum = np.fft.rfft(_deposit(grid, positions))
+    xi = grid.wavenumbers[1:]   # the mean's multiplier is 1
+    with np.errstate(over="ignore"):
+        bw2 = np.float64(bandwidth) ** 2
+        # where bw^2 overflows or vanishes, (xi bw)^2 keeps the modes near 1 / bw
+        exponent = xi * xi * bw2 if 0.0 < bw2 < np.inf else (xi * bandwidth) ** 2
+    spectrum[1:] *= np.exp(-exponent / 2.0)
+    smooth = np.fft.irfft(spectrum, grid.n)
     return DensityField(grid, smooth, float(ensemble.snapshot_times[k]))

@@ -1,12 +1,15 @@
 """Config grammar, report plumbing, CSV round-trips, end-to-end exit codes."""
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -107,7 +110,9 @@ def test_module_docstring_example_config_parses():
     doc = cli.__doc__
     block = doc[doc.index("Config grammar"):doc.index("`model.kernel = none`")]
     example = "\n".join(line for line in block.splitlines() if line.startswith("    "))
-    cfg = RunConfig.from_mapping(parse_config_text(example))
+    raw = parse_config_text(example)
+    assert list(raw) == list(cli.CONFIG_KEYS)   # every key of the table, in its order
+    cfg = RunConfig.from_mapping(raw)
     assert (cfg.half_width, cfg.n, cfg.horizon, cfg.steps) == (8.0, 256, 0.5, 100)
     assert cfg.n_particles == 2000 and cfg.formats == ("csv", "plot")
 
@@ -433,7 +438,13 @@ _BAD_SAMPLES = {"text.txt": "1.0\nabc\n" + "1.0\n" * 30,
     ("initial.p0", "uniform(20, 30)"), ("initial.p0", "gaussian(100, 1)"),
     # finite arguments whose c0 is not finite on the grid: the width's square
     # underflows to 0, or -q x^2 / 2 overflows (and no warning comes first)
-    ("initial.c0", "gaussian_bump(1, 1e-300)"), ("initial.c0", "quadratic(1e308)")])
+    ("initial.c0", "gaussian_bump(1, 1e-300)"), ("initial.c0", "quadratic(1e308)"),
+    # p0's x^2 overflows, with no warning, and leaves no mass
+    ("initial.p0", "gaussian(1e300, 1)"),
+    # grid and time-step arrays numpy refuses: 8e15 bytes, or 2^63 elements
+    # (whose grid arange is silently empty)
+    ("discretization.n", "1e15"), ("discretization.n", str(2 ** 63)),
+    ("discretization.m", "1e15")])
 @pytest.mark.parametrize("command", ["solve", "particles"])
 def test_main_bad_initial_data_exits_2(tmp_path, capsys, key, value, command):
     for name, text in _BAD_SAMPLES.items():
@@ -453,6 +464,113 @@ def test_particle_count_that_cannot_be_allocated_exits_2(tmp_path, capsys, comma
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), command]) == 2
     err = capsys.readouterr().err
     assert "particles.n: " in err and "cannot be allocated" in err and "Traceback" not in err
+
+
+# every config exits 0, 1 or 2 by name: a small valid base (each command runs
+# in milliseconds) with one to three keys of the config table overridden from
+# one pool of values at the edges of the checks.  The pool holds no size
+# between the base's and 1e15: 1e15 elements (8e15 bytes) exceed a 64-bit
+# address space, so numpy refuses every large array at once
+_FUZZ_BASE = {"model.chi": "1", "model.lambda": "0.5", "model.kernel": "keller_segel",
+              "initial.p0": "gaussian(0, 1)", "initial.c0": "quadratic(1)",
+              "discretization.l": "8", "discretization.n": "16", "discretization.t": "0.1",
+              "discretization.m": "2", "particles.n": "20", "particles.seed": "7",
+              "outputs.formats": "plot"}
+# hypothesis draws the first number most often: 1e300 is the one that
+# stresses every key, as a size, a scale or a coupling
+_FUZZ_NUMBERS = ["1e300", "0", "1", "-1", "2", "16", "17", "0.5", "1e-300", "-1e-300",
+                 "-1e300", "inf", "-inf", "nan", "-0.0", str(2 ** 63), "1e15"]
+_FUZZ_CALLS = ["gaussian", "uniform", "samples", "sine", "gaussian_bump", "quadratic"]
+# one pool: each number, each word, and each call form with zero to three
+# arguments from the numbers
+_FUZZ_VALUES = st.sampled_from(
+    _FUZZ_NUMBERS + ["none", "auto", "heat", "csv,plot", "tree"] + _FUZZ_CALLS).flatmap(
+    lambda v: st.lists(st.sampled_from(_FUZZ_NUMBERS), max_size=3).map(
+        lambda args: f"{v}({', '.join(args)})") if v in _FUZZ_CALLS else st.just(v))
+_FUZZ_COMMANDS = [["check-kernel"], ["solve"], ["solve", "--mode", "picard_with_restart"],
+                  ["picard"], ["particles"], ["qz"]]
+
+
+def _holds_non_finite_number(key: str, text: str) -> bool:
+    """Whether a config value reads inf or nan where a number is expected;
+    outputs.directory takes any word, and samples() a path."""
+    v = _parse_value(text)
+    if isinstance(v, tuple):
+        return v[0] != "samples" and not all(map(math.isfinite, v[1]))
+    return isinstance(v, float) and not math.isfinite(v) and key != "outputs.directory"
+
+
+_PROBLEM_LINE = re.compile(r"  - (unknown key |({0})(, ({0}))*: )".format(
+    "|".join(map(re.escape, cli.CONFIG_KEYS))))
+
+
+def _check_exits_by_name(tmp: str, overrides: dict):
+    """Run each command on the base config with overrides through cli.main in
+    process: 0, or 1 with a failed record or step, or 2 with every problem
+    named, and a key that reads inf or nan named whatever else is wrong."""
+    cfg = Path(tmp) / "fuzz.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**_FUZZ_BASE, **overrides}.items()))
+    try:
+        RunConfig.from_file(str(cfg))
+        # qz reads particles.n, particles.seed and outputs.formats alone
+        touches_qz = {"particles.n", "particles.seed", "outputs.formats"} & set(overrides)
+        commands = _FUZZ_COMMANDS if touches_qz else _FUZZ_COMMANDS[:-1]
+    except ConfigError:   # each command exits at the same parse
+        commands = _FUZZ_COMMANDS[:1]
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--config", str(cfg), "--out", tmp, *command])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            lines = err.splitlines()
+            assert lines[0] == "configuration errors:" and len(lines) > 1, err
+            assert all(_PROBLEM_LINE.match(line) for line in lines[1:]), err
+        elif code == 1:
+            assert "[FAIL]" in out or err.startswith(("instability:", "divergence:")), err
+        else:
+            assert code == 0 and not err, err
+        for key, value in overrides.items():
+            if _holds_non_finite_number(key, value):
+                assert code == 2 and f"{key}: " in err, (command, err)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(st.sampled_from(list(cli.CONFIG_KEYS)), _FUZZ_VALUES,
+                       min_size=1, max_size=3))
+def test_every_config_exits_0_1_or_2_by_name(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        # each override alone too: another key's problem would end the run
+        # before the override's own
+        for key, value in overrides.items():
+            _check_exits_by_name(tmp, {key: value})
+        if len(overrides) > 1:
+            _check_exits_by_name(tmp, overrides)
+
+
+@pytest.mark.parametrize("key, value", [("picard.safety", "1e-300"), ("model.chi", "1e300")])
+@pytest.mark.parametrize("command", ["check-kernel", "picard", "solve --mode picard_with_restart"])
+def test_contraction_horizon_that_underflows_exits_2(tmp_path, capsys, key, value, command):
+    # T0 = pi safety^2 / (8 chi^2) underflows to 0: no horizon to contract on
+    cfg = mini_config(tmp_path, **{"model.kernel": "keller_segel", key: value})
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), *command.split()]) == 2
+    err = capsys.readouterr().err
+    assert "picard.safety, model.chi: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, command", [
+    # x^2 and L^2 overflow in p_0's variance and the tail bound
+    ("discretization.l", "1e300", "solve"), ("discretization.l", "1e300", "picard"),
+    # xi^2 overflows in the heat and kernel symbols, which are 0 there
+    ("discretization.l", "1e-300", "solve"), ("discretization.l", "1e-300", "particles"),
+    # the bandwidth's square, and the spread's in Silverman's rule, overflow
+    ("particles.bandwidth", "1e300", "particles"), ("discretization.t", "1e300", "particles")])
+def test_extreme_scales_exit_0_or_1_without_warning(tmp_path, capsys, key, value, command):
+    cfg = mini_config(tmp_path, **{"model.kernel": "keller_segel", "initial.c0": "sine(0.3, 1)",
+                                   key: value})
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), command])
+    captured = capsys.readouterr()
+    assert code == 0 or "[FAIL]" in captured.out or captured.err.startswith("instability:")
 
 
 def test_main_solve_heat_only(tmp_path, monkeypatch):
