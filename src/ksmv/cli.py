@@ -842,31 +842,40 @@ def _histogram_error_ratio(counts: np.ndarray, ref: np.ndarray, width: float,
 
 
 def _attracting_sign_drift(beta: float, N: int):
-    """b(t, x) = beta sign(0 - x) for N positions, bit for bit, into two
-    reused N-vectors: the caller must use the returned drift before the next
-    call.  When no x is zero or NaN, the drift is -beta or +beta as x's sign
-    bit is clear or set, written by putting that bit into -beta's on the
-    int64 views: two bitwise passes and no sign loop (at N = 2e4, 20 us
-    against 27 us for the expression's three ufuncs).  Any zero (either
-    sign) or NaN takes those ufuncs, with the sign out of place, since
+    """The Euler displacement dt b(t, x) of b(t, x) = beta sign(0 - x) for N
+    positions, as (t, dt, x) -> fl(beta sign(0 - x) dt) bit for bit, into two
+    reused N-vectors: the caller must use the returned array, which is never
+    x, before the next call.  When no x is zero or NaN, each displacement
+    is one of two constants, fl(-beta dt) or fl(beta dt) as x's sign bit is
+    clear or set (built once per dt by that same arithmetic), written by
+    putting that bit into the first one's on the int64 views: two bitwise
+    passes, and no sign or multiply pass.  Any zero (either sign) or NaN
+    takes the expression's four ufuncs, with the sign out of place, since
     numpy's in-place sign took 120-152 us per 2e4-vector."""
-    diff, sign = np.empty(N), np.empty(N)
-    bits = sign.view(np.int64)
-    right, left = (beta * np.sign(0.0 - np.array([1.0, -1.0]))).view(np.int64)
-    # the bit rule holds when the two values differ in the sign bit alone,
-    # as they do for every beta but NaN
+    diff, step = np.empty(N), np.empty(N)
+    bits = step.view(np.int64)
     sign_bit = np.int64(np.iinfo(np.int64).min)
-    bit_rule = (right ^ left) == sign_bit
+    # the step size the constants were built for, the first one's int64 word,
+    # and whether the bit rule holds
+    table_dt, right, bit_rule = None, None, False
 
-    def drift(t: float, x: np.ndarray) -> np.ndarray:
+    def displacement(t: float, dt: float, x: np.ndarray) -> np.ndarray:
+        nonlocal table_dt, right, bit_rule
+        if table_dt != dt:
+            right, left = np.multiply(beta * np.sign(0.0 - np.array([1.0, -1.0])),
+                                      dt).view(np.int64)
+            # the rule holds when the two constants differ in the sign bit
+            # alone, as they do for every beta and dt but NaN
+            bit_rule, table_dt = (right ^ left) == sign_bit, dt
         if bit_rule and np.abs(x, out=diff).min() > 0.0:
             np.bitwise_and(x.view(np.int64), sign_bit, out=bits)
             np.bitwise_xor(bits, right, out=bits)
-            return sign
+            return step
         np.subtract(0.0, x, out=diff)
-        np.sign(diff, out=sign)
-        return np.multiply(beta, sign, out=sign)
-    return drift
+        np.sign(diff, out=step)
+        np.multiply(beta, step, out=step)
+        return np.multiply(step, dt, out=step)
+    return displacement
 
 
 def _qz_mass(p: QZParams) -> float:

@@ -17,8 +17,9 @@ and the chemical field too) with the spectrum of the particles'
 cloud-in-cell deposit, gives b + B = irfft(U), which comes back to the
 particles by linear interpolation.  O(N + n log n) per step, with an
 O(h^2) projection bias against the paper's literal O(N^2 M^2) pairwise
-sum, which the tests keep as an oracle.  The Euler stepper takes a drift
-callback and keeps only the requested path rows.
+sum, which the tests keep as an oracle.  The Euler stepper takes a callback
+for each step's drift displacement dt b and keeps only the requested path
+rows.
 
 Randomness is counter-based (Philox, Salmon et al., SC'11) and step-major:
 step k of phase p owns the stream Philox(key=[seed, p], counter=[0, k, 0, 0]),
@@ -116,25 +117,29 @@ _LEGACY_BLOCK = 20000
 
 class _Streams:
     """The counter-based streams of one seed, drawn through one reused Philox
-    generator.  Resetting its state for a draw costs about 3 us, against
-    16 us for a new generator, whose constructor also reads OS entropy."""
+    generator.  A draw resets the generator from one reused state dict whose
+    key[1] and counter[1] alone change: about 1.2 us, against 2.7 us for a
+    new dict and 16 us for a new generator, whose constructor also reads OS
+    entropy."""
 
     def __init__(self, seed: int):
         # the constructor's key words, so that every seed a caller passes (a
         # negative one included) maps to the key it always has
         self.bits = np.random.Philox(key=[seed, _INIT])
         self.key = self.bits.state["state"]["key"]
+        self.counter = np.zeros(4, dtype=np.uint64)
+        # the setter copies every value out, so the dict and its arrays stay ours
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": self.counter, "key": self.key},
+                      "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
         self.gen = np.random.Generator(self.bits)
         self.table, self.table_sqdt = None, None
 
     def _at(self, phase: int, k: int):
         """Move the generator to the start of the stream of step k and phase."""
-        self.key[1] = phase
-        self.bits.state = {"bit_generator": "Philox",
-                           "state": {"counter": np.array([0, k, 0, 0], dtype=np.uint64),
-                                     "key": self.key},
-                           "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                           "has_uint32": 0, "uinteger": 0}
+        self.key[1], self.counter[1] = phase, k
+        self.bits.state = self.state
 
     def uniforms(self, N: int) -> np.ndarray:
         """The first N uniforms on [0, 1) of the initial stream."""
@@ -160,25 +165,29 @@ class _Streams:
             self.table_sqdt = sqdt
         raw = self.bits.random_raw(-(-out.size // 64)).astype("<u8", copy=False).view(np.uint8)
         whole, tail = divmod(out.size, 8)
-        np.take(self.table, raw[:whole], axis=0, out=out[: 8 * whole].reshape(whole, 8),
-                mode="clip")
+        self.table.take(raw[:whole], axis=0, out=out[: 8 * whole].reshape(whole, 8),
+                        mode="clip")
         if tail:
             out[8 * whole :] = self.table[raw[whole], :tail]
         return out
 
 
-def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
+def _euler_paths(x0: np.ndarray, displacement: Callable[[int, np.ndarray], np.ndarray],
                  mesh: TimeMesh, seed: int,
                  store_rows: Optional[Sequence[int]]) -> Tuple[List[int], np.ndarray]:
-    """Weak Euler X_{k+1} = (X_k + dt drift(k, X_k)) + dW_k, with dW_k
+    """Weak Euler X_{k+1} = (X_k + displacement(k, X_k)) + dW_k, with dW_k
     step k's noise increments (_Streams.increments), the i-th for particle i.
+
+    displacement(k, x) returns the step's drift displacement dt b(t_k, x),
+    as the product fl(b dt) that the scheme rounds, in an array that is not
+    x itself (x is updated in place while the array is read).
 
     Keeps only the mesh rows in store_rows (default all; row 0 always) and
     returns them with the (rows, N) array, so working memory is O(N) plus
-    the stored rows.  The positions passed to drift live in a buffer that
-    the step then updates: a drift that keeps them must copy them.
+    the stored rows.  The positions passed to displacement live in a buffer
+    that the step then updates: a callback that keeps them must copy them.
     """
-    M, dt = mesh.steps, mesh.dt
+    M = mesh.steps
     rows = sorted({0, *(int(r) for r in store_rows)}) if store_rows is not None \
         else list(range(M + 1))
     if rows[0] < 0 or rows[-1] > M:
@@ -186,13 +195,12 @@ def _euler_paths(x0: np.ndarray, drift: Callable[[int, np.ndarray], np.ndarray],
     row_of = {r: i for i, r in enumerate(rows)}
     out = np.empty((len(rows), x0.size))
     out[0] = x0
-    streams, sqdt = _Streams(seed), math.sqrt(dt)
-    # x and one step buffer, updated in place
-    x, step = x0.copy(), np.empty_like(x0)
+    streams, sqdt = _Streams(seed), math.sqrt(mesh.dt)
+    # x and the noise buffer, updated in place
+    x, noise = x0.copy(), np.empty_like(x0)
     for k in range(M):
-        np.multiply(drift(k, x), dt, out=step)
-        x += step
-        x += streams.increments(k, sqdt, step)
+        x += displacement(k, x)
+        x += streams.increments(k, sqdt, noise)
         if k + 1 in row_of:
             out[row_of[k + 1]] = x
     return rows, out
@@ -221,23 +229,23 @@ def simulate_particles(N: int, p0: DensityField, spec: KernelSpec,
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    grid, nodes = p0.grid, mesh.nodes
-    U, q, E1 = _drift(spec, chem, grid, mesh.dt)
+    grid, nodes, dt = p0.grid, mesh.nodes, mesh.dt
+    U, q, E1 = _drift(spec, chem, grid, dt)
     cic, u, spare = _CloudInCell(grid, N), np.empty(N), np.empty_like(U)
 
-    def drift(k: int, x: np.ndarray) -> np.ndarray:
+    def displacement(k: int, x: np.ndarray) -> np.ndarray:
         try:
             cic.locate(x)
         except ValueError:      # a non-finite position
             raise SchemeInstabilityError(k) from None
         cic.interp(np.fft.irfft(U, grid.n), u)
         _push(U, q, E1, None if E1 is None else np.fft.rfft(cic.deposit()), spare)
-        return u
+        return np.multiply(u, dt, out=u)
 
     x0 = _inverse_cdf_sampler(p0)(_Streams(seed).uniforms(N))
     # a blow-up overflows in a step first; the next locate names it
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, X = _euler_paths(x0, drift, mesh, seed, store_rows)
+        rows, X = _euler_paths(x0, displacement, mesh, seed, store_rows)
     # each step locates its start, which leaves node M, when stored, to check
     if not np.isfinite(X[-1]).all():
         raise SchemeInstabilityError(rows[-1])
@@ -271,7 +279,9 @@ class _CloudInCell:
         others are folded, and only when the smallest or largest offset is
         outside.  An offset folded from just below 0 can come back as 2 L, and
         rel within an ulp below 2 L can round to n, so floor(rel) lies in
-        [0, n] and the integer remainder is a reset of n to 0."""
+        [0, n] and the integer remainder is a reset of n to 0.  Division by
+        h > 0 is monotone, so that reset runs only when the largest offset
+        divided by h reaches n."""
         g, rel, mask = self.grid, self.rel, self.mask
         period = 2.0 * g.half_width
         np.add(positions, g.half_width, out=rel)
@@ -283,10 +293,12 @@ class _CloudInCell:
             np.less(rel, 0.0, out=mask)
             mask |= np.greater_equal(rel, period, out=self.above)
             np.mod(rel, period, out=rel, where=mask)
+            hi = rel.max()
         np.divide(rel, g.h, out=rel)
         np.floor(rel, out=self.w0)     # w0 holds floor(rel) until the last weight
         np.copyto(self.idx, self.w0, casting="unsafe")
-        np.copyto(self.idx, 0, where=np.equal(self.idx, g.n, out=mask))
+        if hi / g.h >= g.n:
+            np.copyto(self.idx, 0, where=np.equal(self.idx, g.n, out=mask))
         np.subtract(rel, self.w0, out=self.w1)
         np.subtract(1.0, self.w1, out=self.w0)
 
@@ -319,7 +331,7 @@ def _deposit(grid: Grid1D, positions: np.ndarray) -> np.ndarray:
     return cic.deposit()
 
 
-def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
+def simulate_bounded_drift(b_fn: Callable[[float, float, np.ndarray], np.ndarray],
                            x0_sampler: Callable[[np.ndarray], np.ndarray],
                            mesh: TimeMesh, N: int, seed: int,
                            drift_bound: Optional[float] = None,
@@ -327,10 +339,14 @@ def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
                            block: int = _LEGACY_BLOCK) -> ParticleEnsemble:
     """Independent Euler paths dX = b(t, X) dt + dW for N particles.
 
-    x0_sampler maps the phase-0 uniforms to start positions (inverse-CDF
-    style).  drift_bound is the caller-declared sup |b_fn|, recorded for the
-    universal-bound checker; it must be finite and >= 0.  store_rows selects which mesh rows to keep
-    (default all; row 0 always); working memory is O(N) plus those rows.
+    b_fn(t, dt, x) returns the step's drift displacement dt b(t, x), the
+    product fl(b dt) that the scheme rounds, in an array that is not x
+    itself; X_{k+1} = (X_k + b_fn(t_k, dt, X_k)) + dW_k.  x0_sampler maps
+    the phase-0 uniforms to start positions (inverse-CDF style).
+    drift_bound is the caller-declared sup |b|, recorded for the
+    universal-bound checker; it must be finite and >= 0.  store_rows selects
+    which mesh rows to keep (default all; row 0 always); working memory is
+    O(N) plus those rows.
 
     block is deprecated and ignored: all N paths advance together, and the
     paths never depended on it.  Passing a value other than the default
@@ -346,8 +362,8 @@ def simulate_bounded_drift(b_fn: Callable[[float, np.ndarray], np.ndarray],
     x0 = x0_sampler(_Streams(seed).uniforms(N))
     if x0.shape != (N,):
         raise ValueError("x0_sampler must map (N,) uniforms to (N,) positions")
-    nodes = mesh.nodes
-    rows, out = _euler_paths(x0, lambda k, x: b_fn(float(nodes[k]), x),
+    nodes, dt = mesh.nodes, mesh.dt
+    rows, out = _euler_paths(x0, lambda k, x: b_fn(float(nodes[k]), dt, x),
                              mesh, seed, store_rows)
     return ParticleEnsemble(mesh, out, seed, drift_bound=drift_bound,
                             meta={"row_times": nodes[rows]})

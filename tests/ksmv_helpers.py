@@ -305,7 +305,8 @@ def pairwise_particles(N: int, p0: DensityField, spec: KernelSpec,
         return u if k == 0 else u + pairwise_memory(spec, past, mesh.dt)
 
     x0 = particle._inverse_cdf_sampler(p0)(particle._Streams(seed).uniforms(N))
-    rows, X = particle._euler_paths(x0, drift, mesh, seed, store_rows)
+    rows, X = particle._euler_paths(x0, lambda k, x: np.multiply(drift(k, x), mesh.dt),
+                                    mesh, seed, store_rows)
     return ParticleEnsemble(mesh, X, seed, grid=p0.grid, meta={"row_times": nodes[rows]})
 
 

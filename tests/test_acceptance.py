@@ -190,7 +190,7 @@ def test_criterion_08_comparison_density_oracles():
 
     beta, y = 0.5, 0.0
     mesh = TimeMesh(1.0, 1000)
-    ens = simulate_bounded_drift(lambda s, x: beta * np.sign(y - x),
+    ens = simulate_bounded_drift(lambda s, dt, x: dt * (beta * np.sign(y - x)),
                                  lambda u: np.full_like(u, 1.0), mesh, N=100000,
                                  seed=404, drift_bound=beta, store_rows=[1000])
     zs = np.linspace(-3.0, 4.0, 36)
@@ -219,7 +219,7 @@ def test_criterion_08_comparison_density_oracles():
 def test_criterion_09_universal_density_bound():
     beta = 0.5
     mesh = TimeMesh(1.0, 500)
-    ens = simulate_bounded_drift(lambda t, x: beta * np.sin(x),
+    ens = simulate_bounded_drift(lambda t, dt, x: dt * (beta * np.sin(x)),
                                  lambda u: np.zeros_like(u), mesh, N=40000,
                                  seed=2024, drift_bound=beta,
                                  store_rows=[5, 50, 250, 500])
@@ -228,7 +228,7 @@ def test_criterion_09_universal_density_bound():
 
     # random uniform start on a unit-mass interval: sup density <= 2 sup p0 + beta
     beta_u = 0.3
-    ens_u = simulate_bounded_drift(lambda t, x: beta_u * np.sin(x),
+    ens_u = simulate_bounded_drift(lambda t, dt, x: dt * (beta_u * np.sin(x)),
                                    lambda u: u - 0.5, mesh, N=40000, seed=2025,
                                    drift_bound=beta_u, store_rows=[5, 50, 250, 500])
     cap = 2.0 * 1.0 + beta_u

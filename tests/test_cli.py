@@ -28,6 +28,7 @@ from ksmv.kernel import find_T0, has_memory, horizon_D, integrated_kernel_symbol
 from ksmv.field import ChemicalField, InitialChemical, drift_b
 from ksmv import mild
 from ksmv.mild import MarginalHistory
+from ksmv import particle
 from ksmv.particle import simulate_bounded_drift
 from ksmv.qz import QZParams, qz_density
 
@@ -939,17 +940,59 @@ def test_solver_summaries_match_goldens(tmp_path, monkeypatch, name):
 # --- qz Monte Carlo histogram check -------------------------------------------
 
 
+def _sign_displacement(beta, x, dt):
+    """The qz walk's Euler displacement by the expression's own ufuncs."""
+    return np.multiply(beta * np.sign(0.0 - x), dt)
+
+
 def test_qz_sign_drift_in_place_keeps_the_bits_of_the_expression():
     beta, N = 0.5, 400
     drift = cli._attracting_sign_drift(beta, N)
     x = np.resize([-2.0, -0.0, 0.0, 1e-300, np.inf, -np.inf, np.nan, 3.0], N)
-    assert drift(0.0, x).tobytes() == (beta * np.sign(0.0 - x)).tobytes()
-    mesh = TimeMesh(1.0, 50)
-    start = lambda u: np.where(u < 0.5, -0.0, 0.0)   # signed zeros at the attractor
-    kw = dict(mesh=mesh, N=N, seed=5, drift_bound=beta)
-    fused = simulate_bounded_drift(drift, start, **kw)
-    plain = simulate_bounded_drift(lambda t, x: beta * np.sign(0.0 - x), start, **kw)
+    finite = np.resize([-2.0, 1e-300, np.inf, -np.inf, 3.0, -5e-324], N)
+    # one drift across step sizes: its constants follow dt, also back to a
+    # dt it had before
+    for dt in (1e-3, 0.3, 1e-320, 1e-3):
+        for z in (x, finite):
+            got = drift(0.0, dt, z)
+            assert got is not z
+            assert got.tobytes() == _sign_displacement(beta, z, dt).tobytes(), dt
+
+
+# starts of the qz walk: signed zeros at the attractor; NaNs among them; and
+# infinities among finite starts, which the sign-bit path writes
+_WALK_STARTS = {
+    "signed zeros": lambda u: np.where(u < 0.5, -0.0, 0.0),
+    "nan": lambda u: np.where(u < 0.1, np.nan, np.where(u < 0.5, -0.0, 0.0)),
+    "inf": lambda u: np.where(u < 0.1, np.inf, np.where(u < 0.2, -np.inf, 1.0)),
+}
+
+
+@pytest.mark.parametrize("start", list(_WALK_STARTS.values()), ids=list(_WALK_STARTS))
+def test_qz_sign_drift_walk_keeps_the_bits_of_the_expression(start):
+    beta, N = 0.5, 400
+    kw = dict(mesh=TimeMesh(1.0, 50), N=N, seed=5, drift_bound=beta)
+    fused = simulate_bounded_drift(cli._attracting_sign_drift(beta, N), start, **kw)
+    plain = simulate_bounded_drift(lambda t, dt, x: _sign_displacement(beta, x, dt), start,
+                                   **kw)
     assert fused.positions.tobytes() == plain.positions.tobytes()
+
+
+def test_qz_walk_keeps_the_bits_of_the_old_update_at_the_command_size():
+    # the command's walk (N = 2e4, 1000 steps from x = 1) against the update
+    # as it was written before the stepper took displacements: the drift
+    # times dt, added, then the noise
+    beta, N, seed = 0.5, 20000, 11
+    mesh = TimeMesh(1.0, 1000)
+    ens = simulate_bounded_drift(cli._attracting_sign_drift(beta, N),
+                                 lambda u: np.full_like(u, 1.0), mesh, N, seed,
+                                 store_rows=[mesh.steps])
+    dt, x, buf = mesh.dt, np.ones(N), np.empty(N)
+    streams, sqdt = particle._Streams(seed), math.sqrt(mesh.dt)
+    for k in range(mesh.steps):
+        x += np.multiply(beta * np.sign(0.0 - x), dt)
+        x += streams.increments(k, sqdt, buf)
+    assert ens.positions[-1].tobytes() == x.tobytes()
 
 
 _NONZERO = st.one_of(
@@ -961,13 +1004,15 @@ _NONZERO = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(x=st.lists(_NONZERO, min_size=1, max_size=70),
-       beta=st.sampled_from([0.5, 0.25, 4.0, 0.0, -0.0, -1.5, 1e-310, math.inf, math.nan]))
-def test_qz_sign_drift_without_zeros_or_nans_keeps_the_bits_of_the_expression(x, beta):
-    # no zero or NaN: the sign-bit drift, whose bits must be the expression's
-    # at every beta (at NaN the ufuncs run)
+       beta=st.sampled_from([0.5, 0.25, 4.0, 0.0, -0.0, -1.5, 1e-310, math.inf, math.nan]),
+       dt=st.sampled_from([1e-3, 0.5 / 7, 1.0, 1e-320]))
+def test_qz_sign_drift_without_zeros_or_nans_keeps_the_bits_of_the_expression(x, beta, dt):
+    # no zero or NaN: the sign-bit displacement, whose bits must be the
+    # expression's at every beta and dt (at NaN the ufuncs run; at
+    # beta = 1e-310 and the smallest dt both constants round to signed zeros)
     x = np.array(x)
     drift = cli._attracting_sign_drift(beta, x.size)
-    assert drift(0.0, x).tobytes() == (beta * np.sign(0.0 - x)).tobytes()
+    assert drift(0.0, dt, x).tobytes() == _sign_displacement(beta, x, dt).tobytes()
 
 
 @pytest.mark.parametrize("odd", [0.0, -0.0, math.nan], ids=["+0", "-0", "nan"])
@@ -976,7 +1021,7 @@ def test_qz_sign_drift_with_one_zero_or_nan_keeps_the_bits_of_the_expression(odd
     x = np.random.default_rng(at).normal(size=20000)
     x[at] = odd
     drift = cli._attracting_sign_drift(0.5, x.size)
-    assert drift(0.0, x).tobytes() == (0.5 * np.sign(0.0 - x)).tobytes()
+    assert drift(0.0, 1e-3, x).tobytes() == _sign_displacement(0.5, x, 1e-3).tobytes()
 
 
 def test_qz_histogram_check_accepts_true_drift_and_rejects_wrong_drift():
@@ -995,8 +1040,9 @@ def test_qz_histogram_check_accepts_true_drift_and_rejects_wrong_drift():
     refs = {beta: bin_means(beta) for beta in (0.5, 0.25, 0.75)}
 
     def ratios(N, seed):
-        ens = simulate_bounded_drift(lambda t, x: 0.5 * np.sign(-x), lambda u: np.ones_like(u),
-                                     mesh, N, seed=seed, store_rows=[mesh.steps])
+        ens = simulate_bounded_drift(lambda t, dt, x: dt * (0.5 * np.sign(-x)),
+                                     lambda u: np.ones_like(u), mesh, N, seed=seed,
+                                     store_rows=[mesh.steps])
         counts = np.histogram(ens.positions[-1], bins=edges)[0]
         return {beta: cli._histogram_error_ratio(counts, ref, width, N, mesh.dt)
                 for beta, ref in refs.items()}

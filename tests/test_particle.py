@@ -27,6 +27,11 @@ from ksmv_helpers import (cloud_in_cell_oracle, cloud_in_cell_two_index_oracle,
 FREE = KernelSpec(chi=0.0)   # interaction off: independent Brownian paths
 
 
+def _sine(t, dt, x):
+    """The Euler displacement of the bounded drift b(t, x) = sin x."""
+    return dt * np.sin(x)
+
+
 def narrow_p0(grid):
     return gaussian_density(grid, 1e-4)
 
@@ -49,7 +54,7 @@ def test_bounded_drift_names_a_bad_n_or_drift_bound(name, value):
     # and N = 0 returned an empty ensemble
     kw = {"mesh": TimeMesh(0.5, 4), "N": 10, "seed": 1, "drift_bound": 0.5, name: value}
     with pytest.raises(ValueError, match=name):
-        simulate_bounded_drift(lambda t, x: np.zeros_like(x), lambda u: u, **kw)
+        simulate_bounded_drift(lambda t, dt, x: np.zeros_like(x), lambda u: u, **kw)
 
 
 def test_x0_property_detects_deterministic_start():
@@ -132,6 +137,28 @@ def test_step_stream_is_philox_keyed_by_seed_and_phase_countered_by_step():
                 assert np.array_equal(out, want[:N])
 
 
+def test_one_streams_object_starts_every_draw_at_its_stream():
+    # one generator, reset between draws out of step order, against a new
+    # Philox(key=[seed, phase], counter=[0, k, 0, 0]) for each draw
+    seed, N = 31, 100
+    streams = particle._Streams(seed)
+
+    def fresh(phase, k):
+        return np.random.Philox(key=[seed, phase], counter=[0, k, 0, 0])
+
+    uniforms = np.random.Generator(fresh(0, 0)).random(N)
+    assert streams.uniforms(N).tobytes() == uniforms.tobytes()
+    for k in (0, 5, 1, 17, 4):
+        got = streams.increments(k, 1.0, np.empty(N))
+        if k == 0:
+            want = np.random.Generator(fresh(1, 0)).standard_normal(N)
+        else:
+            raw = fresh(1, k).random_raw(-(-N // 64)).astype("<u8").view(np.uint8)
+            want = np.where(np.unpackbits(raw, count=N, bitorder="little") == 1, 1.0, -1.0)
+        assert got.tobytes() == want.tobytes(), k
+    assert streams.uniforms(N).tobytes() == uniforms.tobytes()
+
+
 @pytest.mark.parametrize("dt", [0.5 / 7, 1e-3, 0.3], ids=["0.5/7", "1e-3", "0.3"])
 @pytest.mark.parametrize("N", [1, 63, 64, 65, 257])
 def test_steps_after_the_first_are_exactly_plus_or_minus_sqrt_dt(dt, N):
@@ -178,9 +205,9 @@ def test_default_keys_nest_smaller_runs_in_larger_ones():
     # 257 is not a multiple of the 64 bits a raw word holds
     mesh = TimeMesh(0.5, 40)
     kw = dict(mesh=mesh, seed=29)
-    large = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, N=257, **kw)
+    large = simulate_bounded_drift(_sine, lambda u: u - 0.5, N=257, **kw)
     for n in (1, 64, 65):
-        small = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, N=n, **kw)
+        small = simulate_bounded_drift(_sine, lambda u: u - 0.5, N=n, **kw)
         assert np.array_equal(large.positions[:, :n], small.positions), n
 
 
@@ -207,7 +234,8 @@ def test_paths_follow_the_sequential_noise_oracle_at_any_thread_count(threads, M
     def run(seed):
         try:
             barrier.wait(timeout=30)
-            got[seed] = _euler_paths(x0, lambda k, x: np.sin(x) + k, mesh, seed, None)
+            got[seed] = _euler_paths(x0, lambda k, x: mesh.dt * (np.sin(x) + k), mesh, seed,
+                                     None)
         except BaseException as exc:   # handed to the test thread below
             errors.append(exc)
 
@@ -241,14 +269,14 @@ def test_no_noise_thread_outlives_a_simulation():
     g = Grid1D(3.0 * math.pi, 64)
     simulate_particles(64, gaussian_density(g, 0.5), KernelSpec(chi=1.0, lam=0.5),
                        InitialChemical.sine(g, amp=0.5, freq=1.0), TimeMesh(0.2, 9), seed=1)
-    simulate_bounded_drift(lambda t, x: alone(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
+    simulate_bounded_drift(lambda t, dt, x: dt * alone(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
                            N=64, seed=2)
     assert set(threading.enumerate()) == before
 
-    def failing(t, x):
+    def failing(t, dt, x):
         if t > 0.2:
             raise FloatingPointError("drift blew up")
-        return alone(x)
+        return dt * alone(x)
 
     with pytest.raises(FloatingPointError, match="blew up"):
         simulate_bounded_drift(failing, lambda u: u - 0.5, TimeMesh(0.5, 9), N=64, seed=2)
@@ -263,10 +291,9 @@ def test_main_thread_affinity_is_never_changed(monkeypatch):
     monkeypatch.setattr(os, "sched_setaffinity",
                         lambda pid, cpus: pinned.append(cpus) or pin(pid, cpus))
     before = os.sched_getaffinity(0)
-    simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, TimeMesh(0.5, 9),
-                           N=64, seed=2)
+    simulate_bounded_drift(_sine, lambda u: u - 0.5, TimeMesh(0.5, 9), N=64, seed=2)
 
-    def failing(t, x):
+    def failing(t, dt, x):
         if t > 0.2:
             raise FloatingPointError("drift blew up")
         return np.zeros_like(x)
@@ -414,7 +441,7 @@ def test_kde_error_decreases_with_ensemble_size():
 
 def test_bounded_drift_brownian_variance_and_rows():
     mesh = TimeMesh(1.0, 100)
-    ens = simulate_bounded_drift(lambda t, x: np.zeros_like(x),
+    ens = simulate_bounded_drift(lambda t, dt, x: np.zeros_like(x),
                                  lambda u: np.zeros_like(u), mesh, N=5000, seed=17,
                                  drift_bound=0.0, store_rows=[50, 100])
     assert ens.positions.shape == (3, 5000)      # row 0 forced in
@@ -428,9 +455,9 @@ def test_bounded_drift_block_size_invariance():
     mesh = TimeMesh(0.5, 40)
     kw = dict(mesh=mesh, N=257, seed=23)
     with pytest.warns(DeprecationWarning, match="block"):
-        a = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, block=64, **kw)
+        a = simulate_bounded_drift(_sine, lambda u: u - 0.5, block=64, **kw)
     with pytest.warns(DeprecationWarning, match="block"):
-        b = simulate_bounded_drift(lambda t, x: np.sin(x), lambda u: u - 0.5, block=100000, **kw)
+        b = simulate_bounded_drift(_sine, lambda u: u - 0.5, block=100000, **kw)
     assert np.array_equal(a.positions, b.positions)
 
 
@@ -438,7 +465,7 @@ def test_bounded_drift_rejects_rows_past_horizon():
     mesh = TimeMesh(0.5, 10)
     for rows in ([11], [-1, 5]):
         with pytest.raises(ValueError, match="store_rows"):
-            simulate_bounded_drift(lambda t, x: np.zeros_like(x), lambda u: u,
+            simulate_bounded_drift(lambda t, dt, x: np.zeros_like(x), lambda u: u,
                                    mesh, N=10, seed=1, store_rows=rows)
 
 
@@ -449,8 +476,9 @@ def test_bounded_drift_working_memory_is_linear_in_n():
     N, M = 200000, 200
     tracemalloc.start()
     try:
-        simulate_bounded_drift(lambda t, x: 0.5 * np.sign(-x), lambda u: np.ones_like(u),
-                               TimeMesh(1.0, M), N=N, seed=3, store_rows=[M])
+        simulate_bounded_drift(lambda t, dt, x: dt * (0.5 * np.sign(-x)),
+                               lambda u: np.ones_like(u), TimeMesh(1.0, M), N=N, seed=3,
+                               store_rows=[M])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -101,7 +101,7 @@ def test_monte_carlo_agrees_with_density():
     # Euler paths of the sign-drift diffusion vs the closed-form density
     beta, y, t = 0.6, 0.4, 1.0
     mesh = TimeMesh(t, 250)
-    ens = simulate_bounded_drift(lambda s, x: beta * np.sign(y - x),
+    ens = simulate_bounded_drift(lambda s, dt, x: dt * (beta * np.sign(y - x)),
                                  lambda u: np.zeros_like(u), mesh, N=30000,
                                  seed=101, drift_bound=beta, store_rows=[250])
     final = ens.positions[1]
@@ -117,7 +117,7 @@ def test_monte_carlo_agrees_with_density():
 
 def test_verify_bound_passes_driftless_ensemble():
     mesh = TimeMesh(0.5, 50)
-    ens = simulate_bounded_drift(lambda s, x: np.zeros_like(x),
+    ens = simulate_bounded_drift(lambda s, dt, x: np.zeros_like(x),
                                  lambda u: np.zeros_like(u), mesh, N=20000,
                                  seed=7, drift_bound=0.0, store_rows=[25, 50])
     report = verify_bound(ens, beta=0.3, bins=40)
@@ -136,9 +136,9 @@ def test_verify_bound_rejects_a_drift_stronger_than_beta():
     mesh = TimeMesh(1.0, 1000)
     wrongs = []
     for seed in range(100, 120):
-        ens = simulate_bounded_drift(lambda t, x: 0.5 * np.sign(-x), lambda u: np.ones_like(u),
-                                     mesh, 2000, seed=seed, drift_bound=0.1,
-                                     store_rows=[mesh.steps])
+        ens = simulate_bounded_drift(lambda t, dt, x: dt * (0.5 * np.sign(-x)),
+                                     lambda u: np.ones_like(u), mesh, 2000, seed=seed,
+                                     drift_bound=0.1, store_rows=[mesh.steps])
         assert verify_bound(dataclasses.replace(ens, drift_bound=0.5), beta=0.5, bins=50).passed
         wrongs.append(verify_bound(ens, beta=0.1, bins=50))
     rejected = [r for r in wrongs if not r.passed]
