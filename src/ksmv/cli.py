@@ -277,6 +277,10 @@ class RunConfig:
             else:
                 for name, v in zip(fields, value if len(fields) > 1 else [value]):
                     setattr(cfg, name, v)
+        if cfg.horizon / cfg.steps == 0.0:   # every solver steps by dt = T / M
+            problems.append(f"discretization.t, discretization.m: the time step T / M = "
+                            f"{cfg.horizon:g} / {cfg.steps:g} underflows to 0; raise "
+                            "discretization.t or lower discretization.m")
         problems += [f"unknown key {key}" for key in sorted(set(raw) - set(CONFIG_KEYS))]
         if problems:
             raise ConfigError(problems)
@@ -757,8 +761,8 @@ def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
 
     if chem is not None and "csv" in cfg.formats:
         with run.phase("field"):
-            fields = [chemical_concentration(history, chem, cfg.lam, k)
-                      for k in sorted({1, mesh.steps // 2, mesh.steps})]
+            fields = chemical_concentration(history, chem, cfg.lam,
+                                            sorted({1, mesh.steps // 2, mesh.steps}))
         with run.phase("write"):
             write_field_csv(out / "field.csv", fields)
 

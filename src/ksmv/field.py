@@ -9,27 +9,28 @@ is evaluated spectrally, with the s -> 0 endpoint (where g(s,.) tends to the
 identity) assigned its limit value rho_t, and exact exp(-lambda s) subinterval
 weights so only the smooth factor is discretized (trapezoid, second order).
 
-c and d/dx c at a node are two lanes of the solver's drift recursion
+c and d/dx c are two lanes of the solver's drift recursion
 U <- q U + E1 rho_hat (kernel._push) over the past rows: the gradient lane
 runs the unit kernel's E1, the memory drift's quadrature, so that the
 structural identity  chi * d/dx c = b + B  holds on the shared
 discretization, and central differencing of c checks it independently at
-O(h^2) + O(dt^2) accuracy.  Node k costs O(k n log n).
+O(h^2) + O(dt^2) accuracy.  One call reads any set of nodes in one pass over
+the rows, at O(max(nodes) n log n).
 
 The exogenous drift is b(t, x) = chi e^{-lambda t} E[c0'(x + W_t)], bounded
 by chi ||c0'||_inf for all times, and evaluated spectrally on the chemical's
 grid.
 
 :func:`ks_residual`, the finite-difference residual of the equation for c,
-serves acceptance criterion 6 and scripts/refinement_study.py; it is
-evaluated node by node, since no command calls it.
+serves acceptance criterion 6 and scripts/refinement_study.py; no command
+calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -117,37 +118,53 @@ def drift_b(spec: KernelSpec, chem: InitialChemical, t: float) -> np.ndarray:
         return pref * smoothed
 
 
-def chemical_concentration(history, chem: InitialChemical, lam: float, k: int) -> ChemicalField:
-    """Concentration c and its gradient d/dx c at mesh node k from the
-    density history rows 0..k.
+def chemical_concentration(history, chem: InitialChemical, lam: float,
+                           nodes: Sequence[int]) -> List[ChemicalField]:
+    """Concentration c and its gradient d/dx c at each of the strictly
+    increasing mesh nodes, from the density history rows 0..max(nodes), in
+    one pass over those rows.
 
-    Both are lanes of U <- q U + E1 rho_hat_l, pushed over rows l < k with
-    q = e^{-(lam + xi^2/2) dt}.  The c lane is the Duhamel trapezoid in the
-    smooth factor rho_{t-s} * g(s), with exact subinterval integrals
-    w0 e^{-lam s_j} of e^{-lam s} and F(0) at its identity-limit value
-    rho_{t_k}: it starts at c0_hat - (w0/2) rho_hat_0, pushes with
-    E1 = (w0/2)(q + r), r = e^{-xi^2 dt/2}, and gains (w0/2) rho_hat_k at
-    the end.  The gradient lane starts at rfft(c0') and pushes with the unit
-    kernel's E1, which gives e^{-lam t} (c0' * g(t)) plus the memory drift
-    of KernelSpec(1, lam).
+    Both are lanes of U <- q U + E1 rho_hat_l, each row l < max(nodes)
+    pushed once, with q = e^{-(lam + xi^2/2) dt}.  The c lane is the Duhamel
+    trapezoid in the smooth factor rho_{t-s} * g(s), with exact subinterval
+    integrals w0 e^{-lam s_j} of e^{-lam s} and F(0) at its identity-limit
+    value rho_{t_k}: it starts at c0_hat - (w0/2) rho_hat_0, pushes with
+    E1 = (w0/2)(q + r), r = e^{-xi^2 dt/2}, and node k's copy gains
+    (w0/2) rho_hat_k.  The gradient lane starts at rfft(c0') and pushes with
+    the unit kernel's E1, which gives e^{-lam t} (c0' * g(t)) plus the memory
+    drift of KernelSpec(1, lam).  Node 0 is c0 and c0' themselves.
     """
-    history.require_rows(k)
-    grid, dt = history.grid, history.mesh.dt
-    if k == 0:
-        return ChemicalField(grid, chem.c0.copy(), chem.c0_prime.copy(), history.mesh.nodes[0])
+    nodes = list(nodes)
+    if not nodes or any(b <= a for a, b in zip(nodes, nodes[1:])):
+        raise ValueError(f"nodes must be a nonempty, strictly increasing list, got {nodes}")
+    if nodes[0] < 0:
+        raise ValueError(f"node index {nodes[0]} outside 0..{history.mesh.steps}")
+    last = nodes[-1]
+    history.require_rows(last)
+    grid, dt, times = history.grid, history.mesh.dt, history.mesh.nodes
+    fields = []
+    if nodes[0] == 0:
+        fields.append(ChemicalField(grid, chem.c0.copy(), chem.c0_prime.copy(), times[0]))
+        nodes = nodes[1:]
     xi = grid.wavenumbers
-    rho_hat = np.fft.rfft(history.densities[: k + 1], axis=1)
+    rho_hat = np.fft.rfft(history.densities[: last + 1], axis=1)
     q = symbol_decay(lam, dt, xi).astype(complex)   # cast once, not in every push
     half_w0 = 0.5 * (dt if lam == 0.0 else -math.expm1(-lam * dt) / lam)
     E1 = np.stack([half_w0 * (q + symbol_decay(0.0, dt, xi)),
                    integrated_kernel_symbol(KernelSpec(1.0, lam), dt, xi)])
     U = np.stack([np.fft.rfft(chem.c0) - half_w0 * rho_hat[0], np.fft.rfft(chem.c0_prime)])
     spare = np.empty_like(U)
-    for row in rho_hat[:k]:
-        _push(U, q, E1, row, spare)
-    U[0] += half_w0 * rho_hat[k]
-    values, gradient = np.fft.irfft(U, grid.n, axis=1)
-    return ChemicalField(grid, values, gradient, history.mesh.nodes[k])
+    pushed = 0
+    for k in nodes:
+        for row in rho_hat[pushed:k]:
+            _push(U, q, E1, row, spare)
+        pushed = k
+        # between pushes spare is free: it holds node k's copy of the lanes
+        spare[:] = U
+        spare[0] += half_w0 * rho_hat[k]
+        values, gradient = np.fft.irfft(spare, grid.n, axis=1)
+        fields.append(ChemicalField(grid, values, gradient, times[k]))
+    return fields
 
 
 def ks_residual(history, chem: InitialChemical, lam: float) -> np.ndarray:
@@ -155,8 +172,8 @@ def ks_residual(history, chem: InitialChemical, lam: float) -> np.ndarray:
 
     Central differences in both time (mesh neighbours) and space; returns the
     spatial L^2 norm of the residual at each sampled interior node (none
-    when M = 1), each sample reading its three nodes through
-    chemical_concentration, which checks the history rows itself.  The
+    when M = 1).  One chemical_concentration pass reads c at every sample's
+    three nodes, and checks the history rows up to the last of them.  The
     residual measures the consistency of the computed (rho, c) pair and
     shrinks under (h, dt) refinement.
     """
@@ -164,12 +181,14 @@ def ks_residual(history, chem: InitialChemical, lam: float) -> np.ndarray:
     M = mesh.steps
     # below M = 4 the sample from node 2 on is empty: every interior node
     ks = range(2, M - 1, max(1, M // 16)) if M >= 4 else range(1, M)
+    if not ks:
+        return np.empty(0)
+    reads = sorted({j for k in ks for j in (k - 1, k, k + 1)})
+    c = {j: f.values for j, f in zip(reads, chemical_concentration(history, chem, lam, reads))}
     out = np.empty(len(ks))
     for i, k in enumerate(ks):
-        c_prev, c_mid, c_next = (chemical_concentration(history, chem, lam, j).values
-                                 for j in (k - 1, k, k + 1))
-        dcdt = (c_next - c_prev) / (2.0 * mesh.dt)
-        cxx = (np.roll(c_mid, -1) - 2.0 * c_mid + np.roll(c_mid, 1)) / grid.h ** 2
-        res = dcdt - 0.5 * cxx + lam * c_mid - history.densities[k]
+        dcdt = (c[k + 1] - c[k - 1]) / (2.0 * mesh.dt)
+        cxx = (np.roll(c[k], -1) - 2.0 * c[k] + np.roll(c[k], 1)) / grid.h ** 2
+        res = dcdt - 0.5 * cxx + lam * c[k] - history.densities[k]
         out[i] = math.sqrt(grid.integrate(res * res))
     return out

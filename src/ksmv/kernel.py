@@ -209,16 +209,21 @@ def check_hypotheses(spec: KernelSpec, mesh: TimeMesh) -> HypothesisReport:
 
     # H.1: the last two increments under eps -> eps / 4, from eps below
     # 1/lambda on, where the decay is negligible and the t^{-1/2} (L1) and
-    # t^{-3/4} (L2) singularities set the ratios 1/2 and 1/sqrt(2)
+    # t^{-3/4} (L2) singularities set the ratios 1/2 and 1/sqrt(2).  Probes
+    # that underflow to 0 (T near the smallest float) leave no increments:
+    # the record fails by name
     eps = (min(T, 1.0 / spec.lam) if spec.lam else T) * 4.0 ** -np.arange(5, 8)
-    inc = np.array([[horizon_D(spec, a) - horizon_D(spec, b) for a, b in zip(eps, eps[1:])],
-                    [_l2_norm_integral(spec, b, a) for a, b in zip(eps, eps[1:])]])
-    ratios = np.divide(inc[:, 1], inc[:, 0], out=np.zeros(2), where=inc[:, 0] > 0.0)
+    ratios, seen = np.full(2, math.inf), "probe horizons T 4^-k underflow to 0"
+    if eps[-1] > 0.0:
+        inc = np.array([[horizon_D(spec, a) - horizon_D(spec, b) for a, b in zip(eps, eps[1:])],
+                        [_l2_norm_integral(spec, b, a) for a, b in zip(eps, eps[1:])]])
+        ratios = np.divide(inc[:, 1], inc[:, 0], out=np.zeros(2), where=inc[:, 0] > 0.0)
+        seen = f"increment ratios L1 {ratios[0]:.4f}, L2 {ratios[1]:.4f}"
     D_T = horizon_D(spec, T)
     items["H1"] = HypothesisItem("H.1 time-integrability of ||K_t||", float(ratios.max()), 0.9,
                                  bool(ratios.max() < 0.9),
-                                 f"increment ratios L1 {ratios[0]:.4f}, L2 {ratios[1]:.4f}; "
-                                 f"L1 int={D_T:.4g}, L2 int={_l2_norm_integral(spec, 0.0, T):.4g}")
+                                 f"{seen}; L1 int={D_T:.4g}, "
+                                 f"L2 int={_l2_norm_integral(spec, 0.0, T):.4g}")
 
     # H.2: K_t is Lipschitz in x, steepest at x = 0.  As the exp of a log-sum
     # the slope reads inf, and fails, where t^{3/2} would underflow to 0, and
@@ -237,8 +242,11 @@ def check_hypotheses(spec: KernelSpec, mesh: TimeMesh) -> HypothesisReport:
     delta = 0.3
 
     # as the exp of one log-sum: t^{3/2} alone underflows to 0 at t ~ 1e-300,
-    # but the exponent is at most 3.8, its value at t = delta^2 / 3
+    # but the exponent is at most 3.8, its value at t = delta^2 / 3.  A probe
+    # that underflows to 0 takes the t -> 0 limit, 0
     def off_origin_sup(t, lam):
+        if t == 0.0:
+            return 0.0
         x = max(delta, math.sqrt(t))
         return (spec.chi_eff * x / math.sqrt(2.0 * math.pi)
                 * math.exp(-lam * t - x * x / (2.0 * t) - 1.5 * math.log(t)))

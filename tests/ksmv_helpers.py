@@ -8,9 +8,10 @@ writers, sequential oracles for the particle noise streams, the unpacked
 two-point increments and the cloud-in-cell cells, the direct periodic
 convolution sum, the paper's literal pairwise particle system as an oracle
 for the binned one, the step-by-step solver loop, the one-iterate-at-a-time
-fixed-point iteration and the per-node residual as oracles for the batched
-ones, the memory sums and the memory drift as oracles for the pushed drift
-states, the per-element binomial tail, and a chemical whose march overflows.
+fixed-point iteration and the per-node chemical field as oracles for the
+batched ones, the memory sums and the memory drift as oracles for the
+pushed drift states, the per-element binomial tail, and a chemical whose
+march overflows.
 
 The acceptance suite registers one line per criterion through
 `record_criterion`; the terminal-summary hook in conftest.py prints them.
@@ -25,9 +26,10 @@ from scipy import integrate
 from scipy.special import erfcx
 
 from ksmv import particle
-from ksmv.field import InitialChemical, drift_b
+from ksmv.field import ChemicalField, InitialChemical, drift_b
 from ksmv.grid import Grid1D, DensityField, TimeMesh, heat_kernel
-from ksmv.kernel import KernelSpec, has_memory, integrated_kernel_symbol, symbol_decay
+from ksmv.kernel import (KernelSpec, _push, has_memory, integrated_kernel_symbol,
+                         symbol_decay)
 from ksmv.mild import (MarginalHistory, PicardDivergenceError, SchemeInstabilityError,
                        _drift)
 from ksmv.particle import ParticleEnsemble
@@ -369,6 +371,30 @@ def memory_drift(history: MarginalHistory, spec: KernelSpec, k: int) -> np.ndarr
     U = pushed_state(start, symbol_decay(spec.lam, dt, xi), E1,
                      np.fft.rfft(history.densities[:k], axis=1))
     return np.fft.irfft(U, grid.n)
+
+
+def concentration_oracle(history: MarginalHistory, chem: InitialChemical, lam: float,
+                         k: int) -> ChemicalField:
+    """c and d/dx c at node k alone, as field.chemical_concentration computed
+    them node by node: rows 0..k transformed, rows 0..k-1 pushed from the
+    start, and one two-row irfft."""
+    history.require_rows(k)
+    grid, dt = history.grid, history.mesh.dt
+    if k == 0:
+        return ChemicalField(grid, chem.c0.copy(), chem.c0_prime.copy(), history.mesh.nodes[0])
+    xi = grid.wavenumbers
+    rho_hat = np.fft.rfft(history.densities[: k + 1], axis=1)
+    q = symbol_decay(lam, dt, xi).astype(complex)
+    half_w0 = 0.5 * (dt if lam == 0.0 else -math.expm1(-lam * dt) / lam)
+    E1 = np.stack([half_w0 * (q + symbol_decay(0.0, dt, xi)),
+                   integrated_kernel_symbol(KernelSpec(1.0, lam), dt, xi)])
+    U = np.stack([np.fft.rfft(chem.c0) - half_w0 * rho_hat[0], np.fft.rfft(chem.c0_prime)])
+    spare = np.empty_like(U)
+    for row in rho_hat[:k]:
+        _push(U, q, E1, row, spare)
+    U[0] += half_w0 * rho_hat[k]
+    values, gradient = np.fft.irfft(U, grid.n, axis=1)
+    return ChemicalField(grid, values, gradient, history.mesh.nodes[k])
 
 
 def picard_oracle(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],

@@ -121,8 +121,9 @@ def test_criterion_04_mass_conservation():
 def test_criterion_05_drift_gradient_identity(midscale_full_model):
     grid, mesh, spec, chem, hist = midscale_full_model
     worst = 0.0
-    for k in range(mesh.steps + 1):
-        lhs = spec.chi * chemical_concentration(hist, chem, spec.lam, k).gradient
+    nodes = range(mesh.steps + 1)
+    for k, field in zip(nodes, chemical_concentration(hist, chem, spec.lam, nodes)):
+        lhs = spec.chi * field.gradient
         rhs = drift_b(spec, chem, float(mesh.nodes[k])) + memory_drift(hist, spec, k)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     ok = worst <= 1e-6

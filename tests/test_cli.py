@@ -559,6 +559,28 @@ def test_contraction_horizon_that_underflows_exits_2(tmp_path, capsys, key, valu
     assert "picard.safety, model.chi: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("M", ["1", "2", "100"])
+@pytest.mark.parametrize("command", ["check-kernel", "solve", "solve --mode picard_with_restart",
+                                     "picard", "particles"])
+def test_time_step_that_underflows_exits_by_name(tmp_path, capsys, M, command):
+    # at T = 5e-324, the smallest float, T / M underflows to 0 from M = 2 on:
+    # every command refuses the config by both keys.  At M = 1 the solvers
+    # step by T itself, and check-kernel's H.1 probes T 4^-k underflow, so
+    # H.1 fails by name
+    cfg = mini_config(tmp_path, **{"model.kernel": "keller_segel", "initial.c0": "sine(0.3, 1)",
+                                   "discretization.t": "5e-324", "discretization.m": M})
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), *command.split()])
+    out, err = capsys.readouterr()
+    assert "cannot be allocated" not in err and "Traceback" not in err
+    if M != "1":
+        assert code == 2 and "discretization.t, discretization.m: " in err
+        assert "underflows to 0" in err
+    elif command == "check-kernel":
+        assert code == 1 and "[FAIL] H1: " in out and "underflow to 0" in out
+    else:
+        assert code == 0 and not err
+
+
 @pytest.mark.parametrize("key, value, command", [
     # x^2 and L^2 overflow in p_0's variance and the tail bound
     ("discretization.l", "1e300", "solve"), ("discretization.l", "1e300", "picard"),
@@ -651,6 +673,24 @@ def test_main_solve_restart_tables_follow_the_rounded_step_count(tmp_path, monke
     assert summary.shape[0] == 29 and summary[-1, 0] == pytest.approx(0.4)
     field_t = np.unique(np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)[:, 0])
     assert field_t == pytest.approx([0.4 / 28, 0.2, 0.4])
+
+
+def test_main_solve_at_one_step_writes_c0_at_node_0(tmp_path, monkeypatch):
+    # at M = 1 the field's nodes are {0, 1}: node 0 is c0 and c0' themselves,
+    # and field.csv reads them back bit for bit
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    cfg = mini_config(tmp_path, **{"model.kernel": "keller_segel", "model.lambda": "0.5",
+                                   "initial.c0": "gaussian_bump(0.5, 1.2)",
+                                   "discretization.m": "1"})
+    out = tmp_path / "one-step"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "solve"]) == 0
+    run_cfg = RunConfig.from_file(str(cfg))
+    chem = run_cfg.make_chem(run_cfg.make_grid())
+    table = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(np.unique(table[:, 0]), [0.0, 0.1])
+    at_zero = table[table[:, 0] == 0.0]
+    assert np.array_equal(at_zero[:, 2], chem.c0)
+    assert np.array_equal(at_zero[:, 3], chem.c0_prime)
 
 
 def test_main_picard_unconverged_exit_1(tmp_path, monkeypatch):

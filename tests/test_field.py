@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ksmv.grid import Grid1D, TimeMesh, DensityField, heat_kernel
+from ksmv import field as kfield
 from ksmv.kernel import KernelSpec
 from ksmv.field import InitialChemical, drift_b, chemical_concentration, ks_residual
 from ksmv.mild import MarginalHistory, march
 
-from ksmv_helpers import (derivative_residual, gaussian_density, memory_drift,
-                          periodic_interp, running_sums)
+from ksmv_helpers import (concentration_oracle, derivative_residual, gaussian_density,
+                          memory_drift, periodic_interp, running_sums)
 
 PI_GRID = Grid1D(3.0 * math.pi, 256)   # sin(x) is an exact harmonic here
 
@@ -147,9 +148,11 @@ def test_concentration_time_zero_is_c0():
     mesh = TimeMesh(0.5, 20)
     chem = InitialChemical.sine(PI_GRID)
     hist = _zero_history(PI_GRID, mesh)
-    c = chemical_concentration(hist, chem, 0.7, 0)
-    assert np.array_equal(c.values, chem.c0)
-    assert np.array_equal(c.gradient, chem.c0_prime)
+    for nodes in ([0], [0, 1], [0, 7, 20]):
+        c = chemical_concentration(hist, chem, 0.7, nodes)[0]
+        assert np.array_equal(c.values, chem.c0)
+        assert np.array_equal(c.gradient, chem.c0_prime)
+        assert c.values is not chem.c0 and c.gradient is not chem.c0_prime
 
 
 def test_concentration_homogeneous_part_sine():
@@ -157,7 +160,7 @@ def test_concentration_homogeneous_part_sine():
     lam = 0.7
     chem = InitialChemical.sine(PI_GRID, amp=1.0, freq=1.0)
     hist = _zero_history(PI_GRID, mesh)
-    c = chemical_concentration(hist, chem, lam, 20)
+    c, = chemical_concentration(hist, chem, lam, [20])
     want = math.exp(-lam * 0.5) * math.exp(-0.5 / 2.0) * np.sin(PI_GRID.x)
     assert np.max(np.abs(c.values - want)) < 1e-12
     assert float(np.max(np.abs(c.values))) <= 1.0  # no source: sup can only shrink
@@ -170,7 +173,7 @@ def test_concentration_duhamel_frozen_gaussian():
     rows = np.tile(heat_kernel(1.0, g.x), (mesh.steps + 1, 1))
     hist = MarginalHistory(g, mesh, rows, {})
     chem = InitialChemical.from_samples(g, np.zeros(g.n), c0_prime=np.zeros(g.n))
-    c = chemical_concentration(hist, chem, 0.0, mesh.steps)
+    c, = chemical_concentration(hist, chem, 0.0, [mesh.steps])
     for i in range(0, g.n, 37):
         want, _ = integrate.quad(lambda s: heat_kernel(1.0 + s, g.x[i]), 0, 0.5)
         assert c.values[i] == pytest.approx(want, abs=1e-4)
@@ -180,8 +183,67 @@ def test_concentration_requires_populated_rows():
     mesh = TimeMesh(0.5, 20)
     chem = InitialChemical.sine(PI_GRID)
     hist = _zero_history(PI_GRID, mesh)
-    with pytest.raises(ValueError):
-        chemical_concentration(hist, chem, 0.0, 21)
+    with pytest.raises(ValueError, match=r"node index 21 outside 0\.\.20"):
+        chemical_concentration(hist, chem, 0.0, [2, 21])
+    hist.densities[12] = np.nan
+    with pytest.raises(ValueError, match="rows up to 15 are not all populated"):
+        chemical_concentration(hist, chem, 0.0, [2, 15])
+    assert len(chemical_concentration(hist, chem, 0.0, [2, 11])) == 2
+
+
+@pytest.mark.parametrize("nodes, problem", [
+    ([], r"nonempty, strictly increasing list, got \[\]"),
+    ([3, 2], r"strictly increasing list, got \[3, 2\]"),
+    ([0, 4, 4], r"strictly increasing list, got \[0, 4, 4\]"),
+    ([-1, 3], r"node index -1 outside 0\.\.20")])
+def test_concentration_refuses_a_node_list_by_name(nodes, problem):
+    mesh = TimeMesh(0.5, 20)
+    chem = InitialChemical.sine(PI_GRID)
+    hist = _zero_history(PI_GRID, mesh)
+    with pytest.raises(ValueError, match=problem):
+        chemical_concentration(hist, chem, 0.0, nodes)
+
+
+def test_concentration_pushes_each_row_once(monkeypatch):
+    # one call over nodes up to 40 pushes rows 0..39, each once and in order
+    g = Grid1D(3.0 * math.pi, 64)
+    mesh = TimeMesh(0.4, 40)
+    chem = InitialChemical.sine(g, amp=0.3, freq=1.0)
+    hist = march(gaussian_density(g, 0.5), KernelSpec(chi=1.0, lam=0.5), chem, g, mesh)
+    pushed = []
+
+    def counting_push(U, q, E1, row, spare):
+        pushed.append(row.copy())
+        push(U, q, E1, row, spare)
+
+    push = kfield._push
+    monkeypatch.setattr(kfield, "_push", counting_push)
+    chemical_concentration(hist, chem, 0.5, [0, 3, 4, 17, 40])
+    spectra = np.fft.rfft(hist.densities[:41], axis=1)
+    assert len(pushed) == 40
+    assert all(np.array_equal(row, spectra[l]) for l, row in enumerate(pushed))
+
+
+# criterion 6's two levels, and n = 64 at the M of the residual's sample
+# shapes and beyond: one call over every node, and one over the command's
+# nodes {1, M/2, M}, equal the per-node oracle bit for bit
+@pytest.mark.parametrize("n, M", [(256, 100), (512, 200)]
+                         + [(64, M) for M in (1, 2, 3, 4, 25, 40, 400)])
+def test_concentration_pass_equals_the_per_node_oracle(n, M):
+    g = Grid1D(3.0 * math.pi, n)
+    mesh = TimeMesh(0.4, M)
+    chem = InitialChemical.sine(g, amp=0.3, freq=1.0)
+    hist = march(gaussian_density(g, 0.5), KernelSpec(chi=1.0, lam=0.5), chem, g, mesh)
+    checked = sorted({0, 1, 2, M // 3, M // 2, M - 1, M} & set(range(M + 1)))
+    every = chemical_concentration(hist, chem, 0.5, range(M + 1))
+    command = sorted({1, M // 2, M})
+    fields = [(k, every[k]) for k in checked]
+    fields += zip(command, chemical_concentration(hist, chem, 0.5, command))
+    for k, got in fields:
+        want = concentration_oracle(hist, chem, 0.5, k)
+        assert np.array_equal(got.values, want.values), k
+        assert np.array_equal(got.gradient, want.gradient), k
+        assert got.time_tag == want.time_tag
 
 
 def test_gradient_cross_method_agreement():
@@ -191,7 +253,7 @@ def test_gradient_cross_method_agreement():
     spec = KernelSpec(chi=1.0, lam=0.5)
     p0 = gaussian_density(g, 0.5)
     hist = march(p0, spec, chem, g, mesh)
-    c = chemical_concentration(hist, chem, 0.5, mesh.steps)
+    c, = chemical_concentration(hist, chem, 0.5, [mesh.steps])
     # the gradient comes from the memory drift, not from differencing c
     cd = (np.roll(c.values, -1) - np.roll(c.values, 1)) / (2.0 * g.h)
     assert float(np.max(np.abs(cd - c.gradient))) < 5.0 * g.h ** 2
@@ -203,7 +265,7 @@ def test_gradient_zero_at_symmetry_point():
     rows = np.tile(heat_kernel(0.5, g.x), (mesh.steps + 1, 1))
     hist = MarginalHistory(g, mesh, rows, {})
     chem = InitialChemical.from_samples(g, np.full(g.n, 2.0), c0_prime=np.zeros(g.n))
-    grad = chemical_concentration(hist, chem, 0.0, mesh.steps).gradient
+    grad = chemical_concentration(hist, chem, 0.0, [mesh.steps])[0].gradient
     assert abs(grad[g.n // 2]) < 1e-14    # even density, odd kernel
 
 
@@ -219,8 +281,9 @@ def test_gradient_identity_with_memory_drift(chi):
     p0 = gaussian_density(g, 0.5)
     hist = march(p0, spec, chem, g, mesh)
     worst = 0.0
-    for k in (0, 1, mesh.steps // 2, mesh.steps):
-        lhs = chi * chemical_concentration(hist, chem, spec.lam, k).gradient
+    nodes = (0, 1, mesh.steps // 2, mesh.steps)
+    for k, field in zip(nodes, chemical_concentration(hist, chem, spec.lam, nodes)):
+        lhs = chi * field.gradient
         rhs = drift_b(spec, chem, float(mesh.nodes[k])) + memory_drift(hist, spec, k)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12
@@ -253,8 +316,8 @@ def test_concentration_lanes_match_the_memory_sum_formulas(lam, kind, c0):
     S = running_sums(rho_hat, q)
     c0_hat, c0p_hat = np.fft.rfft(chem.c0), np.fft.rfft(chem.c0_prime)
     worst = [0.0, 0.0]
-    for k in range(mesh.steps + 1):
-        field = chemical_concentration(hist, chem, lam, k)
+    nodes = range(mesh.steps + 1)
+    for k, field in zip(nodes, chemical_concentration(hist, chem, lam, nodes)):
         decay = np.exp(-rate * k * dt)
         c_hat = decay * c0_hat
         if k:
@@ -274,7 +337,7 @@ def test_concentration_young_bound_full_model():
     chem = InitialChemical.sine(g, amp=0.5, freq=1.0)
     spec = KernelSpec(chi=1.0, lam=0.5)
     hist = march(gaussian_density(g, 0.5), spec, chem, g, mesh)
-    c = chemical_concentration(hist, chem, 0.5, mesh.steps)
+    c, = chemical_concentration(hist, chem, 0.5, [mesh.steps])
     sup_rho = float(np.max(hist.densities))
     bound = float(np.max(np.abs(chem.c0))) + mesh.horizon * sup_rho
     assert float(np.max(np.abs(c.values))) <= bound
@@ -324,3 +387,45 @@ def test_ks_residual_rejects_a_nan_row_it_reads(nan_row, refused):
             ks_residual(hist, chem, 0.5)
     else:
         assert np.all(np.isfinite(ks_residual(hist, chem, 0.5)))
+
+
+# --- symmetries of the march and the field -----------------------------------
+
+
+def _march_and_field(g, mesh, spec, p0, c0, c0_prime):
+    """The march rows and the c and d/dx c lanes at every node, from samples."""
+    chem = InitialChemical.from_samples(g, c0, c0_prime=c0_prime)
+    hist = march(DensityField(g, p0), spec, chem, g, mesh)
+    fields = chemical_concentration(hist, chem, spec.lam, range(mesh.steps + 1))
+    return (hist.densities, np.array([f.values for f in fields]),
+            np.array([f.gradient for f in fields]))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("chi", [1.0, 5.0, 20.0])
+@pytest.mark.parametrize("c0", ["sine", "bump"])
+def test_march_and_field_commute_with_reflection_and_shift(c0, chi, lam):
+    # x_j -> x_{n-j} maps gaussian(m, v) to gaussian(-m, v) and sine(a, f) to
+    # sine(-a, f), and d/dx c changes sign; a shift by 37 cells moves every
+    # lane alike.  The maps act on the samples, so the inputs map exactly
+    # (the bump's sampled c0' is not odd at x_0 = -L, its own mirror image,
+    # where it reads 1.3e-13 instead of 0; a reflected bump form would carry
+    # that into d/dx c).  Largest gaps relative to the lane's max over
+    # n = 256, M = 100: reflection 5.9e-16 (rows), 8.5e-16 (c), 7.1e-16
+    # (d/dx c); shift 1.2e-15, 1.8e-15, 2.0e-15
+    g = Grid1D(3.0 * math.pi, 256)
+    mesh = TimeMesh(0.4, 100)
+    spec = KernelSpec(chi=chi, lam=lam)
+    p0 = gaussian_density(g, 0.5, mean=0.7).values
+    chem = (InitialChemical.sine(g, amp=0.3, freq=1.0) if c0 == "sine" else
+            InitialChemical.gaussian_bump(g, amp=0.5, width=1.2))
+    lanes = _march_and_field(g, mesh, spec, p0, chem.c0, chem.c0_prime)
+    mirror = (g.n - np.arange(g.n)) % g.n
+    reflected = _march_and_field(g, mesh, spec, p0[mirror], chem.c0[mirror],
+                                 -chem.c0_prime[mirror])
+    shifted = _march_and_field(g, mesh, spec, *(np.roll(v, 37) for v in
+                                                (p0, chem.c0, chem.c0_prime)))
+    for lane, sign, got_r, got_s in zip(lanes, (1.0, 1.0, -1.0), reflected, shifted):
+        scale = float(np.max(np.abs(lane)))
+        assert np.max(np.abs(got_r - sign * lane[:, mirror])) <= 2e-15 * scale
+        assert np.max(np.abs(got_s - np.roll(lane, 37, axis=1))) <= 5e-15 * scale

@@ -37,12 +37,13 @@ def frozen_gaussian_history(grid, mesh, var=1.0):
     return MarginalHistory(grid, mesh, rows, {})
 
 
-def memory_gradient(hist, lam, k):
-    """d/dx c at node k with c0 = c0' = 0: the memory drift B(t_k, .) of the
-    unit kernel KernelSpec(1, lam), by the chemical field's gradient lane."""
+def memory_gradient(hist, lam, nodes):
+    """d/dx c at each of the nodes with c0 = c0' = 0: the memory drift
+    B(t_k, .) of the unit kernel KernelSpec(1, lam), by the chemical field's
+    gradient lane, all nodes in one pass."""
     zero = np.zeros(hist.grid.n)
     chem = InitialChemical.from_samples(hist.grid, zero, c0_prime=zero)
-    return chemical_concentration(hist, chem, lam, k).gradient
+    return [f.gradient for f in chemical_concentration(hist, chem, lam, nodes)]
 
 
 # --- history container -----------------------------------------------------
@@ -106,7 +107,7 @@ def test_history_require_rows_flags_nan():
 
 def test_memory_drift_empty_integral():
     hist = frozen_gaussian_history(G12, MESH200)
-    B = memory_gradient(hist, 0.0, 0)
+    B, = memory_gradient(hist, 0.0, [0])
     assert B.shape == (G12.n,)
     assert np.all(B == 0.0)
 
@@ -114,7 +115,7 @@ def test_memory_drift_empty_integral():
 def test_memory_drift_frozen_gaussian_oracle():
     # rows all g(1,.): B(t, x) = -x int_0^t g(1+u, x) / (1+u) du
     hist = frozen_gaussian_history(G12, MESH200)
-    B = memory_gradient(hist, 0.0, MESH200.steps)
+    B, = memory_gradient(hist, 0.0, [MESH200.steps])
     idx = range(8, G12.n, 61)
     worst = 0.0
     for i in idx:
@@ -128,7 +129,7 @@ def test_memory_drift_frozen_gaussian_oracle():
 def test_memory_drift_decay_oracle():
     hist = frozen_gaussian_history(G12, MESH200)
     lam = 0.5
-    B = memory_gradient(hist, lam, MESH200.steps)
+    B, = memory_gradient(hist, lam, [MESH200.steps])
     xv = G12.x[700]
     want, _ = integrate.quad(
         lambda u: -xv * math.exp(-lam * u) * heat_kernel(1.0 + u, xv) / (1.0 + u), 0, 1.0,
@@ -138,7 +139,7 @@ def test_memory_drift_decay_oracle():
 
 def test_memory_drift_odd_for_even_history():
     hist = frozen_gaussian_history(G12, MESH200, var=0.7)
-    B = memory_gradient(hist, 0.2, 50)
+    B, = memory_gradient(hist, 0.2, [50])
     n = G12.n
     mirrored = -B[np.mod(n - np.arange(n), n)]
     assert np.max(np.abs(B - mirrored)) < 1e-13
@@ -154,8 +155,8 @@ def test_memory_drift_causal_bit_for_bit(k):
     zeroed = hist.densities.copy()
     zeroed[k:] = 0.0
     censored = MarginalHistory(g, mesh, zeroed, {})
-    a = memory_gradient(hist, spec.lam, k)
-    b = memory_gradient(censored, spec.lam, k)
+    a, = memory_gradient(hist, spec.lam, [k])
+    b, = memory_gradient(censored, spec.lam, [k])
     assert np.array_equal(a, b)
 
 
@@ -730,9 +731,9 @@ def test_restart_drift_frozen_gaussian_oracle():
     T0 = 0.25
     hist = prefix_then_zero_history(G12, T0, 50)
     spec = KernelSpec(chi=1.0, lam=0.0)
-    for j in (0, 20, 50):
+    js = (0, 20, 50)
+    for j, b1 in zip(js, memory_gradient(hist, spec.lam, [50 + j for j in js])):
         t = j * hist.mesh.dt
-        b1 = memory_gradient(hist, spec.lam, 50 + j)
         mirrored = -b1[np.mod(G12.n - np.arange(G12.n), G12.n)]
         assert np.max(np.abs(b1 - mirrored)) < 1e-13   # odd for an even prefix
         for i in (300, 512, 700):
@@ -746,9 +747,9 @@ def test_restart_drift_young_bound():
     T0 = 0.25
     hist = prefix_then_zero_history(G12, T0, 50)
     spec = KernelSpec(chi=1.0, lam=0.0)
-    for j in (0, 24):
+    js = (0, 24)
+    for j, b1 in zip(js, memory_gradient(hist, spec.lam, [50 + j for j in js])):
         t = j * hist.mesh.dt
-        b1 = memory_gradient(hist, spec.lam, 50 + j)
         total, _ = integrate.quad(lambda s: kernel_l1_norm(spec, T0 + t - s), 0, T0,
                                   points=[T0])
         bound = float(np.max(hist.densities)) * total
@@ -768,10 +769,11 @@ def test_memory_sums_carried_across_windows_equal_one_pass():
     own = running_sums(spectra[25:], q)
     assert np.array_equal(first, running_sums(spectra, q)[:26])
     E1 = integrated_kernel_symbol(spec, mesh.dt, g.wavenumbers)
-    for j in (0, 1, 10):
+    js = (0, 1, 10)
+    for j, b in zip(js, memory_gradient(hist, spec.lam, [25 + j for j in js])):
         carried = symbol_decay(spec.lam, j * mesh.dt, g.wavenumbers) * first[-1]
         split = np.fft.irfft(E1 * (carried + own[j]), g.n)
-        assert np.allclose(split, memory_gradient(hist, spec.lam, 25 + j), rtol=0, atol=1e-13)
+        assert np.allclose(split, b, rtol=0, atol=1e-13)
 
 
 # --- global solves ----------------------------------------------------------
