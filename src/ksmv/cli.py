@@ -700,10 +700,11 @@ def _out_dir(cfg: RunConfig, override: Optional[str]) -> Path:
 
 
 def _contraction_horizon(cfg: RunConfig, spec: KernelSpec) -> float:
-    """find_T0 at picard.safety, refused where it underflows: to 0, or so far
-    that T / T0 overflows."""
+    """find_T0 at picard.safety, refused where it underflows: below the
+    smallest normal float, where it has lost precision (D(T0) overshoots
+    safety), or so far that T / T0 overflows."""
     T0 = find_T0(spec, cfg.safety)
-    if T0 == 0.0 or cfg.horizon / T0 == math.inf:
+    if T0 < sys.float_info.min or cfg.horizon / T0 == math.inf:
         raise ConfigError([f"picard.safety, model.chi: the contraction horizon T0 underflows "
                            f"at safety {cfg.safety:g} and chi {cfg.chi:g} (T0 = {T0:.3g}); "
                            "raise picard.safety or lower model.chi"])
@@ -716,8 +717,7 @@ def cmd_check_kernel(cfg: RunConfig, out: Path, run: RunReport):
         # T0 = inf when D saturates below the safety level: Picard then
         # contracts on every horizon, and D(inf) is that saturation level
         T0 = _contraction_horizon(cfg, spec)
-        with _allocation("discretization.m", f"arrays of {cfg.steps:.6g} time steps"):
-            report = check_hypotheses(spec, cfg.make_mesh())
+        report = check_hypotheses(spec, cfg.make_mesh())
         D0 = horizon_D(spec, T0) if has_memory(spec) else 0.0
     for key, item in report.items.items():
         run.add(key, item.value, item.bound, item.passed, f"{item.name}: {item.detail}")
@@ -770,6 +770,10 @@ def cmd_solve(cfg: RunConfig, out: Path, run: RunReport, mode: str = "march"):
 def cmd_picard(cfg: RunConfig, out: Path, run: RunReport):
     spec, grid = cfg.make_spec(), cfg.make_grid()
     horizon = min(cfg.horizon, _contraction_horizon(cfg, spec))
+    if horizon / cfg.steps == 0.0:   # from_mapping refuses T / M alone
+        raise ConfigError([f"picard.safety, model.chi, discretization.m: the time step "
+                           f"min(T, T0) / M = {horizon:g} / {cfg.steps:g} underflows to 0; "
+                           "raise picard.safety, or lower model.chi or discretization.m"])
     mesh = TimeMesh(horizon, cfg.steps)
     with _allocation("discretization.n", f"arrays of {cfg.n:.6g} grid points"):
         p0 = cfg.make_p0(grid)

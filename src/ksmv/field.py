@@ -15,7 +15,8 @@ runs the unit kernel's E1, the memory drift's quadrature, so that the
 structural identity  chi * d/dx c = b + B  holds on the shared
 discretization, and central differencing of c checks it independently at
 O(h^2) + O(dt^2) accuracy.  One call reads any set of nodes in one pass over
-the rows, at O(max(nodes) n log n).
+the rows, at O(max(nodes) n log n) time; it transforms a block of rows at a
+time, so its memory does not grow with max(nodes).
 
 The exogenous drift is b(t, x) = chi e^{-lambda t} E[c0'(x + W_t)], bounded
 by chi ||c0'||_inf for all times, and evaluated spectrally on the chemical's
@@ -36,6 +37,9 @@ import numpy as np
 
 from .grid import Grid1D
 from .kernel import KernelSpec, _push, integrated_kernel_symbol, symbol_decay
+
+# history rows per rfft call of chemical_concentration's pass
+_FIELD_BLOCK = 64
 
 __all__ = [
     "InitialChemical",
@@ -122,7 +126,8 @@ def chemical_concentration(history, chem: InitialChemical, lam: float,
                            nodes: Sequence[int]) -> List[ChemicalField]:
     """Concentration c and its gradient d/dx c at each of the strictly
     increasing mesh nodes, from the density history rows 0..max(nodes), in
-    one pass over those rows.
+    one pass over those rows, which transforms _FIELD_BLOCK of them at a
+    time: each row is read at its node, if it is one, and then pushed.
 
     Both are lanes of U <- q U + E1 rho_hat_l, each row l < max(nodes)
     pushed once, with q = e^{-(lam + xi^2/2) dt}.  The c lane is the Duhamel
@@ -147,23 +152,28 @@ def chemical_concentration(history, chem: InitialChemical, lam: float,
         fields.append(ChemicalField(grid, chem.c0.copy(), chem.c0_prime.copy(), times[0]))
         nodes = nodes[1:]
     xi = grid.wavenumbers
-    rho_hat = np.fft.rfft(history.densities[: last + 1], axis=1)
     q = symbol_decay(lam, dt, xi).astype(complex)   # cast once, not in every push
     half_w0 = 0.5 * (dt if lam == 0.0 else -math.expm1(-lam * dt) / lam)
     E1 = np.stack([half_w0 * (q + symbol_decay(0.0, dt, xi)),
                    integrated_kernel_symbol(KernelSpec(1.0, lam), dt, xi)])
-    U = np.stack([np.fft.rfft(chem.c0) - half_w0 * rho_hat[0], np.fft.rfft(chem.c0_prime)])
+    U = np.stack([np.fft.rfft(chem.c0), np.fft.rfft(chem.c0_prime)])
     spare = np.empty_like(U)
-    pushed = 0
-    for k in nodes:
-        for row in rho_hat[pushed:k]:
-            _push(U, q, E1, row, spare)
-        pushed = k
-        # between pushes spare is free: it holds node k's copy of the lanes
-        spare[:] = U
-        spare[0] += half_w0 * rho_hat[k]
-        values, gradient = np.fft.irfft(spare, grid.n, axis=1)
-        fields.append(ChemicalField(grid, values, gradient, times[k]))
+    reads = iter(nodes)
+    k = next(reads, None)
+    for start in range(0, last + 1, _FIELD_BLOCK):
+        block = np.fft.rfft(history.densities[start : min(start + _FIELD_BLOCK, last + 1)], axis=1)
+        if start == 0:
+            U[0] -= half_w0 * block[0]
+        for l, row in enumerate(block, start):
+            if l == k:
+                # between pushes spare is free: it holds node k's copy of the lanes
+                spare[:] = U
+                spare[0] += half_w0 * row
+                values, gradient = np.fft.irfft(spare, grid.n, axis=1)
+                fields.append(ChemicalField(grid, values, gradient, times[k]))
+                k = next(reads, None)
+            if l < last:
+                _push(U, q, E1, row, spare)
     return fields
 
 

@@ -125,8 +125,12 @@ class RestartTooLargeError(MemoryError):
     cannot be allocated; raised before any window runs."""
 
     def __init__(self, windows: int, T0: float, shape: Tuple[int, int]):
-        super().__init__(f"{windows} windows of at most T0 = {T0:.3g}, whose {shape} row "
-                         "array cannot be allocated")
+        # as Decimals, counts past the float range take the format too; the
+        # module is imported here, as only this refusal needs it
+        from decimal import Decimal
+        rows, cols = shape
+        super().__init__(f"{Decimal(windows):.3g} windows of at most T0 = {T0:.3g}, whose "
+                         f"({Decimal(rows):.3g}, {cols}) row array cannot be allocated")
         self.windows, self.T0 = windows, T0
 
 
@@ -150,7 +154,8 @@ class MarginalHistory:
     def require_rows(self, k: int):
         if not 0 <= k <= self.mesh.steps:
             raise ValueError(f"node index {k} outside 0..{self.mesh.steps}")
-        if np.isnan(self.densities[: k + 1]).any():
+        # min propagates a NaN, and builds no mask of the rows
+        if np.isnan(self.densities[: k + 1].min()):
             raise ValueError(f"history rows up to {k} are not all populated")
 
     def masses(self) -> np.ndarray:
@@ -193,8 +198,8 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
     _push on the flat view of the lanes' states.
 
     With lead None there is one lane and r_k is the spectrum it produces
-    (the march).  Otherwise lane 0 pushes the lead's spectra, one spectrum
-    held at every node (1-D) or row k of a stack, and lane j the spectrum
+    (the march).  Otherwise lane 0 pushes row k of the lead's stack of
+    spectra (a broadcast row for picard's iterate 0), and lane j the spectrum
     lane j - 1 holds at step k, so the lanes are consecutive fixed-point
     iterates advancing in lockstep; no pushed row is transformed (transform
     calls: module docstring).
@@ -233,9 +238,6 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
     cur = pair[:J].reshape(-1)
     pair[:J] = _unit_spectrum(p0_values, grid)
     state_rows[:] = U
-    per_node = batch and lead.ndim == 2
-    if batch and not per_node:
-        hats[0] = lead
     inv = np.empty((2 * J, n))
     inv[:J], inv[J:] = p0_values, np.fft.irfft(U, n)
     now, u = inv[:J].reshape(-1), inv[J:].reshape(-1)
@@ -258,7 +260,7 @@ def _run_mild(p0_values: np.ndarray, grid: Grid1D, mesh: TimeMesh, U: np.ndarray
         for k in range(M):
             np.abs(u, out=abs_u)
             np.maximum(sup, abs_u, out=sup)
-            if per_node:
+            if batch:
                 hats[0] = lead[k]
             np.multiply(u, now, out=fluxes)
             np.fft.rfft(fwd, axis=1, out=fwd_hat)
@@ -382,10 +384,10 @@ def picard(p0: DensityField, spec: KernelSpec, chem: Optional[InitialChemical],
         warnings.warn(f"horizon has D(T)={D:.3g} >= 1; iteration may not contract",
                       RuntimeWarning, stacklevel=2)
 
-    # iterate 0 is p_0 on every row: one row, broadcast, whose spectrum
-    # the first batch's lane 0 pushes
+    # iterate 0 is p_0 on every row: one row and its spectrum, broadcast,
+    # which the first batch's lane 0 pushes
     prev = np.broadcast_to(p0.values, (mesh.steps + 1, grid.n))
-    lead = _unit_spectrum(p0.values, grid)
+    lead = np.broadcast_to(_unit_spectrum(p0.values, grid), (mesh.steps + 1, grid.n // 2 + 1))
     distances: List[float] = []
     grow_streak = 0
     # without memory every iterate from the first on is the same history, so

@@ -33,8 +33,7 @@ by bin, with an exact binomial tail test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,31 +92,27 @@ def _tail_eval(t: float, a, beta: float):
 
 
 @dataclass
-class BinCheck:
-    """One histogram bin versus the bound at one sample time."""
-
-    time: float
-    center: float
-    count: int
-    bound_prob: float
-    p_value: float
-
-
-@dataclass
 class BoundReport:
-    """Outcome of checking an ensemble against the universal bound; a bin is
-    a violation when its p-value falls below level."""
+    """Outcome of checking an ensemble against the universal bound: counts,
+    bound_probs and p_values hold every tested bin of every snapshot at
+    t > 0, in order, and violations the indices of the bins whose p-value
+    falls below level."""
 
     level: float
-    checks: List[BinCheck] = field(default_factory=list)
-    violations: List[BinCheck] = field(default_factory=list)
+    counts: np.ndarray
+    bound_probs: np.ndarray
+    p_values: np.ndarray
+
+    @property
+    def violations(self) -> np.ndarray:
+        return np.flatnonzero(self.p_values < self.level)
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violations.size
 
     def min_p_value(self) -> float:
-        return min((c.p_value for c in self.checks), default=1.0)
+        return float(self.p_values.min()) if self.p_values.size else 1.0
 
 
 def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
@@ -141,22 +136,16 @@ def verify_bound(ensemble, beta: float, bins: int = 60) -> BoundReport:
     x0 = getattr(ensemble, "x0", None)
     if x0 is None:
         raise ValueError("pointwise bound check needs a deterministic start x0")
-    times = [float(t) for t in ensemble.snapshot_times]
-    level = QZ_HISTOGRAM_ALPHA / (bins * max(1, sum(t > 0 for t in times)))
-    report = BoundReport(level=level)
-    N = ensemble.n_particles
-    for t, positions in zip(times, ensemble.positions):
-        if t <= 0:
-            continue
+    snapshots = [(float(t), positions) for t, positions
+                 in zip(ensemble.snapshot_times, ensemble.positions) if t > 0]
+    counts = np.empty((len(snapshots), bins), dtype=np.intp)
+    probs = np.empty((len(snapshots), bins))
+    for (t, positions), count, prob in zip(snapshots, counts, probs):
         edges = np.linspace(np.min(positions), np.max(positions), bins + 1)
-        counts, _ = np.histogram(positions, bins=edges)
+        count[:] = np.histogram(positions, bins=edges)[0]
         nearest = np.clip(x0, edges[:-1], edges[1:])
-        prob = np.minimum((edges[1] - edges[0]) * _tail_eval(t, np.abs(nearest - x0), beta), 1.0)
-        p_values = binomial_sf(counts, N, prob)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        for c, k, pb, pv in zip(centers, counts, prob, p_values):
-            chk = BinCheck(t, float(c), int(k), float(pb), float(pv))
-            report.checks.append(chk)
-            if chk.p_value < level:
-                report.violations.append(chk)
-    return report
+        prob[:] = np.minimum((edges[1] - edges[0]) * _tail_eval(t, np.abs(nearest - x0), beta), 1.0)
+    counts, probs = counts.ravel(), probs.ravel()
+    # one call over every bin: each element's continued fraction runs alone
+    return BoundReport(QZ_HISTOGRAM_ALPHA / (bins * max(1, len(snapshots))), counts, probs,
+                       binomial_sf(counts, ensemble.n_particles, probs))

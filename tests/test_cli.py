@@ -24,7 +24,8 @@ from ksmv.cli import (parse_config_text, _parse_value, ConfigError, RunConfig,
                       RunReport, write_csv, write_plot_table, write_history_csv,
                       write_field_csv)
 from ksmv.grid import Grid1D, TimeMesh, heat_kernel
-from ksmv.kernel import find_T0, has_memory, horizon_D, integrated_kernel_symbol
+from ksmv.kernel import (KernelSpec, f1_profile, find_T0, has_memory, horizon_D,
+                         integrated_kernel_symbol)
 from ksmv.field import ChemicalField, InitialChemical, drift_b
 from ksmv import mild
 from ksmv.mild import MarginalHistory
@@ -416,6 +417,21 @@ def test_restart_whose_rows_cannot_be_allocated_exits_2(tmp_path, capsys, monkey
     assert cli.main(argv) in (0, 1)
 
 
+@pytest.mark.parametrize("chi, lam, T, M", [("1e150", "0.5", "0.1", "100"),
+                                            ("3.13e152", "0", "100", "1.7e308")])
+def test_restart_refusal_prints_its_counts_short(tmp_path, capsys, chi, lam, T, M):
+    # 1e300 windows and more: the window count and the row count print in
+    # .3g, also where the row count (2e308 here) is past the float range
+    cfg = mini_config(tmp_path, **{"model.chi": chi, "model.lambda": lam, "discretization.t": T,
+                                   "discretization.m": M, "model.kernel": "keller_segel"})
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run"), "solve", "--mode",
+            "picard_with_restart"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "windows of at most T0" in err and "Traceback" not in err
+    assert max(map(len, err.splitlines())) < 300
+
+
 @pytest.mark.parametrize("c0", ["quadratic(1, 2)", "gaussian_bump(1, 0)",
                                 "gaussian_bump(1, -2)", "sine(0.3, 1, 5)"])
 def test_main_malformed_c0_exits_2(tmp_path, capsys, c0):
@@ -557,6 +573,45 @@ def test_contraction_horizon_that_underflows_exits_2(tmp_path, capsys, key, valu
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), *command.split()]) == 2
     err = capsys.readouterr().err
     assert "picard.safety, model.chi: " in err and "Traceback" not in err
+
+
+# chi = 3e159 puts T0 = pi / (32 chi^2) (lambda = 0, safety 0.5) at
+# 1.1e-320, a subnormal with about 3 significant digits, where D(T0)
+# overshoots the safety level; chi = 1e153 puts it at 9.8e-308, a normal
+# float that T0 / M at M = 1e17 takes below the smallest subnormal
+_T0_EDGES = {"subnormal": ({"model.chi": "3e159", "discretization.t": "1e-13"},
+                           {"check-kernel": "T0 underflows", "picard": "T0 underflows",
+                            "solve --mode picard_with_restart": "T0 underflows"}),
+             "subnormal, many steps": ({"model.chi": "3e159", "discretization.t": "1e-300",
+                                        "discretization.m": "100000"},
+                                       {"check-kernel": "T0 underflows",
+                                        "picard": "T0 underflows",
+                                        "solve --mode picard_with_restart": "T0 underflows"}),
+             "step underflows": ({"model.chi": "1e153", "discretization.t": "0.1",
+                                  "discretization.m": "1e17"},
+                                 {"check-kernel": None,
+                                  "picard": "min(T, T0) / M = 9.81748e-308 / 1e+17 underflows",
+                                  "solve --mode picard_with_restart": "windows of at most T0"})}
+
+
+@pytest.mark.parametrize("lam", ["0", "0.5"])
+@pytest.mark.parametrize("command", ["check-kernel", "picard", "solve --mode picard_with_restart"])
+@pytest.mark.parametrize("edge", list(_T0_EDGES))
+def test_contraction_horizon_at_the_subnormal_edge_exits_by_name(tmp_path, capsys, edge,
+                                                                 command, lam):
+    # a subnormal T0 is refused as one that underflows to 0, and picard names
+    # a step min(T, T0) / M that underflows as from_mapping names T / M;
+    # check-kernel reads no array of M steps
+    overrides, wants = _T0_EDGES[edge]
+    cfg = mini_config(tmp_path, **{"model.kernel": "keller_segel", "model.lambda": lam,
+                                   **overrides})
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "run"), *command.split()])
+    out, err = capsys.readouterr()
+    assert "cannot be allocated (" not in err and "Traceback" not in err
+    if wants[command] is None:
+        assert code == 0 and "[PASS] contraction_D_at_T0" in out
+    else:
+        assert code == 2 and wants[command] in err
 
 
 @pytest.mark.parametrize("M", ["1", "2", "100"])
@@ -748,6 +803,23 @@ def test_check_kernel_passes_when_D_saturates_below_safety(tmp_path, monkeypatch
     assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 0
     records = json.loads((out / "check_kernel_report.json").read_text())["records"]
     assert {r["name"]: r["passed"] for r in records}["contraction_D_at_T0"]
+
+
+def test_check_kernel_at_1e15_steps_reads_no_array_of_them(tmp_path, monkeypatch):
+    # H.4 is f1, f2 at the first step dt: nothing grows with M, and the
+    # records at M = 1e15 are those of a mesh of dt = T / 1e15
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    text = (REPO / "configs" / "full_model.cfg").read_text()
+    assert "discretization.m = 100\n" in text
+    cfg = tmp_path / "m1e15.cfg"
+    cfg.write_text(text.replace("discretization.m = 100\n", "discretization.m = 1e15\n"))
+    out = tmp_path / "ck"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "check-kernel"]) == 0
+    records = {r["name"]: r for r in
+               json.loads((out / "check_kernel_report.json").read_text())["records"]}
+    spec = KernelSpec(chi=1.0, lam=0.5)
+    assert records["H4"]["value"] == float(f1_profile(spec, 0.4 / 1e15))
+    assert records["H6"]["value"] == float(f1_profile(spec, 0.4))
 
 
 @pytest.mark.parametrize("lam, T", [("100", "1.0"), ("0.5", "100")])

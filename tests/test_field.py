@@ -1,6 +1,7 @@
 """Exogenous drift, chemical concentration/gradient, and the consistency residual."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,26 @@ def test_concentration_pushes_each_row_once(monkeypatch):
     spectra = np.fft.rfft(hist.densities[:41], axis=1)
     assert len(pushed) == 40
     assert all(np.array_equal(row, spectra[l]) for l, row in enumerate(pushed))
+
+
+def test_concentration_pass_memory_does_not_grow_with_the_rows():
+    # the pass transforms a block of 64 rows at a time and checks the rows
+    # for NaN with no mask: at n = 1024 one block of spectra is 0.5 MB, all
+    # 1601 rows' spectra would be 13 MB and their NaN mask 1.6 MB
+    g = Grid1D(3.0 * math.pi, 1024)
+    chem = InitialChemical.sine(g, amp=0.3, freq=1.0)
+    peaks = []
+    for M in (400, 1600):
+        mesh = TimeMesh(0.4, M)
+        rows = np.vstack([heat_kernel(0.5 + t, g.x) for t in mesh.nodes])
+        hist = MarginalHistory(g, mesh, rows, {})
+        tracemalloc.start()
+        try:
+            chemical_concentration(hist, chem, 0.5, [1, M // 2, M])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2e6, peaks
 
 
 # criterion 6's two levels, and n = 64 at the M of the residual's sample

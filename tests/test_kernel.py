@@ -1,5 +1,6 @@
 """Kernel closed forms, Fourier symbols, hypothesis checker, contraction horizon."""
 
+import itertools
 import math
 
 import numpy as np
@@ -375,6 +376,40 @@ def test_h4_and_h6_reach_their_plateaus_at_zero_decay_and_fall_below_with_decay(
             else:
                 assert f1_sup < f1_plateau and f2_sup < f2_plateau
                 assert rep.items["H6"].value < f1_plateau
+
+
+@pytest.mark.parametrize("kind", ["keller_segel", "none"])
+def test_h4_is_its_old_max_over_the_mesh_nodes(kind):
+    # the oracle is the max over mesh.nodes[1:] that H.4 once took; H.4 is
+    # now f1, f2 at the first node, bit for bit the oracle's first value.
+    # At lambda dt in about (4e-17, 8e-17) e^{-z} rounds down by an ulp
+    # that the term a z e^{-z}, below half an ulp, cannot lift, while nodes
+    # from z = 2^-53 / a on round to the plateau: the oracle's max reads one
+    # ulp above H.4 there, and every verdict and detail stays.  The pair
+    # chi = 1e300, lambda = 1e-300 is left out: H.1 warns there (CHANGES.md)
+    sweep = itertools.product((0.5, 2.0, 20.0, 1e-300, 1e300),
+                              (0.0, 1e-300, 1e-12, 0.5, 15.0, 100.0, 1e4),
+                              (1e-300, 1e-12, 1e-3, 0.1, 1.0, 1e3), (1, 2, 7, 100, 1600))
+    noisy = 0
+    for chi, lam, T, M in sweep:
+        if (chi, lam) == (1e300, 1e-300):
+            continue
+        spec, mesh = KernelSpec(chi, lam, kind), TimeMesh(T, M)
+        h4 = check_hypotheses(spec, mesh).items["H4"]
+        f1, f2 = f1_profile(spec, mesh.nodes[1:]), f2_profile(spec, mesh.nodes[1:])
+        f1_plateau = spec.chi_eff * SQRT_2PI
+        f2_plateau = spec.chi_eff * math.pi ** 0.75 / math.sqrt(2.0)
+        slack = 1.0 + 1e-12
+        assert h4.value == f1[0]
+        if h4.value != f1.max():
+            noisy += 1
+            assert 4e-17 < lam * mesh.dt < 8e-17
+            assert f1.max() - h4.value == np.spacing(h4.value)
+        assert h4.bound == f1_plateau * slack
+        assert h4.passed == bool(f1.max() <= f1_plateau * slack and f2.max() <= f2_plateau * slack)
+        assert h4.detail == (f"f2 sup {f2.max():.6g}; plateaus {f1_plateau:.6g}, "
+                             f"{f2_plateau:.6g} at lambda=0")
+    assert (noisy > 0) == (kind == "keller_segel")   # the sweep reaches that window
 
 
 # --- contraction horizon ---------------------------------------------------

@@ -11,7 +11,7 @@ from ksmv.grid import TimeMesh
 from ksmv.particle import ParticleEnsemble, simulate_bounded_drift
 from ksmv.qz import QZParams, qz_density, verify_bound
 
-from ksmv_helpers import qz_bound, qz_density_oracle
+from ksmv_helpers import binomial_sf_oracle, qz_bound, qz_density_oracle
 
 
 def test_params_validation():
@@ -122,8 +122,9 @@ def test_verify_bound_passes_driftless_ensemble():
                                  seed=7, drift_bound=0.0, store_rows=[25, 50])
     report = verify_bound(ens, beta=0.3, bins=40)
     assert report.passed
-    assert report.violations == []
-    assert len(report.checks) == 80          # two positive-time rows, t=0 skipped
+    assert report.violations.size == 0
+    # two positive-time rows, t=0 skipped
+    assert report.counts.shape == report.bound_probs.shape == report.p_values.shape == (80,)
     assert report.level == pytest.approx(1e-3 / 80)
     assert report.min_p_value() > report.level
 
@@ -162,11 +163,33 @@ def test_verify_bound_tests_sparse_bins():
     rows = np.vstack([np.zeros(N), np.concatenate([body, np.full(5, z_far)])])
     ens = ParticleEnsemble(TimeMesh(t, 1), rows, seed=0, drift_bound=beta)
     report = verify_bound(ens, beta, bins=bins)
-    assert [(v.count, round(v.bound_prob * N, 9)) for v in report.violations] == [(5, 0.1)]
-    q = report.violations[0].bound_prob     # P(Binomial(N, q) >= 5), summed term by term
+    assert [(report.counts[v], round(report.bound_probs[v] * N, 9))
+            for v in report.violations] == [(5, 0.1)]
+    (v,) = report.violations
+    q = report.bound_probs[v]     # P(Binomial(N, q) >= 5), summed term by term
     tail = sum(math.comb(N, j) * q ** j * (1.0 - q) ** (N - j) for j in range(5, 40))
-    assert report.violations[0].p_value == pytest.approx(tail, rel=1e-9)
-    assert all(c.p_value > 0.1 for c in report.checks[:-1])
+    assert report.p_values[v] == pytest.approx(tail, rel=1e-9)
+    assert np.all(report.p_values[:-1] > 0.1)
+
+
+def test_verify_bound_p_values_equal_the_per_bin_oracle():
+    # one binomial_sf call over the bins of three snapshots equals one
+    # continued fraction per bin, bit for bit; with the drift declared too
+    # weak, the violations are the bins below the level
+    mesh = TimeMesh(1.0, 200)
+    ens = simulate_bounded_drift(lambda t, dt, x: dt * (0.5 * np.sign(-x)),
+                                 lambda u: np.ones_like(u), mesh, 2003, seed=11,
+                                 drift_bound=0.1, store_rows=[20, 100, 200])
+    for bins in (50, 60):
+        report = verify_bound(ens, beta=0.1, bins=bins)
+        assert report.counts.shape == (3 * bins,)
+        assert report.counts.sum() == 3 * ens.n_particles
+        want = binomial_sf_oracle(report.counts, ens.n_particles, report.bound_probs)
+        assert np.array_equal(report.p_values, want)
+        assert report.level == 1e-3 / (3 * bins)
+        assert np.array_equal(report.violations, np.flatnonzero(want < report.level))
+        assert report.min_p_value() == want.min()
+    assert not report.passed
 
 
 def test_verify_bound_usage_errors():
